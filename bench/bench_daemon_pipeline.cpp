@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <new>
 #include <sstream>
@@ -66,10 +65,16 @@ void* operator new[](std::size_t n) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a container destructor, GCC would pair the
+// free() with the (replaced) operator new and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -141,8 +146,9 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
         gkfs::hash_path(paths[static_cast<std::size_t>(f)]);
   }
 
-  std::vector<std::future<std::size_t>> futs;
-  futs.reserve(static_cast<std::size_t>(ops));
+  // One WaitSlot continuation per op, exactly what a client pays.
+  std::vector<std::shared_ptr<fwd::WaitSlot>> slots;
+  slots.reserve(static_cast<std::size_t>(ops));
 
   // Warmup outside the measured region: lets the worker/flusher/drainer
   // threads finish starting, builds the slab arena, and faults the hot
@@ -158,13 +164,12 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
     req.size = kRequestBytes;
     req.payload = pool.try_acquire(kRequestBytes);
     if (req.payload.empty()) req.payload = Payload::heap(kRequestBytes);
-    req.done = std::make_shared<std::promise<std::size_t>>();
-    futs.push_back(req.done->get_future());
+    slots.push_back(fwd::wait_on(req));
     daemon.submit(std::move(req));
   }
-  for (auto& f : futs) f.get();
+  for (auto& s : slots) s->wait();
   daemon.drain();
-  futs.clear();
+  slots.clear();
 
   // The warmup's queue waits (thread spawn noise) are in the histogram;
   // keep a snapshot so the measured quantiles cover only the timed run.
@@ -187,7 +192,7 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
     // (Little's law turns depth/throughput into "wait"), not the
     // pipeline's latency.
     if (i >= kInflightWindow) {
-      futs[static_cast<std::size_t>(i - kInflightWindow)].get();
+      slots[static_cast<std::size_t>(i - kInflightWindow)]->wait();
     }
     const auto f = static_cast<std::size_t>(i % kFiles);
     fwd::FwdRequest req;
@@ -204,13 +209,10 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
     // measurement stays about the pipeline, not memset bandwidth.
     req.payload = pool.try_acquire(kRequestBytes);
     if (req.payload.empty()) req.payload = Payload::heap(kRequestBytes);
-    req.done = std::make_shared<std::promise<std::size_t>>();
-    futs.push_back(req.done->get_future());
+    slots.push_back(fwd::wait_on(req));
     daemon.submit(std::move(req));
   }
-  for (auto& f : futs) {
-    if (f.valid()) f.get();  // window already consumed all but the tail
-  }
+  for (auto& s : slots) s->wait();
   daemon.drain();
   const Seconds elapsed = monotonic_seconds() - t0;
   const std::uint64_t allocs =

@@ -4,10 +4,11 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <future>
+#include <optional>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "fwd/completion_ring.hpp"
 #include "gkfs/chunk.hpp"
 
 namespace iofa::fwd {
@@ -119,7 +120,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
   // chunk's home daemon - over ALL daemons in burst-buffer mode, over
   // the job's assigned ION subset in forwarding mode. Failure handling
   // per sub-request: bounded attempts rotating through the epoch's
-  // target list (timeouts, IonDownError, refused submits all advance),
+  // target list (timeouts, failed completions, refused submits advance),
   // then a direct-PFS rescue. Positional I/O is idempotent, so a
   // retried write that double-applies is indistinguishable from one
   // that applied once.
@@ -127,7 +128,8 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
   const std::uint64_t id = gkfs::hash_path(path);
   const auto daemons = targets.size();
   struct Pending {
-    std::future<std::size_t> fut;
+    /// The current attempt's continuation (a fresh slot per attempt).
+    std::shared_ptr<WaitSlot> wait;
     /// Handle on the attempt's payload slab (kept so a read completion
     /// can be copied out; dropping it recycles the slab).
     Payload buf;
@@ -171,7 +173,6 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
           monotonic_micros() +
           static_cast<std::uint64_t>(config_.request_timeout * 1e6);
     }
-    req.done = std::make_shared<std::promise<std::size_t>>();
     return req;
   };
 
@@ -188,7 +189,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       // probes through this same check).
       if (!breaker_allow(ion)) continue;
       FwdRequest req = make_request(p);
-      auto fut = req.done->get_future();
+      auto wait = wait_on(req);
       Payload buf = req.payload;  // add_ref, not a byte copy
       submitted_ctr_->add();
       if (qos_) {
@@ -201,7 +202,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
         if (p.submitted ? slot != p.slot : slot != start) {
           failover_ctr_->add();
         }
-        p.fut = std::move(fut);
+        p.wait = std::move(wait);
         p.buf = std::move(buf);
         p.slot = slot;
         p.submitted = true;
@@ -217,19 +218,17 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     return false;
   };
 
-  // Wait for the current attempt; false on timeout or IonDownError.
+  // Wait for the current attempt; false on timeout (the attempt is
+  // abandoned: a late completion lands in its orphaned slot) or failure.
   auto wait_done = [&](Pending& p, std::size_t& got) {
-    try {
-      if (config_.request_timeout > 0.0) {
-        const auto status = p.fut.wait_for(
-            std::chrono::duration<double>(config_.request_timeout));
-        if (status != std::future_status::ready) return false;
-      }
-      got = p.fut.get();
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
+    const std::optional<Completion> c =
+        config_.request_timeout > 0.0
+            ? p.wait->wait_for(config_.request_timeout)
+            : p.wait->wait();
+    if (!c) service_.ion_port(targets[p.slot]).abandon(*p.wait);
+    if (!c || !c->ok()) return false;
+    got = c->value;
+    return true;
   };
 
   // Rescue path: the op bypasses forwarding entirely. Direct writes
@@ -251,19 +250,10 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       limiter->acquire(static_cast<double>(p.sub_size));
     }
     if (op == FwdOp::Write) {
-      auto sub = wdata.empty()
-                     ? std::span<const std::byte>()
-                     : wdata.subspan(p.rel, p.sub_size);
-      for (int attempt = 1;; ++attempt) {
-        if (service_.pfs().write(path, p.file_offset, p.sub_size, sub,
-                                 config_.stream_weight)) {
-          return p.sub_size;
-        }
-        retries_ctr_->add();
-        sleep_for_seconds(fault::backoff_delay(
-            config_.backoff, attempt,
-            config_.retry_seed ^ id ^ p.file_offset ^ 0x5CUL));
-      }
+      direct_write_pfs(path, p.file_offset, p.sub_size,
+                       wdata.empty() ? std::span<const std::byte>()
+                                     : wdata.subspan(p.rel, p.sub_size));
+      return p.sub_size;
     }
     auto out = rdata.empty() ? std::span<std::byte>()
                              : rdata.subspan(p.rel, p.sub_size);
@@ -374,8 +364,7 @@ void Client::fsync(const std::string& path) {
     req.path = path;
     req.file_id = gkfs::hash_path(path);
     req.tenant = config_.tenant;
-    req.done = std::make_shared<std::promise<std::size_t>>();
-    auto fut = req.done->get_future();
+    auto wait = wait_on(req);
     // Fsync bypasses the breakers: it is a durability barrier for data
     // already staged on that ION, not new load to shed. The daemon
     // exempts markers from admission control for the same reason.
@@ -383,13 +372,10 @@ void Client::fsync(const std::string& path) {
     if (qos_) qos_->submitted->add();
     if (service_.ion_port(ion).try_submit(std::move(req)) ==
         SubmitResult::kAccepted) {
-      try {
-        fut.get();
-      } catch (const std::exception&) {
-        // ION crashed mid-fsync. Its flusher keeps draining the staged
-        // data (node-local storage survives), so durability is a matter
-        // of time, not of this marker.
-      }
+      // A failure status means the ION crashed mid-fsync. Its flusher
+      // keeps draining the staged data (node-local storage survives),
+      // so durability is a matter of time, not of this marker.
+      wait->wait();
     } else {
       rejected_ctr_->add();
       if (qos_) qos_->rejected->add();

@@ -103,6 +103,30 @@ void CompletionRing::wait_nonempty(double max_wait_s) {
   parked_.store(false, std::memory_order_release);
 }
 
+void WaitSlot::complete(Completion c) {
+  MutexLock lk(mu_);
+  result_ = c;
+  done_ = true;
+  cv_.notify_all();
+}
+
+Completion WaitSlot::wait() {
+  UniqueLock lk(mu_);
+  while (!done_) cv_.wait(lk);
+  return result_;
+}
+
+std::optional<Completion> WaitSlot::wait_for(Seconds timeout) {
+  const auto deadline =
+      monotonic_now() + std::chrono::duration_cast<MonotonicClock::duration>(
+                            std::chrono::duration<double>(timeout));
+  UniqueLock lk(mu_);
+  while (!done_) {
+    if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
+  }
+  return done_ ? std::optional<Completion>(result_) : std::nullopt;
+}
+
 void CompletionRing::close() {
   closed_.store(true, std::memory_order_release);
   MutexLock lk(wake_mu_);

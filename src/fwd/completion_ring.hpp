@@ -1,48 +1,67 @@
 #pragma once
-// Bounded MPSC completion ring for the ION daemon.
+// Bounded MPSC completion ring for the ION daemon, and the wait slot a
+// blocking caller parks on.
 //
-// Completing a request used to mean fulfilling its promise inline on
-// the worker/flusher thread — a futex wake per request, serialising
-// the ack path on promise/future machinery. The ring decouples the
-// two: producers (dispatch workers, flushers) push small completion
-// records lock-free, and one drainer thread per daemon fulfils the
-// promises in batches, so a worker's dispatch cadence is never gated
-// on a client's wakeup.
+// Running a request's continuation (request.hpp) inline would gate a
+// worker's dispatch cadence on a client's wakeup or an RPC response
+// send. The ring decouples the two: producers (dispatch workers,
+// flushers) push small completion records lock-free, and one drainer
+// thread per daemon runs the continuations in batches.
 //
 // The slot protocol is the classic bounded-MPMC sequence scheme
 // (Vyukov), restricted here to many producers / one consumer: each
 // slot carries an atomic sequence number; a producer CASes the tail to
 // claim a slot and publishes by storing seq = pos + 1; the consumer
 // reads slots in order and recycles them by storing seq = pos + cap.
-// Push never blocks: when the ring is momentarily full the caller
-// fulfils the promise inline (counted), trading one slow ack for a
+// Push never blocks: when the ring is momentarily full the caller runs
+// the continuation inline (counted), trading one slow ack for a
 // never-stalling hot path.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
+#include "common/units.hpp"
+#include "fwd/request.hpp"
 
 namespace iofa::fwd {
 
 /// One completion travelling from a pipeline thread to the drainer.
 struct CompletionRecord {
-  /// Promise to fulfil; never null inside the ring (recordless
-  /// completions bypass it entirely).
-  std::shared_ptr<std::promise<std::size_t>> done;
-  std::size_t value = 0;
-  /// Non-null for failure completions (IonDownError etc.).
-  std::exception_ptr error;
-  /// Which drain counter the record settles: false decrements the
-  /// daemon's pending_requests_, true its pending_flushes_.
-  bool flush_side = false;
+  /// Continuation to run; never null inside the ring (requests without
+  /// one settle immediately).
+  std::shared_ptr<CompletionSink> done;
+  Completion result;
 };
+
+/// The blocking caller's continuation. A caller that times out just
+/// drops its reference; the late completion lands in the orphaned slot.
+class WaitSlot final : public CompletionSink {
+ public:
+  void complete(Completion c) override IOFA_EXCLUDES(mu_);
+  /// Block until completed.
+  Completion wait() IOFA_EXCLUDES(mu_);
+  /// nullopt when not completed within `timeout`.
+  std::optional<Completion> wait_for(Seconds timeout) IOFA_EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool done_ IOFA_GUARDED_BY(mu_) = false;
+  Completion result_ IOFA_GUARDED_BY(mu_);
+};
+
+/// Give `req` a fresh WaitSlot as its continuation and return the slot.
+inline std::shared_ptr<WaitSlot> wait_on(FwdRequest& req) {
+  auto slot = std::make_shared<WaitSlot>();
+  req.done = slot;
+  return slot;
+}
 
 class CompletionRing {
  public:

@@ -215,14 +215,14 @@ SubmitResult IonDaemon::try_submit(FwdRequest req) {
   // Stamped on EVERY enqueue (including failover re-submissions), so
   // the queue-wait histogram measures this attempt's wait only.
   req.queued_us = monotonic_micros();
-  pending_requests_.fetch_add(1);
+  pending_.fetch_add(1);
   inflight_bytes_.fetch_add(size);
   queue_depth_.fetch_add(1);
   auto& shard = *shards_[shard_of(req.file_id, req.op)];
   if (!shard.ingest.push(std::move(req))) {
     queue_depth_.fetch_sub(1);
     inflight_bytes_.fetch_sub(size);
-    finish_pending(pending_requests_);
+    finish_pending();
     return SubmitResult::kDown;
   }
   metrics_.queue_depth->set(static_cast<double>(queue_depth_.load()));
@@ -231,7 +231,7 @@ SubmitResult IonDaemon::try_submit(FwdRequest req) {
 
 void IonDaemon::drain() {
   UniqueLock lk(pending_mu_);
-  while (pending_requests_.load() != 0 || pending_flushes_.load() != 0) {
+  while (pending_.load() != 0) {
     pending_cv_.wait(lk);
   }
 }
@@ -252,8 +252,8 @@ void IonDaemon::shutdown() {
   if (drainer_.joinable()) drainer_.join();
 }
 
-void IonDaemon::finish_pending(std::atomic<std::uint64_t>& counter) {
-  if (counter.fetch_sub(1) == 1) {
+void IonDaemon::finish_pending() {
+  if (pending_.fetch_sub(1) == 1) {
     // Taking the mutex orders this notify after drain()'s re-check, so
     // the zero-crossing wakeup cannot be lost.
     MutexLock lk(pending_mu_);
@@ -261,20 +261,16 @@ void IonDaemon::finish_pending(std::atomic<std::uint64_t>& counter) {
   }
 }
 
-void IonDaemon::complete(CompletionRecord rec) {
-  if (!rec.done) {
-    finish_pending(rec.flush_side ? pending_flushes_ : pending_requests_);
-    return;
+void IonDaemon::complete(std::shared_ptr<CompletionSink> done,
+                         Completion result) {
+  if (done) {
+    CompletionRecord rec{std::move(done), result};
+    if (ring_.try_push(rec)) return;
+    // Full ring: complete inline (counted). Never blocks the pipeline.
+    metrics_.completion_ring_full->add();
+    rec.done->complete(rec.result);
   }
-  if (ring_.try_push(rec)) return;
-  // Full ring: fulfil inline (counted). Never blocks the pipeline.
-  metrics_.completion_ring_full->add();
-  if (rec.error) {
-    rec.done->set_exception(rec.error);
-  } else {
-    rec.done->set_value(rec.value);
-  }
-  finish_pending(rec.flush_side ? pending_flushes_ : pending_requests_);
+  finish_pending();
 }
 
 void IonDaemon::drainer_loop() {
@@ -295,12 +291,9 @@ void IonDaemon::drainer_loop() {
       continue;
     }
     for (auto& rec : batch) {
-      if (rec.error) {
-        rec.done->set_exception(rec.error);
-      } else {
-        rec.done->set_value(rec.value);
-      }
-      finish_pending(rec.flush_side ? pending_flushes_ : pending_requests_);
+      rec.done->complete(rec.result);
+      rec.done.reset();
+      finish_pending();
     }
     metrics_.completions_drained->add(batch.size());
   }
@@ -310,10 +303,7 @@ void IonDaemon::fail_request(FwdRequest& req) {
   inflight_bytes_.fetch_sub(req.size);
   metrics_.failed_requests->add();
   if (params_.qos) params_.qos->on_failed(req.tenant);
-  CompletionRecord rec;
-  rec.done = std::move(req.done);
-  rec.error = std::make_exception_ptr(IonDownError(id_));
-  complete(std::move(rec));
+  complete(std::move(req.done), {CompletionStatus::kIonDown, 0});
 }
 
 void IonDaemon::fail_in_flight(Shard& shard) {
@@ -334,7 +324,7 @@ void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
   MutexLock elk(flush_enqueue_mu_);
   {
     MutexLock lk(flush_mu_);
-    if (item.fsync_done) {
+    if (item.fsync) {
       item.barrier = flush_enqueued_;
     } else {
       // Data items register their extent in the gate NOW, not at write
@@ -346,7 +336,7 @@ void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
           item.seq, std::make_pair(item.offset, item.offset + item.size));
     }
   }
-  pending_flushes_.fetch_add(1);
+  pending_.fetch_add(1);
   flush_shards_[flush_shard_of(file_id)]->queue.push(std::move(item));
 }
 
@@ -392,10 +382,7 @@ void IonDaemon::worker_loop(std::size_t si) {
       metrics_.expired->add();
       if (params_.qos) params_.qos->on_expired(req.tenant);
       inflight_bytes_.fetch_sub(req.size);
-      CompletionRecord rec;
-      rec.done = std::move(req.done);
-      rec.error = std::make_exception_ptr(RequestExpiredError(id_));
-      complete(std::move(rec));
+      complete(std::move(req.done), {CompletionStatus::kExpired, 0});
       return;
     }
     if (params_.injector) {
@@ -414,10 +401,11 @@ void IonDaemon::worker_loop(std::size_t si) {
       // covers every data item enqueued daemon-wide before it).
       FlushItem marker;
       marker.file_id = req.file_id;
-      marker.fsync_done = req.done;
+      marker.fsync = true;
+      marker.done = std::move(req.done);
       marker.tenant = req.tenant;
       enqueue_flush(std::move(marker), req.file_id);
-      finish_pending(pending_requests_);
+      finish_pending();
       return;
     }
     const std::uint64_t tag = shard.next_tag++;
@@ -572,18 +560,15 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       if (params_.write_through) {
         // Ack from the flusher, after the PFS write; the overload
         // accounting (admitted vs failed) moves there with it.
-        item.write_done = std::move(req.done);
+        item.done = std::move(req.done);
         item.write_through = true;
         enqueue_flush(std::move(item), req.file_id);
-        finish_pending(pending_requests_);
+        finish_pending();
       } else {
         metrics_.admitted->add();
         if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
         enqueue_flush(std::move(item), req.file_id);
-        CompletionRecord rec;
-        rec.done = std::move(req.done);
-        rec.value = req.size;
-        complete(std::move(rec));
+        complete(std::move(req.done), {CompletionStatus::kOk, req.size});
       }
     } else {
       // Read: prefer the staging store while the range is dirty here.
@@ -613,15 +598,13 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       }
       metrics_.admitted->add();
       if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
-      CompletionRecord rec;
-      rec.done = std::move(req.done);
-      rec.value = n;
-      complete(std::move(rec));
+      req.payload.reset();  // the consumer holds its own reference
+      complete(std::move(req.done), {CompletionStatus::kOk, n});
     }
   }
 }
 
-void IonDaemon::flush_marker(const FlushItem& item) {
+void IonDaemon::flush_marker(FlushItem& item) {
   // The barrier counts data items enqueued daemon-wide before this
   // marker; durability means all of them drained (flushed or
   // abandoned). Waiting here cannot deadlock: the oldest undrained
@@ -634,11 +617,7 @@ void IonDaemon::flush_marker(const FlushItem& item) {
   }
   metrics_.admitted->add();
   if (params_.qos) params_.qos->on_admitted(item.tenant, 0);
-  CompletionRecord rec;
-  rec.done = item.fsync_done;
-  rec.value = 0;
-  rec.flush_side = true;
-  complete(std::move(rec));
+  complete(std::move(item.done), {});
 }
 
 void IonDaemon::await_extent_turn(std::uint64_t file_id, std::uint64_t seq,
@@ -723,12 +702,9 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
       }
       flush_cv_.notify_all();
     }
-    CompletionRecord rec;
-    rec.flush_side = true;
+    Completion result{CompletionStatus::kOk, item.size};
     if (flushed) {
       metrics_.bytes_flushed->add(item.size);
-      rec.done = std::move(item.write_done);
-      rec.value = item.size;
       if (item.write_through) {
         metrics_.admitted->add();
         if (params_.qos) params_.qos->on_admitted(item.tenant, item.size);
@@ -739,15 +715,14 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
       // failure; an accepted-but-never-completed write-through request
       // lands in the failed bucket, keeping the overload identity exact.
       metrics_.flush_abandoned->add();
-      rec.done = std::move(item.write_done);
-      rec.error = std::make_exception_ptr(IonDownError(id_));
+      result = {CompletionStatus::kIonDown, 0};
       if (item.write_through) {
         metrics_.failed_requests->add();
         if (params_.qos) params_.qos->on_failed(item.tenant);
       }
     }
     item.payload.reset();
-    complete(std::move(rec));
+    complete(std::move(item.done), result);
   };
 
   // Positional writes are idempotent, so the retry loop is safe to
@@ -794,7 +769,7 @@ std::optional<IonDaemon::FlushItem> IonDaemon::try_steal_flush(
   for (std::size_t k = 1; k < n; ++k) {
     auto& victim = flush_shards_[(thief + k) % n]->queue;
     auto item = victim.try_pop_if(
-        [](const FlushItem& front) { return front.fsync_done == nullptr; });
+        [](const FlushItem& front) { return !front.fsync; });
     if (item) {
       metrics_.flush_steals->add();
       return item;
@@ -840,12 +815,12 @@ void IonDaemon::flusher_loop(std::size_t fi) {
     // flush_batch_max, in FIFO order (grouping amortises queue wakeups;
     // processing order is unchanged, so replay determinism holds).
     std::vector<FlushItem> batch;
-    Bytes batch_bytes = first->fsync_done ? 0 : first->size;
+    Bytes batch_bytes = first->fsync ? 0 : first->size;
     batch.push_back(std::move(*first));
     while (batch_bytes < params_.flush_batch_max) {
       auto more = fs.queue.try_pop();
       if (!more) break;
-      if (!more->fsync_done) batch_bytes += more->size;
+      if (!more->fsync) batch_bytes += more->size;
       batch.push_back(std::move(*more));
     }
     metrics_.flush_batch_bytes->observe(static_cast<double>(batch_bytes));
@@ -854,7 +829,7 @@ void IonDaemon::flusher_loop(std::size_t fi) {
     // current run (they must observe everything before them settled).
     std::vector<FlushItem> run;
     for (auto& entry : batch) {
-      if (entry.fsync_done) {
+      if (entry.fsync) {
         if (!run.empty()) {
           flush_run(run);
           run.clear();

@@ -17,8 +17,8 @@
 //       flusher: coalesced scatter-gather PFS drain under the
 //       in-flight byte budget (idle flushers steal the oldest item of
 //       a busy sibling; the extent gate keeps last-writer-wins order)
-//   completions --> MPSC ring --> drainer thread (batched promise
-//       fulfilment, so workers never pay the futex wake per request)
+//   completions --> MPSC ring --> drainer thread (runs the requests'
+//       continuations, so workers never pay a wakeup or response send)
 //
 // Requests for one (file_id, op) stream always land on the same
 // dispatch shard and all flush traffic of a file on the same flusher
@@ -43,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -110,7 +109,7 @@ struct IonParams {
   /// by enqueue order, so last-writer-wins is preserved.
   bool flush_work_stealing = true;
   /// Completion-ring capacity (rounded up to a power of two). When the
-  /// ring is momentarily full the pusher fulfils the promise inline
+  /// ring is momentarily full the pusher runs the continuation inline
   /// (counted in fwd.ion.completion_ring_full), never blocking.
   std::size_t completion_ring_capacity = 4096;
   /// Shared payload slab pool (owned by the ForwardingService or the
@@ -139,24 +138,6 @@ struct IonParams {
   /// per-tenant accounting identity. Requires admission.enabled for the
   /// saturated lattice to ever engage.
   qos::QosEnforcer* qos = nullptr;
-};
-
-/// Thrown into a request's completion future when its ION crashes (or
-/// drops the request while down). Clients fail over to another ION of
-/// their mapping epoch, or fall back to direct PFS access.
-struct IonDownError : std::runtime_error {
-  explicit IonDownError(int ion)
-      : std::runtime_error("ion " + std::to_string(ion) + " is down") {}
-};
-
-/// Thrown into a request's completion future when its deadline passed
-/// while it sat in the ingest queue (dropped at dequeue, counted in
-/// fwd.overload.expired). Retryable: the client charges its attempt
-/// budget and resubmits with a fresh deadline.
-struct RequestExpiredError : std::runtime_error {
-  explicit RequestExpiredError(int ion)
-      : std::runtime_error("request expired in queue at ion " +
-                           std::to_string(ion)) {}
 };
 
 /// Outcome of offering a request to an ION (try_submit).
@@ -222,7 +203,7 @@ class IonDaemon {
 
   // --- failure surface -------------------------------------------------
   /// Kill the daemon (tests / manual chaos): submits are refused, queued
-  /// and in-flight requests fail with IonDownError. Staged data and the
+  /// and in-flight requests complete with kIonDown. Staged data and the
   /// flushers survive - node-local storage outlives the daemon process,
   /// which is what makes restart() meaningful.
   void crash() { crashed_manual_.store(true); }
@@ -281,12 +262,13 @@ class IonDaemon {
     std::uint64_t offset = 0;
     std::uint64_t size = 0;
     Payload payload;  ///< slab handle; released after the PFS write
-    std::shared_ptr<std::promise<std::size_t>> fsync_done;  ///< marker
+    bool fsync = false;  ///< marker: completes once its barrier is met
     /// Fsync barrier: data items enqueued (daemon-wide) before this
     /// marker; the marker completes once that many items have drained.
     std::uint64_t barrier = 0;
-    /// Write-through mode: the write's own completion promise.
-    std::shared_ptr<std::promise<std::size_t>> write_done;
+    /// The marker's continuation, or a write-through write's own (null
+    /// for write-behind data items, which were acked at stage time).
+    std::shared_ptr<CompletionSink> done;
     /// Write-through item: overload accounting (admitted / failed)
     /// happens at flush time instead of stage time.
     bool write_through = false;
@@ -325,7 +307,7 @@ class IonDaemon {
   void process(Shard& shard, const agios::Dispatch& dispatch,
                const std::string& request_fault_site);
   /// Complete a fsync marker (barrier wait + ack).
-  void flush_marker(const FlushItem& item) IOFA_EXCLUDES(flush_mu_);
+  void flush_marker(FlushItem& item) IOFA_EXCLUDES(flush_mu_);
   /// Write one coalesced run of same-file, offset-contiguous items
   /// (run.size() == 1 for uncoalesced traffic) as a scatter-gather PFS
   /// dispatch, then settle each item's accounting.
@@ -355,8 +337,8 @@ class IonDaemon {
       IOFA_EXCLUDES(flush_mu_);
 
   /// Route a completion through the MPSC ring (inline fallback when the
-  /// ring is full; records without a promise settle immediately).
-  void complete(CompletionRecord rec);
+  /// ring is full; a null continuation settles immediately).
+  void complete(std::shared_ptr<CompletionSink> done, Completion result);
 
   bool is_crashed() const {
     return crashed_manual_.load() ||
@@ -399,17 +381,15 @@ class IonDaemon {
 
   iofa::MonotonicClock::time_point epoch_;
 
-  // Drain accounting: counters are atomic (hot path is lock-free); the
+  // Drain accounting: the counter is atomic (hot path is lock-free); the
   // mutex+cv pair only serialises the zero-crossing notification that
   // drain() sleeps on.
   mutable Mutex pending_mu_;
   CondVar pending_cv_;
-  /// accepted, not yet dispatched
-  std::atomic<std::uint64_t> pending_requests_{0};
-  /// staged, not yet on the PFS
-  std::atomic<std::uint64_t> pending_flushes_{0};
-  void finish_pending(std::atomic<std::uint64_t>& counter)
-      IOFA_EXCLUDES(pending_mu_);
+  /// Accepted requests not yet completed + flush items not yet on the
+  /// PFS (a flush item is counted before its request settles).
+  std::atomic<std::uint64_t> pending_{0};
+  void finish_pending() IOFA_EXCLUDES(pending_mu_);
 
   // Fsync barrier + in-flight budget accounting for the flusher pool.
   Mutex flush_enqueue_mu_;
@@ -430,7 +410,7 @@ class IonDaemon {
                               std::pair<std::uint64_t, std::uint64_t>>>
       flush_extents_ IOFA_GUARDED_BY(flush_mu_);
 
-  /// Batched completion path: pipeline threads push, drainer_ fulfils.
+  /// Batched completion path: pipeline threads push, drainer_ completes.
   CompletionRing ring_;
   std::thread drainer_;
 

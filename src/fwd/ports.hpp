@@ -19,13 +19,15 @@ class MappingStore;
 
 /// Offering requests to one ION daemon. Implementations keep the exact
 /// try_submit contract of IonDaemon: the returned SubmitResult is the
-/// admission answer, and an accepted request's `done` promise is later
-/// fulfilled with the transfer size or one of the typed failures
-/// (IonDownError, RequestExpiredError).
+/// admission answer, and an accepted request's `done` continuation is
+/// later completed exactly once (request.hpp).
 class IonPort {
  public:
   virtual ~IonPort() = default;
   virtual SubmitResult try_submit(FwdRequest req) = 0;
+  /// The caller gave up waiting on `done` (request timeout): release
+  /// any state held for that request. In-proc there is none.
+  virtual void abandon(const CompletionSink& done) { (void)done; }
 };
 
 /// One coherent read of a client's mapping entry: the job's ION list

@@ -2,8 +2,8 @@
 // The forwarded-request envelope travelling from client shims to ION
 // daemons (the in-process stand-in for GekkoFS's Mercury RPCs).
 
+#include <cstddef>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
 
@@ -13,6 +13,35 @@
 namespace iofa::fwd {
 
 enum class FwdOp : std::uint8_t { Write, Read, Fsync };
+
+/// Terminal outcome class of a forwarded request; pinned to
+/// rpc::WireStatus (static_assert in rpc_endpoints.cpp).
+enum class CompletionStatus : std::uint8_t {
+  kOk = 0,
+  kIonDown = 1,  ///< ION crashed / refused it, or its flush was abandoned
+  kExpired = 2,  ///< deadline passed while queued (fwd.overload.expired)
+  kError = 3     ///< any other failure reported by a peer
+};
+
+/// The one completion record: every way a request can end is a status
+/// plus the bytes transferred. No exceptions.
+struct Completion {
+  CompletionStatus status = CompletionStatus::kOk;
+  std::size_t value = 0;  ///< bytes transferred (kOk)
+  bool ok() const { return status == CompletionStatus::kOk; }
+};
+
+/// A request's continuation: the daemon's completion drainer (or the
+/// inline ring-full fallback) calls complete() exactly once per
+/// accepted request, with no daemon lock held.
+class CompletionSink {
+ public:
+  CompletionSink() = default;
+  CompletionSink(const CompletionSink&) = delete;
+  CompletionSink& operator=(const CompletionSink&) = delete;
+  virtual ~CompletionSink() = default;
+  virtual void complete(Completion c) = 0;
+};
 
 struct FwdRequest {
   FwdOp op = FwdOp::Write;
@@ -31,9 +60,9 @@ struct FwdRequest {
   /// counted heap fallback). Empty in accounting-only mode: the bytes
   /// are charged and tracked but never materialised.
   Payload payload;
-  /// Fulfilled with the bytes transferred once the daemon finishes the
-  /// request (for writes: once staged; durability comes from Fsync).
-  std::shared_ptr<std::promise<std::size_t>> done;
+  /// Completed once the daemon finishes the request (for writes: once
+  /// staged; durability comes from Fsync).
+  std::shared_ptr<CompletionSink> done;
   std::uint64_t tag = 0;  ///< daemon-local scheduler handle
   /// Stamped by IonDaemon::try_submit (monotonic_micros) on EVERY
   /// enqueue — including re-submissions after failover — so the ingest
@@ -41,8 +70,8 @@ struct FwdRequest {
   std::uint64_t queued_us = 0;
   /// Absolute deadline (monotonic_micros) derived from the client's
   /// request timeout; the daemon drops the request at dequeue once it
-  /// has passed (counted in fwd.overload.expired, failing `done` with
-  /// RequestExpiredError). 0 = no deadline.
+  /// has passed (counted in fwd.overload.expired, completing `done`
+  /// with kExpired). 0 = no deadline.
   std::uint64_t deadline_us = 0;
   /// QoS tenant id (qos::TenantId; index into the service's
   /// TenantRegistry). 0 = the default best-effort tenant; every request

@@ -17,18 +17,21 @@ namespace {
 
 // The wire enums are pinned to the in-process ones so the endpoint
 // conversions below are lookup-free and cannot silently drift.
-static_assert(static_cast<int>(rpc::WireOp::kWrite) ==
-              static_cast<int>(FwdOp::Write));
-static_assert(static_cast<int>(rpc::WireOp::kRead) ==
-              static_cast<int>(FwdOp::Read));
-static_assert(static_cast<int>(rpc::WireOp::kFsync) ==
-              static_cast<int>(FwdOp::Fsync));
-static_assert(static_cast<int>(rpc::WireSubmitResult::kAccepted) ==
-              static_cast<int>(SubmitResult::kAccepted));
-static_assert(static_cast<int>(rpc::WireSubmitResult::kBusy) ==
-              static_cast<int>(SubmitResult::kBusy));
-static_assert(static_cast<int>(rpc::WireSubmitResult::kDown) ==
-              static_cast<int>(SubmitResult::kDown));
+template <typename Wire, typename Local>
+constexpr bool pinned(Wire w, Local l) {
+  return static_cast<int>(w) == static_cast<int>(l);
+}
+static_assert(pinned(rpc::WireOp::kWrite, FwdOp::Write) &&
+              pinned(rpc::WireOp::kRead, FwdOp::Read) &&
+              pinned(rpc::WireOp::kFsync, FwdOp::Fsync));
+static_assert(pinned(rpc::WireSubmitResult::kAccepted,
+                     SubmitResult::kAccepted) &&
+              pinned(rpc::WireSubmitResult::kBusy, SubmitResult::kBusy) &&
+              pinned(rpc::WireSubmitResult::kDown, SubmitResult::kDown));
+static_assert(pinned(rpc::WireStatus::kOk, CompletionStatus::kOk) &&
+              pinned(rpc::WireStatus::kIonDown, CompletionStatus::kIonDown) &&
+              pinned(rpc::WireStatus::kExpired, CompletionStatus::kExpired) &&
+              pinned(rpc::WireStatus::kError, CompletionStatus::kError));
 
 telemetry::Registry& reg_of(telemetry::Registry* registry) {
   return registry ? *registry : telemetry::Registry::global();
@@ -49,7 +52,7 @@ RpcIonClient::RpcIonClient(rpc::Transport& transport, int ion,
                            const rpc::RpcOptions& options,
                            std::uint64_t seed,
                            telemetry::Registry* registry)
-    : transport_(transport), ion_(ion), options_(options), seed_(seed) {
+    : transport_(transport), options_(options), seed_(seed) {
   auto& reg = reg_of(registry);
   const telemetry::Labels labels{{"link", "ion." + std::to_string(ion)}};
   retries_ctr_ = &reg.counter("rpc.retries", labels);
@@ -75,21 +78,17 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
   msg.stream_weight = req.stream_weight;
   msg.deadline_us = req.deadline_us;
   msg.path = req.path;
-  if (req.op == FwdOp::Write && !req.payload.empty()) {
-    // The wire copy of the payload - inherent to a message boundary
-    // (the zero-copy path is the in-proc port's).
-    const auto span = req.payload.span();
-    msg.payload.assign(span.begin(), span.end());
-  }
-  const std::vector<std::byte> frame = rpc::encode(id, msg);
+  // Serialised straight from the slab: the frame is the one wire copy
+  // inherent to a message boundary.
+  std::span<const std::byte> payload;
+  if (req.op == FwdOp::Write) payload = req.payload.span();
+  const std::vector<std::byte> frame = rpc::encode(id, msg, payload);
 
   {
     MutexLock lk(mu_);
     PendingCall& call = pending_[id];
-    call.done = req.done;
-    call.payload = req.payload;
-    call.op = req.op;
-    call.waiting = true;
+    call.done = std::move(req.done);
+    if (req.op == FwdOp::Read) call.payload = std::move(req.payload);
   }
 
   // At-least-once: resend the same id until the server answers. The
@@ -102,32 +101,22 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
     transport_.send(rpc::kClientSide, frame);
     frames_sent_ctr_->add();
     const auto deadline = ack_deadline(options_.ack_timeout);
-    bool completed = false;
-    bool acked = false;
-    auto ack_result = rpc::WireSubmitResult::kDown;
     {
       UniqueLock lk(mu_);
-      PendingCall& call = pending_.at(id);
-      while (!call.acked && !call.completed) {
+      auto it = pending_.find(id);
+      while (it != pending_.end() && !it->second.ack) {
         if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
+        it = pending_.find(id);
       }
-      completed = call.completed;
-      acked = call.acked;
-      ack_result = call.ack_result;
-      if (completed) {
-        // The response arrived (possibly ahead of a reordered ack):
-        // implicitly accepted, promise already fulfilled.
-        pending_.erase(id);
-      } else if (acked) {
-        if (ack_result == rpc::WireSubmitResult::kAccepted) {
-          call.waiting = false;  // entry stays until the response lands
-        } else {
-          pending_.erase(id);
-        }
+      // Gone: the response arrived (possibly ahead of a reordered ack)
+      // and completed the call - an implicit accept.
+      if (it == pending_.end()) return SubmitResult::kAccepted;
+      if (const auto ack = it->second.ack) {
+        // An accepted call stays pending until its response lands.
+        if (*ack != rpc::WireSubmitResult::kAccepted) pending_.erase(it);
+        return static_cast<SubmitResult>(*ack);
       }
     }
-    if (completed) return SubmitResult::kAccepted;
-    if (acked) return static_cast<SubmitResult>(ack_result);
     // Ack window expired: pace the resend with the deterministic
     // jittered backoff (stream keyed by the request id so replays of
     // the same seed resend at the same instants).
@@ -138,32 +127,14 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
   }
 }
 
-void RpcIonClient::apply_response(PendingCall& call,
-                                  const rpc::SubmitResponseMsg& msg) {
-  if (!call.done) return;
-  switch (msg.status) {
-    case rpc::WireStatus::kOk:
-      if (call.op == FwdOp::Read && !call.payload.empty() &&
-          !msg.data.empty()) {
-        const std::size_t n =
-            std::min(call.payload.size(), msg.data.size());
-        std::memcpy(call.payload.span().data(), msg.data.data(), n);
-      }
-      call.done->set_value(static_cast<std::size_t>(msg.value));
-      break;
-    case rpc::WireStatus::kIonDown:
-      call.done->set_exception(
-          std::make_exception_ptr(IonDownError(ion_)));
-      break;
-    case rpc::WireStatus::kExpired:
-      call.done->set_exception(
-          std::make_exception_ptr(RequestExpiredError(ion_)));
-      break;
-    case rpc::WireStatus::kError:
-      call.done->set_exception(std::make_exception_ptr(
-          std::runtime_error("forwarding failed at ion " +
-                             std::to_string(ion_))));
-      break;
+void RpcIonClient::abandon(const CompletionSink& done) {
+  // Linear scan: abandons happen only on request timeouts.
+  MutexLock lk(mu_);
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (it->second.done.get() == &done) {
+      pending_.erase(it);
+      return;
+    }
   }
 }
 
@@ -179,32 +150,61 @@ void RpcIonClient::on_frame(std::vector<std::byte> frame) {
     codec_errors_ctr_->add();
     return;
   }
-  MutexLock lk(mu_);
-  const auto it = pending_.find(decoded.request_id);
-  if (it == pending_.end()) return;  // dup of an already-settled call
-  PendingCall& call = it->second;
-  if (const auto* ack = std::get_if<rpc::SubmitAckMsg>(&decoded.msg)) {
-    if (!call.acked) {
-      call.acked = true;
-      call.ack_result = ack->result;
-      cv_.notify_all();
-    }
-    return;
-  }
-  if (const auto* rsp =
-          std::get_if<rpc::SubmitResponseMsg>(&decoded.msg)) {
-    if (call.completed) return;
-    apply_response(call, *rsp);
-    call.completed = true;
-    if (call.waiting) {
-      cv_.notify_all();  // the submitter erases the entry
-    } else {
+  std::shared_ptr<CompletionSink> done;
+  Payload dst;
+  {
+    MutexLock lk(mu_);
+    const auto it = pending_.find(decoded.request_id);
+    if (it == pending_.end()) return;  // settled or abandoned call
+    PendingCall& call = it->second;
+    if (const auto* ack = std::get_if<rpc::SubmitAckMsg>(&decoded.msg)) {
+      if (!call.ack) call.ack = ack->result;
+    } else if (std::holds_alternative<rpc::SubmitResponseMsg>(decoded.msg)) {
+      done = std::move(call.done);
+      dst = std::move(call.payload);
       pending_.erase(it);
     }
+    cv_.notify_all();
   }
+  if (!done) return;
+  const auto& rsp = std::get<rpc::SubmitResponseMsg>(decoded.msg);
+  const Completion result{static_cast<CompletionStatus>(rsp.status),
+                          static_cast<std::size_t>(rsp.value)};
+  if (result.ok() && !dst.empty() && !rsp.data.empty()) {
+    std::memcpy(dst.span().data(), rsp.data.data(),
+                std::min(dst.size(), rsp.data.size()));
+  }
+  dst.reset();  // a completed call holds no slab
+  // Outside the lock: the continuation wakes the caller.
+  done->complete(result);
 }
 
 // --- RpcIonServer ----------------------------------------------------------
+
+/// An accepted request's continuation: encodes the SubmitResponse (read
+/// data straight from the server-side slab) for the server to send.
+class RpcIonServer::ResponseSink final : public CompletionSink {
+ public:
+  ResponseSink(RpcIonServer& server, std::uint64_t id, Payload read_data)
+      : server_(server), id_(id), data_(std::move(read_data)) {}
+
+  void complete(Completion c) override {
+    const rpc::SubmitResponseMsg rsp{static_cast<rpc::WireStatus>(c.status),
+                                     c.value, {}};
+    std::span<const std::byte> data;
+    if (c.ok() && !data_.empty()) {
+      data = data_.span().first(std::min(c.value, data_.size()));
+    }
+    std::vector<std::byte> frame = rpc::encode(id_, rsp, data);
+    data_.reset();
+    server_.respond(id_, std::move(frame));
+  }
+
+ private:
+  RpcIonServer& server_;
+  const std::uint64_t id_;
+  Payload data_;
+};
 
 RpcIonServer::RpcIonServer(rpc::Transport& transport,
                            ForwardingService& service, int ion,
@@ -222,19 +222,13 @@ RpcIonServer::RpcIonServer(rpc::Transport& transport,
                          [this](std::vector<std::byte> frame) {
                            on_frame(std::move(frame));
                          });
-  // iofa-lint: allow(raw-thread) - joined in stop(), not detached.
-  reaper_ = std::thread([this] { reaper_loop(); });
 }
 
-RpcIonServer::~RpcIonServer() { stop(); }
-
-void RpcIonServer::stop() {
-  if (stop_.exchange(true, std::memory_order_acq_rel)) return;
-  if (reaper_.joinable()) reaper_.join();
-  // Final sweep: completions that became ready between the reaper's
-  // last pass and the join still get their response frames out (the
-  // service drains daemons before tearing the links down).
-  sweep_completions();
+RpcIonServer::~RpcIonServer() {
+  // The daemon completes every accepted request (crash fail-out
+  // included), so this ends; behind a service it is a no-op.
+  UniqueLock lk(mu_);
+  while (outstanding_ != 0) idle_cv_.wait(lk);
 }
 
 void RpcIonServer::on_frame(std::vector<std::byte> frame) {
@@ -250,25 +244,29 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   if (!msg) return;  // not ours (client-side frame echoed by a test)
   const std::uint64_t id = decoded.request_id;
 
+  bool fresh = false;
   std::vector<std::byte> ack_copy;
   std::vector<std::byte> response_copy;
   {
     MutexLock lk(mu_);
-    const auto it = dedup_.find(id);
-    if (it != dedup_.end()) {
+    const auto inserted = dedup_.try_emplace(id);
+    fresh = inserted.second;
+    if (fresh) {
+      ++outstanding_;
+    } else {
       // Duplicate (chaos dup or an at-least-once resend): replay the
-      // cached outcome, never touch the daemon.
+      // cached outcome, never touch the daemon (while the original is
+      // still being offered there is nothing to replay yet).
       dedup_hits_ctr_->add();
-      ack_copy = it->second.ack_frame;
-      response_copy = it->second.response_frame;
+      ack_copy = inserted.first->second.ack_frame;
+      response_copy = inserted.first->second.response_frame;
     }
   }
-  if (!ack_copy.empty()) {
-    frames_sent_ctr_->add();
-    transport_.send(rpc::kServerSide, std::move(ack_copy));
-    if (!response_copy.empty()) {
+  if (!fresh) {
+    for (auto* f : {&ack_copy, &response_copy}) {
+      if (f->empty()) continue;
       frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide, std::move(response_copy));
+      transport_.send(rpc::kServerSide, std::move(*f));
     }
     return;
   }
@@ -284,22 +282,23 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   req.stream_weight = msg->stream_weight;
   req.deadline_us = msg->deadline_us;
   req.tenant = msg->tenant;
-  Payload payload;
+  Payload read_data;
   if (req.op == FwdOp::Write && !msg->payload.empty()) {
-    payload = service_.acquire_payload(msg->payload.size());
-    std::memcpy(payload.span().data(), msg->payload.data(),
+    req.payload = service_.acquire_payload(msg->payload.size());
+    std::memcpy(req.payload.span().data(), msg->payload.data(),
                 msg->payload.size());
   } else if (req.op == FwdOp::Read && msg->size > 0 &&
              service_.config().ion.store_data) {
     // Reads materialise a server-side buffer only when the daemon
     // stores data at all; accounting-only deployments answer with
     // sizes, not bytes.
-    payload = service_.acquire_payload(msg->size);
+    req.payload = service_.acquire_payload(msg->size);
+    read_data = req.payload;
   }
-  req.payload = payload;
-  req.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = req.done->get_future();
+  req.done = std::make_shared<ResponseSink>(*this, id, std::move(read_data));
 
+  // The continuation may run (and respond) before try_submit returns;
+  // the client stub accepts a response ahead of its ack.
   const SubmitResult res =
       service_.daemon(ion_).try_submit(std::move(req));
   rpc::SubmitAckMsg ack;
@@ -307,73 +306,38 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   std::vector<std::byte> ack_frame = rpc::encode(id, ack);
   {
     MutexLock lk(mu_);
-    DedupEntry& entry = dedup_[id];
-    entry.ack_frame = ack_frame;
-    entry.terminal = res != SubmitResult::kAccepted;
-    if (entry.terminal) {
-      terminal_order_.push_back(id);
-      evict_locked();
-    } else {
-      Inflight inflight;
-      inflight.id = id;
-      inflight.fut = std::move(fut);
-      inflight.payload = std::move(payload);
-      inflight.op = req.op;
-      inflight_.push_back(std::move(inflight));
+    const auto it = dedup_.find(id);
+    if (it != dedup_.end()) {
+      it->second.ack_frame = ack_frame;
+      if (res != SubmitResult::kAccepted) mark_terminal_locked(id, it->second);
+    }
+    // A refused request's continuation is never called.
+    if (res != SubmitResult::kAccepted && --outstanding_ == 0) {
+      idle_cv_.notify_all();
     }
   }
   frames_sent_ctr_->add();
   transport_.send(rpc::kServerSide, std::move(ack_frame));
 }
 
-void RpcIonServer::sweep_completions() {
-  std::vector<Inflight> ready;
+void RpcIonServer::respond(std::uint64_t id, std::vector<std::byte> frame) {
   {
     MutexLock lk(mu_);
-    auto it = inflight_.begin();
-    while (it != inflight_.end()) {
-      if (it->fut.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        ready.push_back(std::move(*it));
-        it = inflight_.erase(it);
-      } else {
-        ++it;
-      }
+    const auto it = dedup_.find(id);
+    if (it != dedup_.end()) {
+      it->second.response_frame = frame;  // replayed to late duplicates
+      mark_terminal_locked(id, it->second);
     }
   }
-  for (Inflight& item : ready) {
-    rpc::SubmitResponseMsg rsp;
-    try {
-      const std::size_t n = item.fut.get();
-      rsp.status = rpc::WireStatus::kOk;
-      rsp.value = n;
-      if (item.op == FwdOp::Read && !item.payload.empty()) {
-        const auto span = item.payload.span();
-        rsp.data.assign(span.begin(), span.end());
-      }
-    } catch (const IonDownError&) {
-      rsp.status = rpc::WireStatus::kIonDown;
-    } catch (const RequestExpiredError&) {
-      rsp.status = rpc::WireStatus::kExpired;
-    } catch (const std::exception&) {
-      rsp.status = rpc::WireStatus::kError;
-    }
-    std::vector<std::byte> frame = rpc::encode(item.id, rsp);
-    {
-      MutexLock lk(mu_);
-      complete_locked(item.id, frame);
-    }
-    frames_sent_ctr_->add();
-    transport_.send(rpc::kServerSide, std::move(frame));
-  }
+  frames_sent_ctr_->add();
+  transport_.send(rpc::kServerSide, std::move(frame));
+  MutexLock lk(mu_);
+  if (--outstanding_ == 0) idle_cv_.notify_all();
 }
 
-void RpcIonServer::complete_locked(std::uint64_t id,
-                                   std::vector<std::byte> frame) {
-  const auto it = dedup_.find(id);
-  if (it == dedup_.end()) return;  // already evicted (shouldn't happen)
-  it->second.response_frame = std::move(frame);
-  it->second.terminal = true;
+void RpcIonServer::mark_terminal_locked(std::uint64_t id, DedupEntry& entry) {
+  if (entry.terminal) return;
+  entry.terminal = true;
   terminal_order_.push_back(id);
   evict_locked();
 }
@@ -382,13 +346,6 @@ void RpcIonServer::evict_locked() {
   while (terminal_order_.size() > options_.dedup_window) {
     dedup_.erase(terminal_order_.front());
     terminal_order_.pop_front();
-  }
-}
-
-void RpcIonServer::reaper_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    sweep_completions();
-    sleep_for_seconds(0.0002);
   }
 }
 

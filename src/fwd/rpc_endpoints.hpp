@@ -18,9 +18,11 @@
 //     resend can never reach the daemon twice (rpc.dedup_hits counts
 //     the absorbed copies).
 //   * A LOST SubmitResponse surfaces as the client's request timeout;
-//     the shim abandons the attempt and re-offers under a NEW id,
-//     which the daemon terminally counts once more - the same
-//     semantics a timed-out in-proc attempt always had.
+//     the shim abandons the attempt (the stub drops its entry) and
+//     re-offers under a NEW id, which the daemon terminally counts once
+//     more - the same semantics a timed-out in-proc attempt always had.
+//   * Responses are sent by the request's continuation on the daemon's
+//     completion drainer; nothing polls for completions.
 //   * Mapping fetch/publish use BOUNDED attempts: giving up is safe
 //     (a lost publish is the dropped-mapping-file scenario the
 //     HealthMonitor self-heals; a failed fetch keeps the cached view).
@@ -28,9 +30,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -57,23 +58,25 @@ class RpcIonClient : public IonPort {
                telemetry::Registry* registry = nullptr);
 
   SubmitResult try_submit(FwdRequest req) override;
+  /// Drop an abandoned call's entry (and its read slab).
+  void abandon(const CompletionSink& done) override IOFA_EXCLUDES(mu_);
+
+  /// Calls whose response has not arrived and that were not abandoned.
+  std::size_t pending_calls() IOFA_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    return pending_.size();
+  }
 
  private:
   struct PendingCall {
-    std::shared_ptr<std::promise<std::size_t>> done;
+    std::shared_ptr<CompletionSink> done;
     Payload payload;  ///< read destination (response data copies here)
-    FwdOp op = FwdOp::Write;
-    bool acked = false;
-    rpc::WireSubmitResult ack_result = rpc::WireSubmitResult::kDown;
-    bool completed = false;  ///< response already applied
-    bool waiting = false;    ///< a try_submit caller still parked on it
+    std::optional<rpc::WireSubmitResult> ack;
   };
 
-  void on_frame(std::vector<std::byte> frame);
-  void apply_response(PendingCall& call, const rpc::SubmitResponseMsg& msg);
+  void on_frame(std::vector<std::byte> frame) IOFA_EXCLUDES(mu_);
 
   rpc::Transport& transport_;
-  const int ion_;
   const rpc::RpcOptions options_;
   const std::uint64_t seed_;
   std::atomic<std::uint64_t> next_id_{1};
@@ -88,36 +91,30 @@ class RpcIonClient : public IonPort {
 };
 
 /// Daemon-side server for one ION link: decodes submits, dedups,
-/// offers to the daemon, acks, and ships completions back from a
-/// polling reaper thread.
+/// offers to the daemon and acks; each accepted request's continuation
+/// ships its response when the daemon completes it.
 class RpcIonServer {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
                int ion, const rpc::RpcOptions& options,
                telemetry::Registry* registry = nullptr);
+  /// Waits until every accepted request has shipped its response.
   ~RpcIonServer();
 
-  /// Final completion sweep, then stop and join the reaper. Idempotent.
-  void stop();
-
  private:
+  class ResponseSink;
+
   struct DedupEntry {
-    std::vector<std::byte> ack_frame;
+    std::vector<std::byte> ack_frame;       ///< empty while being offered
     std::vector<std::byte> response_frame;  ///< empty until completed
     bool terminal = false;  ///< busy/down ack, or response cached
   };
-  struct Inflight {
-    std::uint64_t id = 0;
-    std::future<std::size_t> fut;
-    Payload payload;  ///< server-side buffer (read data source)
-    FwdOp op = FwdOp::Write;
-  };
 
-  void on_frame(std::vector<std::byte> frame);
-  void reaper_loop();
-  /// One pass over the in-flight set; ships every ready completion.
-  void sweep_completions();
-  void complete_locked(std::uint64_t id, std::vector<std::byte> frame)
+  void on_frame(std::vector<std::byte> frame) IOFA_EXCLUDES(mu_);
+  /// Continuation body: cache the response frame, then send it.
+  void respond(std::uint64_t id, std::vector<std::byte> frame)
+      IOFA_EXCLUDES(mu_);
+  void mark_terminal_locked(std::uint64_t id, DedupEntry& entry)
       IOFA_REQUIRES(mu_);
   void evict_locked() IOFA_REQUIRES(mu_);
 
@@ -130,9 +127,9 @@ class RpcIonServer {
   /// Terminal ids in completion order - the eviction queue. Ids whose
   /// response is still pending are not in here and never evicted.
   std::deque<std::uint64_t> terminal_order_ IOFA_GUARDED_BY(mu_);
-  std::vector<Inflight> inflight_ IOFA_GUARDED_BY(mu_);
-  std::atomic<bool> stop_{false};
-  std::thread reaper_;  // iofa-lint: allow(raw-thread)
+  /// Accepted requests whose response has not been sent yet.
+  std::size_t outstanding_ IOFA_GUARDED_BY(mu_) = 0;
+  CondVar idle_cv_;
   telemetry::Counter* dedup_hits_ctr_ = nullptr;    ///< rpc.dedup_hits
   telemetry::Counter* frames_sent_ctr_ = nullptr;
   telemetry::Counter* frames_recv_ctr_ = nullptr;

@@ -138,12 +138,10 @@ void ForwardingService::shutdown() {
   for (auto& d : daemons_) d->shutdown();
   if (rpc_ && !rpc_closed_) {
     rpc_closed_ = true;
-    // Order matters: the daemons above have settled every promise, so
-    // each server's stop() final sweep can still ship the last
-    // responses over a live transport; only then do the transports
-    // close (joining their delivery threads - after this no handler
-    // can fire into a stub again).
-    for (auto& link : rpc_->ions) link.server->stop();
+    // Order matters: the daemons above have run every continuation, so
+    // the last responses left over a live transport; only then do the
+    // transports close (joining their delivery threads - after this no
+    // handler can fire into a stub again).
     for (auto& link : rpc_->ions) link.transport->close();
     rpc_->mapping_transport->close();
   }

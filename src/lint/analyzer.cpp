@@ -32,6 +32,7 @@ std::vector<std::unique_ptr<Rule>> make_all_rules(
   rules.push_back(std::make_unique<RawTokenBucketRule>());
   rules.push_back(std::make_unique<RawPayloadRule>());
   rules.push_back(std::make_unique<RawWireRule>());
+  rules.push_back(std::make_unique<TypedCompletionRule>());
   rules.push_back(std::make_unique<SwallowedErrorRule>());
   rules.push_back(std::make_unique<LockOrderRule>());
   rules.push_back(std::make_unique<ClockHygieneRule>());

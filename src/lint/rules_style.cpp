@@ -256,4 +256,27 @@ void RawWireRule::scan(const FileModel& f, Reporter& rep) {
   }
 }
 
+// --- typed-completion -----------------------------------------------------
+
+void TypedCompletionRule::scan(const FileModel& f, Reporter& rep) {
+  // Scope: the request path, where a request completes one way only (a
+  // typed Completion handed to its continuation, fwd/request.hpp).
+  if (!(f.in_path("src/fwd") || f.in_path("src/rpc"))) return;
+  static const std::set<std::string> kBanned = {
+      "promise", "future", "shared_future", "packaged_task",
+      "exception_ptr", "make_exception_ptr"};
+  const auto& code = f.code();
+  for (std::size_t i = 0; i + 2 < code.size(); ++i) {
+    const Token& t = f.tokens()[code[i]];
+    if (!t.is_ident("std") || !f.tokens()[code[i + 1]].is_punct("::") ||
+        !kBanned.count(f.tokens()[code[i + 2]].text)) {
+      continue;
+    }
+    rep.report(f, t.line, "typed-completion",
+               "std::" + f.tokens()[code[i + 2]].text +
+                   " in the request path; complete requests through "
+                   "their continuation (fwd/request.hpp)");
+  }
+}
+
 }  // namespace iofa::lint

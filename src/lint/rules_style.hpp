@@ -1,6 +1,6 @@
 #pragma once
 // Style/hygiene rules (migrated v1 regex rules): raw-sleep, raw-rand,
-// raw-cout, raw-thread, bare-units, raw-token-bucket.
+// raw-cout, raw-thread, bare-units, raw-token-bucket; plus path fences.
 
 #include "lint/rule.hpp"
 
@@ -74,6 +74,16 @@ class RawWireRule : public Rule {
   std::string_view name() const override { return "raw-wire"; }
   std::string_view description() const override {
     return "rpc frame bytes are interpreted only inside the codec";
+  }
+  void scan(const FileModel& file, Reporter& rep) override;
+};
+
+class TypedCompletionRule : public Rule {
+ public:
+  std::string_view name() const override { return "typed-completion"; }
+  std::string_view description() const override {
+    return "fwd/rpc requests complete through typed continuations, not "
+           "promises/futures";
   }
   void scan(const FileModel& file, Reporter& rep) override;
 };

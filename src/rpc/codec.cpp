@@ -1,7 +1,8 @@
 #include "rpc/codec.hpp"
 
+#include <bit>
 #include <cstring>
-#include <limits>
+#include <span>
 #include <string>
 
 namespace iofa::rpc {
@@ -13,43 +14,25 @@ namespace {
 // endianness assumptions. This file is the only sanctioned home of
 // memcpy-on-frame-bytes in src/rpc (raw-wire rule).
 
-void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  put_u8(out, static_cast<std::uint8_t>(v & 0xFF));
-  put_u8(out, static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    put_u8(out, static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+/// Little-endian store of the low `n` bytes of `v`.
+void store_le(std::byte* at, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    at[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
   }
 }
 
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    put_u8(out, static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
+void put_le(std::vector<std::byte>& out, std::uint64_t v, std::size_t n) {
+  out.resize(out.size() + n);
+  store_le(out.data() + out.size() - n, v, n);
 }
 
-void put_f64(std::vector<std::byte>& out, double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_bytes(std::vector<std::byte>& out,
-               const std::vector<std::byte>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
+void put_bytes(std::vector<std::byte>& out, std::span<const std::byte> v) {
+  put_le(out, v.size(), 4);
   out.insert(out.end(), v.begin(), v.end());
 }
 
 void put_string(std::vector<std::byte>& out, const std::string& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (char c : v) out.push_back(static_cast<std::byte>(c));
+  put_bytes(out, std::as_bytes(std::span<const char>(v)));
 }
 
 /// Bounds-checked sequential reader over a body span. Every read
@@ -60,59 +43,34 @@ class Reader {
   Reader(const std::byte* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-
-  std::uint16_t u16() {
-    std::uint16_t v = u8();
-    v = static_cast<std::uint16_t>(v | (static_cast<std::uint16_t>(u8())
-                                        << 8));
-    return v;
-  }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
+  std::uint64_t le(std::size_t n) {
+    need(n);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
     }
+    pos_ += n;
     return v;
   }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
+  std::uint64_t u64() { return le(8); }
 
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
+  /// A length-prefixed byte run, as a view into the frame.
+  std::span<const std::byte> run() {
+    const std::uint32_t n = u32();
+    need(n);
+    const std::span<const std::byte> out(data_ + pos_, n);
+    pos_ += n;
+    return out;
   }
-
   std::vector<std::byte> bytes() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::vector<std::byte> out(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return out;
+    const auto r = run();
+    return {r.begin(), r.end()};
   }
-
   std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      out.push_back(static_cast<char>(data_[pos_ + i]));
-    }
-    pos_ += n;
-    return out;
+    const auto r = run();
+    return {reinterpret_cast<const char*>(r.data()), r.size()};
   }
 
   /// Decoders call this last: leftover bytes are a malformation, not
@@ -131,96 +89,121 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t fnv1a(const std::byte* data, std::size_t n,
-                    std::uint64_t h = 1469598103934665603ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(data[i]);
-    h *= 1099511628211ULL;
+std::uint64_t load_le64(const std::byte* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Frame checksum: FNV-1a's constants, one 8-byte LE word per multiply
+/// plus an xorshift (tail byte-wise). Each step is a bijection of the
+/// state for a fixed input and of the input for a fixed state, so any
+/// single-word (hence single-byte) change alters the result.
+std::uint64_t checksum(const std::byte* data, std::size_t n,
+                       std::uint64_t h = 1469598103934665603ULL) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    h = (h ^ load_le64(data + i)) * kPrime;
+    h ^= h >> 32;
+  }
+  for (; i < n; ++i) {
+    h = (h ^ static_cast<std::uint64_t>(data[i])) * kPrime;
   }
   return h;
 }
 
-/// Assemble header + body into the final frame.
-std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
-                            std::vector<std::byte> body) {
+/// A frame under construction: the body is appended behind the header.
+std::vector<std::byte> open_frame(std::size_t body_bytes) {
   std::vector<std::byte> frame;
-  frame.reserve(kHeaderSize + body.size());
-  put_u32(frame, kWireMagic);
-  put_u8(frame, kWireVersion);
-  put_u8(frame, static_cast<std::uint8_t>(type));
-  put_u16(frame, 0);
-  put_u64(frame, request_id);
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  put_u32(frame, 0);
-  std::uint64_t hash = fnv1a(frame.data(), frame.size());
-  hash = fnv1a(body.data(), body.size(), hash);
-  put_u64(frame, hash);
-  frame.insert(frame.end(), body.begin(), body.end());
+  frame.reserve(kHeaderSize + body_bytes);
+  frame.resize(kHeaderSize);
+  return frame;
+}
+
+/// Fill in the header of an open_frame() once its body is complete.
+std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
+                            std::vector<std::byte> frame) {
+  std::byte* h = frame.data();
+  store_le(h + 0, kWireMagic, 4);
+  store_le(h + 4, kWireVersion, 1);
+  store_le(h + 5, static_cast<std::uint8_t>(type), 1);
+  store_le(h + 8, request_id, 8);  // reserved [6..8), [20..24) stay zero
+  store_le(h + 16, frame.size() - kHeaderSize, 4);
+  std::uint64_t hash = checksum(h, kHeaderSize - 8);
+  hash = checksum(h + kHeaderSize, frame.size() - kHeaderSize, hash);
+  store_le(h + 24, hash, 8);
   return frame;
 }
 
 }  // namespace
 
 std::vector<std::byte> encode(std::uint64_t request_id,
-                              const SubmitRequestMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.op));
-  put_u32(body, m.tenant);
-  put_u64(body, m.file_id);
-  put_u64(body, m.offset);
-  put_u64(body, m.size);
-  put_f64(body, m.stream_weight);
-  put_u64(body, m.deadline_us);
-  put_string(body, m.path);
-  put_bytes(body, m.payload);
-  return seal(MsgType::kSubmitRequest, request_id, std::move(body));
+                              const SubmitRequestMsg& m,
+                              std::span<const std::byte> payload) {
+  std::vector<std::byte> frame =
+      open_frame(64 + m.path.size() + payload.size());
+  put_le(frame, static_cast<std::uint8_t>(m.op), 1);
+  put_le(frame, m.tenant, 4);
+  put_le(frame, m.file_id, 8);
+  put_le(frame, m.offset, 8);
+  put_le(frame, m.size, 8);
+  put_le(frame, std::bit_cast<std::uint64_t>(m.stream_weight), 8);
+  put_le(frame, m.deadline_us, 8);
+  put_string(frame, m.path);
+  put_bytes(frame, payload);
+  return seal(MsgType::kSubmitRequest, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitAckMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.result));
-  return seal(MsgType::kSubmitAck, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame(1);
+  put_le(frame, static_cast<std::uint8_t>(m.result), 1);
+  return seal(MsgType::kSubmitAck, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
-                              const SubmitResponseMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.status));
-  put_u64(body, m.value);
-  put_bytes(body, m.data);
-  return seal(MsgType::kSubmitResponse, request_id, std::move(body));
+                              const SubmitResponseMsg& m,
+                              std::span<const std::byte> data) {
+  std::vector<std::byte> frame = open_frame(13 + data.size());
+  put_le(frame, static_cast<std::uint8_t>(m.status), 1);
+  put_le(frame, m.value, 8);
+  put_bytes(frame, data);
+  return seal(MsgType::kSubmitResponse, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingGetMsg& m) {
-  std::vector<std::byte> body;
-  put_u64(body, m.job);
-  return seal(MsgType::kMappingGet, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame(8);
+  put_le(frame, m.job, 8);
+  return seal(MsgType::kMappingGet, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingReplyMsg& m) {
-  std::vector<std::byte> body;
-  put_u64(body, m.epoch);
-  put_u8(body, m.found ? 1 : 0);
-  put_u32(body, static_cast<std::uint32_t>(m.ions.size()));
+  std::vector<std::byte> frame = open_frame(13 + 4 * m.ions.size());
+  put_le(frame, m.epoch, 8);
+  put_le(frame, m.found ? 1 : 0, 1);
+  put_le(frame, static_cast<std::uint32_t>(m.ions.size()), 4);
   for (std::int32_t ion : m.ions) {
-    put_u32(body, static_cast<std::uint32_t>(ion));
+    put_le(frame, static_cast<std::uint32_t>(ion), 4);
   }
-  return seal(MsgType::kMappingReply, request_id, std::move(body));
+  return seal(MsgType::kMappingReply, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingPublishMsg& m) {
-  std::vector<std::byte> body;
-  put_string(body, m.text);
-  return seal(MsgType::kMappingPublish, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame(4 + m.text.size());
+  put_string(frame, m.text);
+  return seal(MsgType::kMappingPublish, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingPublishAckMsg&) {
-  return seal(MsgType::kMappingPublishAck, request_id, {});
+  return seal(MsgType::kMappingPublishAck, request_id, open_frame(0));
 }
 
 namespace {
@@ -241,7 +224,7 @@ MsgType check_header(const std::vector<std::byte>& frame,
       type > static_cast<std::uint8_t>(MsgType::kMappingPublishAck)) {
     throw CodecError("unknown message type " + std::to_string(type));
   }
-  if (h.u16() != 0) throw CodecError("nonzero reserved field");
+  if (h.le(2) != 0) throw CodecError("nonzero reserved field");
   const std::uint64_t id = h.u64();
   const std::uint32_t len = h.u32();
   if (h.u32() != 0) throw CodecError("nonzero reserved field");
@@ -250,8 +233,8 @@ MsgType check_header(const std::vector<std::byte>& frame,
     throw CodecError("frame length does not match body length");
   }
   const std::uint64_t want = h.u64();
-  std::uint64_t got = fnv1a(frame.data(), kHeaderSize - 8);
-  got = fnv1a(frame.data() + kHeaderSize, len, got);
+  std::uint64_t got = checksum(frame.data(), kHeaderSize - 8);
+  got = checksum(frame.data() + kHeaderSize, len, got);
   if (want != got) throw CodecError("checksum mismatch");
   if (request_id) *request_id = id;
   if (body_len) *body_len = len;
@@ -281,7 +264,7 @@ Decoded decode(const std::vector<std::byte>& frame) {
       m.file_id = r.u64();
       m.offset = r.u64();
       m.size = r.u64();
-      m.stream_weight = r.f64();
+      m.stream_weight = std::bit_cast<double>(r.u64());
       m.deadline_us = r.u64();
       m.path = r.str();
       m.payload = r.bytes();

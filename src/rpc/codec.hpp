@@ -14,16 +14,17 @@
 //   [ 8..16)  u64  request id
 //   [16..20)  u32  body length
 //   [20..24)  u32  reserved   must be 0
-//   [24..32)  u64  FNV-1a over bytes [0..24) ++ body
+//   [24..32)  u64  checksum over bytes [0..24) ++ body
 //   [32.. )   body
 //
-// The checksum covers the header (with the hash field excluded) AND
-// the body, so a bit flip anywhere in the frame - including in the
-// request id - is detected. decode() throws CodecError on any
-// malformation and never reads past the buffer.
+// The checksum covers the header (hash field excluded) AND the body, so
+// any single-word change anywhere - request id included - is detected.
+// decode() throws CodecError on any malformation and never reads past
+// the buffer.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -41,11 +42,23 @@ struct Decoded {
 };
 
 std::vector<std::byte> encode(std::uint64_t request_id,
-                              const SubmitRequestMsg& m);
-std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitAckMsg& m);
+/// The payload / read data is serialised straight from `bytes` (a slab
+/// span, no staging copy); m.payload / m.data are then ignored.
 std::vector<std::byte> encode(std::uint64_t request_id,
-                              const SubmitResponseMsg& m);
+                              const SubmitRequestMsg& m,
+                              std::span<const std::byte> bytes);
+std::vector<std::byte> encode(std::uint64_t request_id,
+                              const SubmitResponseMsg& m,
+                              std::span<const std::byte> bytes);
+inline std::vector<std::byte> encode(std::uint64_t request_id,
+                                     const SubmitRequestMsg& m) {
+  return encode(request_id, m, m.payload);
+}
+inline std::vector<std::byte> encode(std::uint64_t request_id,
+                                     const SubmitResponseMsg& m) {
+  return encode(request_id, m, m.data);
+}
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingGetMsg& m);
 std::vector<std::byte> encode(std::uint64_t request_id,

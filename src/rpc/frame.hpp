@@ -3,8 +3,9 @@
 //
 // Every message crossing a transport link is one frame: a fixed
 // little-endian header (magic, version, type, request id, body length,
-// FNV-1a checksum over header+body) followed by a type-specific body.
-// The wire structs below carry only plain value types - no promises,
+// word-wise FNV checksum over header+body) followed by a type-specific
+// body.
+// The wire structs below carry only plain value types - no callbacks,
 // no slab handles, no pointers - so a frame is meaningful on any side
 // of any transport. Conversion to/from the runtime's FwdRequest
 // envelope happens at the endpoints (src/fwd/rpc_endpoints), never in
@@ -22,7 +23,8 @@
 namespace iofa::rpc {
 
 inline constexpr std::uint32_t kWireMagic = 0x41464F49;  // "IOFA" LE
-inline constexpr std::uint8_t kWireVersion = 1;
+/// Version 2: word-at-a-time checksum (version 1 hashed byte-wise).
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Fixed header size in bytes (see codec.cpp for the exact layout).
 inline constexpr std::size_t kHeaderSize = 32;
 /// Decoder refuses bodies above this (a flipped length bit must not
@@ -76,9 +78,9 @@ struct SubmitAckMsg {
   WireSubmitResult result = WireSubmitResult::kDown;
 };
 
-/// Terminal outcome classes a completion can carry back. The endpoint
-/// reconstructs the matching exception type so client retry logic is
-/// transport-agnostic.
+/// Terminal outcome classes a completion can carry back: the wire
+/// mirror of fwd::CompletionStatus (pinned by static_assert in
+/// rpc_endpoints.cpp), so client retry logic is transport-agnostic.
 enum class WireStatus : std::uint8_t {
   kOk = 0,
   kIonDown = 1,

@@ -3,13 +3,13 @@
 // drain-after-close losing nothing (the crash-restart property: every
 // record pushed before the producers stop is fulfilled), and a
 // multi-producer stress run the thread-sanitize CI job runs under TSan.
+// Also the WaitSlot continuation: bounded waits and late completions.
 
 #include "fwd/completion_ring.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <set>
 #include <thread>
@@ -17,13 +17,16 @@
 
 namespace {
 
+using iofa::fwd::Completion;
 using iofa::fwd::CompletionRecord;
 using iofa::fwd::CompletionRing;
+using iofa::fwd::CompletionStatus;
+using iofa::fwd::WaitSlot;
 
 CompletionRecord make_rec(std::size_t value) {
   CompletionRecord rec;
-  rec.done = std::make_shared<std::promise<std::size_t>>();
-  rec.value = value;
+  rec.done = std::make_shared<WaitSlot>();
+  rec.result.value = value;
   return rec;
 }
 
@@ -55,13 +58,13 @@ TEST(CompletionRingTest, FifoAcrossWrapAround) {
     out.clear();
     EXPECT_EQ(ring.drain(out, 5), 5u);
     for (const auto& rec : out) {
-      EXPECT_EQ(rec.value, next_drained) << "order broken at wrap";
+      EXPECT_EQ(rec.result.value, next_drained) << "order broken at wrap";
       ++next_drained;
     }
   }
   out.clear();
   while (ring.drain(out, 16) > 0) {
-    for (const auto& rec : out) EXPECT_EQ(rec.value, next_drained++);
+    for (const auto& rec : out) EXPECT_EQ(rec.result.value, next_drained++);
     out.clear();
   }
   EXPECT_EQ(next_drained, next_pushed);
@@ -74,14 +77,17 @@ TEST(CompletionRingTest, FullRingRejectsAndLeavesRecordIntact) {
     ASSERT_TRUE(ring.try_push(rec));
     EXPECT_EQ(rec.done, nullptr) << "push must move the record in";
   }
+  auto slot = std::make_shared<WaitSlot>();
   CompletionRecord spill = make_rec(99);
+  spill.done = slot;
   EXPECT_FALSE(ring.try_push(spill));
   EXPECT_EQ(ring.full_rejections(), 1u);
-  // The caller completes inline on rejection: the promise must survive.
-  ASSERT_NE(spill.done, nullptr);
-  EXPECT_EQ(spill.value, 99u);
-  spill.done->set_value(spill.value);
-  EXPECT_EQ(spill.done->get_future().get(), 99u);
+  // The caller completes inline on rejection: the continuation must
+  // survive.
+  ASSERT_EQ(spill.done, slot);
+  EXPECT_EQ(spill.result.value, 99u);
+  spill.done->complete(spill.result);
+  EXPECT_EQ(slot->wait().value, 99u);
   // Draining one slot makes the next push succeed again.
   std::vector<CompletionRecord> out;
   EXPECT_EQ(ring.drain(out, 1), 1u);
@@ -105,7 +111,7 @@ TEST(CompletionRingTest, DrainAfterCloseLosesNothing) {
   }
   ASSERT_EQ(out.size(), 11u);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].value, i);
+    EXPECT_EQ(out[i].result.value, i);
     ASSERT_NE(out[i].done, nullptr);
   }
   // Closed + empty: wait_nonempty returns immediately instead of
@@ -125,7 +131,7 @@ TEST(CompletionRingTest, WaitNonemptyWakesOnPush) {
   ring.wait_nonempty(30.0);
   std::vector<CompletionRecord> out;
   EXPECT_EQ(ring.drain(out, 8), 1u);
-  EXPECT_EQ(out[0].value, 7u);
+  EXPECT_EQ(out[0].result.value, 7u);
   producer.join();
 }
 
@@ -172,7 +178,7 @@ TEST(CompletionRingStressTest, MultiProducerCloseMidStreamLosesNothing) {
       }
       for (auto& rec : out) {
         ASSERT_NE(rec.done, nullptr);
-        EXPECT_TRUE(seen.insert(rec.value).second) << "duplicate record";
+        EXPECT_TRUE(seen.insert(rec.result.value).second) << "duplicate record";
       }
     }
   });
@@ -183,6 +189,42 @@ TEST(CompletionRingStressTest, MultiProducerCloseMidStreamLosesNothing) {
   EXPECT_EQ(pushed.load() + rejected.load(),
             static_cast<std::uint64_t>(kProducers) * kPerProducer);
   EXPECT_EQ(ring.full_rejections(), rejected.load());
+}
+
+TEST(WaitSlotTest, CompletionBeforeWaitIsKept) {
+  WaitSlot slot;
+  slot.complete({CompletionStatus::kOk, 42});
+  const Completion c = slot.wait();
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(c.value, 42u);
+  ASSERT_TRUE(slot.wait_for(0.0).has_value());
+  EXPECT_EQ(slot.wait_for(0.0)->value, 42u);
+}
+
+TEST(WaitSlotTest, FailureIsAStatusNotAnException) {
+  WaitSlot slot;
+  slot.complete({CompletionStatus::kIonDown, 0});
+  EXPECT_EQ(slot.wait().status, CompletionStatus::kIonDown);
+  EXPECT_FALSE(slot.wait().ok());
+}
+
+TEST(WaitSlotTest, TimedOutCallerToleratesLateCompletion) {
+  auto slot = std::make_shared<WaitSlot>();
+  std::shared_ptr<iofa::fwd::CompletionSink> held = slot;  // the daemon's
+  EXPECT_FALSE(slot->wait_for(1e-3).has_value());
+  slot.reset();  // the caller gives up and drops its reference
+  held->complete({CompletionStatus::kOk, 7});  // late: lands harmlessly
+  held.reset();
+}
+
+TEST(WaitSlotTest, WaitWakesOnCompletionFromAnotherThread) {
+  auto slot = std::make_shared<WaitSlot>();
+  std::thread producer([slot] { slot->complete({CompletionStatus::kOk, 9}); });
+  // Generous bound: only a lost wakeup would use it up.
+  const auto c = slot->wait_for(30.0);
+  producer.join();
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->value, 9u);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -56,7 +55,6 @@ FwdRequest write_req(const std::string& path, std::uint64_t offset,
   req.size = data.size();
   req.payload = iofa::Payload::wrap(
       std::make_shared<std::vector<std::byte>>(std::move(data)));
-  req.done = std::make_shared<std::promise<std::size_t>>();
   return req;
 }
 
@@ -70,7 +68,6 @@ FwdRequest read_req(const std::string& path, std::uint64_t offset,
   req.size = size;
   req.payload =
       iofa::Payload::wrap(std::make_shared<std::vector<std::byte>>(size));
-  req.done = std::make_shared<std::promise<std::size_t>>();
   return req;
 }
 
@@ -80,9 +77,9 @@ TEST(IonDaemon, WriteCompletesAndFlushesToPfs) {
   const auto data = pattern_data(8192, 1);
 
   auto req = write_req("/f", 0, data);
-  auto fut = req.done->get_future();
+  auto slot = wait_on(req);
   ASSERT_TRUE(daemon.submit(std::move(req)));
-  EXPECT_EQ(fut.get(), 8192u);
+  EXPECT_EQ(slot->wait().value, 8192u);
 
   daemon.drain();
   EXPECT_EQ(pfs.bytes_written(), 8192u);
@@ -98,19 +95,18 @@ TEST(IonDaemon, FsyncWaitsForStagedWrites) {
   for (int i = 0; i < 16; ++i) {
     auto req = write_req("/f", static_cast<std::uint64_t>(i) * 4096,
                          pattern_data(4096, static_cast<std::uint64_t>(i)));
-    auto fut = req.done->get_future();
+    auto slot = wait_on(req);
     ASSERT_TRUE(daemon.submit(std::move(req)));
-    fut.get();
+    EXPECT_TRUE(slot->wait().ok());
   }
 
   FwdRequest fsync;
   fsync.op = FwdOp::Fsync;
   fsync.path = "/f";
   fsync.file_id = gkfs::hash_path("/f");
-  fsync.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = fsync.done->get_future();
+  auto slot = wait_on(fsync);
   ASSERT_TRUE(daemon.submit(std::move(fsync)));
-  fut.get();
+  EXPECT_TRUE(slot->wait().ok());
 
   // After fsync returns, everything staged before it must be on the PFS.
   EXPECT_EQ(pfs.bytes_written(), 16u * 4096u);
@@ -128,15 +124,15 @@ TEST(IonDaemon, ReadServedFromStagingBeforeFlush) {
   IonDaemon daemon(0, fast_ion(), pfs);
   const auto data = pattern_data(65536, 3);
   auto wreq = write_req("/f", 0, data);
-  auto wfut = wreq.done->get_future();
+  auto wslot = wait_on(wreq);
   ASSERT_TRUE(daemon.submit(std::move(wreq)));
-  wfut.get();
+  EXPECT_TRUE(wslot->wait().ok());
 
   auto rreq = read_req("/f", 0, 65536);
   iofa::Payload buf = rreq.payload;
-  auto rfut = rreq.done->get_future();
+  auto rslot = wait_on(rreq);
   ASSERT_TRUE(daemon.submit(std::move(rreq)));
-  EXPECT_EQ(rfut.get(), 65536u);
+  EXPECT_EQ(rslot->wait().value, 65536u);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.span().begin()));
   EXPECT_GE(daemon.stats().reads_local, 1u);
 }
@@ -149,9 +145,9 @@ TEST(IonDaemon, ReadFallsThroughToPfsWhenClean) {
   IonDaemon daemon(0, fast_ion(), pfs);
   auto rreq = read_req("/direct", 0, 4096);
   iofa::Payload buf = rreq.payload;
-  auto rfut = rreq.done->get_future();
+  auto rslot = wait_on(rreq);
   ASSERT_TRUE(daemon.submit(std::move(rreq)));
-  EXPECT_EQ(rfut.get(), 4096u);
+  EXPECT_EQ(rslot->wait().value, 4096u);
   EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.span().begin()));
   EXPECT_GE(daemon.stats().reads_pfs, 1u);
 }
@@ -163,14 +159,14 @@ TEST(IonDaemon, AggregationMergesContiguousWrites) {
   params.scheduler.aggregation_window = 0.005;
   IonDaemon daemon(0, params, pfs);
 
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<WaitSlot>> slots;
   for (int i = 0; i < 32; ++i) {
     auto req = write_req("/f", static_cast<std::uint64_t>(i) * 4096,
                          pattern_data(4096, static_cast<std::uint64_t>(i)));
-    futs.push_back(req.done->get_future());
+    slots.push_back(wait_on(req));
     ASSERT_TRUE(daemon.submit(std::move(req)));
   }
-  for (auto& f : futs) f.get();
+  for (auto& s : slots) EXPECT_TRUE(s->wait().ok());
   daemon.drain();
 
   const auto stats = daemon.stats();
@@ -227,20 +223,20 @@ TEST(IonDaemon, ShutdownWaitsOutTheAggregationWindow) {
   IonParams params = fast_ion();
   params.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
   params.scheduler.aggregation_window = 0.05;  // >> dispatcher poll slice
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<WaitSlot>> slots;
   {
     IonDaemon daemon(0, params, pfs);
     for (int i = 0; i < 8; ++i) {
       auto req = write_req("/f", static_cast<std::uint64_t>(i) * 4096,
                            pattern_data(4096, static_cast<std::uint64_t>(i)));
-      futs.push_back(req.done->get_future());
+      slots.push_back(wait_on(req));
       ASSERT_TRUE(daemon.submit(std::move(req)));
     }
     // Close the ingest queue while the window still holds every
     // request back; shutdown must wait for the scheduler to drain.
     daemon.shutdown();
   }
-  for (auto& f : futs) EXPECT_EQ(f.get(), 4096u);
+  for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
   EXPECT_EQ(pfs.bytes_written(), 8u * 4096u);
 }
 
@@ -255,9 +251,9 @@ TEST(IonDaemon, ConcurrentSubmittersAllComplete) {
         auto req = write_req("/t" + std::to_string(t),
                              static_cast<std::uint64_t>(i) * 4096,
                              pattern_data(4096, 1));
-        auto fut = req.done->get_future();
+        auto slot = wait_on(req);
         EXPECT_TRUE(daemon.submit(std::move(req)));
-        fut.get();
+        EXPECT_TRUE(slot->wait().ok());
         completed.fetch_add(1);
       }
     });
@@ -282,10 +278,9 @@ TEST(IonDaemon, AccountingOnlyModeMovesNoData) {
   req.file_id = gkfs::hash_path("/f");
   req.offset = 0;
   req.size = 1 << 20;
-  req.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = req.done->get_future();
+  auto slot = wait_on(req);
   ASSERT_TRUE(daemon.submit(std::move(req)));
-  EXPECT_EQ(fut.get(), static_cast<std::size_t>(1 << 20));
+  EXPECT_EQ(slot->wait().value, static_cast<std::size_t>(1 << 20));
   daemon.drain();
   EXPECT_EQ(pfs.bytes_written(), static_cast<Bytes>(1 << 20));
 }
@@ -311,11 +306,10 @@ TEST(IonDaemon, WriteThroughAcksOnlyAfterPfs) {
   req.file_id = gkfs::hash_path("/f");
   req.offset = 0;
   req.size = 1 << 20;  // 1 MiB at 5 MB/s >= ~200 ms
-  req.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = req.done->get_future();
+  auto slot = wait_on(req);
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(daemon.submit(std::move(req)));
-  EXPECT_EQ(fut.get(), static_cast<std::size_t>(1 << 20));
+  EXPECT_EQ(slot->wait().value, static_cast<std::size_t>(1 << 20));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -344,11 +338,10 @@ TEST(IonDaemon, WriteBehindAcksBeforePfs) {
   req.file_id = gkfs::hash_path("/f");
   req.offset = 0;
   req.size = 1 << 20;
-  req.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = req.done->get_future();
+  auto slot = wait_on(req);
   const auto t0 = std::chrono::steady_clock::now();
   ASSERT_TRUE(daemon.submit(std::move(req)));
-  fut.get();
+  EXPECT_TRUE(slot->wait().ok());
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -452,17 +445,17 @@ TEST(IonDaemon, PipelineLastWriterWinsAcrossWorkerCounts) {
 
     constexpr int kFiles = 6;
     constexpr int kVersions = 5;
-    std::vector<std::future<std::size_t>> futs;
+    std::vector<std::shared_ptr<WaitSlot>> slots;
     for (int v = 0; v < kVersions; ++v) {
       for (int f = 0; f < kFiles; ++f) {
         auto req = write_req(
             "/lw" + std::to_string(f), 0,
             pattern_data(4096, static_cast<std::uint64_t>(100 * f + v)));
-        futs.push_back(req.done->get_future());
+        slots.push_back(wait_on(req));
         ASSERT_TRUE(daemon.submit(std::move(req)));
       }
     }
-    for (auto& fut : futs) EXPECT_EQ(fut.get(), 4096u);
+    for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
     daemon.drain();
 
     for (int f = 0; f < kFiles; ++f) {
@@ -504,20 +497,22 @@ TEST(IonDaemon, PipelineCrashRestartLosesNoAckedByteAcrossWorkerCounts) {
     std::vector<Write> acked;
     std::uint64_t next = 0;
     auto submit_phase = [&](int count) {
-      std::vector<std::pair<Write, std::future<std::size_t>>> round;
+      std::vector<std::pair<Write, std::shared_ptr<WaitSlot>>> round;
       for (int i = 0; i < count; ++i) {
         const std::uint64_t n = next++;
         Write a{"/cr" + std::to_string(n % 4), (n / 4) * 4096, n + 1};
         auto req = write_req(a.path, a.offset, pattern_data(4096, a.seed));
-        auto fut = req.done->get_future();
+        auto slot = wait_on(req);
         if (!daemon.submit(std::move(req))) continue;  // refused: down
-        round.emplace_back(std::move(a), std::move(fut));
+        round.emplace_back(std::move(a), std::move(slot));
       }
-      for (auto& [a, fut] : round) {
-        try {
-          if (fut.get() == 4096u) acked.push_back(a);
-        } catch (const IonDownError&) {
+      for (auto& [a, slot] : round) {
+        const Completion c = slot->wait();
+        if (c.ok()) {
+          if (c.value == 4096u) acked.push_back(a);
+        } else {
           // Crash casualty: the client fails over; no durability claim.
+          EXPECT_EQ(c.status, CompletionStatus::kIonDown);
         }
       }
     };
@@ -572,15 +567,15 @@ TEST(IonDaemon, PipelineAccountsAbandonedFlushes) {
   IonDaemon daemon(0, params, pfs);
 
   constexpr int kWrites = 32;
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<WaitSlot>> slots;
   for (int i = 0; i < kWrites; ++i) {
     auto req = write_req("/ab" + std::to_string(i % 4),
                          static_cast<std::uint64_t>(i / 4) * 4096,
                          pattern_data(4096, static_cast<std::uint64_t>(i)));
-    futs.push_back(req.done->get_future());
+    slots.push_back(wait_on(req));
     ASSERT_TRUE(daemon.submit(std::move(req)));
   }
-  for (auto& f : futs) EXPECT_EQ(f.get(), 4096u);  // write-behind acks
+  for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);  // write-behind acks
   daemon.drain();
 
   EXPECT_EQ(reg.counter("fwd.ion.flush_abandoned", {{"ion", "0"}}).value(),
@@ -591,9 +586,9 @@ TEST(IonDaemon, PipelineAccountsAbandonedFlushes) {
     auto rreq = read_req("/ab" + std::to_string(i % 4),
                          static_cast<std::uint64_t>(i / 4) * 4096, 4096);
     iofa::Payload buf = rreq.payload;
-    auto rfut = rreq.done->get_future();
+    auto rslot = wait_on(rreq);
     ASSERT_TRUE(daemon.submit(std::move(rreq)));
-    EXPECT_EQ(rfut.get(), 4096u);
+    EXPECT_EQ(rslot->wait().value, 4096u);
     const auto want = pattern_data(4096, static_cast<std::uint64_t>(i));
     EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.span().begin()));
   }
@@ -618,13 +613,13 @@ TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {
   IonDaemon daemon(0, params, pfs);
 
   auto first = write_req("/rs", 0, pattern_data(4096, 1));
-  auto first_fut = first.done->get_future();
+  auto first_slot = wait_on(first);
   ASSERT_TRUE(daemon.submit(std::move(first)));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // The worker is mid-dispatch; this one queues behind it.
   auto second = write_req("/rs", 4096, pattern_data(4096, 2));
-  auto second_fut = second.done->get_future();
+  auto second_slot = wait_on(second);
   ASSERT_TRUE(daemon.submit(std::move(second)));
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -632,8 +627,8 @@ TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {
   std::this_thread::sleep_for(std::chrono::milliseconds(350));
   daemon.restart();  // raises the restamp floor to "now"
 
-  EXPECT_EQ(first_fut.get(), 4096u);
-  EXPECT_EQ(second_fut.get(), 4096u);
+  EXPECT_EQ(first_slot->wait().value, 4096u);
+  EXPECT_EQ(second_slot->wait().value, 4096u);
   daemon.drain();
 
   const auto& hist = reg.histogram(
@@ -667,17 +662,17 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   ASSERT_EQ(daemon.flushers(), 8);
 
   constexpr int kVersions = 64;
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<WaitSlot>> slots;
   for (int v = 0; v < kVersions; ++v) {
     for (int f = 0; f < 2; ++f) {
       auto req = write_req(
           "/hot" + std::to_string(f), static_cast<std::uint64_t>(v % 4) * 4096,
           pattern_data(4096, static_cast<std::uint64_t>(1000 * f + v)));
-      futs.push_back(req.done->get_future());
+      slots.push_back(wait_on(req));
       ASSERT_TRUE(daemon.submit(std::move(req)));
     }
   }
-  for (auto& fut : futs) EXPECT_EQ(fut.get(), 4096u);
+  for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
   daemon.drain();
 
   for (int f = 0; f < 2; ++f) {
@@ -710,17 +705,17 @@ TEST(IonDaemon, PathsInternedOncePerFile) {
 
   constexpr int kFiles = 5;
   constexpr int kRounds = 8;
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<WaitSlot>> slots;
   for (int r = 0; r < kRounds; ++r) {
     for (int f = 0; f < kFiles; ++f) {
       auto req = write_req("/in" + std::to_string(f),
                            static_cast<std::uint64_t>(r) * 4096,
                            pattern_data(4096, static_cast<std::uint64_t>(f)));
-      futs.push_back(req.done->get_future());
+      slots.push_back(wait_on(req));
       ASSERT_TRUE(daemon.submit(std::move(req)));
     }
   }
-  for (auto& fut : futs) EXPECT_EQ(fut.get(), 4096u);
+  for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
   daemon.drain();
 
   EXPECT_EQ(daemon.paths().size(), static_cast<std::size_t>(kFiles));
@@ -729,9 +724,9 @@ TEST(IonDaemon, PathsInternedOncePerFile) {
   // Read-back resolves the interned path, no re-intern.
   auto rreq = read_req("/in0", 0, 4096);
   iofa::Payload buf = rreq.payload;
-  auto rfut = rreq.done->get_future();
+  auto rslot = wait_on(rreq);
   ASSERT_TRUE(daemon.submit(std::move(rreq)));
-  EXPECT_EQ(rfut.get(), 4096u);
+  EXPECT_EQ(rslot->wait().value, 4096u);
   EXPECT_EQ(daemon.paths().size(), static_cast<std::size_t>(kFiles));
 }
 

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -236,7 +235,6 @@ FwdRequest write_req(const std::string& path, std::uint64_t offset,
   req.size = data.size();
   req.payload = iofa::Payload::wrap(
       std::make_shared<std::vector<std::byte>>(std::move(data)));
-  req.done = std::make_shared<std::promise<std::size_t>>();
   return req;
 }
 
@@ -245,7 +243,6 @@ FwdRequest fsync_req(const std::string& path) {
   req.op = FwdOp::Fsync;
   req.path = path;
   req.file_id = gkfs::hash_path(path);
-  req.done = std::make_shared<std::promise<std::size_t>>();
   return req;
 }
 
@@ -449,7 +446,7 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
   IonDaemon daemon(0, params, pfs);
 
   auto r1 = write_req("/adm", 0, pattern_data(kBlock, 1));
-  auto f1 = r1.done->get_future();
+  auto s1 = wait_on(r1);
   ASSERT_EQ(daemon.try_submit(std::move(r1)), SubmitResult::kAccepted);
   // The worker holds r1 in its dispatch-latency sleep; everything
   // submitted now sits in the ingest queue.
@@ -457,8 +454,8 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
 
   auto r2 = write_req("/adm", kBlock, pattern_data(kBlock, 2));
   auto r3 = write_req("/adm", 2 * kBlock, pattern_data(kBlock, 3));
-  auto f2 = r2.done->get_future();
-  auto f3 = r3.done->get_future();
+  auto s2 = wait_on(r2);
+  auto s3 = wait_on(r3);
   ASSERT_EQ(daemon.try_submit(std::move(r2)), SubmitResult::kAccepted);
   ASSERT_EQ(daemon.try_submit(std::move(r3)), SubmitResult::kAccepted);
 
@@ -472,13 +469,13 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
 
   // Fsync markers are exempt: durability barriers are never shed.
   auto sync = fsync_req("/adm");
-  auto fsync_fut = sync.done->get_future();
+  auto fsync_slot = wait_on(sync);
   EXPECT_EQ(daemon.try_submit(std::move(sync)), SubmitResult::kAccepted);
 
-  EXPECT_EQ(f1.get(), kBlock);
-  EXPECT_EQ(f2.get(), kBlock);
-  EXPECT_EQ(f3.get(), kBlock);
-  fsync_fut.get();
+  EXPECT_EQ(s1->wait().value, kBlock);
+  EXPECT_EQ(s2->wait().value, kBlock);
+  EXPECT_EQ(s3->wait().value, kBlock);
+  EXPECT_TRUE(fsync_slot->wait().ok());
   daemon.drain();
   EXPECT_FALSE(daemon.overloaded());
   // 3 writes + 1 fsync admitted, 1 busy; nothing expired or failed.
@@ -494,9 +491,9 @@ TEST(IonDaemonOverload, ExpiredDeadlineDroppedAtDequeueCounted) {
 
   auto req = write_req("/dl", 0, pattern_data(kBlock, 5));
   req.deadline_us = 1;  // long past: expires the moment it is dequeued
-  auto fut = req.done->get_future();
+  auto slot = wait_on(req);
   ASSERT_EQ(daemon.try_submit(std::move(req)), SubmitResult::kAccepted);
-  EXPECT_THROW(fut.get(), RequestExpiredError);
+  EXPECT_EQ(slot->wait().status, CompletionStatus::kExpired);
 
   daemon.drain();
   EXPECT_EQ(counter_sum(reg, "fwd.overload.expired"), 1.0);
@@ -511,15 +508,15 @@ TEST(IonDaemonOverload, FutureOrZeroDeadlineCompletesNormally) {
 
   auto far = write_req("/dl2", 0, pattern_data(kBlock, 6));
   far.deadline_us = monotonic_micros() + 10'000'000;  // 10 s of slack
-  auto far_fut = far.done->get_future();
+  auto far_slot = wait_on(far);
   ASSERT_EQ(daemon.try_submit(std::move(far)), SubmitResult::kAccepted);
-  EXPECT_EQ(far_fut.get(), kBlock);
+  EXPECT_EQ(far_slot->wait().value, kBlock);
 
   auto none = write_req("/dl2", kBlock, pattern_data(kBlock, 7));
   ASSERT_EQ(none.deadline_us, 0u);  // 0 = wait forever, never dropped
-  auto none_fut = none.done->get_future();
+  auto none_slot = wait_on(none);
   ASSERT_EQ(daemon.try_submit(std::move(none)), SubmitResult::kAccepted);
-  EXPECT_EQ(none_fut.get(), kBlock);
+  EXPECT_EQ(none_slot->wait().value, kBlock);
 
   daemon.drain();
   EXPECT_EQ(counter_sum(reg, "fwd.overload.expired"), 0.0);
@@ -724,13 +721,13 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   // more queued behind it.
   auto& d0 = c.service->daemon(0);
   auto r1 = write_req("/hint", 0, pattern_data(kBlock, 1));
-  auto f1 = r1.done->get_future();
+  auto s1 = wait_on(r1);
   ASSERT_EQ(d0.try_submit(std::move(r1)), SubmitResult::kAccepted);
   ASSERT_TRUE(wait_until([&] { return d0.queue_depth() == 0; }));
   auto r2 = write_req("/hint", kBlock, pattern_data(kBlock, 2));
   auto r3 = write_req("/hint", 2 * kBlock, pattern_data(kBlock, 3));
-  auto f2 = r2.done->get_future();
-  auto f3 = r3.done->get_future();
+  auto s2 = wait_on(r2);
+  auto s3 = wait_on(r3);
   ASSERT_EQ(d0.try_submit(std::move(r2)), SubmitResult::kAccepted);
   ASSERT_EQ(d0.try_submit(std::move(r3)), SubmitResult::kAccepted);
   ASSERT_TRUE(d0.overloaded());
@@ -745,9 +742,9 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   EXPECT_EQ(c.service->mapping_store().epoch(), epoch_before);
   EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 0.0);
 
-  f1.get();
-  f2.get();
-  f3.get();
+  EXPECT_TRUE(s1->wait().ok());
+  EXPECT_TRUE(s2->wait().ok());
+  EXPECT_TRUE(s3->wait().ok());
   c.service->drain();
   // Once the queue drains the hint clears on the next sweep.
   EXPECT_FALSE(hm.poll_once());

@@ -624,6 +624,79 @@ TEST_F(LintTest, RawWireOutsideRpcNotFlagged) {
   EXPECT_EQ(r.output.find("raw-wire"), std::string::npos) << r.output;
 }
 
+// ------------------------------------------------------ typed-completion
+
+TEST_F(LintTest, TypedCompletionPromiseInFwdFlagged) {
+  const auto p = write_fixture(
+      "legacy_ack.cpp",
+      "void offer(FwdRequest& req) {\n"
+      "  auto done = std::make_shared<std::promise<std::size_t>>();\n"
+      "  std::future<std::size_t> fut = done->get_future();\n"
+      "}\n");
+  const auto r = run_lint(p);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("legacy_ack.cpp:2: [typed-completion] "
+                          "std::promise"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("legacy_ack.cpp:3: [typed-completion] "
+                          "std::future"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(LintTest, TypedCompletionExceptionPtrInRpcFlagged) {
+  const auto p = write_rpc_fixture(
+      "relay.cpp",
+      "std::exception_ptr relay_error(int ion) {\n"
+      "  return std::make_exception_ptr(std::runtime_error(\"down\"));\n"
+      "}\n");
+  const auto r = run_lint(p);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_of(r.output, "[typed-completion]"), 2u) << r.output;
+}
+
+TEST_F(LintTest, TypedCompletionContinuationPasses) {
+  const auto p = write_fixture(
+      "typed_ack.cpp",
+      "void offer(IonDaemon& d, FwdRequest req) {\n"
+      "  // A std::future in a comment or \"std::promise\" in a string is\n"
+      "  // not a completion path.\n"
+      "  auto slot = wait_on(req);\n"
+      "  if (d.try_submit(std::move(req)) != SubmitResult::kAccepted) "
+      "return;\n"
+      "  if (slot->wait().status == CompletionStatus::kIonDown) return;\n"
+      "}\n");
+  const auto r = run_lint(p);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("typed-completion"), std::string::npos)
+      << r.output;
+}
+
+TEST_F(LintTest, TypedCompletionOutsideRequestPathNotFlagged) {
+  // The thread pool hands out futures by design; the fence covers the
+  // forwarding and rpc layers only.
+  const fs::path common = dir_.parent_path() / "common";
+  fs::create_directories(common);
+  const fs::path p = common / "pool.hpp";
+  std::ofstream(p) << "std::future<int> submit_task();\n";
+  const auto r = run_lint(p);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("typed-completion"), std::string::npos)
+      << r.output;
+}
+
+TEST_F(LintTest, TypedCompletionSuppressionHonoured) {
+  const auto p = write_fixture(
+      "bridge.cpp",
+      "// iofa-lint: allow(typed-completion) - adapter for a legacy caller.\n"
+      "std::future<std::size_t> bridge(FwdRequest& req);\n");
+  const auto r = run_lint(p);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("typed-completion"), std::string::npos)
+      << r.output;
+}
+
 // ---------------------------------------------------------------- driver
 
 TEST_F(LintTest, DirectoryScanAggregatesFindings) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -162,6 +163,50 @@ TEST(RpcCodec, ChecksumCatchesRequestIdFlip) {
   auto frame = encode(0x0102030405060708ull, SubmitAckMsg{});
   frame[8] ^= std::byte{0x01};  // request id is checksummed too
   EXPECT_THROW(decode(frame), CodecError);
+}
+
+TEST(RpcCodec, SingleByteFlipAtEveryOffsetOfALargeFrameIsRejected) {
+  // 16 KiB + 3 bytes: the checksum folds whole words and a byte-wise
+  // tail, and every offset - header, words, tail - must be covered.
+  SubmitResponseMsg m;
+  m.value = 4242;
+  m.data.resize(16 * 1024 + 3 - kHeaderSize - 13);
+  Rng rng(1337);
+  for (auto& b : m.data) b = static_cast<std::byte>(rng.next() & 0xFF);
+  const auto good = encode(0x1122334455667788ull, m);
+  ASSERT_EQ(good.size(), 16u * 1024u + 3u);
+  ASSERT_NO_THROW(decode(good));
+  for (std::size_t off = 0; off < good.size(); ++off) {
+    for (const std::byte mask :
+         {std::byte{0xFF}, static_cast<std::byte>(1u << (off % 8))}) {
+      auto f = good;
+      f[off] ^= mask;
+      EXPECT_THROW(decode(f), CodecError) << "offset " << off;
+    }
+  }
+}
+
+TEST(RpcCodec, Version1FrameIsATypedError) {
+  // A genuine version-1 frame: version byte 1 and v1's byte-wise FNV-1a
+  // checksum over header[0..24) ++ body.
+  auto f = encode(5, SubmitAckMsg{});
+  f[4] = std::byte{1};
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    if (i >= 24 && i < kHeaderSize) continue;  // the hash field itself
+    h = (h ^ static_cast<std::uint64_t>(f[i])) * 1099511628211ULL;
+  }
+  for (int i = 0; i < 8; ++i) {
+    f[24 + static_cast<std::size_t>(i)] =
+        static_cast<std::byte>((h >> (8 * i)) & 0xFF);
+  }
+  try {
+    decode(f);
+    FAIL() << "a version-1 frame decoded";
+  } catch (const CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 /// One fuzz round: take a well-formed frame, mangle it (truncate to a

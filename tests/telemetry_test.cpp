@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -416,7 +415,6 @@ fwd::FwdRequest make_write(const std::string& path, std::uint64_t offset,
   req.size = n;
   req.payload =
       iofa::Payload::wrap(std::make_shared<std::vector<std::byte>>(n));
-  req.done = std::make_shared<std::promise<std::size_t>>();
   return req;
 }
 
@@ -438,13 +436,13 @@ TEST(IonDaemonTelemetry, CountersMatchLegacyStats) {
 
   constexpr int kWrites = 32;
   constexpr std::size_t kBytes = 4096;
-  std::vector<std::future<std::size_t>> futs;
+  std::vector<std::shared_ptr<fwd::WaitSlot>> slots;
   for (int i = 0; i < kWrites; ++i) {
     auto req = make_write("/t", i * kBytes, kBytes);
-    futs.push_back(req.done->get_future());
+    slots.push_back(fwd::wait_on(req));
     ASSERT_TRUE(daemon.submit(std::move(req)));
   }
-  for (auto& f : futs) EXPECT_EQ(f.get(), kBytes);
+  for (auto& s : slots) EXPECT_EQ(s->wait().value, kBytes);
   daemon.drain();
 
   const auto stats = daemon.stats();
@@ -492,9 +490,9 @@ TEST(IonDaemonTelemetry, StatsViewIsPerDaemonDespiteSharedRegistry) {
   {
     fwd::IonDaemon first(0, ip, pfs);
     auto req = make_write("/a", 0, 1024);
-    auto fut = req.done->get_future();
+    auto slot = fwd::wait_on(req);
     ASSERT_TRUE(first.submit(std::move(req)));
-    fut.get();
+    EXPECT_TRUE(slot->wait().ok());
     first.drain();
     EXPECT_EQ(first.stats().requests, 1u);
     first.shutdown();

@@ -14,6 +14,9 @@
 //   raw-thread       std::thread outside the approved owners.
 //   raw-token-bucket direct TokenBucket construction in fwd/qos.
 //   swallowed-error  discarded failable calls / catch(...) in src/fwd.
+//   typed-completion std::promise / std::future / std::exception_ptr in
+//                    src/fwd or src/rpc (requests complete through
+//                    typed continuations, fwd/request.hpp).
 //   lock-order       whole-program: the static lock-acquisition graph
 //                    (nested RAII scopes, IOFA_REQUIRES entry locks,
 //                    IOFA_ACQUIRED_BEFORE/AFTER, calls made under a

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <set>
 #include <sstream>
 
 #include "telemetry/trace.hpp"
@@ -112,8 +111,12 @@ Arbiter::Arbiter(std::shared_ptr<ArbitrationPolicy> policy,
   ctr_fallbacks_ = &reg.counter("core.arbiter.full_fallbacks", labels);
   ctr_epoch_deltas_ =
       &reg.counter("core.arbiter.epoch_batched_deltas", labels);
+  ctr_remapped_ = &reg.counter("core.arbiter.remapped_jobs", labels);
   hist_solve_us_ = &reg.histogram("core.arbiter.solve_us",
                                   telemetry::BucketSpec::latency_us(), labels);
+  hist_materialize_us_ = &reg.histogram(
+      "core.arbiter.materialize_us", telemetry::BucketSpec::latency_us(),
+      labels);
   hist_classes_ = &reg.histogram("core.arbiter.classes",
                                  telemetry::BucketSpec{1.0, 12}, labels);
   gauge_running_ = &reg.gauge("core.arbiter.running_jobs", labels);
@@ -127,6 +130,7 @@ bool Arbiter::epoch_defer() {
 }
 
 const Mapping& Arbiter::job_started(JobId id, AppEntry app) {
+  if (running_.contains(id)) return job_updated(id, std::move(app));
   if (warm_enabled_) {
     pending_deltas_.push_back({id, build_class(app)});
   }
@@ -153,6 +157,8 @@ const Mapping& Arbiter::job_updated(JobId id, AppEntry app) {
   // longer applies — rebuild and republish now even in epoch mode.
   warm_valid_ = false;
   pending_deltas_.clear();
+  // The label may have changed too: rematerialise every entry.
+  remap_all_ = true;
   arbitrate();
   return mapping_;
 }
@@ -255,13 +261,8 @@ void Arbiter::arbitrate() {
   // The policy solves over the SURVIVING pool: dead IONs contribute no
   // capacity (Eq. 2 recomputed on survivors).
   const int capacity = options_.pool - static_cast<int>(failed_.size());
-  std::vector<JobId> order;
   std::size_t items = 0;  ///< MCKP items: feasible options across classes
-  order.reserve(running_.size());
-  for (const auto& [id, app] : running_) {
-    order.push_back(id);
-    items += app.curve.options().size();
-  }
+  for (const auto& [id, app] : running_) items += app.curve.options().size();
 
   // Warm path first: flush deltas into the persisted table (suffix
   // recompute only) and read the solution off the final layer. The
@@ -280,8 +281,8 @@ void Arbiter::arbitrate() {
     if (sol) {
       warm_used = true;
       (rebuilt ? ctr_fallbacks_ : ctr_incremental_)->add();
-      alloc.ions.resize(order.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
+      alloc.ions.resize(running_.size());
+      for (std::size_t i = 0; i < running_.size(); ++i) {
         alloc.ions[i] = warm_.class_at(i)[sol->choice[i]].weight;
       }
     } else {
@@ -313,100 +314,137 @@ void Arbiter::arbitrate() {
   ctr_solves_->add();
   ctr_items_->add(items);
   hist_solve_us_->observe(solve_seconds * 1e6);
-  hist_classes_->observe(static_cast<double>(order.size()));
+  hist_classes_->observe(static_cast<double>(running_.size()));
   gauge_running_->set(static_cast<double>(running_.size()));
   gauge_pool_->set(static_cast<double>(options_.pool));
 
-  std::map<JobId, int> counts;
-  std::map<JobId, bool> shared;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const JobId id = order[i];
-    const bool is_shared =
-        i < alloc.shared.size() && alloc.shared[i] != 0;
-    int n = is_shared ? 0 : alloc.ions[i];
-    if (!options_.reallocate_running) {
-      // STATIC never reshuffles running jobs.
-      auto it = counts_.find(id);
-      if (it != counts_.end()) n = it->second;
-    }
-    counts[id] = n;
-    shared[id] = is_shared;
-  }
-  counts_ = counts;
-  materialize(counts, shared);
+  const auto t0 = iofa::monotonic_now();
+  ctr_remapped_->add(materialize(alloc));
+  hist_materialize_us_->observe(
+      std::chrono::duration<double, std::micro>(iofa::monotonic_now() - t0)
+          .count());
 }
 
-void Arbiter::materialize(const std::map<JobId, int>& counts,
-                          const std::map<JobId, bool>& shared) {
+std::size_t Arbiter::materialize(const Allocation& alloc) {
   ++mapping_.epoch;
   mapping_.pool = options_.pool;
+  const int pool = options_.pool;
+  const std::size_t n_jobs = running_.size();
 
   // Identities come from the surviving nodes only; dead ones keep their
-  // ids but are unassignable until ion_recovered().
-  std::vector<int> alive;
-  for (int i = 0; i < options_.pool; ++i) {
-    if (!failed_.contains(i)) alive.push_back(i);
-  }
-
-  // The shared ION, when needed, is the highest-numbered LIVE node.
+  // ids but are unassignable until ion_recovered(). The shared ION, when
+  // needed, is the highest-numbered LIVE node.
   bool any_shared = false;
-  for (const auto& [id, s] : shared) any_shared |= s;
-  const int shared_ion = alive.empty() ? -1 : alive.back();
+  for (std::size_t i = 0; i < n_jobs && i < alloc.shared.size(); ++i) {
+    any_shared |= alloc.shared[i] != 0;
+  }
+  std::vector<char> usable(static_cast<std::size_t>(pool), 0);
+  int last_alive = -1;
+  for (int ion = 0; ion < pool; ++ion) {
+    if (!failed_.contains(ion)) {
+      usable[ion] = 1;
+      last_alive = ion;
+    }
+  }
+  const int shared_ion = any_shared ? last_alive : -1;
+  if (shared_ion >= 0) usable[shared_ion] = 0;
 
-  // Phase 1: retain as much of each job's previous assignment as its new
-  // count allows; collect everything else as free.
-  std::set<int> free_ions(alive.begin(), alive.end());
-  if (any_shared && shared_ion >= 0) free_ions.erase(shared_ion);
-  const std::set<int> usable = free_ions;
+  // A layout change (ION death or recovery, pool resize, the shared
+  // node coming or going) or a profile change invalidates every kept
+  // assignment: rematerialise all jobs, which is the from-scratch
+  // result. Otherwise only jobs whose count or shared flag moved do.
+  const bool remap_all =
+      remap_all_ || usable != usable_ || shared_ion != shared_ion_;
+  remap_all_ = false;
+  usable_ = std::move(usable);
+  shared_ion_ = shared_ion;
 
-  std::map<JobId, std::vector<int>> kept;
-  for (const auto& [id, n] : counts) {
-    std::vector<int> keep;
-    auto it = mapping_.jobs.find(id);
-    if (it != mapping_.jobs.end() && !it->second.shared) {
-      for (int ion : it->second.ions) {
-        if (static_cast<int>(keep.size()) < n && usable.contains(ion)) {
-          keep.push_back(ion);
+  // One pass in JobId order with counts_ and mapping_.jobs in lockstep:
+  // drop finished ids, insert new ones, record what unchanged jobs hold
+  // and trim each changed job to the usable prefix of its old IONs.
+  struct Dirty {
+    Mapping::Entry* entry;
+    std::size_t want;
+  };
+  std::vector<Dirty> dirty;
+  std::size_t remapped = 0;
+  std::vector<char> held(static_cast<std::size_t>(pool), 0);
+  auto job = mapping_.jobs.begin();
+  auto cnt = counts_.begin();
+  std::size_t i = 0;
+  for (const auto& [id, app] : running_) {
+    while (job != mapping_.jobs.end() && job->first < id) {
+      job = mapping_.jobs.erase(job);
+    }
+    while (cnt != counts_.end() && cnt->first < id) cnt = counts_.erase(cnt);
+
+    const bool is_shared = i < alloc.shared.size() && alloc.shared[i] != 0;
+    int n = is_shared ? 0 : alloc.ions[i];
+    ++i;
+    if (cnt != counts_.end() && cnt->first == id) {
+      // STATIC never reshuffles running jobs.
+      if (!options_.reallocate_running) n = cnt->second;
+      cnt->second = n;
+      ++cnt;
+    } else {
+      counts_.emplace_hint(cnt, id, n);
+    }
+
+    const bool fresh = job == mapping_.jobs.end() || job->first != id;
+    if (fresh) job = mapping_.jobs.emplace_hint(job, id, Mapping::Entry{});
+    Mapping::Entry& entry = job->second;
+    ++job;
+    const std::size_t want = static_cast<std::size_t>(n);
+    if (!fresh && !remap_all && entry.shared == is_shared &&
+        (is_shared || entry.ions.size() == want)) {
+      if (!is_shared) {
+        for (int ion : entry.ions) held[ion] = 1;
+      }
+      continue;
+    }
+
+    ++remapped;
+    entry.app_label = app.label;
+    if (is_shared) {
+      // Whole pool dead: nothing to share, the job goes direct.
+      entry.ions.assign(shared_ion >= 0 ? 1 : 0, shared_ion);
+    } else {
+      if (entry.shared) entry.ions.clear();
+      std::size_t kept = 0;
+      for (int ion : entry.ions) {
+        if (kept < want && ion < pool && usable_[ion]) {
+          entry.ions[kept++] = ion;
+          held[ion] = 1;
         }
       }
+      entry.ions.resize(kept);
+      dirty.push_back({&entry, want});
     }
-    kept[id] = std::move(keep);
+    entry.shared = is_shared;
   }
-  for (const auto& [id, ions] : kept) {
-    for (int ion : ions) free_ions.erase(ion);
-  }
+  mapping_.jobs.erase(job, mapping_.jobs.end());
+  counts_.erase(cnt, counts_.end());
+  if (dirty.empty()) return remapped;
 
-  // Phase 2: top up from the free pool - least-loaded first per the
-  // HealthMonitor's overload hints, lowest id breaking ties (with no
-  // hints this is exactly the legacy lowest-id order).
-  std::vector<int> free_order(free_ions.begin(), free_ions.end());
+  // Top the changed jobs up in id order from the free pool -
+  // least-loaded first per the HealthMonitor's overload hints, lowest
+  // id breaking ties (with no hints this is the lowest-id order).
+  std::vector<int> free_order;
+  for (int ion = 0; ion < pool; ++ion) {
+    if (usable_[ion] && !held[ion]) free_order.push_back(ion);
+  }
   std::stable_sort(free_order.begin(), free_order.end(),
                    [this](int a, int b) {
                      return load_hint(a) < load_hint(b);
                    });
   std::size_t next_free = 0;
-
-  Mapping next;
-  next.epoch = mapping_.epoch;
-  next.pool = mapping_.pool;
-  for (const auto& [id, n] : counts) {
-    Mapping::Entry entry;
-    entry.app_label = running_.at(id).label;
-    entry.shared = shared.at(id);
-    if (entry.shared) {
-      // Whole pool dead: nothing to share, the job goes direct.
-      if (shared_ion >= 0) entry.ions = {shared_ion};
-    } else {
-      entry.ions = kept[id];
-      while (static_cast<int>(entry.ions.size()) < n &&
-             next_free < free_order.size()) {
-        entry.ions.push_back(free_order[next_free++]);
-      }
-      std::sort(entry.ions.begin(), entry.ions.end());
+  for (const auto& [entry, want] : dirty) {
+    while (entry->ions.size() < want && next_free < free_order.size()) {
+      entry->ions.push_back(free_order[next_free++]);
     }
-    next.jobs.emplace(id, std::move(entry));
+    std::sort(entry->ions.begin(), entry->ions.end());
   }
-  mapping_ = std::move(next);
+  return remapped;
 }
 
 }  // namespace iofa::core

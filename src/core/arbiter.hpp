@@ -70,7 +70,8 @@ class Arbiter {
 
   /// Register a job and re-arbitrate. Returns the new mapping. In
   /// epoch mode the delta is batched and the PREVIOUS mapping is
-  /// returned until the next tick() republishes.
+  /// returned until the next tick() republishes. Starting an id that is
+  /// already running replaces its profile: it behaves as job_updated().
   const Mapping& job_started(JobId id, AppEntry app);
   /// Remove a job and re-arbitrate (epoch mode: batched, as above).
   const Mapping& job_finished(JobId id);
@@ -128,8 +129,10 @@ class Arbiter {
 
  private:
   void arbitrate();
-  void materialize(const std::map<JobId, int>& counts,
-                   const std::map<JobId, bool>& shared);
+  /// Turn the solve into counts_ and mapping_ in place, rematerialising
+  /// only the jobs whose assignment changed. Returns how many entries
+  /// it rematerialised.
+  std::size_t materialize(const Allocation& alloc);
   /// Bring the warm table in line with running_: replay pending deltas
   /// (suffix recompute) or rebuild from scratch after a structural
   /// change. Returns true when it rebuilt.
@@ -147,6 +150,14 @@ class Arbiter {
   std::map<int, double> load_hints_;  ///< saturated-but-alive IONs
   Mapping mapping_;
   std::atomic<Seconds> last_solve_seconds_{0.0};
+
+  // Materialisation layout of the last arbitration: which IONs could be
+  // handed out exclusively and the shared node in effect (-1 = none).
+  // When either changes, or remap_all_ is set (a profile changed),
+  // every job is rematerialised from scratch.
+  std::vector<char> usable_;
+  int shared_ion_ = -1;
+  bool remap_all_ = false;
 
   // Warm-start state. Invariant between solves: applying
   // pending_deltas_ to warm_ reproduces the classes of running_ in key
@@ -168,7 +179,9 @@ class Arbiter {
   telemetry::Counter* ctr_incremental_ = nullptr;
   telemetry::Counter* ctr_fallbacks_ = nullptr;
   telemetry::Counter* ctr_epoch_deltas_ = nullptr;
+  telemetry::Counter* ctr_remapped_ = nullptr;
   telemetry::Histogram* hist_solve_us_ = nullptr;
+  telemetry::Histogram* hist_materialize_us_ = nullptr;
   telemetry::Histogram* hist_classes_ = nullptr;
   telemetry::Gauge* gauge_running_ = nullptr;
   telemetry::Gauge* gauge_pool_ = nullptr;

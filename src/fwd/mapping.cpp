@@ -1,6 +1,8 @@
 #include "fwd/mapping.hpp"
 #include "common/clock.hpp"
 
+#include <utility>
+
 #include "telemetry/trace.hpp"
 
 namespace iofa::fwd {
@@ -19,9 +21,13 @@ void MappingStore::publish(core::Mapping mapping) {
       mapping = *reparsed;
     }
   }
-  MutexLock lk(mu_);
-  mapping_ = std::move(mapping);
-  epoch_.store(mapping_.epoch, std::memory_order_release);
+  {
+    MutexLock lk(mu_);
+    std::swap(mapping_, mapping);
+    epoch_.store(mapping_.epoch, std::memory_order_release);
+  }
+  // `mapping` now holds the previous epoch; it is freed here, after
+  // the lock, so readers never wait on its destruction.
 }
 
 core::Mapping MappingStore::get() const {
@@ -33,12 +39,16 @@ std::uint64_t MappingStore::epoch() const {
   return epoch_.load(std::memory_order_acquire);
 }
 
-std::optional<core::Mapping::Entry> MappingStore::lookup(
-    core::JobId job) const {
+MappingSnapshot MappingStore::snapshot(core::JobId job) const {
+  MappingSnapshot snap;
   MutexLock lk(mu_);
-  auto it = mapping_.jobs.find(job);
-  if (it == mapping_.jobs.end()) return std::nullopt;
-  return it->second;
+  snap.epoch = mapping_.epoch;
+  const auto it = mapping_.jobs.find(job);
+  if (it != mapping_.jobs.end()) {
+    snap.found = true;
+    snap.ions = it->second.ions;
+  }
+  return snap;
 }
 
 ClientMappingView::ClientMappingView(MappingPort& port, core::JobId job,

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -40,9 +39,10 @@ class MappingStore {
   core::Mapping get() const IOFA_EXCLUDES(mu_);
   std::uint64_t epoch() const;
 
-  /// Entry for one job, if present in the current mapping.
-  std::optional<core::Mapping::Entry> lookup(core::JobId job) const
-      IOFA_EXCLUDES(mu_);
+  /// One job's ION list and the epoch it belongs to, read under one
+  /// lock so a concurrent publish cannot pair one epoch's list with
+  /// another's number. found == false: the job has no entry.
+  MappingSnapshot snapshot(core::JobId job) const IOFA_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;

@@ -5,13 +5,7 @@
 namespace iofa::fwd {
 
 std::optional<MappingSnapshot> DirectMappingPort::fetch(core::JobId job) {
-  MappingSnapshot snap;
-  if (auto entry = store_->lookup(job)) {
-    snap.found = true;
-    snap.ions = entry->ions;
-  }
-  snap.epoch = store_->epoch();
-  return snap;
+  return store_->snapshot(job);
 }
 
 bool DirectMappingPort::publish(const core::Mapping& mapping) {

@@ -485,14 +485,13 @@ void RpcMappingServer::on_frame(std::vector<std::byte> frame) {
   }
   const std::uint64_t id = decoded.request_id;
   if (const auto* get = std::get_if<rpc::MappingGetMsg>(&decoded.msg)) {
-    // Idempotent read: dups re-execute, same order as the direct port
-    // (lookup, then epoch).
+    // Idempotent read: dups re-execute. One snapshot, like the direct
+    // port, so the ION list and its epoch always belong together.
+    const auto snap = store_.snapshot(get->job);
     rpc::MappingReplyMsg reply;
-    if (auto entry = store_.lookup(get->job)) {
-      reply.found = true;
-      reply.ions.assign(entry->ions.begin(), entry->ions.end());
-    }
-    reply.epoch = store_.epoch();
+    reply.found = snap.found;
+    reply.ions.assign(snap.ions.begin(), snap.ions.end());
+    reply.epoch = snap.epoch;
     frames_sent_ctr_->add();
     transport_.send(rpc::kServerSide, rpc::encode(id, reply));
     return;

@@ -39,7 +39,7 @@ std::optional<Manifest> load_manifest(const std::string& path) {
         ++j;
       }
     }
-    m.names.insert(e.name);
+    m.kinds.emplace(e.name, e.kind);
     m.entries.push_back(std::move(e));
   }
   return m;

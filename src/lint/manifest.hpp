@@ -7,8 +7,8 @@
 // (telemetry/manifest.hpp); the linter parses the same file with its
 // own lexer so the metric-manifest rule needs no build products.
 
+#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -24,9 +24,13 @@ struct ManifestEntry {
 struct Manifest {
   std::string path;
   std::vector<ManifestEntry> entries;
-  std::set<std::string> names;
+  std::map<std::string, std::string> kinds;  ///< name -> declared kind
 
-  bool contains(const std::string& name) const { return names.count(name); }
+  /// Declared kind of `name`; nullptr when it is not declared.
+  const std::string* kind_of(const std::string& name) const {
+    const auto it = kinds.find(name);
+    return it == kinds.end() ? nullptr : &it->second;
+  }
 };
 
 /// Parse a manifest file. nullopt when the file cannot be read; parse

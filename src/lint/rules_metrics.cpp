@@ -93,11 +93,20 @@ void MetricManifestRule::scan(const FileModel& f, Reporter& rep) {
       resolved = true;
     }
     if (!manifest) return;  // no manifest for this tree: rule inactive
-    if (manifest->contains(name)) continue;
-    rep.report(f, t.line, "metric-manifest",
-               "metric '" + name + "' is not declared in " + manifest->path +
-                   "; add an IOFA_METRIC(" + t.text + ", \"" + name +
-                   "\", \"...\") entry (or fix the series name)");
+    const std::string* kind = manifest->kind_of(name);
+    if (!kind) {
+      rep.report(f, t.line, "metric-manifest",
+                 "metric '" + name + "' is not declared in " +
+                     manifest->path + "; add an IOFA_METRIC(" + t.text +
+                     ", \"" + name + "\", \"...\") entry (or fix the "
+                     "series name)");
+    } else if (*kind != t.text) {
+      rep.report(f, t.line, "metric-manifest",
+                 "metric '" + name + "' is made as a " + t.text +
+                     " but declared as a " + *kind + " in " +
+                     manifest->path + "; fix the IOFA_METRIC kind (or the "
+                     "maker)");
+    }
   }
 }
 

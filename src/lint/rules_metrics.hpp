@@ -2,7 +2,8 @@
 // clock-hygiene: direct wall/steady clock reads are confined to the
 // approved owners (common/clock, the fault wall-clock).
 // metric-manifest: every telemetry series name used in src/ must be
-// declared in src/telemetry/metrics_manifest.inc.
+// declared in src/telemetry/metrics_manifest.inc, with the kind of the
+// Registry maker that creates it.
 
 #include <map>
 #include <optional>
@@ -33,7 +34,7 @@ class MetricManifestRule : public Rule {
 
   std::string_view name() const override { return "metric-manifest"; }
   std::string_view description() const override {
-    return "telemetry series names must be declared in the manifest";
+    return "telemetry series must be declared in the manifest, same kind";
   }
   void scan(const FileModel& file, Reporter& rep) override;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -12,7 +13,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -630,6 +633,296 @@ TEST_P(EpochModeFuzz, BatchedEpochSolvesMatchFreshSolveAtEveryBoundary) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EpochModeFuzz,
                          ::testing::Values(1u, 7u, 1337u));
+
+// ===================================================================
+// Materialisation differential fuzz: the arbiter edits its mapping in
+// place and rematerialises only the jobs whose assignment changed. The
+// oracle below is the from-scratch materialiser it replaced, as a pure
+// function; after every event the arbiter's mapping must equal it.
+
+/// From-scratch materialisation: keep the usable prefix of every job's
+/// previous IONs, then top all jobs up in id order from the free IONs,
+/// least-loaded first.
+Mapping reference_materialize(const Mapping& prev,
+                              const std::map<JobId, int>& counts,
+                              const std::map<JobId, bool>& shared,
+                              const std::set<int>& failed,
+                              const std::map<int, double>& hints,
+                              const std::map<JobId, std::string>& labels,
+                              int pool) {
+  auto load_hint = [&](int ion) {
+    const auto it = hints.find(ion);
+    return it == hints.end() ? 0.0 : it->second;
+  };
+  std::vector<int> alive;
+  for (int i = 0; i < pool; ++i) {
+    if (!failed.contains(i)) alive.push_back(i);
+  }
+  bool any_shared = false;
+  for (const auto& [id, s] : shared) any_shared |= s;
+  const int shared_ion = alive.empty() ? -1 : alive.back();
+
+  std::set<int> free_ions(alive.begin(), alive.end());
+  if (any_shared && shared_ion >= 0) free_ions.erase(shared_ion);
+  const std::set<int> usable = free_ions;
+
+  std::map<JobId, std::vector<int>> kept;
+  for (const auto& [id, n] : counts) {
+    std::vector<int> keep;
+    const auto it = prev.jobs.find(id);
+    if (it != prev.jobs.end() && !it->second.shared) {
+      for (int ion : it->second.ions) {
+        if (static_cast<int>(keep.size()) < n && usable.contains(ion)) {
+          keep.push_back(ion);
+        }
+      }
+    }
+    kept[id] = std::move(keep);
+  }
+  for (const auto& [id, ions] : kept) {
+    for (int ion : ions) free_ions.erase(ion);
+  }
+
+  std::vector<int> free_order(free_ions.begin(), free_ions.end());
+  std::stable_sort(free_order.begin(), free_order.end(),
+                   [&](int a, int b) { return load_hint(a) < load_hint(b); });
+  std::size_t next_free = 0;
+
+  Mapping next;
+  next.epoch = prev.epoch + 1;
+  next.pool = pool;
+  for (const auto& [id, n] : counts) {
+    Mapping::Entry entry;
+    entry.app_label = labels.at(id);
+    entry.shared = shared.at(id);
+    if (entry.shared) {
+      if (shared_ion >= 0) entry.ions = {shared_ion};
+    } else {
+      entry.ions = kept[id];
+      while (static_cast<int>(entry.ions.size()) < n &&
+             next_free < free_order.size()) {
+        entry.ions.push_back(free_order[next_free++]);
+      }
+      std::sort(entry.ions.begin(), entry.ions.end());
+    }
+    next.jobs.emplace(id, std::move(entry));
+  }
+  return next;
+}
+
+struct MaterializeConfig {
+  const char* name;
+  bool epoch;            ///< batch deltas into tick()-driven epochs
+  bool reallocate;       ///< ArbiterOptions::reallocate_running
+  bool static_policy;    ///< STATIC instead of MCKP
+  double no_direct;      ///< share of jobs whose curve lacks the 0-ION option
+};
+
+constexpr MaterializeConfig kMaterializeConfigs[] = {
+    {"mckp", false, true, false, 0.2},
+    {"epoch", true, true, false, 0.2},
+    {"static_pinned", false, false, true, 0.2},
+    // Every curve needs an ION: more jobs than IONs forces MCKP's
+    // shared-ION fallback (Section 3.1).
+    {"shared_fallback", false, true, false, 1.0},
+    // Deferred recoveries plus immediate failures can move the shared
+    // node while the exclusive set stays the same.
+    {"epoch_shared_fallback", true, true, false, 1.0},
+};
+
+class MaterializeDiffFuzz
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
+
+TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
+  const auto& cfg = kMaterializeConfigs[std::get<0>(GetParam())];
+  const std::uint64_t seed = std::get<1>(GetParam()) * 6364136223846793005ULL +
+                             fault_seed();
+  IOFA_TRACE_SEED(fault_seed());
+  SCOPED_TRACE(cfg.name);
+  Rng rng(seed);
+
+  platform::PerfModel model(platform::mn4_params());
+  const auto grid = workload::mn4_scenario_grid();
+  const auto ion_options = platform::default_ion_options();
+  std::vector<AppEntry> shapes;
+  for (const auto& pattern : grid) {
+    shapes.push_back(AppEntry{
+        "", pattern.compute_nodes, pattern.processes(),
+        platform::curve_from_model(model, pattern, ion_options)});
+  }
+  auto random_app = [&] {
+    const bool no_direct = rng.uniform01() < cfg.no_direct;
+    AppEntry app = shapes[rng.index(shapes.size())];
+    app.label = "app" + std::to_string(rng.index(9));
+    if (no_direct) {
+      std::vector<std::pair<int, MBps>> points;
+      for (int opt : app.curve.options()) {
+        if (opt > 0) points.emplace_back(opt, app.curve.at(opt));
+      }
+      if (!points.empty()) {
+        app.curve = platform::BandwidthCurve(std::move(points));
+      }
+    }
+    return app;
+  };
+
+  std::shared_ptr<ArbitrationPolicy> policy;
+  if (cfg.static_policy) {
+    policy = std::make_shared<StaticPolicy>();
+  } else {
+    policy = std::make_shared<MckpPolicy>();
+  }
+  int pool = 2 + static_cast<int>(rng.index(12));
+  ArbiterOptions o{pool, std::nullopt, cfg.reallocate};
+  if (cfg.static_policy) o.static_ratio = 8.0;
+  if (cfg.epoch) o.epoch_period = 1.0;
+  Arbiter arb(policy, o);
+
+  // Mirrors of everything the materialiser reads.
+  std::map<JobId, AppEntry> running;
+  std::set<int> failed;
+  std::map<int, double> hints;
+  JobId next_id = 1;
+  Seconds now = 0.0;
+  arb.tick(now);
+  auto pick_running = [&] {
+    auto it = running.begin();
+    std::advance(it, static_cast<long>(rng.index(running.size())));
+    return it;
+  };
+
+  std::size_t arbitrations = 0;
+  std::size_t shared_rounds = 0;
+  auto check = [&](const Mapping& prev, int event) {
+    const Mapping& got = arb.mapping();
+    if (got.epoch == prev.epoch) {
+      ASSERT_EQ(got, prev) << "mapping moved without an epoch, event "
+                           << event;
+      return;
+    }
+    ASSERT_EQ(got.epoch, prev.epoch + 1) << "event " << event;
+    ++arbitrations;
+
+    AllocationProblem prob;
+    prob.pool = pool - static_cast<int>(failed.size());
+    prob.static_ratio = o.static_ratio;
+    for (const auto& [id, app] : running) prob.apps.push_back(app);
+    const auto fresh = policy->allocate(prob);
+    std::map<JobId, bool> shared;
+    std::map<JobId, std::string> labels;
+    std::size_t i = 0;
+    bool any_shared = false;
+    for (const auto& [id, app] : running) {
+      const bool s = i < fresh.shared.size() && fresh.shared[i] != 0;
+      any_shared |= s;
+      shared[id] = s;
+      labels[id] = app.label;
+      if (cfg.reallocate) {
+        ASSERT_TRUE(arb.last_counts().count(id));
+        ASSERT_EQ(arb.last_counts().at(id), s ? 0 : fresh.ions[i])
+            << "job " << id << " diverged from a fresh solve, event "
+            << event;
+      }
+      ++i;
+    }
+    shared_rounds += any_shared ? 1 : 0;
+    ASSERT_EQ(arb.last_counts().size(), running.size()) << "event " << event;
+    const Mapping want = reference_materialize(
+        prev, arb.last_counts(), shared, failed, hints, labels, pool);
+    ASSERT_EQ(got, want) << "event " << event << "\ngot:\n"
+                         << got.to_string() << "want:\n"
+                         << want.to_string();
+    check_mapping(got, pool);
+  };
+
+  for (int event = 0; event < 10'000; ++event) {
+    const Mapping prev = arb.mapping();
+    const double dice = rng.uniform01();
+    const bool grow = running.size() < 4 ||
+                      (running.size() < 28 && rng.uniform01() < 0.5);
+    if (dice < 0.30) {
+      if (grow) {
+        const JobId id = next_id++;
+        auto app = random_app();
+        running[id] = app;
+        arb.job_started(id, std::move(app));
+      } else {
+        const auto it = pick_running();
+        arb.job_finished(it->first);
+        running.erase(it);
+      }
+    } else if (dice < 0.50 && !running.empty()) {
+      const auto it = pick_running();
+      arb.job_finished(it->first);
+      running.erase(it);
+    } else if (dice < 0.56 && !running.empty()) {
+      // Duplicate start: a running id starts again with a new profile.
+      const auto it = pick_running();
+      it->second = random_app();
+      arb.job_started(it->first, it->second);
+    } else if (dice < 0.61) {
+      // Profile change; an unknown id must be a no-op.
+      if (!running.empty() && rng.uniform01() < 0.8) {
+        const auto it = pick_running();
+        it->second = random_app();
+        arb.job_updated(it->first, it->second);
+      } else {
+        arb.job_updated(next_id + 1000, random_app());
+      }
+    } else if (dice < 0.69) {
+      const int ion = static_cast<int>(rng.index(
+          static_cast<std::size_t>(pool)));
+      failed.insert(ion);
+      arb.ion_failed(ion);
+    } else if (dice < 0.77) {
+      const int ion = static_cast<int>(rng.index(
+          static_cast<std::size_t>(pool)));
+      failed.erase(ion);
+      arb.ion_recovered(ion);
+    } else if (dice < 0.92) {
+      // Overload hints only reorder the next top-up; some clear.
+      const int ion = static_cast<int>(rng.index(
+          static_cast<std::size_t>(pool) + 1));
+      const double load = rng.uniform01() < 0.2 ? 0.0 : rng.uniform(0.0, 4.0);
+      if (ion < pool) {
+        if (load <= 0.0) {
+          hints.erase(ion);
+        } else {
+          hints[ion] = load;
+        }
+      }
+      arb.set_load_hint(ion, load);
+    } else if (dice < 0.96) {
+      pool = 2 + static_cast<int>(rng.index(12));
+      failed.erase(failed.lower_bound(pool), failed.end());
+      arb.set_pool(pool);
+    } else {
+      now += rng.uniform(0.0, 0.5);
+      arb.tick(now);
+    }
+    check(prev, event);
+    if (cfg.epoch && rng.uniform01() < 0.3) {
+      const Mapping before_tick = arb.mapping();
+      now += rng.uniform(0.0, 1.5);
+      arb.tick(now);
+      check(before_tick, event);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(arbitrations, 1000u);
+  if (cfg.no_direct == 1.0) {
+    EXPECT_GT(shared_rounds, 100u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MaterializeDiffFuzz,
+    ::testing::Combine(::testing::Range(0, 5),
+                       ::testing::Values(1u, 7u, 1337u)),
+    [](const auto& info) {
+      return std::string(kMaterializeConfigs[std::get<0>(info.param)].name) +
+             "_" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace iofa::core

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <set>
 #include <vector>
 
 #include "core/arbiter.hpp"
+#include "platform/perf_model.hpp"
 #include "platform/profile.hpp"
 #include "workload/kernels.hpp"
+#include "workload/pattern.hpp"
 
 namespace iofa::core {
 namespace {
@@ -361,6 +365,142 @@ TEST(ArbiterEpoch, EpochsMeasureFromLastFiringNotFromEveryTick) {
   EXPECT_FALSE(arb.tick(1.7));
   EXPECT_TRUE(arb.tick(2.0));
   EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 2.0);
+}
+
+// ------------------------------------------------- duplicate job start
+/// MN4 curves from the FORGE scenario grid (what the MCKP runtime sees).
+std::vector<AppEntry> mn4_apps() {
+  platform::PerfModel model(platform::mn4_params());
+  const auto options = platform::default_ion_options();
+  std::vector<AppEntry> apps;
+  for (const auto& pattern : workload::mn4_scenario_grid()) {
+    apps.push_back(AppEntry{"grid" + std::to_string(apps.size()),
+                            pattern.compute_nodes, pattern.processes(),
+                            platform::curve_from_model(model, pattern,
+                                                       options)});
+  }
+  return apps;
+}
+
+/// The arbiter's counts must equal a fresh MCKP solve of `running`
+/// over `pool` IONs (in JobId order, as the arbiter orders it).
+void expect_fresh_counts(const Arbiter& arb,
+                         const std::map<JobId, AppEntry>& running, int pool) {
+  AllocationProblem p;
+  p.pool = pool;
+  for (const auto& [id, app] : running) p.apps.push_back(app);
+  const auto fresh = MckpPolicy().allocate(p);
+  ASSERT_EQ(arb.last_counts().size(), running.size());
+  std::size_t i = 0;
+  for (const auto& [id, app] : running) {
+    const bool shared = i < fresh.shared.size() && fresh.shared[i] != 0;
+    EXPECT_EQ(arb.last_counts().at(id), shared ? 0 : fresh.ions[i])
+        << "job " << id << " (" << app.label << ")";
+    ++i;
+  }
+}
+
+TEST(Arbiter, DuplicateStartReplacesTheProfileAndMatchesFreshSolve) {
+  const auto apps = mn4_apps();
+  ASSERT_GE(apps.size(), 4u);
+  const int pool = 8;
+  // Walk curve triples: job 1 starts with `a`, job 2 with `b`, then job
+  // 1 starts again with `c`. The second start replaces the profile, so
+  // every later solve - warm or rebuilt - is over {c, b, ...}.
+  for (std::size_t t = 0; t < 60; ++t) {
+    const auto& a = apps[(t * 7) % apps.size()];
+    const auto& b = apps[(t * 11 + 3) % apps.size()];
+    const auto& c = apps[(t * 13 + 5) % apps.size()];
+    SCOPED_TRACE(a.label + "/" + b.label + "/" + c.label);
+    Arbiter arb(std::make_shared<MckpPolicy>(), opts(pool));
+    std::map<JobId, AppEntry> running{{1, c}, {2, b}};
+    arb.job_started(1, a);
+    arb.job_started(2, b);
+    const auto epoch = arb.mapping().epoch;
+    arb.job_started(1, c);
+    EXPECT_EQ(arb.mapping().epoch, epoch + 1);
+    EXPECT_EQ(arb.running_jobs(), 2u);
+    EXPECT_EQ(arb.mapping().jobs.at(1).app_label, c.label);
+    expect_fresh_counts(arb, running, pool);
+
+    // Incremental deltas on top of the replaced profile.
+    arb.job_started(3, a);
+    running[3] = a;
+    expect_fresh_counts(arb, running, pool);
+    arb.job_finished(2);
+    running.erase(2);
+    expect_fresh_counts(arb, running, pool);
+    // A failure re-solve, and a pool resize that rebuilds the warm
+    // table from the running set, agree too.
+    arb.ion_failed(0);
+    expect_fresh_counts(arb, running, pool - 1);
+    arb.set_pool(pool + 2);
+    expect_fresh_counts(arb, running, pool + 1);
+  }
+}
+
+// ------------------------------------------------- remapped-job telemetry
+TEST(Arbiter, EventRematerialisesOnlyTheJobsItRemaps) {
+  telemetry::Registry reg;
+  ArbiterOptions o;
+  o.pool = 12;
+  o.registry = &reg;
+  Arbiter arb(std::make_shared<MckpPolicy>(), o);
+  const auto apps = mn4_apps();
+  for (JobId id = 1; id <= 256; ++id) {
+    arb.job_started(id, apps[(id * 7) % apps.size()]);
+  }
+  ASSERT_EQ(arb.running_jobs(), 256u);
+  auto remapped = [&] {
+    return epoch_counter(reg, "core.arbiter.remapped_jobs");
+  };
+  // Jobs present before and after whose count changed.
+  auto changed = [](const std::map<JobId, int>& before,
+                    const std::map<JobId, int>& after) {
+    double k = 0;
+    for (const auto& [id, n] : after) {
+      const auto it = before.find(id);
+      if (it != before.end() && it->second != n) ++k;
+    }
+    return k;
+  };
+
+  double moved = 0;
+  JobId next = 257;
+  for (JobId id = 3; id <= 250; id += 31) {
+    auto before = arb.last_counts();
+    double r0 = remapped();
+    arb.job_finished(id);
+    const double k_finish = changed(before, arb.last_counts());
+    EXPECT_EQ(remapped() - r0, k_finish) << "finish of job " << id;
+    moved += k_finish;
+
+    // A start rematerialises the new job plus the jobs it shrinks.
+    before = arb.last_counts();
+    r0 = remapped();
+    arb.job_started(next, apps[(next * 5) % apps.size()]);
+    const double k_start = changed(before, arb.last_counts());
+    EXPECT_EQ(remapped() - r0, k_start + 1) << "start of job " << next;
+    ++next;
+  }
+  EXPECT_GT(moved, 0) << "no finish moved a count: the check is vacuous";
+  EXPECT_LT(moved, 8 * 256.0);
+
+  // An ION failure changes the layout: every running job is redone.
+  const double r0 = remapped();
+  arb.ion_failed(5);
+  EXPECT_EQ(remapped() - r0, static_cast<double>(arb.running_jobs()));
+
+  // One materialisation timing per arbitration.
+  const auto snap = reg.snapshot();
+  std::uint64_t timed = 0;
+  for (const auto& sample : snap.samples) {
+    if (sample.name == "core.arbiter.materialize_us") {
+      timed += sample.histogram->count;
+    }
+  }
+  EXPECT_EQ(static_cast<double>(timed),
+            epoch_counter(reg, "core.arbiter.solves"));
 }
 
 }  // namespace

@@ -320,10 +320,10 @@ TEST(FaultScenarios, CrashReSolvesArbitrationExcludingDeadIon) {
   EXPECT_GT(c.service->mapping_store().epoch(), epoch_before);
   EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 1.0);
 
-  const auto entry = c.service->mapping_store().lookup(kJob);
-  ASSERT_TRUE(entry.has_value());
-  ASSERT_FALSE(entry->ions.empty());
-  for (int ion : entry->ions) EXPECT_NE(ion, 1);
+  const auto entry = c.service->mapping_store().snapshot(kJob);
+  ASSERT_TRUE(entry.found);
+  ASSERT_FALSE(entry.ions.empty());
+  for (int ion : entry.ions) EXPECT_NE(ion, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,12 +423,12 @@ TEST(FaultScenarios, DroppedMappingPublishSelfHeals) {
   arbiter.job_started(kJob, core::AppEntry{"drill", 8, 16, drill_curve()});
   c.service->apply_mapping(arbiter.mapping());  // consumed by the drop
   EXPECT_EQ(c.service->mapping_store().epoch(), 0u);
-  EXPECT_FALSE(c.service->mapping_store().lookup(kJob).has_value());
+  EXPECT_FALSE(c.service->mapping_store().snapshot(kJob).found);
   EXPECT_EQ(c.injector.injected(fault::kMappingPublishSite), 1u);
 
   EXPECT_TRUE(hm.poll_once());  // epoch lag detected -> republish
   EXPECT_EQ(c.service->mapping_store().epoch(), arbiter.mapping().epoch);
-  EXPECT_TRUE(c.service->mapping_store().lookup(kJob).has_value());
+  EXPECT_TRUE(c.service->mapping_store().snapshot(kJob).found);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,8 +448,8 @@ TEST(FaultScenarios, CorruptMappingPublishRejectedAndHealed) {
   arbiter.job_started(kJob, core::AppEntry{"drill", 8, 16, drill_curve()});
   c.service->apply_mapping(arbiter.mapping());  // t=0: clean publish
   ASSERT_EQ(c.service->mapping_store().epoch(), arbiter.mapping().epoch);
-  const auto good = c.service->mapping_store().lookup(kJob);
-  ASSERT_TRUE(good.has_value());
+  const auto good = c.service->mapping_store().snapshot(kJob);
+  ASSERT_TRUE(good.found);
 
   c.clock.set(0.6);  // the corrupt event is now live
   arbiter.job_started(kJob + 1,
@@ -457,13 +457,13 @@ TEST(FaultScenarios, CorruptMappingPublishRejectedAndHealed) {
   const auto epoch_wanted = arbiter.mapping().epoch;
   c.service->apply_mapping(arbiter.mapping());  // mangled -> rejected
   EXPECT_LT(c.service->mapping_store().epoch(), epoch_wanted);
-  EXPECT_FALSE(c.service->mapping_store().lookup(kJob + 1).has_value());
-  EXPECT_EQ(c.service->mapping_store().lookup(kJob)->ions, good->ions);
+  EXPECT_FALSE(c.service->mapping_store().snapshot(kJob + 1).found);
+  EXPECT_EQ(c.service->mapping_store().snapshot(kJob).ions, good.ions);
   EXPECT_EQ(c.injector.injected(fault::kMappingPublishSite), 1u);
 
   EXPECT_TRUE(hm.poll_once());
   EXPECT_EQ(c.service->mapping_store().epoch(), epoch_wanted);
-  EXPECT_TRUE(c.service->mapping_store().lookup(kJob + 1).has_value());
+  EXPECT_TRUE(c.service->mapping_store().snapshot(kJob + 1).found);
 }
 
 // ---------------------------------------------------------------------------
@@ -612,14 +612,14 @@ TEST(FaultScenarios, KillingOneOfThreeIonsMidRunLosesNoAcknowledgedData) {
   arbiter.job_started(kJob, core::AppEntry{"drill", 8, 16, drill_curve()});
   c.service->apply_mapping(arbiter.mapping());
   hm.poll_once();
-  const auto entry = c.service->mapping_store().lookup(kJob);
-  ASSERT_TRUE(entry.has_value());
-  ASSERT_GE(entry->ions.size(), 2u) << "need a multi-ION mapping to kill";
+  const auto entry = c.service->mapping_store().snapshot(kJob);
+  ASSERT_TRUE(entry.found);
+  ASSERT_GE(entry.ions.size(), 2u) << "need a multi-ION mapping to kill";
 
   Client client(c.client_config(), *c.service);
   write_blocks(client, "/survive", 0, 8, seed);
 
-  const int victim = entry->ions.front();
+  const int victim = entry.ions.front();
   c.service->daemon(victim).crash();
   // Blocks written before the health sweep ride the failover path.
   write_blocks(client, "/survive", 8, 16, seed);
@@ -634,10 +634,10 @@ TEST(FaultScenarios, KillingOneOfThreeIonsMidRunLosesNoAcknowledgedData) {
   EXPECT_EQ(arbiter.failed_ions().count(victim), 1u);
   EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 1.0);
   EXPECT_GE(counter_sum(c.reg, "fwd.failovers"), 1.0);
-  const auto healed = c.service->mapping_store().lookup(kJob);
-  ASSERT_TRUE(healed.has_value());
-  ASSERT_FALSE(healed->ions.empty());
-  for (int ion : healed->ions) EXPECT_NE(ion, victim);
+  const auto healed = c.service->mapping_store().snapshot(kJob);
+  ASSERT_TRUE(healed.found);
+  ASSERT_FALSE(healed.ions.empty());
+  for (int ion : healed.ions) EXPECT_NE(ion, victim);
   // The paper-level claim: nothing acknowledged was lost.
   expect_blocks_on_pfs(c.service->pfs(), "/survive", 24, seed);
 }

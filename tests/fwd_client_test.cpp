@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "common/rng.hpp"
 #include "core/arbiter.hpp"
 #include "fwd/client.hpp"
 #include "fwd/mapping.hpp"
+#include "fwd/rpc_endpoints.hpp"
 #include "fwd/service.hpp"
 #include "gkfs/chunk.hpp"
+#include "rpc/transport.hpp"
 
 namespace iofa::fwd {
 namespace {
@@ -56,11 +59,67 @@ ClientConfig client_cfg(core::JobId job, Seconds poll = 0.0) {
 TEST(MappingStoreTest, PublishAndLookup) {
   MappingStore store;
   EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_FALSE(store.lookup(1).has_value());
+  EXPECT_FALSE(store.snapshot(1).found);
   store.publish(mapping_for(1, {0, 2}, 5));
   EXPECT_EQ(store.epoch(), 5u);
-  ASSERT_TRUE(store.lookup(1).has_value());
-  EXPECT_EQ(store.lookup(1)->ions, (std::vector<int>{0, 2}));
+  const auto snap = store.snapshot(1);
+  ASSERT_TRUE(snap.found);
+  EXPECT_EQ(snap.ions, (std::vector<int>{0, 2}));
+  EXPECT_EQ(snap.epoch, 5u);
+}
+
+/// A publisher alternates mappings whose entry for the job holds the
+/// epoch's parity; every fetch, direct or over the RPC mapping server,
+/// must return an ION list and an epoch from the same publish.
+void expect_untorn_fetches(MappingStore& store, MappingPort& port) {
+  constexpr core::JobId kJob = 7;
+  store.publish(mapping_for(kJob, {1}, 1));
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    for (std::uint64_t epoch = 2; !stop.load(std::memory_order_relaxed);
+         ++epoch) {
+      auto m = mapping_for(kJob, {static_cast<int>(epoch % 2)}, epoch);
+      // A second entry so the swapped-out mapping has something to free.
+      m.jobs[kJob + 1] = core::Mapping::Entry{"other", {2, 3}, false};
+      store.publish(std::move(m));
+    }
+  });
+  // Count, do not assert, inside the loop: the publisher must be joined.
+  int torn = 0;
+  std::uint64_t epochs_seen = 0;
+  std::uint64_t last_epoch = 0;
+  // At least 20k fetches spanning 50 publishes; the cap only bounds a
+  // starved publisher thread.
+  for (int i = 0; i < 20'000'000 && (i < 20'000 || epochs_seen < 50); ++i) {
+    const auto snap = port.fetch(kJob);
+    if (!snap || !snap->found ||
+        snap->ions != std::vector<int>{static_cast<int>(snap->epoch % 2)}) {
+      ++torn;
+      continue;
+    }
+    if (snap->epoch != last_epoch) ++epochs_seen;
+    last_epoch = snap->epoch;
+  }
+  stop.store(true);
+  publisher.join();
+  EXPECT_EQ(torn, 0) << "fetches pairing one publish's IONs with another's "
+                        "epoch";
+  EXPECT_GE(epochs_seen, 50u) << "the publisher barely overlapped the fetches";
+}
+
+TEST(MappingStoreTest, DirectFetchNeverPairsIonsWithAnotherEpoch) {
+  MappingStore store;
+  DirectMappingPort port(store);
+  expect_untorn_fetches(store, port);
+}
+
+TEST(MappingStoreTest, RpcFetchNeverPairsIonsWithAnotherEpoch) {
+  MappingStore store;
+  rpc::LoopbackTransport link;
+  const rpc::RpcOptions options;
+  RpcMappingServer server(link, store, options);
+  RpcMappingClient client(link, options);
+  expect_untorn_fetches(store, client);
 }
 
 TEST(ClientMappingViewTest, CachesUntilPollPeriod) {

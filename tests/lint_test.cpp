@@ -931,6 +931,25 @@ TEST_F(MetricManifestTest, AdjacentStringLiteralsFuse) {
   EXPECT_NE(r.output.find("'fwd.queue.lag'"), std::string::npos) << r.output;
 }
 
+TEST_F(MetricManifestTest, KindMismatchFlagged) {
+  write_manifest(
+      "IOFA_METRIC(gauge, \"fwd.depth\", \"declared as a gauge\")\n"
+      "IOFA_METRIC(histogram, \"fwd.lat_us\", \"declared as a histogram\")\n");
+  write_fixture("emit.cpp",
+                "void f(Registry& r) {\n"
+                "  r.gauge(\"fwd.depth\")->set(0);\n"
+                "  r.counter(\"fwd.depth\")->add(1);\n"
+                "  r.histogram(\"fwd.lat_us\", spec)->observe(1);\n"
+                "}\n");
+  const auto r = run_lint(dir_);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_of(r.output, "[metric-manifest]"), 1u) << r.output;
+  EXPECT_NE(r.output.find("made as a counter but declared as a gauge"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("emit.cpp:3"), std::string::npos) << r.output;
+}
+
 TEST_F(MetricManifestTest, NoManifestMeansRuleInactive) {
   write_fixture("emit.cpp",
                 "void f(Registry& r) { r.counter(\"fwd.any\")->add(1); }\n");

@@ -851,24 +851,41 @@ void IonDaemon::flusher_loop(std::size_t fi) {
   }
 }
 
+namespace {
+
+/// Add `delta` registrations to [lo, hi) of a coverage step function
+/// (segment start -> number of dirty extents covering the segment; the
+/// count is 0 before the first key). Adjacent segments with equal
+/// counts are merged and leading zero segments dropped, so a map whose
+/// registrations are all released ends up empty.
+void add_coverage(std::map<std::uint64_t, int>& cover,
+                  std::uint64_t lo, std::uint64_t hi, int delta) {
+  if (lo >= hi) return;
+  // Split at lo and hi so [lo, hi) is a whole number of segments.
+  const auto split = [&](std::uint64_t at) {
+    const auto next = cover.upper_bound(at);
+    const int count = next == cover.begin() ? 0 : std::prev(next)->second;
+    return cover.emplace(at, count).first;
+  };
+  const auto first = split(lo);
+  const auto last = split(hi);
+  for (auto it = first; it != last; ++it) it->second += delta;
+  // Only the segments from `first` to `last` changed count or
+  // neighbour: drop each one that now equals the segment before it.
+  auto it = first;
+  for (bool at_last = false; !at_last;) {
+    at_last = it == last;
+    const int before = it == cover.begin() ? 0 : std::prev(it)->second;
+    it = it->second == before ? cover.erase(it) : std::next(it);
+  }
+}
+
+}  // namespace
+
 void IonDaemon::mark_dirty(std::uint64_t file_id, std::uint64_t offset,
                            std::uint64_t size) {
   MutexLock lk(dirty_mu_);
-  auto& ranges = dirty_[file_id];
-  std::uint64_t lo = offset;
-  std::uint64_t hi = offset + size;
-  // Merge with any overlapping/adjacent intervals.
-  auto it = ranges.lower_bound(lo);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) it = prev;
-  }
-  while (it != ranges.end() && it->first <= hi) {
-    lo = std::min(lo, it->first);
-    hi = std::max(hi, it->second);
-    it = ranges.erase(it);
-  }
-  ranges.emplace(lo, hi);
+  add_coverage(dirty_[file_id], offset, offset + size, +1);
 }
 
 void IonDaemon::mark_clean(std::uint64_t file_id, std::uint64_t offset,
@@ -876,23 +893,8 @@ void IonDaemon::mark_clean(std::uint64_t file_id, std::uint64_t offset,
   MutexLock lk(dirty_mu_);
   auto fit = dirty_.find(file_id);
   if (fit == dirty_.end()) return;
-  auto& ranges = fit->second;
-  const std::uint64_t lo = offset;
-  const std::uint64_t hi = offset + size;
-  auto it = ranges.lower_bound(lo);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > lo) it = prev;
-  }
-  while (it != ranges.end() && it->first < hi) {
-    const std::uint64_t r_lo = it->first;
-    const std::uint64_t r_hi = it->second;
-    it = ranges.erase(it);
-    if (r_lo < lo) ranges.emplace(r_lo, lo);
-    if (r_hi > hi) ranges.emplace(hi, r_hi);
-    if (r_hi >= hi) break;
-  }
-  if (ranges.empty()) dirty_.erase(fit);
+  add_coverage(fit->second, offset, offset + size, -1);
+  if (fit->second.empty()) dirty_.erase(fit);
 }
 
 bool IonDaemon::is_dirty(std::uint64_t file_id, std::uint64_t offset,
@@ -900,15 +902,13 @@ bool IonDaemon::is_dirty(std::uint64_t file_id, std::uint64_t offset,
   MutexLock lk(dirty_mu_);
   auto fit = dirty_.find(file_id);
   if (fit == dirty_.end()) return false;
-  const auto& ranges = fit->second;
+  const auto& cover = fit->second;
   const std::uint64_t hi = offset + size;
-  auto it = ranges.lower_bound(offset + 1);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > offset) return true;
-  }
-  if (it != ranges.end() && it->first < hi) return true;
-  return false;
+  auto it = cover.upper_bound(offset);
+  if (it != cover.begin() && std::prev(it)->second > 0) return true;
+  // Adjacent segments never share a count, so the segment after a
+  // clean one is dirty: the range is dirty iff one starts inside it.
+  return it != cover.end() && it->first < hi;
 }
 
 IonDaemon::Stats IonDaemon::stats() const {

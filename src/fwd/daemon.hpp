@@ -352,7 +352,8 @@ class IonDaemon {
   /// Fail everything one shard's worker holds (in-flight + scheduler).
   void fail_in_flight(Shard& shard);
 
-  /// Dirty interval bookkeeping per file (staged but not yet flushed).
+  /// Dirty extent bookkeeping per file (staged but not yet flushed):
+  /// mark_dirty registers one extent, mark_clean releases it.
   void mark_dirty(std::uint64_t file_id, std::uint64_t offset,
                   std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
   void mark_clean(std::uint64_t file_id, std::uint64_t offset,
@@ -375,9 +376,13 @@ class IonDaemon {
   gkfs::ChunkStore staging_;
   PathTable paths_;
   mutable Mutex dirty_mu_;
-  // file_id -> (offset -> end), disjoint merged intervals.
-  std::unordered_map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>
-      dirty_ IOFA_GUARDED_BY(dirty_mu_);
+  // file_id -> coverage step function: segment start -> number of
+  // staged extents not yet flushed that cover the segment. Each write
+  // registers its own extent and its flush releases only that one, so
+  // an overlapping newer write stays dirty until it is flushed itself;
+  // an abandoned flush never releases its extent.
+  std::unordered_map<std::uint64_t, std::map<std::uint64_t, int>> dirty_
+      IOFA_GUARDED_BY(dirty_mu_);
 
   iofa::MonotonicClock::time_point epoch_;
 

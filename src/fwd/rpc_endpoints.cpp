@@ -79,7 +79,7 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
   msg.deadline_us = req.deadline_us;
   msg.path = req.path;
   // Serialised straight from the slab: the frame is the one wire copy
-  // inherent to a message boundary.
+  // inherent to a message boundary, and every resend below borrows it.
   std::span<const std::byte> payload;
   if (req.op == FwdOp::Write) payload = req.payload.span();
   const std::vector<std::byte> frame = rpc::encode(id, msg, payload);
@@ -195,7 +195,8 @@ class RpcIonServer::ResponseSink final : public CompletionSink {
     if (c.ok() && !data_.empty()) {
       data = data_.span().first(std::min(c.value, data_.size()));
     }
-    std::vector<std::byte> frame = rpc::encode(id_, rsp, data);
+    auto frame = std::make_shared<const std::vector<std::byte>>(
+        rpc::encode(id_, rsp, data));
     data_.reset();
     server_.respond(id_, std::move(frame));
   }
@@ -245,8 +246,8 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   const std::uint64_t id = decoded.request_id;
 
   bool fresh = false;
-  std::vector<std::byte> ack_copy;
-  std::vector<std::byte> response_copy;
+  std::optional<rpc::WireSubmitResult> cached_ack;
+  std::shared_ptr<const std::vector<std::byte>> cached_response;
   {
     MutexLock lk(mu_);
     const auto inserted = dedup_.try_emplace(id);
@@ -258,15 +259,19 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
       // cached outcome, never touch the daemon (while the original is
       // still being offered there is nothing to replay yet).
       dedup_hits_ctr_->add();
-      ack_copy = inserted.first->second.ack_frame;
-      response_copy = inserted.first->second.response_frame;
+      cached_ack = inserted.first->second.ack;
+      cached_response = inserted.first->second.response;
     }
   }
   if (!fresh) {
-    for (auto* f : {&ack_copy, &response_copy}) {
-      if (f->empty()) continue;
+    if (cached_ack) {
       frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide, std::move(*f));
+      transport_.send(rpc::kServerSide,
+                      rpc::encode(id, rpc::SubmitAckMsg{*cached_ack}));
+    }
+    if (cached_response) {
+      frames_sent_ctr_->add();
+      transport_.send(rpc::kServerSide, *cached_response);
     }
     return;
   }
@@ -301,14 +306,12 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   // the client stub accepts a response ahead of its ack.
   const SubmitResult res =
       service_.daemon(ion_).try_submit(std::move(req));
-  rpc::SubmitAckMsg ack;
-  ack.result = static_cast<rpc::WireSubmitResult>(res);
-  std::vector<std::byte> ack_frame = rpc::encode(id, ack);
+  const rpc::SubmitAckMsg ack{static_cast<rpc::WireSubmitResult>(res)};
   {
     MutexLock lk(mu_);
     const auto it = dedup_.find(id);
     if (it != dedup_.end()) {
-      it->second.ack_frame = ack_frame;
+      it->second.ack = ack.result;
       if (res != SubmitResult::kAccepted) mark_terminal_locked(id, it->second);
     }
     // A refused request's continuation is never called.
@@ -317,20 +320,21 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     }
   }
   frames_sent_ctr_->add();
-  transport_.send(rpc::kServerSide, std::move(ack_frame));
+  transport_.send(rpc::kServerSide, rpc::encode(id, ack));
 }
 
-void RpcIonServer::respond(std::uint64_t id, std::vector<std::byte> frame) {
+void RpcIonServer::respond(
+    std::uint64_t id, std::shared_ptr<const std::vector<std::byte>> frame) {
   {
     MutexLock lk(mu_);
     const auto it = dedup_.find(id);
     if (it != dedup_.end()) {
-      it->second.response_frame = frame;  // replayed to late duplicates
+      it->second.response = frame;  // replayed to late duplicates
       mark_terminal_locked(id, it->second);
     }
   }
   frames_sent_ctr_->add();
-  transport_.send(rpc::kServerSide, std::move(frame));
+  transport_.send(rpc::kServerSide, *frame);
   MutexLock lk(mu_);
   if (--outstanding_ == 0) idle_cv_.notify_all();
 }
@@ -368,7 +372,7 @@ RpcMappingClient::RpcMappingClient(rpc::Transport& transport,
 }
 
 bool RpcMappingClient::round_trip(std::uint64_t id,
-                                  const std::vector<std::byte>& frame,
+                                  std::span<const std::byte> frame,
                                   Waiter* waiter) {
   {
     MutexLock lk(mu_);
@@ -497,32 +501,31 @@ void RpcMappingServer::on_frame(std::vector<std::byte> frame) {
     return;
   }
   if (const auto* pub = std::get_if<rpc::MappingPublishMsg>(&decoded.msg)) {
-    std::vector<std::byte> ack_copy;
+    bool applied = false;
     {
       MutexLock lk(mu_);
-      const auto it = published_.find(id);
-      if (it != published_.end()) {
-        // Dup (chaos or resend): the publish was already applied -
-        // replay the ack without touching the store, so fault events
-        // on mapping.publish are consumed at most once per id.
-        dedup_hits_ctr_->add();
-        ack_copy = it->second;
-      }
+      applied = published_.contains(id);
     }
-    if (ack_copy.empty()) {
+    if (applied) {
+      // Dup (chaos or resend): the publish was already applied -
+      // replay the ack without touching the store, so fault events
+      // on mapping.publish are consumed at most once per id.
+      dedup_hits_ctr_->add();
+    } else {
       if (const auto mapping = core::Mapping::parse(pub->text)) {
         store_.publish(*mapping);
       }
       // A text the parser refuses still gets an ack: the publish was
       // delivered and rejected, which is terminal, not retryable.
-      ack_copy = rpc::encode(id, rpc::MappingPublishAckMsg{});
       MutexLock lk(mu_);
-      published_[id] = ack_copy;
+      published_.insert(id);
       publish_order_.push_back(id);
       evict_locked();
     }
+    // The ack carries nothing but the id, so a replay re-encodes it.
     frames_sent_ctr_->add();
-    transport_.send(rpc::kServerSide, std::move(ack_copy));
+    transport_.send(rpc::kServerSide,
+                    rpc::encode(id, rpc::MappingPublishAckMsg{}));
   }
 }
 

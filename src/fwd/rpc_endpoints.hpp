@@ -32,7 +32,9 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -104,15 +106,20 @@ class RpcIonServer {
  private:
   class ResponseSink;
 
+  /// A replay re-encodes the ack from its result; the response frame
+  /// (which may carry read data) is shared with the send that shipped
+  /// it, never copied.
   struct DedupEntry {
-    std::vector<std::byte> ack_frame;       ///< empty while being offered
-    std::vector<std::byte> response_frame;  ///< empty until completed
+    std::optional<rpc::WireSubmitResult> ack;  ///< unset while offered
+    /// Null until the request completed.
+    std::shared_ptr<const std::vector<std::byte>> response;
     bool terminal = false;  ///< busy/down ack, or response cached
   };
 
   void on_frame(std::vector<std::byte> frame) IOFA_EXCLUDES(mu_);
   /// Continuation body: cache the response frame, then send it.
-  void respond(std::uint64_t id, std::vector<std::byte> frame)
+  void respond(std::uint64_t id,
+               std::shared_ptr<const std::vector<std::byte>> frame)
       IOFA_EXCLUDES(mu_);
   void mark_terminal_locked(std::uint64_t id, DedupEntry& entry)
       IOFA_REQUIRES(mu_);
@@ -155,7 +162,7 @@ class RpcMappingClient : public MappingPort {
   void on_frame(std::vector<std::byte> frame);
   /// Send `frame` under a fresh id per attempt and wait one ack
   /// timeout; true when the matching reply arrived.
-  bool round_trip(std::uint64_t id, const std::vector<std::byte>& frame,
+  bool round_trip(std::uint64_t id, std::span<const std::byte> frame,
                   Waiter* waiter);
 
   rpc::Transport& transport_;
@@ -188,9 +195,8 @@ class RpcMappingServer {
   MappingStore& store_;
   const rpc::RpcOptions options_;
   Mutex mu_;
-  /// Publish ids already applied, with their cached ack frames.
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> published_
-      IOFA_GUARDED_BY(mu_);
+  /// Publish ids already applied (a replayed ack is re-encoded).
+  std::unordered_set<std::uint64_t> published_ IOFA_GUARDED_BY(mu_);
   std::deque<std::uint64_t> publish_order_ IOFA_GUARDED_BY(mu_);
   telemetry::Counter* dedup_hits_ctr_ = nullptr;
   telemetry::Counter* frames_sent_ctr_ = nullptr;

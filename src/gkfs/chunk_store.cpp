@@ -1,5 +1,6 @@
 #include "gkfs/chunk_store.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -36,11 +37,15 @@ std::size_t ChunkStore::read(std::uint64_t file_id, std::uint64_t chunk,
     std::memset(out.data(), 0, out.size());
     return out.size();
   }
+  // The stored prefix is copied, anything past the chunk's end reads
+  // as zeros (a sparse hole).
   const auto& buf = it->second;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::uint64_t pos = offset_in_chunk + i;
-    out[i] = pos < buf.size() ? buf[pos] : std::byte{0};
-  }
+  const std::size_t have =
+      offset_in_chunk < buf.size()
+          ? std::min<std::size_t>(out.size(), buf.size() - offset_in_chunk)
+          : 0;
+  if (have > 0) std::memcpy(out.data(), buf.data() + offset_in_chunk, have);
+  std::memset(out.data() + have, 0, out.size() - have);
   return out.size();
 }
 

@@ -20,7 +20,7 @@ void ChaosTransport::set_handler(int side, Handler handler) {
   inner_->set_handler(side, std::move(handler));
 }
 
-void ChaosTransport::send(int side, std::vector<std::byte> frame) {
+void ChaosTransport::send(int side, std::span<const std::byte> frame) {
   fault::MessageDecision d;
   if (injector_ && injector_->enabled()) {
     d = injector_->message_decision(sites_[side]);
@@ -29,17 +29,18 @@ void ChaosTransport::send(int side, std::vector<std::byte> frame) {
   if (d.truncate && !frame.empty()) {
     // A half-length prefix: always fails the codec's frame-length
     // check, exercising the typed-error path end to end.
-    frame.resize(frame.size() / 2);
+    frame = frame.first(frame.size() / 2);
   }
   if (d.delay > 0.0) sleep_for_seconds(d.delay);
   if (d.reorder) {
     // Hold this frame; it goes out right after the NEXT frame on this
     // direction. A second reorder while one frame is already held
     // degenerates to FIFO (the held frame flushes first) - one slot is
-    // enough to prove receivers tolerate inversion.
+    // enough to prove receivers tolerate inversion. The held frame
+    // outlives the caller's borrow, so it is the one copy made here.
     MutexLock lk(mu_);
     if (!closed_ && !holding_[side]) {
-      held_[side] = std::move(frame);
+      held_[side].assign(frame.begin(), frame.end());
       holding_[side] = true;
       return;
     }
@@ -55,8 +56,8 @@ void ChaosTransport::send(int side, std::vector<std::byte> frame) {
     }
   }
   inner_->send(side, frame);
-  if (d.dup) inner_->send(side, std::move(frame));
-  if (have_flush) inner_->send(side, std::move(flush));
+  if (d.dup) inner_->send(side, frame);
+  if (have_flush) inner_->send(side, flush);
 }
 
 void ChaosTransport::close() {
@@ -74,7 +75,7 @@ void ChaosTransport::close() {
         have = true;
       }
     }
-    if (have) inner_->send(side, std::move(flush));
+    if (have) inner_->send(side, flush);
   }
   {
     MutexLock lk(mu_);

@@ -45,7 +45,7 @@ class ChaosTransport : public Transport {
   ~ChaosTransport() override;
 
   void set_handler(int side, Handler handler) override;
-  void send(int side, std::vector<std::byte> frame) override;
+  void send(int side, std::span<const std::byte> frame) override;
   void close() override;
 
  private:

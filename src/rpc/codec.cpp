@@ -98,20 +98,47 @@ std::uint64_t load_le64(const std::byte* p) {
   return v;
 }
 
-/// Frame checksum: FNV-1a's constants, one 8-byte LE word per multiply
-/// plus an xorshift (tail byte-wise). Each step is a bijection of the
-/// state for a fixed input and of the input for a fixed state, so any
-/// single-word (hence single-byte) change alters the result.
-std::uint64_t checksum(const std::byte* data, std::size_t n,
-                       std::uint64_t h = 1469598103934665603ULL) {
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    h = (h ^ load_le64(data + i)) * kPrime;
-    h ^= h >> 32;
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// One checksum step: FNV-1a's xor-multiply on a whole 8-byte word,
+/// then an xorshift. It is a bijection of the state for a fixed word
+/// and of the word for a fixed state, so a changed word changes the
+/// step's output and every later step carries that change through.
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * kFnvPrime;
+  return h ^ (h >> 32);
+}
+
+/// Frame checksum over header[0..24) ++ body. The header words chain
+/// serially; the body's 32-byte blocks feed four independent lanes
+/// (word j of a block goes to lane j), seeded from the header hash
+/// with distinct constants, so four multiply chains run in parallel
+/// instead of one. The lanes fold back in order with the same step,
+/// then the word tail and a byte-wise tail follow. Every step is a
+/// bijection of one input, so any single-word (hence single-byte)
+/// change alters the result.
+std::uint64_t checksum(const std::byte* header, const std::byte* body,
+                       std::size_t n) {
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t i = 0; i + 8 <= kHeaderSize - 8; i += 8) {
+    h = mix(h, load_le64(header + i));
   }
+  std::uint64_t lane[4] = {h ^ 0x9E3779B97F4A7C15ULL,
+                           h ^ 0xC2B2AE3D27D4EB4FULL,
+                           h ^ 0x165667B19E3779F9ULL,
+                           h ^ 0x27D4EB2F165667C5ULL};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = mix(lane[0], load_le64(body + i));
+    lane[1] = mix(lane[1], load_le64(body + i + 8));
+    lane[2] = mix(lane[2], load_le64(body + i + 16));
+    lane[3] = mix(lane[3], load_le64(body + i + 24));
+  }
+  for (const std::uint64_t l : lane) h = mix(h, l);
+  for (; i + 8 <= n; i += 8) h = mix(h, load_le64(body + i));
   for (; i < n; ++i) {
-    h = (h ^ static_cast<std::uint64_t>(data[i])) * kPrime;
+    h = (h ^ static_cast<std::uint64_t>(body[i])) * kFnvPrime;
   }
   return h;
 }
@@ -133,9 +160,8 @@ std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
   store_le(h + 5, static_cast<std::uint8_t>(type), 1);
   store_le(h + 8, request_id, 8);  // reserved [6..8), [20..24) stay zero
   store_le(h + 16, frame.size() - kHeaderSize, 4);
-  std::uint64_t hash = checksum(h, kHeaderSize - 8);
-  hash = checksum(h + kHeaderSize, frame.size() - kHeaderSize, hash);
-  store_le(h + 24, hash, 8);
+  store_le(h + 24, checksum(h, h + kHeaderSize, frame.size() - kHeaderSize),
+           8);
   return frame;
 }
 
@@ -233,9 +259,9 @@ MsgType check_header(const std::vector<std::byte>& frame,
     throw CodecError("frame length does not match body length");
   }
   const std::uint64_t want = h.u64();
-  std::uint64_t got = checksum(frame.data(), kHeaderSize - 8);
-  got = checksum(frame.data() + kHeaderSize, len, got);
-  if (want != got) throw CodecError("checksum mismatch");
+  if (want != checksum(frame.data(), frame.data() + kHeaderSize, len)) {
+    throw CodecError("checksum mismatch");
+  }
   if (request_id) *request_id = id;
   if (body_len) *body_len = len;
   return static_cast<MsgType>(type);

@@ -1,6 +1,7 @@
 #pragma once
 // The ONE place frame bytes are produced and consumed. Everything else
-// in src/rpc moves opaque std::vector<std::byte> frames around; the
+// in src/rpc moves opaque frames around (owned as std::vector<std::byte>,
+// borrowed as std::span<const std::byte> on send); the
 // iofa_lint raw-wire rule fails the build when memcpy or
 // reinterpret_cast touches frame bytes anywhere in src/rpc outside
 // this codec.
@@ -14,7 +15,8 @@
 //   [ 8..16)  u64  request id
 //   [16..20)  u32  body length
 //   [20..24)  u32  reserved   must be 0
-//   [24..32)  u64  checksum over bytes [0..24) ++ body
+//   [24..32)  u64  checksum over bytes [0..24) ++ body (the body in
+//                  four interleaved lanes of 32-byte blocks)
 //   [32.. )   body
 //
 // The checksum covers the header (hash field excluded) AND the body, so

@@ -3,8 +3,8 @@
 //
 // Every message crossing a transport link is one frame: a fixed
 // little-endian header (magic, version, type, request id, body length,
-// word-wise FNV checksum over header+body) followed by a type-specific
-// body.
+// four-lane FNV-style checksum over header+body) followed by a
+// type-specific body.
 // The wire structs below carry only plain value types - no callbacks,
 // no slab handles, no pointers - so a frame is meaningful on any side
 // of any transport. Conversion to/from the runtime's FwdRequest
@@ -23,8 +23,10 @@
 namespace iofa::rpc {
 
 inline constexpr std::uint32_t kWireMagic = 0x41464F49;  // "IOFA" LE
-/// Version 2: word-at-a-time checksum (version 1 hashed byte-wise).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// Version 3: the body checksum folds 32-byte blocks into four
+/// independent lanes (version 2 chained every word serially, version 1
+/// hashed byte-wise).
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Fixed header size in bytes (see codec.cpp for the exact layout).
 inline constexpr std::size_t kHeaderSize = 32;
 /// Decoder refuses bodies above this (a flipped length bit must not

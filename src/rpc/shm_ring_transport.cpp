@@ -19,11 +19,12 @@ void ShmRingTransport::set_handler(int side, Handler handler) {
   handlers_[side] = std::move(handler);
 }
 
-void ShmRingTransport::send(int side, std::vector<std::byte> frame) {
+void ShmRingTransport::send(int side, std::span<const std::byte> frame) {
+  // The ring slot owns its frame: the one copy of this transport.
   // push() blocks while the destination ring is full and returns false
   // only once the link is closed, in which case the frame is dropped on
   // the floor - exactly the documented close() semantics.
-  rings_[1 - side].push(std::move(frame));
+  rings_[1 - side].push(std::vector<std::byte>(frame.begin(), frame.end()));
 }
 
 void ShmRingTransport::delivery_loop(int dest_side) {

@@ -22,7 +22,7 @@ class ShmRingTransport : public Transport {
   ~ShmRingTransport() override;
 
   void set_handler(int side, Handler handler) override;
-  void send(int side, std::vector<std::byte> frame) override;
+  void send(int side, std::span<const std::byte> frame) override;
   void close() override;
 
  private:

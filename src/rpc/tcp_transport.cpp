@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -21,16 +22,31 @@ namespace {
                            " failed (errno " + std::to_string(errno) + ")");
 }
 
-/// write(2) the whole buffer, riding out partial writes and EINTR.
-bool write_all(int fd, const std::byte* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, data + off, n - off);
+/// sendmsg(2) every byte of the iovecs, riding out partial writes and
+/// EINTR: a short write advances the iovec cursor and the loop resends
+/// the rest. MSG_NOSIGNAL turns a write to a shut-down peer into EPIPE
+/// instead of a process-killing SIGPIPE.
+bool send_all(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    off += static_cast<std::size_t>(w);
+    auto sent = static_cast<std::size_t>(w);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      iovec& cur = *msg.msg_iov;
+      cur.iov_base = static_cast<std::byte*>(cur.iov_base) + sent;
+      cur.iov_len -= sent;
+    }
   }
   return true;
 }
@@ -100,7 +116,7 @@ void TcpTransport::set_handler(int side, Handler handler) {
   handlers_[side] = std::move(handler);
 }
 
-void TcpTransport::send(int side, std::vector<std::byte> frame) {
+void TcpTransport::send(int side, std::span<const std::byte> frame) {
   // u32 little-endian length prefix, packed byte-by-byte: the codec is
   // the only place allowed to memcpy frame bytes (raw-wire rule).
   const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
@@ -108,10 +124,15 @@ void TcpTransport::send(int side, std::vector<std::byte> frame) {
   for (int i = 0; i < 4; ++i) {
     prefix[i] = static_cast<std::byte>((n >> (8 * i)) & 0xFF);
   }
+  // Prefix and body leave in ONE gathered write straight from the
+  // caller's buffer: one segment under TCP_NODELAY, one reader wakeup.
+  // sendmsg never writes through iov_base, the const_cast only meets
+  // the iovec type.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<std::byte*>(frame.data()), frame.size()}};
   MutexLock lk(write_mu_[side]);
   if (closed_.load(std::memory_order_acquire)) return;
-  if (!write_all(fd_[side], prefix, sizeof(prefix))) return;
-  write_all(fd_[side], frame.data(), frame.size());
+  send_all(fd_[side], iov, 2);
 }
 
 void TcpTransport::reader_loop(int side) {
@@ -136,14 +157,20 @@ void TcpTransport::reader_loop(int side) {
 
 void TcpTransport::close() {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  for (int fd : fd_) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  }
+  // Shutting down first releases a sender blocked on a full socket
+  // buffer (it fails with EPIPE) and ends both readers at EOF; the fds
+  // stay valid until nothing can touch them.
+  for (int fd : fd_) ::shutdown(fd, SHUT_RDWR);
+  // Taking each write lock waits out the send in flight on that side;
+  // every later send sees closed_ under the same lock and never reads
+  // fd_ again. The locks are not held across the join below, because
+  // handlers send.
+  for (auto& mu : write_mu_) MutexLock lk(mu);
   for (auto& t : readers_) {
     if (t.joinable()) t.join();
   }
   for (int& fd : fd_) {
-    if (fd >= 0) ::close(fd);
+    ::close(fd);
     fd = -1;
   }
 }

@@ -12,10 +12,11 @@ void LoopbackTransport::set_handler(int side, Handler handler) {
   handlers_[side] = std::move(handler);
 }
 
-void LoopbackTransport::send(int side, std::vector<std::byte> frame) {
+void LoopbackTransport::send(int side, std::span<const std::byte> frame) {
   if (closed_) return;
+  // The handler takes ownership, so the synchronous hand-off copies.
   Handler& peer = handlers_[1 - side];
-  if (peer) peer(std::move(frame));
+  if (peer) peer(std::vector<std::byte>(frame.begin(), frame.end()));
 }
 
 void LoopbackTransport::close() { closed_ = true; }

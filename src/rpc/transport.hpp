@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rpc/options.hpp"
@@ -39,9 +40,13 @@ class Transport {
   /// their constructors, before any traffic exists).
   virtual void set_handler(int side, Handler handler) = 0;
 
-  /// Send a frame FROM `side` to the opposite side. May block while the
-  /// channel is full; never drops silently while the link is open.
-  virtual void send(int side, std::vector<std::byte> frame) = 0;
+  /// Send a frame FROM `side` to the opposite side. The frame is
+  /// borrowed for the duration of the call only: a transport that must
+  /// keep the bytes (a ring slot, a held chaos frame) copies them, so a
+  /// caller can resend one encoded frame without re-copying it. May
+  /// block while the channel is full; never drops silently while the
+  /// link is open.
+  virtual void send(int side, std::span<const std::byte> frame) = 0;
 
   /// Stop delivery and join any delivery threads. Idempotent.
   virtual void close() = 0;
@@ -54,7 +59,7 @@ class Transport {
 class LoopbackTransport : public Transport {
  public:
   void set_handler(int side, Handler handler) override;
-  void send(int side, std::vector<std::byte> frame) override;
+  void send(int side, std::span<const std::byte> frame) override;
   void close() override;
 
  private:

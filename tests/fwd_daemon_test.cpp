@@ -8,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "fault/clock.hpp"
 #include "fault/plan.hpp"
@@ -593,6 +594,81 @@ TEST(IonDaemon, PipelineAccountsAbandonedFlushes) {
     EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.span().begin()));
   }
   EXPECT_GE(daemon.stats().reads_local, 1u);  // the dirty range
+}
+
+/// A fault clock whose every reading blocks until open() is called.
+/// The PFS consults its injector, hence this clock, on each write, so a
+/// closed gate holds the flusher at its first PFS write - no sleeps.
+class GateClock : public fault::FaultClock {
+ public:
+  Seconds now() const override {
+    UniqueLock lk(mu_);
+    while (!open_) cv_.wait(lk);
+    return 0.0;
+  }
+  void open() {
+    {
+      MutexLock lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable CondVar cv_;
+  bool open_ IOFA_GUARDED_BY(mu_) = false;
+};
+
+std::vector<std::byte> bytes_of(const std::string& s) {
+  std::vector<std::byte> out;
+  for (const char c : s) out.push_back(static_cast<std::byte>(c));
+  return out;
+}
+
+TEST(IonDaemon, FlushOfOlderWriteKeepsNewerOverlapDirty) {
+  // Last-writer-wins regression: write 1 [0,8) and write 2 [2,4) are
+  // both staged before either flushes. Write 1's flush must release
+  // only its own extent; write 2's flush fails until its retry budget
+  // is spent, so its bytes never reach the PFS and its range must stay
+  // dirty. A merged dirty map used to forget [2,4) when [0,8) flushed,
+  // and the read then returned the PFS's stale "xxxxxxxx".
+  telemetry::Registry reg;
+  GateClock gate;
+  fault::FaultPlan plan;
+  plan.error_after(fault::kPfsWriteSite, 2);  // write 2's only attempt
+  fault::FaultInjector injector(std::move(plan), &gate, &reg);
+
+  PfsParams pp = fast_pfs();
+  pp.registry = &reg;
+  pp.injector = &injector;
+  EmulatedPfs pfs(pp);
+
+  IonParams params = fast_ion();
+  params.registry = &reg;
+  params.max_flush_attempts = 1;
+  IonDaemon daemon(0, params, pfs);
+
+  const auto stage = [&](std::uint64_t offset, const std::string& text) {
+    auto req = write_req("/lww", offset, bytes_of(text));
+    auto slot = wait_on(req);
+    ASSERT_TRUE(daemon.submit(std::move(req)));
+    EXPECT_TRUE(slot->wait().ok());  // staged and acked, not flushed
+  };
+  stage(0, "xxxxxxxx");
+  stage(2, "AB");
+  gate.open();
+  daemon.drain();
+  ASSERT_EQ(reg.counter("fwd.ion.flush_abandoned", {{"ion", "0"}}).value(),
+            1u);
+
+  auto rreq = read_req("/lww", 0, 8);
+  iofa::Payload buf = rreq.payload;
+  auto rslot = wait_on(rreq);
+  ASSERT_TRUE(daemon.submit(std::move(rreq)));
+  EXPECT_EQ(rslot->wait().value, 8u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.span().data()), 8),
+            "xxABxxxx");
 }
 
 TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {

@@ -170,6 +170,17 @@ TEST(ChunkStoreTest, PartialChunkReadsZeroTail) {
   EXPECT_EQ(out[2], std::byte{0});
 }
 
+TEST(ChunkStoreTest, ReadStartingPastStoredPrefixIsAllZero) {
+  ChunkStore store;
+  store.write(1, 0, 0, bytes({1, 2, 3, 4}));
+  std::vector<std::byte> out(4, std::byte{0xFF});
+  store.read(1, 0, 8, out);  // wholly past the 4 stored bytes
+  EXPECT_EQ(out, bytes({0, 0, 0, 0}));
+  std::vector<std::byte> straddle(4, std::byte{0xFF});
+  store.read(1, 0, 2, straddle);  // two stored bytes, then the hole
+  EXPECT_EQ(straddle, bytes({3, 4, 0, 0}));
+}
+
 TEST(ChunkStoreTest, RemoveFileDropsAllChunks) {
   ChunkStore store;
   store.write(1, 0, 0, bytes({1}));

@@ -240,13 +240,15 @@ TEST(G5kReference, PinsPaperTable4Values) {
 TEST(G5kReference, IorMpiEightVsOneRatioIs18_96) {
   // Section 5.2: IOR-MPI "can achieve a bandwidth that is 18.96x higher
   // when using eight forwarders instead of one".
-  const auto& c = g5k_reference_profiles().at("IOR-MPI");
+  const auto db = g5k_reference_profiles();
+  const auto& c = db.at("IOR-MPI");
   EXPECT_NEAR(c.at(8) / c.at(1), 18.96, 0.01);
 }
 
 TEST(G5kReference, HaccMatchesSection53) {
   // 987.3 MB/s with 1 ION (STATIC) vs 3850.7 MB/s with 8 (MCKP): 3.9x.
-  const auto& c = g5k_reference_profiles().at("HACC");
+  const auto db = g5k_reference_profiles();
+  const auto& c = db.at("HACC");
   EXPECT_DOUBLE_EQ(c.at(1), 987.3);
   EXPECT_DOUBLE_EQ(c.at(8), 3850.7);
   EXPECT_NEAR(c.at(8) / c.at(1), 3.9, 0.02);

@@ -165,9 +165,25 @@ TEST(RpcCodec, ChecksumCatchesRequestIdFlip) {
   EXPECT_THROW(decode(frame), CodecError);
 }
 
+/// Flip every byte of `good` in turn - all eight bits, then the single
+/// bit (offset mod 8) - and require each mangled frame to be refused.
+void expect_every_flip_rejected(const std::vector<std::byte>& good) {
+  ASSERT_NO_THROW(decode(good));
+  for (std::size_t off = 0; off < good.size(); ++off) {
+    for (const std::byte mask :
+         {std::byte{0xFF}, static_cast<std::byte>(1u << (off % 8))}) {
+      auto f = good;
+      f[off] ^= mask;
+      EXPECT_THROW(decode(f), CodecError)
+          << "offset " << off << " of a " << good.size() << "-byte frame";
+    }
+  }
+}
+
 TEST(RpcCodec, SingleByteFlipAtEveryOffsetOfALargeFrameIsRejected) {
-  // 16 KiB + 3 bytes: the checksum folds whole words and a byte-wise
-  // tail, and every offset - header, words, tail - must be covered.
+  // 16 KiB + 3 bytes: the checksum folds whole 32-byte lane blocks, a
+  // word tail and a byte-wise tail, and every offset - header, lanes,
+  // tails - must be covered.
   SubmitResponseMsg m;
   m.value = 4242;
   m.data.resize(16 * 1024 + 3 - kHeaderSize - 13);
@@ -175,14 +191,62 @@ TEST(RpcCodec, SingleByteFlipAtEveryOffsetOfALargeFrameIsRejected) {
   for (auto& b : m.data) b = static_cast<std::byte>(rng.next() & 0xFF);
   const auto good = encode(0x1122334455667788ull, m);
   ASSERT_EQ(good.size(), 16u * 1024u + 3u);
-  ASSERT_NO_THROW(decode(good));
-  for (std::size_t off = 0; off < good.size(); ++off) {
-    for (const std::byte mask :
-         {std::byte{0xFF}, static_cast<std::byte>(1u << (off % 8))}) {
-      auto f = good;
-      f[off] ^= mask;
-      EXPECT_THROW(decode(f), CodecError) << "offset " << off;
+  expect_every_flip_rejected(good);
+}
+
+TEST(RpcCodec, SingleByteFlipAtEveryOffsetOfEveryShortBodyIsRejected) {
+  // Body lengths 0..100: shorter than one lane block, exactly one
+  // block, and every word and byte remainder behind one and two blocks.
+  // Length 0 is a publish ack, 1 a submit ack and 4+ a publish whose
+  // text fills the rest; no message has a 2- or 3-byte body.
+  std::vector<std::vector<std::byte>> frames = {
+      encode(11, MappingPublishAckMsg{}), encode(12, SubmitAckMsg{})};
+  Rng rng(7);
+  for (std::size_t len = 4; len <= 100; ++len) {
+    std::string text(len - 4, '\0');
+    for (auto& c : text) c = static_cast<char>(rng.next() & 0xFF);
+    frames.push_back(encode(0xA5A5A5A5A5A5A5A5ull + len,
+                            MappingPublishMsg{text}));
+    ASSERT_EQ(frames.back().size(), kHeaderSize + len);
+  }
+  for (const auto& good : frames) expect_every_flip_rejected(good);
+}
+
+TEST(RpcCodec, Version2FrameIsATypedError) {
+  // A genuine version-2 frame: version byte 2 and v2's serial checksum,
+  // one word-at-a-time chain over header[0..24) ++ body with a
+  // byte-wise tail. The 43-byte body runs the word loop and the tail.
+  SubmitResponseMsg m;
+  m.value = 9;
+  m.data.assign(30, std::byte{0x3C});
+  auto f = encode(6, m);
+  f[4] = std::byte{2};
+  std::vector<std::byte> covered(f.begin(), f.begin() + 24);
+  covered.insert(covered.end(), f.begin() + kHeaderSize, f.end());
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t h = 1469598103934665603ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= covered.size(); i += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      word |= static_cast<std::uint64_t>(covered[i + k]) << (8 * k);
     }
+    h = (h ^ word) * kPrime;
+    h ^= h >> 32;
+  }
+  for (; i < covered.size(); ++i) {
+    h = (h ^ static_cast<std::uint64_t>(covered[i])) * kPrime;
+  }
+  for (int k = 0; k < 8; ++k) {
+    f[24 + static_cast<std::size_t>(k)] =
+        static_cast<std::byte>((h >> (8 * k)) & 0xFF);
+  }
+  try {
+    decode(f);
+    FAIL() << "a version-2 frame decoded";
+  } catch (const CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
   }
 }
 

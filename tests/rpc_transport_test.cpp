@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -18,6 +19,7 @@
 
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
+#include "common/rng.hpp"
 #include "fault/clock.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -192,6 +194,101 @@ TEST(ShmRingTransport, DuplexFifoDelivery) {
 TEST(TcpTransport, DuplexFifoDelivery) {
   auto t = make_transport(TransportKind::kTcp, RpcOptions{});
   exercise_duplex(*t, 500);
+}
+
+TEST(TcpTransport, FramesUpTo8MiBArriveWholeAndInOrderBothWays) {
+  // Frames from 1 B to 8 MiB - far past the socket send buffer, so a
+  // gathered write returns short and the send loop resumes mid-iovec -
+  // sent concurrently in both directions. Each side must receive the
+  // other's frames byte-for-byte, in send order.
+  const std::vector<std::size_t> sizes = {
+      1, 2, 3, 7, 31, 32, 33, 4096, 65535, 65537, 1u << 20,
+      (1u << 20) + 3, 8u << 20, 5, (8u << 20) - 1, 100};
+  std::vector<std::vector<std::byte>> sent[2];
+  for (int side : {kClientSide, kServerSide}) {
+    Rng rng(static_cast<std::uint64_t>(side) + 1);
+    for (const std::size_t n : sizes) {
+      std::vector<std::byte> f(n);
+      for (std::size_t k = 0; k < n; k += 8) {
+        const std::uint64_t word = rng.next();
+        for (std::size_t j = k; j < std::min(n, k + 8); ++j) {
+          f[j] = static_cast<std::byte>(word >> (8 * (j - k)));
+        }
+      }
+      sent[side].push_back(std::move(f));
+    }
+  }
+  auto t = make_transport(TransportKind::kTcp, RpcOptions{});
+  Mutex mu;
+  CondVar cv;
+  std::vector<std::vector<std::byte>> got[2];
+  for (int side : {kClientSide, kServerSide}) {
+    t->set_handler(side, [&, side](std::vector<std::byte> f) {
+      MutexLock lk(mu);
+      got[side].push_back(std::move(f));
+      cv.notify_all();
+    });
+  }
+  std::vector<std::thread> senders;  // iofa-lint: allow(raw-thread)
+  for (int side : {kClientSide, kServerSide}) {
+    senders.emplace_back([&, side] {
+      for (const auto& f : sent[side]) t->send(side, f);
+    });
+  }
+  for (auto& s : senders) s.join();
+  {
+    UniqueLock lk(mu);
+    const auto deadline =
+        monotonic_now() + std::chrono::duration_cast<MonotonicClock::duration>(
+                              std::chrono::duration<double>(60.0));
+    while (got[kClientSide].size() < sizes.size() ||
+           got[kServerSide].size() < sizes.size()) {
+      ASSERT_NE(cv.wait_until(lk, deadline), std::cv_status::timeout)
+          << "client got " << got[kClientSide].size() << ", server got "
+          << got[kServerSide].size();
+    }
+  }
+  t->close();
+  for (int from : {kClientSide, kServerSide}) {
+    const auto& at_peer = got[1 - from];
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_EQ(at_peer[i].size(), sizes[i]) << "from " << from << " #" << i;
+      EXPECT_TRUE(at_peer[i] == sent[from][i])
+          << "from " << from << " #" << i;
+    }
+  }
+}
+
+TEST(TcpTransport, CloseRacingSendersIsClean) {
+  // Two threads send in a loop while a third closes the link. The
+  // frames outsize the socket buffers, so a sender is blocked inside
+  // sendmsg when close() shuts the sockets down. That write must fail
+  // quietly (no SIGPIPE, whose default action kills the process: a
+  // plain write(2) dies here), close() must wait it out before it
+  // releases the fds, and every send after close() is dropped.
+  const std::vector<std::byte> frame(8u << 20, std::byte{0x5A});
+  for (int round = 0; round < 10; ++round) {
+    auto t = make_transport(TransportKind::kTcp, RpcOptions{});
+    t->set_handler(kClientSide, [](std::vector<std::byte>) {});
+    t->set_handler(kServerSide, [](std::vector<std::byte>) {});
+    std::atomic<int> sent{0};
+    std::vector<std::thread> threads;  // iofa-lint: allow(raw-thread)
+    for (int side : {kClientSide, kServerSide}) {
+      threads.emplace_back([&, side] {
+        for (int i = 0; i < 8; ++i) {
+          t->send(side, frame);
+          sent.fetch_add(1);
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      // Close mid-stream: after the senders are under way.
+      while (sent.load() < 2) std::this_thread::yield();
+      t->close();
+    });
+    for (auto& th : threads) th.join();
+    t->send(kClientSide, frame_of(1));  // dropped, fd already gone
+  }
 }
 
 TEST(Transport, MakeTransportRefusesInProcKinds) {

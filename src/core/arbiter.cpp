@@ -3,18 +3,85 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <chrono>
 #include <sstream>
+#include <string_view>
 
 #include "telemetry/trace.hpp"
 
 namespace iofa::core {
 
+namespace {
+
+// Labels travel as whitespace-delimited tokens: whitespace, control
+// bytes and '%' are written as %XX, and the empty label as a lone "%"
+// (an escape always carries two hex digits, so no other label encodes
+// to it). Every other label is written byte for byte.
+void write_label(std::ostream& os, const std::string& label) {
+  if (label.empty()) {
+    os << '%';
+    return;
+  }
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  for (const char ch : label) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c <= ' ' || c == 0x7F || c == '%') {
+      os << '%' << kHex[c >> 4] << kHex[c & 0xF];
+    } else {
+      os << ch;
+    }
+  }
+}
+
+/// A whole token as one number; false on anything else (sign where the
+/// type has none, trailing bytes, out of range).
+template <typename T>
+bool parse_number(std::string_view tok, T& out, int base = 10) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out, base);
+  return ec == std::errc() && ptr == end;
+}
+
+std::optional<std::string> read_label(std::string_view tok) {
+  if (tok == "%") return std::string();
+  std::string label;
+  label.reserve(tok.size());
+  for (std::size_t i = 0; i < tok.size(); ++i) {
+    if (tok[i] != '%') {
+      label += tok[i];
+      continue;
+    }
+    unsigned byte = 0;
+    if (i + 2 >= tok.size() || !parse_number(tok.substr(i + 1, 2), byte, 16)) {
+      return std::nullopt;
+    }
+    label += static_cast<char>(byte);
+    i += 2;
+  }
+  return label;
+}
+
+/// "1,5,7" -> {1, 5, 7}; false on an empty or non-numeric item.
+bool parse_ions(std::string_view list, std::vector<int>& ions) {
+  for (;;) {
+    const auto comma = list.find(',');
+    int ion = 0;
+    if (!parse_number(list.substr(0, comma), ion)) return false;
+    ions.push_back(ion);
+    if (comma == std::string_view::npos) return true;
+    list.remove_prefix(comma + 1);
+  }
+}
+
+}  // namespace
+
 std::string Mapping::to_string() const {
   std::ostringstream os;
   os << "# iofa mapping epoch=" << epoch << " pool=" << pool << "\n";
   for (const auto& [id, entry] : jobs) {
-    os << "job " << id << " app " << entry.app_label;
+    os << "job " << id << " app ";
+    write_label(os, entry.app_label);
     if (entry.shared) {
       os << " shared";
       for (std::size_t i = 0; i < entry.ions.size(); ++i) {
@@ -49,41 +116,35 @@ std::optional<Mapping> Mapping::parse(const std::string& text) {
       // "# iofa mapping epoch=N pool=P"
       std::string word;
       while (ls >> word) {
-        if (word.rfind("epoch=", 0) == 0) {
-          m.epoch = std::stoull(word.substr(6));
+        const std::string_view w(word);
+        if (w.starts_with("epoch=")) {
+          if (!parse_number(w.substr(6), m.epoch)) return std::nullopt;
           saw_header = true;
-        } else if (word.rfind("pool=", 0) == 0) {
-          m.pool = std::stoi(word.substr(5));
+        } else if (w.starts_with("pool=")) {
+          if (!parse_number(w.substr(5), m.pool)) return std::nullopt;
         }
       }
       continue;
     }
     if (tok != "job") return std::nullopt;
+    std::string id_tok, app_kw, label_tok, mode;
+    if (!(ls >> id_tok >> app_kw >> label_tok >> mode)) return std::nullopt;
     JobId id = 0;
-    std::string app_kw, label, mode;
-    if (!(ls >> id >> app_kw >> label >> mode)) return std::nullopt;
-    if (app_kw != "app") return std::nullopt;
+    if (!parse_number(id_tok, id) || app_kw != "app") return std::nullopt;
+    auto label = read_label(label_tok);
+    if (!label) return std::nullopt;
     Entry entry;
-    entry.app_label = label;
+    entry.app_label = std::move(*label);
     if (mode == "shared") {
       entry.shared = true;
       std::string list;
-      if (ls >> list) {
-        std::istringstream es(list);
-        std::string item;
-        while (std::getline(es, item, ',')) {
-          entry.ions.push_back(std::stoi(item));
-        }
-      }
+      if (ls >> list && !parse_ions(list, entry.ions)) return std::nullopt;
     } else if (mode == "direct") {
       // empty ion list
     } else if (mode == "ions") {
       std::string list;
-      if (!(ls >> list)) return std::nullopt;
-      std::istringstream es(list);
-      std::string item;
-      while (std::getline(es, item, ',')) {
-        entry.ions.push_back(std::stoi(item));
+      if (!(ls >> list) || !parse_ions(list, entry.ions)) {
+        return std::nullopt;
       }
     } else {
       return std::nullopt;

@@ -36,8 +36,13 @@ struct Mapping {
   };
   std::map<JobId, Entry> jobs;
 
+  /// The mapping-file text: a header line, then one line per job.
+  /// Labels are single tokens: whitespace, control bytes and '%' are
+  /// written as %XX and the empty label as a lone '%', so every label
+  /// round-trips through parse().
   std::string to_string() const;
-  /// Parse a serialized mapping; returns nullopt on malformed input.
+  /// Parse a serialized mapping; returns nullopt (never throws) on
+  /// malformed input, including numbers that do not fill their token.
   static std::optional<Mapping> parse(const std::string& text);
 
   bool operator==(const Mapping&) const = default;

@@ -1,13 +1,19 @@
 #include "fwd/mapping.hpp"
 #include "common/clock.hpp"
 
-#include <utility>
+#include <optional>
 
 #include "telemetry/trace.hpp"
 
 namespace iofa::fwd {
 
-void MappingStore::publish(core::Mapping mapping) {
+MappingStore::MappingStore(telemetry::Registry* registry) {
+  auto& reg = registry ? *registry : telemetry::Registry::global();
+  entries_written_ = &reg.counter("fwd.mapping.entries_written");
+}
+
+void MappingStore::publish(const core::Mapping& mapping) {
+  std::optional<core::Mapping> reparsed;
   if (injector_) {
     if (injector_->should_drop_mapping()) return;
     if (injector_->should_corrupt_mapping()) {
@@ -16,18 +22,45 @@ void MappingStore::publish(core::Mapping mapping) {
       std::string text = mapping.to_string();
       const auto pos = text.find("job ");
       if (pos != std::string::npos) text.replace(pos, 4, "j0b ");
-      const auto reparsed = core::Mapping::parse(text);
+      reparsed = core::Mapping::parse(text);
       if (!reparsed) return;  // torn file refused; previous epoch stands
-      mapping = *reparsed;
     }
   }
+  const core::Mapping& next = reparsed ? *reparsed : mapping;
+  // Entries of jobs that left; destroyed with this map, after the lock,
+  // so readers never wait on their destruction. Extracted nodes move
+  // in without an allocation.
+  decltype(core::Mapping::jobs) retired;
+  std::uint64_t written = 0;
   {
     MutexLock lk(mu_);
-    std::swap(mapping_, mapping);
+    auto& jobs = mapping_.jobs;
+    auto it = jobs.begin();
+    const auto retire = [&](auto pos) {
+      retired.insert(retired.end(), jobs.extract(pos));
+      ++written;
+    };
+    // Both maps iterate in JobId order: one lockstep pass.
+    for (const auto& [id, entry] : next.jobs) {
+      while (it != jobs.end() && it->first < id) retire(it++);
+      if (it != jobs.end() && it->first == id) {
+        // Copy-assignment reuses the label's and the list's capacity.
+        if (!(it->second == entry)) {
+          it->second = entry;
+          ++written;
+        }
+        ++it;
+      } else {
+        jobs.emplace_hint(it, id, entry);
+        ++written;
+      }
+    }
+    while (it != jobs.end()) retire(it++);
+    mapping_.pool = next.pool;
+    mapping_.epoch = next.epoch;
     epoch_.store(mapping_.epoch, std::memory_order_release);
   }
-  // `mapping` now holds the previous epoch; it is freed here, after
-  // the lock, so readers never wait on its destruction.
+  if (written) entries_written_->add(written);
 }
 
 core::Mapping MappingStore::get() const {

@@ -22,19 +22,25 @@ namespace iofa::fwd {
 
 class MappingStore {
  public:
+  /// `registry` (fwd.mapping.entries_written) defaults to
+  /// telemetry::Registry::global().
+  explicit MappingStore(telemetry::Registry* registry = nullptr);
+
   /// Fault-injection hook for the publish path (site mapping.publish);
   /// may be null. Not synchronised: set before traffic starts.
   void set_injector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
 
-  /// Publish a new mapping (replaces the previous one). Under fault
-  /// injection a publish can be dropped (clients keep the old epoch
-  /// until someone republishes - the HealthMonitor self-heals this) or
-  /// corrupted (the serialized text is mangled; Mapping::parse rejects
-  /// it and the store keeps the previous epoch, like a client refusing
-  /// a torn mapping file).
-  void publish(core::Mapping mapping) IOFA_EXCLUDES(mu_);
+  /// Publish a new mapping: afterwards get() equals `mapping`. The
+  /// stored mapping is patched in place, so only the entries that
+  /// differ are written (and counted in fwd.mapping.entries_written).
+  /// Under fault injection a publish can be dropped (clients keep the
+  /// old epoch until someone republishes - the HealthMonitor self-heals
+  /// this) or corrupted (the serialized text is mangled; Mapping::parse
+  /// rejects it and the store keeps the previous epoch, like a client
+  /// refusing a torn mapping file).
+  void publish(const core::Mapping& mapping) IOFA_EXCLUDES(mu_);
 
   core::Mapping get() const IOFA_EXCLUDES(mu_);
   std::uint64_t epoch() const;
@@ -49,6 +55,7 @@ class MappingStore {
   core::Mapping mapping_ IOFA_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> epoch_{0};
   fault::FaultInjector* injector_ = nullptr;
+  telemetry::Counter* entries_written_ = nullptr;
 };
 
 /// A client's cached view of its own mapping entry. Refreshes from the

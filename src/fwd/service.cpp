@@ -69,7 +69,8 @@ void ForwardingService::build_ports() {
       *rpc_->mapping_transport, config_.rpc, config_.ion.registry);
 }
 
-ForwardingService::ForwardingService(ServiceConfig config) : config_(config) {
+ForwardingService::ForwardingService(ServiceConfig config)
+    : config_(config), mapping_store_(config_.ion.registry) {
   rpc::validate_rpc_options(config_.rpc);
   transport_ = rpc::resolve_transport(config_.transport);
   if (config_.injector && !config_.pfs.injector) {

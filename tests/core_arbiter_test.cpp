@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <set>
 #include <vector>
@@ -51,6 +52,79 @@ TEST(Mapping, ParseRejectsGarbage) {
   EXPECT_FALSE(Mapping::parse("not a mapping").has_value());
   EXPECT_FALSE(Mapping::parse("").has_value());
   EXPECT_FALSE(Mapping::parse("job x app y zzz\n").has_value());
+}
+
+TEST(Mapping, EveryLabelRoundTrips) {
+  for (const std::string label :
+       {"", "a b", "tab\t", "100%", "%", "%25", "line\nbreak", "\x7f"}) {
+    Mapping m;
+    m.epoch = 3;
+    m.pool = 4;
+    m.jobs[1] = Mapping::Entry{label, {0, 1}, false};
+    m.jobs[2] = Mapping::Entry{"S3D", {}, false};
+    m.jobs[3] = Mapping::Entry{label, {3}, true};
+    const auto parsed = Mapping::parse(m.to_string());
+    ASSERT_TRUE(parsed.has_value()) << m.to_string();
+    EXPECT_EQ(*parsed, m) << m.to_string();
+  }
+}
+
+TEST(Mapping, OrdinaryLabelsAreWrittenVerbatim) {
+  Mapping m;
+  m.epoch = 42;
+  m.pool = 12;
+  m.jobs[1] = Mapping::Entry{"IOR-MPI", {0, 1, 2}, false};
+  m.jobs[2] = Mapping::Entry{"a b", {}, false};
+  m.jobs[3] = Mapping::Entry{"", {11}, true};
+  EXPECT_EQ(m.to_string(),
+            "# iofa mapping epoch=42 pool=12\n"
+            "job 1 app IOR-MPI ions 0,1,2\n"
+            "job 2 app a%20b direct\n"
+            "job 3 app % shared 11\n");
+}
+
+TEST(Mapping, ParseRejectsBadNumbersWithoutThrowing) {
+  const std::string job = "job 1 app x ions 1,2\n";
+  const std::vector<std::string> texts = {
+      "# iofa mapping epoch=x pool=4\n" + job,
+      "# iofa mapping epoch=18446744073709551616 pool=4\n" + job,
+      "# iofa mapping epoch=1 pool=9999999999\n" + job,
+      "# iofa mapping epoch=1 pool=4\njob 1 app x ions 1,x\n",
+      "# iofa mapping epoch=1 pool=4\njob 1 app x ions 1,,2\n",
+      "# iofa mapping epoch=1 pool=4\njob 1 app x shared 1,\n",
+      "# iofa mapping epoch=1 pool=4\njob -1 app x direct\n",
+      "# iofa mapping epoch=1 pool=4\njob 1 app x%4 direct\n",
+      "# iofa mapping epoch=1 pool=4\njob 1 app x%zz direct\n",
+  };
+  for (const auto& text : texts) {
+    std::optional<Mapping> parsed;
+    EXPECT_NO_THROW(parsed = Mapping::parse(text)) << text;
+    EXPECT_FALSE(parsed.has_value()) << text;
+  }
+}
+
+TEST(Mapping, EverySingleByteMutationParsesWithoutThrowing) {
+  Mapping m;
+  m.epoch = 1234;
+  m.pool = 12;
+  m.jobs[1] = Mapping::Entry{"IOR-MPI", {0, 1, 2}, false};
+  m.jobs[22] = Mapping::Entry{"S3D", {}, false};
+  m.jobs[333] = Mapping::Entry{"MAD", {11}, true};
+  const std::string text = m.to_string();
+  for (std::size_t pos = 0; pos < text.size(); ++pos) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string mutated = text;
+      mutated[pos] = static_cast<char>(byte);
+      std::optional<Mapping> parsed;
+      ASSERT_NO_THROW(parsed = Mapping::parse(mutated))
+          << "byte " << byte << " at " << pos;
+      // Whatever the parser accepts, it can write back unchanged.
+      if (parsed) {
+        EXPECT_EQ(Mapping::parse(parsed->to_string()), parsed)
+            << "byte " << byte << " at " << pos;
+      }
+    }
+  }
 }
 
 TEST(Mapping, ToStringMentionsDirectAndShared) {

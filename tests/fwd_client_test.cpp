@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -13,7 +14,10 @@
 #include "fwd/rpc_endpoints.hpp"
 #include "fwd/service.hpp"
 #include "gkfs/chunk.hpp"
+#include "platform/perf_model.hpp"
+#include "platform/profile.hpp"
 #include "rpc/transport.hpp"
+#include "workload/pattern.hpp"
 
 namespace iofa::fwd {
 namespace {
@@ -79,7 +83,8 @@ void expect_untorn_fetches(MappingStore& store, MappingPort& port) {
     for (std::uint64_t epoch = 2; !stop.load(std::memory_order_relaxed);
          ++epoch) {
       auto m = mapping_for(kJob, {static_cast<int>(epoch % 2)}, epoch);
-      // A second entry so the swapped-out mapping has something to free.
+      // A second entry that never changes, so each publish patches one
+      // entry of two and must leave the other in place.
       m.jobs[kJob + 1] = core::Mapping::Entry{"other", {2, 3}, false};
       store.publish(std::move(m));
     }
@@ -120,6 +125,78 @@ TEST(MappingStoreTest, RpcFetchNeverPairsIonsWithAnotherEpoch) {
   RpcMappingServer server(link, store, options);
   RpcMappingClient client(link, options);
   expect_untorn_fetches(store, client);
+}
+
+TEST(MappingStoreTest, RpcPublishCarriesEveryLabel) {
+  MappingStore store;
+  rpc::LoopbackTransport link;
+  const rpc::RpcOptions options;
+  RpcMappingServer server(link, store, options);
+  RpcMappingClient client(link, options);
+  auto m = mapping_for(1, {0, 2}, 5);
+  m.jobs[2] = core::Mapping::Entry{"", {1}, false};
+  m.jobs[3] = core::Mapping::Entry{"a b", {}, false};
+  ASSERT_TRUE(client.publish(m));
+  EXPECT_EQ(store.get(), m);
+  const auto snap = client.fetch(2);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_TRUE(snap->found);
+  EXPECT_EQ(snap->ions, (std::vector<int>{1}));
+  EXPECT_EQ(snap->epoch, 5u);
+}
+
+/// 256 jobs on 12 IONs, as on the job-churn benchmark: the first
+/// publish writes every entry, each later one at most the entries the
+/// event rematerialised plus the id it erased or inserted.
+TEST(MappingStoreTest, PublishWritesOnlyTheEntriesAnEventChanged) {
+  telemetry::Registry reg;
+  auto policy = std::make_shared<core::MckpPolicy>();
+  core::ArbiterOptions o;
+  o.pool = 12;
+  o.registry = &reg;
+  core::Arbiter arb(policy, o);
+  MappingStore store(&reg);
+  auto& written = reg.counter("fwd.mapping.entries_written");
+  auto& remapped = reg.counter("core.arbiter.remapped_jobs",
+                               {{"policy", policy->name()}});
+
+  const platform::PerfModel model(platform::mn4_params());
+  const auto grid = workload::mn4_scenario_grid();
+  const auto ion_options = platform::default_ion_options();
+  iofa::Rng rng(17);
+  auto random_app = [&] {
+    const auto& pattern = grid[rng.index(grid.size())];
+    return core::AppEntry{
+        "app" + std::to_string(rng.index(9)), pattern.compute_nodes,
+        pattern.processes(),
+        platform::curve_from_model(model, pattern, ion_options)};
+  };
+  std::vector<core::JobId> running;
+  core::JobId next_id = 1;
+  for (; next_id <= 256; ++next_id) {
+    arb.job_started(next_id, random_app());
+    running.push_back(next_id);
+  }
+  store.publish(arb.mapping());
+  EXPECT_EQ(written.value(), 256u);
+
+  for (int event = 0; event < 200; ++event) {
+    const auto written0 = written.value();
+    const auto remapped0 = remapped.value();
+    if (event % 2 == 0) {
+      const auto pos = rng.index(running.size());
+      arb.job_finished(running[pos]);
+      running.erase(running.begin() + static_cast<long>(pos));
+    } else {
+      arb.job_started(next_id, random_app());
+      running.push_back(next_id++);
+    }
+    store.publish(arb.mapping());
+    const auto wrote = written.value() - written0;
+    EXPECT_GE(wrote, 1u) << "event " << event;
+    EXPECT_LE(wrote, remapped.value() - remapped0 + 1) << "event " << event;
+    ASSERT_EQ(store.get(), arb.mapping()) << "event " << event;
+  }
 }
 
 TEST(ClientMappingViewTest, CachesUntilPollPeriod) {

@@ -28,14 +28,11 @@ Client::Client(ClientConfig config, ForwardingService& service)
   bytes_ctr_ = &reg.counter("fwd.client.bytes", labels);
   retries_ctr_ = &reg.counter("fwd.retries", labels);
   failover_ctr_ = &reg.counter("fwd.failovers", labels);
-  fallback_ctr_ = &reg.counter("fwd.client.direct_fallback", labels);
   payload_allocs_ctr_ = &reg.counter("fwd.client.payload_allocs", labels);
-  submitted_ctr_ = &reg.counter("fwd.overload.submitted", labels);
-  rejected_ctr_ = &reg.counter("fwd.overload.rejected", labels);
-  ovl_fallback_ctr_ = &reg.counter("fwd.overload.direct_fallback", labels);
-  if (auto* qos = service_.qos()) {
-    qos_ = &qos->metrics().tenant(config_.tenant);
-  }
+  // With QoS off the default-tenant table is built against the same
+  // registry as the daemons' and lands on the same cells.
+  ledger_ = service_.qos() ? service_.qos()->metrics().tenant(config_.tenant)
+                           : qos::QosMetrics(reg).tenant(config_.tenant);
   if (config_.breaker.enabled) {
     CircuitBreaker::Counters ctrs;
     ctrs.opened = &reg.counter("fwd.overload.breaker_open", labels);
@@ -191,11 +188,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       FwdRequest req = make_request(p);
       auto wait = wait_on(req);
       Payload buf = req.payload;  // add_ref, not a byte copy
-      submitted_ctr_->add();
-      if (qos_) {
-        qos_->submitted->add();
-        qos_->submitted_bytes->add(p.sub_size);
-      }
+      ledger_.on_submitted(p.sub_size);
       const SubmitResult res =
           service_.ion_port(ion).try_submit(std::move(req));
       if (res == SubmitResult::kAccepted) {
@@ -211,8 +204,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       }
       // IonBusy or down: a fast, counted rejection that feeds the
       // breaker - not a timeout masquerading as a failure.
-      rejected_ctr_->add();
-      if (qos_) qos_->rejected->add();
+      ledger_.on_rejected();
       breaker_failure(ion);
     }
     return false;
@@ -235,14 +227,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
   // retry through injected PFS dispatch errors until they land - the
   // client owns durability once no ION holds the bytes.
   auto direct_rescue = [&](Pending& p) -> std::size_t {
-    fallback_ctr_->add();
-    submitted_ctr_->add();
-    ovl_fallback_ctr_->add();
-    if (qos_) {
-      qos_->submitted->add();
-      qos_->submitted_bytes->add(p.sub_size);
-      qos_->direct_fallback->add();
-    }
+    ledger_.on_direct_fallback(p.sub_size);
     // Graceful degradation is bandwidth-capped: every client of the
     // deployment shares one limiter, so a storm of open breakers
     // cannot stampede the PFS (the ZERO-policy route is rationed).
@@ -368,8 +353,7 @@ void Client::fsync(const std::string& path) {
     // Fsync bypasses the breakers: it is a durability barrier for data
     // already staged on that ION, not new load to shed. The daemon
     // exempts markers from admission control for the same reason.
-    submitted_ctr_->add();
-    if (qos_) qos_->submitted->add();
+    ledger_.on_submitted(0);
     if (service_.ion_port(ion).try_submit(std::move(req)) ==
         SubmitResult::kAccepted) {
       // A failure status means the ION crashed mid-fsync. Its flusher
@@ -377,8 +361,7 @@ void Client::fsync(const std::string& path) {
       // so durability is a matter of time, not of this marker.
       wait->wait();
     } else {
-      rejected_ctr_->add();
-      if (qos_) qos_->rejected->add();
+      ledger_.on_rejected();
     }
   };
   if (config_.mode == ClientMode::BurstBuffer) {

@@ -145,17 +145,12 @@ class Client {
   telemetry::Counter* bytes_ctr_ = nullptr;
   telemetry::Counter* retries_ctr_ = nullptr;    ///< "fwd.retries"
   telemetry::Counter* failover_ctr_ = nullptr;   ///< "fwd.failovers"
-  telemetry::Counter* fallback_ctr_ = nullptr;   ///< direct-PFS rescues
   /// Heap payload fallbacks (slab pool dry). The zero-copy proof: this
   /// stays at 0 while the pool is sized to the workload.
   telemetry::Counter* payload_allocs_ctr_ = nullptr;
-  // Overload accounting (see overload.hpp for the identity).
-  telemetry::Counter* submitted_ctr_ = nullptr;  ///< offers + fallbacks
-  telemetry::Counter* rejected_ctr_ = nullptr;   ///< busy/down answers
-  telemetry::Counter* ovl_fallback_ctr_ = nullptr;  ///< identity bucket
-  /// Per-tenant mirror of the overload accounting (qos.tenant.*);
-  /// null while the service runs without QoS.
-  qos::TenantCounters* qos_ = nullptr;
+  /// This client's row of the admission ledger (qos/enforcer.hpp):
+  /// its tenant's row with QoS on, the default tenant's otherwise.
+  qos::TenantCounters ledger_;
   /// One breaker per ION of the service; empty while disabled.
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
 };

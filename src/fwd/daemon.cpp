@@ -15,6 +15,14 @@ namespace iofa::fwd {
 
 using namespace std::chrono_literals;
 
+namespace {
+
+telemetry::Registry& registry_of(const IonParams& params) {
+  return params.registry ? *params.registry : telemetry::Registry::global();
+}
+
+}  // namespace
+
 bool PathTable::intern(std::uint64_t id, std::string&& path) {
   MutexLock lk(mu_);
   auto [it, inserted] = map_.try_emplace(id);
@@ -44,9 +52,10 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
                      std::max(params.ingest_bandwidth * 0.02,
                               static_cast<double>(4 * MiB))),
       epoch_(iofa::monotonic_now()),
-      ring_(params.completion_ring_capacity) {
-  auto& reg = params_.registry ? *params_.registry
-                               : telemetry::Registry::global();
+      ring_(params.completion_ring_capacity),
+      ledger_(params.qos ? params.qos->metrics()
+                         : qos::QosMetrics(registry_of(params))) {
+  auto& reg = registry_of(params_);
   const telemetry::Labels labels{{"ion", std::to_string(id_)}};
   metrics_.requests = &reg.counter("fwd.ion.requests", labels);
   metrics_.dispatches = &reg.counter("fwd.ion.dispatches", labels);
@@ -69,7 +78,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
                      telemetry::BucketSpec::bytes(), labels);
   metrics_.retries = &reg.counter("fwd.retries", labels);
   metrics_.flush_abandoned = &reg.counter("fwd.ion.flush_abandoned", labels);
-  metrics_.failed_requests = &reg.counter("fwd.ion.failed_requests", labels);
   metrics_.flush_coalesced_extents =
       &reg.counter("fwd.ion.flush_coalesced_extents", labels);
   metrics_.flush_steals = &reg.counter("fwd.ion.flush_steals", labels);
@@ -78,8 +86,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.completion_ring_full =
       &reg.counter("fwd.ion.completion_ring_full", labels);
   metrics_.path_interned = &reg.counter("fwd.ion.path_interned", labels);
-  metrics_.admitted = &reg.counter("fwd.overload.admitted", labels);
-  metrics_.expired = &reg.counter("fwd.overload.expired", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
   admission_ = std::make_unique<SaturationTracker>(params_.admission,
@@ -192,8 +198,8 @@ SubmitResult IonDaemon::try_submit(FwdRequest req) {
     if (params_.qos) {
       // Class-aware admission: best-effort is shed first, burst rides
       // on tokens, guaranteed is exempt up to its reservation. The
-      // per-tenant rejected bucket is counted client-side, where every
-      // kBusy answer lands (same site as the global identity).
+      // ledger's rejected bucket is counted client-side, where every
+      // kBusy answer lands.
       if (!params_.qos->admit(req.tenant, req.size, score, now())) {
         metrics_.busy->add();
         return SubmitResult::kBusy;
@@ -301,8 +307,7 @@ void IonDaemon::drainer_loop() {
 
 void IonDaemon::fail_request(FwdRequest& req) {
   inflight_bytes_.fetch_sub(req.size);
-  metrics_.failed_requests->add();
-  if (params_.qos) params_.qos->on_failed(req.tenant);
+  ledger_.tenant(req.tenant).on_failed();
   complete(std::move(req.done), {CompletionStatus::kIonDown, 0});
 }
 
@@ -379,8 +384,7 @@ void IonDaemon::worker_loop(std::size_t si) {
       // silently) so a saturated queue spends dispatch capacity on work
       // a client is still waiting for. Fsync markers are exempt - they
       // gate durability, not latency.
-      metrics_.expired->add();
-      if (params_.qos) params_.qos->on_expired(req.tenant);
+      ledger_.tenant(req.tenant).on_expired();
       inflight_bytes_.fetch_sub(req.size);
       complete(std::move(req.done), {CompletionStatus::kExpired, 0});
       return;
@@ -558,15 +562,14 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       item.payload = std::move(req.payload);
       item.tenant = req.tenant;
       if (params_.write_through) {
-        // Ack from the flusher, after the PFS write; the overload
-        // accounting (admitted vs failed) moves there with it.
+        // Ack from the flusher, after the PFS write; the ledger's
+        // admitted-vs-failed outcome moves there with it.
         item.done = std::move(req.done);
         item.write_through = true;
         enqueue_flush(std::move(item), req.file_id);
         finish_pending();
       } else {
-        metrics_.admitted->add();
-        if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
+        ledger_.tenant(req.tenant).on_admitted(req.size);
         enqueue_flush(std::move(item), req.file_id);
         complete(std::move(req.done), {CompletionStatus::kOk, req.size});
       }
@@ -596,8 +599,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
                       /*stream_weight=*/1.0);
         metrics_.reads_pfs->add();
       }
-      metrics_.admitted->add();
-      if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
+      ledger_.tenant(req.tenant).on_admitted(req.size);
       req.payload.reset();  // the consumer holds its own reference
       complete(std::move(req.done), {CompletionStatus::kOk, n});
     }
@@ -615,8 +617,7 @@ void IonDaemon::flush_marker(FlushItem& item) {
     UniqueLock lk(flush_mu_);
     while (flush_completed_ < item.barrier) flush_cv_.wait(lk);
   }
-  metrics_.admitted->add();
-  if (params_.qos) params_.qos->on_admitted(item.tenant, 0);
+  ledger_.tenant(item.tenant).on_admitted(0);
   complete(std::move(item.done), {});
 }
 
@@ -706,19 +707,17 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
     if (flushed) {
       metrics_.bytes_flushed->add(item.size);
       if (item.write_through) {
-        metrics_.admitted->add();
-        if (params_.qos) params_.qos->on_admitted(item.tenant, item.size);
+        ledger_.tenant(item.tenant).on_admitted(item.size);
       }
     } else {
       // Retry budget exhausted: the range stays dirty (reads keep
       // hitting the staging copy) and write-through callers see the
       // failure; an accepted-but-never-completed write-through request
-      // lands in the failed bucket, keeping the overload identity exact.
+      // lands in the failed bucket, keeping the ledger identity exact.
       metrics_.flush_abandoned->add();
       result = {CompletionStatus::kIonDown, 0};
       if (item.write_through) {
-        metrics_.failed_requests->add();
-        if (params_.qos) params_.qos->on_failed(item.tenant);
+        ledger_.tenant(item.tenant).on_failed();
       }
     }
     item.payload.reset();

@@ -134,9 +134,9 @@ struct IonParams {
   /// This ION's QoS enforcer (owned by the service's QosRuntime); null
   /// while QoS is disabled. With an enforcer, admission decisions
   /// become class-aware (qos/enforcer.hpp), dispatch order is
-  /// tenant-weighted, and every terminal outcome is mirrored into the
-  /// per-tenant accounting identity. Requires admission.enabled for the
-  /// saturated lattice to ever engage.
+  /// tenant-weighted, and terminal outcomes settle in the tenant's own
+  /// ledger row. Requires admission.enabled for the saturated lattice
+  /// to ever engage.
   qos::QosEnforcer* qos = nullptr;
 };
 
@@ -183,8 +183,8 @@ class IonDaemon {
   /// Offer a request. kBusy is the fast retryable overload answer
   /// (saturation past the admission watermark, or an ion.<id>.busy
   /// fault); an accepted request blocks only on the shard queue and is
-  /// guaranteed to end in exactly one of fwd.overload.admitted /
-  /// fwd.overload.expired / fwd.ion.failed_requests.
+  /// guaranteed to end in exactly one of the ledger's admitted /
+  /// expired / failed buckets (qos.tenant.*).
   SubmitResult try_submit(FwdRequest req);
 
   /// Legacy enqueue (blocking when the ingest queue is full). Returns
@@ -454,20 +454,21 @@ class IonDaemon {
     telemetry::Histogram* flush_batch_bytes = nullptr;
     telemetry::Counter* retries = nullptr;          ///< flush retries
     telemetry::Counter* flush_abandoned = nullptr;  ///< retry budget hit
-    telemetry::Counter* failed_requests = nullptr;  ///< crash casualties
     // Zero-copy pipeline instrumentation.
     telemetry::Counter* flush_coalesced_extents = nullptr;
     telemetry::Counter* flush_steals = nullptr;
     telemetry::Counter* completions_drained = nullptr;
     telemetry::Counter* completion_ring_full = nullptr;
     telemetry::Counter* path_interned = nullptr;
-    // Overload accounting (see overload.hpp for the invariant).
-    telemetry::Counter* admitted = nullptr;  ///< completed toward client
-    telemetry::Counter* expired = nullptr;   ///< deadline-dropped at dequeue
+    // Overload surface (outside the admission identity).
     telemetry::Counter* busy = nullptr;      ///< IonBusy answers
     telemetry::Gauge* saturation = nullptr;  ///< last admission score
   };
   Metrics metrics_;
+  /// The admission ledger (qos/enforcer.hpp): the QoS runtime's table,
+  /// or the default-tenant table on the same registry cells while QoS
+  /// is off. Accepted requests settle here, in the row of req.tenant.
+  const qos::QosMetrics ledger_;
   Stats baseline_;  ///< counter values at construction (stats() view)
 };
 

@@ -24,20 +24,11 @@
 //
 //   Deadline propagation - clients stamp requests with an absolute
 //       deadline derived from their timeout; daemons drop expired work
-//       at dequeue (counted in fwd.overload.expired, never silently)
+//       at dequeue (counted in qos.tenant.expired, never silently)
 //       so saturated queues drain useful work first.
 //
-// Accounting invariant (asserted by tests and `iofa_queue_sim
-// --check-accounting`): every client submission attempt ends in exactly
-// one bucket, so
-//
-//   fwd.overload.submitted == fwd.overload.admitted
-//                           + fwd.overload.rejected
-//                           + fwd.overload.expired
-//                           + fwd.overload.direct_fallback
-//                           + fwd.ion.failed_requests
-//
-// with the failed_requests term zero unless faults kill accepted work.
+// Where every submission attempt ends up is counted in one place, the
+// per-tenant admission ledger; its identity lives in qos/enforcer.hpp.
 
 #include <atomic>
 #include <cstdint>

@@ -19,7 +19,7 @@ enum class FwdOp : std::uint8_t { Write, Read, Fsync };
 enum class CompletionStatus : std::uint8_t {
   kOk = 0,
   kIonDown = 1,  ///< ION crashed / refused it, or its flush was abandoned
-  kExpired = 2,  ///< deadline passed while queued (fwd.overload.expired)
+  kExpired = 2,  ///< deadline passed while queued (qos.tenant.expired)
   kError = 3     ///< any other failure reported by a peer
 };
 
@@ -70,7 +70,7 @@ struct FwdRequest {
   std::uint64_t queued_us = 0;
   /// Absolute deadline (monotonic_micros) derived from the client's
   /// request timeout; the daemon drops the request at dequeue once it
-  /// has passed (counted in fwd.overload.expired, completing `done`
+  /// has passed (counted in qos.tenant.expired, completing `done`
   /// with kExpired). 0 = no deadline.
   std::uint64_t deadline_us = 0;
   /// QoS tenant id (qos::TenantId; index into the service's

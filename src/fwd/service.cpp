@@ -37,7 +37,7 @@ void ForwardingService::build_ports() {
   auto framed = [&](const std::string& req_site,
                     const std::string& rsp_site) {
     std::unique_ptr<rpc::Transport> t =
-        rpc::make_transport(transport_, config_.rpc);
+        rpc::make_transport(transport_);
     if (config_.injector) {
       // The chaos decorator is where rpc.<link>.drop/dup/reorder/
       // truncate/delay land; without an injector frames fly untouched.

@@ -43,9 +43,10 @@ struct ServiceConfig {
   SlabPoolConfig slab;
   /// Transport carrying the Client <-> ION and * <-> MappingStore
   /// links. kInProc is today's direct wiring (zero frames, rpc.* fault
-  /// sites never checked); kShmRing and kTcp put every call behind the
-  /// versioned frame codec. kAuto reads IOFA_TRANSPORT, defaulting to
-  /// in-proc, so the whole suite runs over any transport unchanged.
+  /// sites never checked); kTcp puts every call behind the versioned
+  /// frame codec on a loopback socket. kAuto reads IOFA_TRANSPORT,
+  /// defaulting to in-proc, so the whole suite runs over either
+  /// transport unchanged.
   rpc::TransportKind transport = rpc::TransportKind::kAuto;
   /// Framed-transport knobs (ack timeout, resend backoff, dedup
   /// window); validated at construction. Ignored by kInProc.

@@ -86,15 +86,13 @@ DrillResult run_contention_drill(const DrillConfig& config,
         if (static_cast<double>(size) > tn.carry) break;
         tn.carry -= static_cast<double>(size);
         tn.offered_total += size;
-        TenantCounters& c = runtime.metrics().tenant(tn.id);
-        c.submitted->add();
-        c.submitted_bytes->add(size);
+        const TenantCounters& c = runtime.metrics().tenant(tn.id);
+        c.on_submitted(size);
         if (enforcer.admit(tn.id, size, score, t)) {
-          c.admitted->add();
-          c.admitted_bytes->add(size);
+          c.on_admitted(size);
           backlog += static_cast<double>(size);
         } else {
-          c.rejected->add();
+          c.on_rejected();
         }
       }
     }
@@ -111,7 +109,7 @@ DrillResult run_contention_drill(const DrillConfig& config,
   result.accounting_ok = true;
   for (const auto& tn : tenants) {
     const TenantSpec& spec = runtime.registry().spec(tn.id);
-    TenantCounters& c = runtime.metrics().tenant(tn.id);
+    const TenantCounters& c = runtime.metrics().tenant(tn.id);
     DrillTenantResult r;
     r.name = spec.name;
     r.klass = spec.klass;

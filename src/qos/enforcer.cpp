@@ -45,6 +45,9 @@ QosMetrics::QosMetrics(const TenantRegistry& registry,
   }
 }
 
+QosMetrics::QosMetrics(telemetry::Registry& reg)
+    : QosMetrics(TenantRegistry(QosOptions{}, 1.0), reg) {}
+
 QosEnforcer::QosEnforcer(const TenantRegistry& registry, QosMetrics& metrics)
     : registry_(registry), metrics_(metrics), htb_(registry) {
   lent_published_.resize(registry.size(), 0.0);
@@ -52,7 +55,7 @@ QosEnforcer::QosEnforcer(const TenantRegistry& registry, QosMetrics& metrics)
 
 void QosEnforcer::record_grant(TenantId t,
                                const HierarchicalTokenBucket::Grant& g) {
-  TenantCounters& c = metrics_.tenant(t);
+  const TenantCounters& c = metrics_.tenant(t);
   c.reserved_bytes->add(to_counter(g.reserved));
   c.reclaimed_bytes->add(to_counter(g.reclaimed));
   c.borrowed_bytes->add(to_counter(g.borrowed));
@@ -96,16 +99,6 @@ bool QosEnforcer::admit(TenantId t, Bytes bytes, double score, Seconds now) {
   }
   return true;
 }
-
-void QosEnforcer::on_admitted(TenantId t, Bytes bytes) {
-  TenantCounters& c = metrics_.tenant(t);
-  c.admitted->add();
-  c.admitted_bytes->add(bytes);
-}
-
-void QosEnforcer::on_expired(TenantId t) { metrics_.tenant(t).expired->add(); }
-
-void QosEnforcer::on_failed(TenantId t) { metrics_.tenant(t).failed->add(); }
 
 void QosEnforcer::observe_wait(TenantId t, double wait_us) {
   metrics_.tenant(t).queue_wait_us->observe(wait_us);

@@ -1,9 +1,12 @@
 #pragma once
-// QoS enforcement and accounting.
+// QoS enforcement and the admission ledger.
 //
-// QosMetrics - the per-tenant counter/histogram table (qos.tenant.*,
-//     labelled by tenant name). It mirrors every bucket of the PR 5
-//     overload identity per tenant, so
+// QosMetrics - the admission ledger: one row of counters per tenant
+//     (qos.tenant.*, labelled by tenant name). It is the ONLY place a
+//     forwarded request's terminal outcome is counted, and it exists
+//     whether or not QoS is on: with QoS off the table has one row, the
+//     implicit tenant 0 ("default"). Every client submission attempt
+//     ends in exactly one bucket, so
 //
 //       qos.tenant.submitted == qos.tenant.admitted
 //                             + qos.tenant.rejected
@@ -11,8 +14,11 @@
 //                             + qos.tenant.direct_fallback
 //                             + qos.tenant.failed
 //
-//     holds for EVERY tenant (asserted by qos_test and
-//     `iofa_queue_sim --check-accounting`), plus the token-flow view:
+//     holds for EVERY tenant (asserted by qos_test, fwd_overload_test
+//     and `iofa_queue_sim --check-accounting`). The client counts
+//     submitted / rejected / direct_fallback; the daemon counts
+//     admitted / expired / failed (failed stays zero unless faults
+//     kill accepted work). The row also carries the token-flow view:
 //     reserved/reclaimed/borrowed/lent bytes and SLO violation beats.
 //
 // QosEnforcer - one per ION. Owns that ION's HierarchicalTokenBucket
@@ -42,11 +48,12 @@
 
 namespace iofa::qos {
 
-/// Per-tenant accounting surface (all find-or-created at construction;
-/// the hot path only touches lock-free cells).
+/// One tenant's ledger row (all find-or-created at construction; the hot
+/// path only touches lock-free cells). Copyable: a copy points at the
+/// same registry cells.
 struct TenantCounters {
-  // The per-tenant overload identity, mirrored at the same sites as the
-  // global fwd.overload.* counters.
+  // The admission identity's buckets (see the header comment). Each
+  // identity site makes exactly one of the on_* calls below.
   telemetry::Counter* submitted = nullptr;
   telemetry::Counter* admitted = nullptr;
   telemetry::Counter* rejected = nullptr;
@@ -62,13 +69,35 @@ struct TenantCounters {
   telemetry::Counter* lent_bytes = nullptr;       ///< own slack taken by others
   telemetry::Counter* slo_violations = nullptr;   ///< SLO beat misses
   telemetry::Histogram* queue_wait_us = nullptr;
+
+  /// A client offer of `bytes` payload to an ION (an fsync offers 0).
+  void on_submitted(Bytes bytes) const {
+    submitted->add();
+    submitted_bytes->add(bytes);
+  }
+  /// A direct-PFS rescue: submitted and settled in the same step.
+  void on_direct_fallback(Bytes bytes) const {
+    on_submitted(bytes);
+    direct_fallback->add();
+  }
+  void on_rejected() const { rejected->add(); }
+  void on_admitted(Bytes bytes) const {
+    admitted->add();
+    admitted_bytes->add(bytes);
+  }
+  void on_expired() const { expired->add(); }
+  void on_failed() const { failed->add(); }
 };
 
 class QosMetrics {
  public:
   QosMetrics(const TenantRegistry& registry, telemetry::Registry& reg);
+  /// The QoS-off ledger: one row, the implicit tenant 0 ("default").
+  /// Registration is find-or-create by (name, labels), so every table
+  /// built against `reg` lands on the same cells.
+  explicit QosMetrics(telemetry::Registry& reg);
 
-  TenantCounters& tenant(TenantId t) {
+  const TenantCounters& tenant(TenantId t) const {
     return tenants_[t < tenants_.size() ? t : kDefaultTenant];
   }
   std::size_t size() const { return tenants_.size(); }
@@ -87,11 +116,7 @@ class QosEnforcer {
   /// rejected request consumes none.
   bool admit(TenantId t, Bytes bytes, double score, Seconds now);
 
-  // Accounting hooks for the daemon's terminal outcomes (the identity's
-  // right-hand side). All tolerate out-of-range ids (-> tenant 0).
-  void on_admitted(TenantId t, Bytes bytes);
-  void on_expired(TenantId t);
-  void on_failed(TenantId t);
+  /// Per-tenant ingest wait (tolerates out-of-range ids -> tenant 0).
   void observe_wait(TenantId t, double wait_us);
 
   /// Fraction of everything this ION granted that was borrowed slack -
@@ -105,6 +130,7 @@ class QosEnforcer {
 
   HierarchicalTokenBucket& htb() { return htb_; }
   const TenantRegistry& registry() const { return registry_; }
+  const QosMetrics& metrics() const { return metrics_; }
 
  private:
   void record_grant(TenantId t, const HierarchicalTokenBucket::Grant& g);

@@ -9,7 +9,6 @@ const char* to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kAuto: return "auto";
     case TransportKind::kInProc: return "inproc";
-    case TransportKind::kShmRing: return "shm";
     case TransportKind::kTcp: return "tcp";
   }
   return "?";
@@ -17,7 +16,6 @@ const char* to_string(TransportKind kind) {
 
 std::optional<TransportKind> parse_transport(const std::string& name) {
   if (name == "inproc") return TransportKind::kInProc;
-  if (name == "shm" || name == "shm-ring") return TransportKind::kShmRing;
   if (name == "tcp") return TransportKind::kTcp;
   return std::nullopt;
 }
@@ -30,7 +28,7 @@ TransportKind resolve_transport(TransportKind configured) {
   if (!parsed) {
     throw std::invalid_argument(
         std::string("IOFA_TRANSPORT: unknown transport '") + env +
-        "' (want inproc, shm or tcp)");
+        "' (want inproc or tcp)");
   }
   return *parsed;
 }
@@ -45,7 +43,6 @@ void validate_rpc_options(const RpcOptions& options) {
     // flight, which silently breaks exactly-once application.
     reject("dedup_window must be >= 16");
   }
-  if (options.ring_capacity < 8) reject("ring_capacity must be >= 8");
   if (options.mapping_attempts < 1) reject("mapping_attempts must be >= 1");
   const auto& b = options.retry_backoff;
   if (!(b.base > 0.0) || !(b.cap >= b.base) || !(b.multiplier > 0.0) ||

@@ -4,7 +4,7 @@
 // The same fault/test/bench suites run unchanged over any transport:
 // kAuto (the default everywhere) resolves from the IOFA_TRANSPORT
 // environment variable, so CI's transport-matrix job just exports
-// IOFA_TRANSPORT=shm|tcp and re-runs the suites. Code that must pin a
+// IOFA_TRANSPORT=tcp and re-runs the suites. Code that must pin a
 // transport (the message-chaos drills) sets the enum explicitly.
 
 #include <cstddef>
@@ -23,16 +23,13 @@ enum class TransportKind {
   /// Direct function calls (today's behaviour, zero overhead). No
   /// frames exist on this path, so rpc.* fault sites are never checked.
   kInProc,
-  /// Shared-memory frame rings (MPSC completion-ring idiom) with one
-  /// delivery thread per direction.
-  kShmRing,
   /// A real loopback TCP socket pair with length-prefixed frames.
   kTcp
 };
 
 const char* to_string(TransportKind kind);
 
-/// Parse "inproc" / "shm" / "tcp" (what IOFA_TRANSPORT and the tools'
+/// Parse "inproc" / "tcp" (what IOFA_TRANSPORT and the tools'
 /// --transport flag accept); nullopt for anything else.
 std::optional<TransportKind> parse_transport(const std::string& name);
 
@@ -54,9 +51,6 @@ struct RpcOptions {
   /// Request ids remembered per server for duplicate suppression.
   /// Entries whose response is still pending are never evicted.
   std::size_t dedup_window = 4096;
-  /// Frames per direction in the shm-ring transport (rounded up to a
-  /// power of two).
-  std::size_t ring_capacity = 1024;
   /// Round-trip attempts for mapping fetch/publish before giving up
   /// (a lost publish behaves like today's dropped mapping file: the
   /// HealthMonitor self-heals it; a failed fetch keeps the client's

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rpc/shm_ring_transport.hpp"
 #include "rpc/tcp_transport.hpp"
 
 namespace iofa::rpc {
@@ -21,11 +20,8 @@ void LoopbackTransport::send(int side, std::span<const std::byte> frame) {
 
 void LoopbackTransport::close() { closed_ = true; }
 
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const RpcOptions& options) {
+std::unique_ptr<Transport> make_transport(TransportKind kind) {
   switch (kind) {
-    case TransportKind::kShmRing:
-      return std::make_unique<ShmRingTransport>(options.ring_capacity);
     case TransportKind::kTcp:
       return std::make_unique<TcpTransport>();
     case TransportKind::kAuto:

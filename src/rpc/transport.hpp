@@ -1,7 +1,7 @@
 #pragma once
 // One duplex frame link between a client-side endpoint and a
-// server-side endpoint - the single interface all three transports
-// implement, so endpoints (and the chaos decorator) never know which
+// server-side endpoint - the single interface every frame transport
+// implements, so endpoints (and the chaos decorator) never know which
 // one is underneath.
 //
 // Sides are numbered: kClientSide sends requests, kServerSide sends
@@ -42,7 +42,7 @@ class Transport {
 
   /// Send a frame FROM `side` to the opposite side. The frame is
   /// borrowed for the duration of the call only: a transport that must
-  /// keep the bytes (a ring slot, a held chaos frame) copies them, so a
+  /// keep the bytes (a held chaos frame) copies them, so a
   /// caller can resend one encoded frame without re-copying it. May
   /// block while the channel is full; never drops silently while the
   /// link is open.
@@ -67,10 +67,9 @@ class LoopbackTransport : public Transport {
   bool closed_ = false;
 };
 
-/// Build a frame transport for `kind` (kShmRing or kTcp; the in-proc
-/// wiring has no frames and never calls this). Throws
-/// std::invalid_argument for kinds without a frame path.
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const RpcOptions& options);
+/// Build a frame transport for `kind` (kTcp; the in-proc wiring has no
+/// frames and never calls this). Throws std::invalid_argument for kinds
+/// without a frame path.
+std::unique_ptr<Transport> make_transport(TransportKind kind);
 
 }  // namespace iofa::rpc

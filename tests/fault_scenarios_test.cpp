@@ -162,8 +162,8 @@ double counter_sum(telemetry::Registry& reg, const std::string& name) {
 std::string fault_counter_dump(telemetry::Registry& reg) {
   static constexpr const char* kAllow[] = {
       "fault.injected",          "fwd.retries",
-      "fwd.failovers",           "fwd.client.direct_fallback",
-      "fwd.ion.failed_requests", "fwd.ion.flush_abandoned",
+      "fwd.failovers",           "qos.tenant.direct_fallback",
+      "qos.tenant.failed",       "fwd.ion.flush_abandoned",
       "arbiter.resolves_on_failure"};
   std::ostringstream out;
   for (const auto& s : reg.snapshot().samples) {
@@ -228,7 +228,7 @@ TEST(FaultScenarios, BaselineNoFaultsMovesEveryByte) {
   EXPECT_EQ(c.injector.injected_total(), 0u);
   EXPECT_EQ(counter_sum(c.reg, "fwd.failovers"), 0.0);
   EXPECT_EQ(counter_sum(c.reg, "fwd.retries"), 0.0);
-  EXPECT_EQ(counter_sum(c.reg, "fwd.client.direct_fallback"), 0.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.direct_fallback"), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ TEST(FaultScenarios, TimeCrashWindowFallsBackDirectThenRejoins) {
   EXPECT_FALSE(c.injector.ion_alive(0));
   EXPECT_FALSE(c.service->daemon(0).alive());
   write_blocks(client, "/window", 1, 2, seed);
-  EXPECT_GE(counter_sum(c.reg, "fwd.client.direct_fallback"), 1.0);
+  EXPECT_GE(counter_sum(c.reg, "qos.tenant.direct_fallback"), 1.0);
 
   c.clock.set(2.5);  // past the restart
   EXPECT_TRUE(c.injector.ion_alive(0));
@@ -489,7 +489,7 @@ TEST(FaultScenarios, RequestErrorFailsOverWithoutKillingDaemon) {
   EXPECT_GE(c.injector.injected(fault::request_site(0)) +
                 c.injector.injected(fault::request_site(1)),
             1u);
-  EXPECT_GE(counter_sum(c.reg, "fwd.ion.failed_requests"), 1.0);
+  EXPECT_GE(counter_sum(c.reg, "qos.tenant.failed"), 1.0);
   EXPECT_GE(counter_sum(c.reg, "fwd.retries"), 1.0);
   EXPECT_GE(counter_sum(c.reg, "fwd.failovers"), 1.0);
   expect_blocks_on_pfs(c.service->pfs(), "/rpc", 8, seed);
@@ -523,7 +523,7 @@ TEST(FaultScenarios, RequestTimeoutAbandonsAndRescuesDirect) {
   c.clock.set(1.0);  // release the window so drain() is quick
 
   EXPECT_GE(counter_sum(c.reg, "fwd.retries"), 1.0);
-  EXPECT_GE(counter_sum(c.reg, "fwd.client.direct_fallback"), 1.0);
+  EXPECT_GE(counter_sum(c.reg, "qos.tenant.direct_fallback"), 1.0);
   EXPECT_TRUE(c.service->daemon(0).alive());
 
   c.service->drain();
@@ -687,10 +687,10 @@ TEST(FaultScenarios, DuplicatedRequestFramesAreAppliedExactlyOnce) {
     plan.dup_msg(fault::rpc_req_site(0), 2)
         .dup_msg(fault::rpc_req_site(0), 4)
         .dup_msg(fault::rpc_req_site(1), 3);
-    // Pinned to the shm transport: dup is a frame-layer fault, and the
+    // Pinned to the TCP transport: dup is a frame-layer fault, and the
     // in-proc wiring has no frames to duplicate.
     Cluster c(std::move(plan), 2, /*workers_per_ion=*/1,
-              rpc::TransportKind::kShmRing);
+              rpc::TransportKind::kTcp);
     c.service->apply_mapping(mapping_to({0, 1}, 1, 2));
 
     Client client(c.client_config(), *c.service);
@@ -743,7 +743,7 @@ TEST(FaultScenarios, RpcChaosWithCrashRestartLosesNoAcknowledgedWrite) {
       .dup_msg(fault::rpc_req_site(0), 6)
       .drop_msg(fault::rpc_rsp_site(1), 4);
   Cluster c(std::move(plan), 2, /*workers_per_ion=*/1,
-            rpc::TransportKind::kShmRing);
+            rpc::TransportKind::kTcp);
   c.service->apply_mapping(mapping_to({0, 1}, 1, 2));
 
   ClientConfig cc = c.client_config();
@@ -770,12 +770,12 @@ TEST(FaultScenarios, RpcChaosWithCrashRestartLosesNoAcknowledgedWrite) {
   EXPECT_GE(counter_sum(c.reg, "fwd.failovers"), 1.0);
   // The accounting identity holds: submitted == admitted + rejected +
   // expired + direct_fallback + failed.
-  const double submitted = counter_sum(c.reg, "fwd.overload.submitted");
-  const double accounted = counter_sum(c.reg, "fwd.overload.admitted") +
-                           counter_sum(c.reg, "fwd.overload.rejected") +
-                           counter_sum(c.reg, "fwd.overload.expired") +
-                           counter_sum(c.reg, "fwd.overload.direct_fallback") +
-                           counter_sum(c.reg, "fwd.ion.failed_requests");
+  const double submitted = counter_sum(c.reg, "qos.tenant.submitted");
+  const double accounted = counter_sum(c.reg, "qos.tenant.admitted") +
+                           counter_sum(c.reg, "qos.tenant.rejected") +
+                           counter_sum(c.reg, "qos.tenant.expired") +
+                           counter_sum(c.reg, "qos.tenant.direct_fallback") +
+                           counter_sum(c.reg, "qos.tenant.failed");
   EXPECT_GT(submitted, 0.0);
   EXPECT_EQ(submitted, accounted);
 }

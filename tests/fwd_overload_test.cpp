@@ -3,15 +3,15 @@
 // degradation to the rate-limited direct-PFS path, health debounce and
 // the overloaded-but-alive -> arbiter load hint channel.
 //
-// The paper-level invariant asserted throughout is the accounting
-// identity (overload.hpp): every client submission attempt ends in
-// exactly one bucket,
+// The paper-level invariant asserted throughout is the admission
+// ledger's identity (qos/enforcer.hpp): every client submission attempt
+// ends in exactly one bucket,
 //
-//   fwd.overload.submitted == fwd.overload.admitted
-//                           + fwd.overload.rejected
-//                           + fwd.overload.expired
-//                           + fwd.overload.direct_fallback
-//                           + fwd.ion.failed_requests
+//   qos.tenant.submitted == qos.tenant.admitted
+//                         + qos.tenant.rejected
+//                         + qos.tenant.expired
+//                         + qos.tenant.direct_fallback
+//                         + qos.tenant.failed
 //
 // and same-seed runs produce byte-identical overload counter dumps.
 
@@ -97,12 +97,12 @@ double counter_sum(telemetry::Registry& reg, const std::string& name) {
 /// The acceptance-criteria identity: every submission attempt lands in
 /// exactly one bucket.
 void expect_overload_identity(telemetry::Registry& reg) {
-  const double submitted = counter_sum(reg, "fwd.overload.submitted");
-  const double accounted = counter_sum(reg, "fwd.overload.admitted") +
-                           counter_sum(reg, "fwd.overload.rejected") +
-                           counter_sum(reg, "fwd.overload.expired") +
-                           counter_sum(reg, "fwd.overload.direct_fallback") +
-                           counter_sum(reg, "fwd.ion.failed_requests");
+  const double submitted = counter_sum(reg, "qos.tenant.submitted");
+  const double accounted = counter_sum(reg, "qos.tenant.admitted") +
+                           counter_sum(reg, "qos.tenant.rejected") +
+                           counter_sum(reg, "qos.tenant.expired") +
+                           counter_sum(reg, "qos.tenant.direct_fallback") +
+                           counter_sum(reg, "qos.tenant.failed");
   EXPECT_DOUBLE_EQ(submitted, accounted)
       << "submitted=" << submitted << " accounted=" << accounted;
 }
@@ -111,7 +111,10 @@ void expect_overload_identity(telemetry::Registry& reg) {
 /// Two runs with the same plan + seed must produce byte-identical dumps.
 std::string overload_counter_dump(telemetry::Registry& reg) {
   static constexpr const char* kAllow[] = {
-      "fwd.overload.", "fault.injected", "fwd.client.direct_fallback"};
+      "fwd.overload.",       "fault.injected",
+      "qos.tenant.submitted", "qos.tenant.admitted",
+      "qos.tenant.rejected", "qos.tenant.expired",
+      "qos.tenant.direct_fallback", "qos.tenant.failed"};
   std::ostringstream out;
   for (const auto& s : reg.snapshot().samples) {
     bool keep = false;
@@ -479,9 +482,9 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
   daemon.drain();
   EXPECT_FALSE(daemon.overloaded());
   // 3 writes + 1 fsync admitted, 1 busy; nothing expired or failed.
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.admitted"), 4.0);
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.expired"), 0.0);
-  EXPECT_EQ(counter_sum(reg, "fwd.ion.failed_requests"), 0.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.admitted"), 4.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.expired"), 0.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.failed"), 0.0);
 }
 
 TEST(IonDaemonOverload, ExpiredDeadlineDroppedAtDequeueCounted) {
@@ -496,8 +499,8 @@ TEST(IonDaemonOverload, ExpiredDeadlineDroppedAtDequeueCounted) {
   EXPECT_EQ(slot->wait().status, CompletionStatus::kExpired);
 
   daemon.drain();
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.expired"), 1.0);
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.admitted"), 0.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.expired"), 1.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.admitted"), 0.0);
   EXPECT_EQ(pfs.bytes_written(), 0u);  // dropped work never dispatches
 }
 
@@ -519,8 +522,8 @@ TEST(IonDaemonOverload, FutureOrZeroDeadlineCompletesNormally) {
   EXPECT_EQ(none_slot->wait().value, kBlock);
 
   daemon.drain();
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.expired"), 0.0);
-  EXPECT_EQ(counter_sum(reg, "fwd.overload.admitted"), 2.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.expired"), 0.0);
+  EXPECT_EQ(counter_sum(reg, "qos.tenant.admitted"), 2.0);
 }
 
 // --------------------------------------------------------------------
@@ -549,10 +552,70 @@ TEST(OverloadScenarios, BusyFaultAnswersFastAndRescuesDirect) {
 
   EXPECT_EQ(c.injector.injected(fault::busy_site(0)), 1u);
   EXPECT_EQ(counter_sum(c.reg, "fwd.overload.busy"), 1.0);
-  EXPECT_EQ(counter_sum(c.reg, "fwd.overload.rejected"), 1.0);
-  EXPECT_EQ(counter_sum(c.reg, "fwd.overload.direct_fallback"), 1.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.rejected"), 1.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.direct_fallback"), 1.0);
   expect_blocks_on_pfs(c.service->pfs(), "/busy", 4, seed);
   expect_overload_identity(c.reg);
+}
+
+// With QoS off the admission ledger is the default tenant's row, and it
+// is the only place an outcome is counted. One sub-request walks a busy
+// rejection (its preferred ION), an expiry (the other ION stalls the
+// offer past its deadline) and the direct-PFS rescue that follows.
+TEST(OverloadScenarios, LedgerIsTheOnlyLedger) {
+  const std::uint64_t seed = base_seed();
+  IOFA_TRACE_SEED(seed);
+  const std::string path = "/ledger";
+  const int first = static_cast<int>(
+      gkfs::daemon_of(gkfs::hash_path(path), /*chunk=*/0, 2));
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  plan.error_after(fault::busy_site(first), 1);
+  plan.stall(fault::busy_site(1 - first), 0.0, 0.1);
+  Cluster c(std::move(plan), 2);
+  ASSERT_EQ(c.service->qos(), nullptr);
+  c.service->apply_mapping(mapping_to({0, 1}, 1, 2));
+
+  ClientConfig cc = c.client_config();
+  cc.request_timeout = 0.05;  // shorter than the stall: the offer expires
+  cc.max_attempts = 1;
+  Client client(cc, *c.service);
+  const auto data = pattern_data(kBlock, seed);
+  EXPECT_EQ(client.pwrite(0, path, 0, kBlock, data), kBlock);
+  client.fsync(path);  // markers: exempt from busy checks, never expire
+  c.service->drain();
+
+  const auto snap = c.reg.snapshot();
+  const telemetry::Labels row{{"tenant", "default"}};
+  auto bucket = [&](const std::string& name) {
+    const telemetry::Sample* s = snap.find(name, row);
+    EXPECT_NE(s, nullptr) << name << " has no tenant=default row";
+    return s ? s->value : -1.0;
+  };
+  const double submitted = bucket("qos.tenant.submitted");
+  const double admitted = bucket("qos.tenant.admitted");
+  const double rejected = bucket("qos.tenant.rejected");
+  const double expired = bucket("qos.tenant.expired");
+  const double fallback = bucket("qos.tenant.direct_fallback");
+  const double failed = bucket("qos.tenant.failed");
+  EXPECT_EQ(rejected, 1.0);
+  EXPECT_EQ(expired, 1.0);
+  EXPECT_EQ(fallback, 1.0);
+  EXPECT_EQ(failed, 0.0);
+  // Two offers and the rescue, then one fsync marker per ION.
+  EXPECT_EQ(submitted, 3.0 + 2.0);
+  EXPECT_EQ(admitted, 2.0);
+  EXPECT_EQ(submitted, admitted + rejected + expired + fallback + failed);
+  for (const char* gone : {"fwd.overload.submitted", "fwd.overload.admitted",
+                           "fwd.overload.rejected", "fwd.overload.expired",
+                           "fwd.overload.direct_fallback",
+                           "fwd.client.direct_fallback",
+                           "fwd.ion.failed_requests"}) {
+    for (const auto& s : snap.samples) {
+      EXPECT_NE(s.name, gone) << "a second ledger is registered";
+    }
+  }
+  expect_blocks_on_pfs(c.service->pfs(), path, 1, seed);
 }
 
 // Consecutive refusals trip the per-ION breaker; while it is open the
@@ -588,9 +651,9 @@ TEST(OverloadScenarios, RefusalsTripBreakerAndDegradeRateLimited) {
   EXPECT_EQ(client.breaker(0)->trips(), 1u);
   // Blocks 0-1 were offered (and refused) before the trip; blocks 2-5
   // skipped the ION without an offer.
-  EXPECT_EQ(counter_sum(c.reg, "fwd.overload.rejected"), 2.0);
-  EXPECT_EQ(counter_sum(c.reg, "fwd.overload.direct_fallback"), 6.0);
-  EXPECT_EQ(counter_sum(c.reg, "fwd.overload.submitted"), 8.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.rejected"), 2.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.direct_fallback"), 6.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.submitted"), 8.0);
   expect_overload_identity(c.reg);
   // Direct writes own durability: everything is already on the PFS.
   expect_blocks_on_pfs(c.service->pfs(), "/deg", 6, seed);
@@ -654,7 +717,7 @@ TEST(OverloadScenarios, TenXLoadCompletesWithExactAccounting) {
     EXPECT_TRUE(c.service->daemon(d).alive());
     EXPECT_EQ(c.service->daemon(d).queue_depth(), 0u);
   }
-  EXPECT_EQ(counter_sum(c.reg, "fwd.ion.failed_requests"), 0.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.failed"), 0.0);
   expect_overload_identity(c.reg);
   for (int t = 0; t < kThreads; ++t) {
     expect_blocks_on_pfs(c.service->pfs(), "/ovl" + std::to_string(t),

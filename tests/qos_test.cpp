@@ -281,6 +281,27 @@ TEST(HierarchicalBucketTest, SameSeedSameGrantSequence) {
   }
 }
 
+// --------------------------------------------- the admission ledger
+
+TEST(QosMetricsTest, QosOffLedgerIsOneDefaultRowOnSharedCells) {
+  telemetry::Registry reg;
+  const QosMetrics client_side(reg);
+  const QosMetrics daemon_side(reg);
+  ASSERT_EQ(client_side.size(), 1u);
+  // Out-of-range tenant ids land on the one row.
+  client_side.tenant(5).on_submitted(100);
+  client_side.tenant(kDefaultTenant).on_direct_fallback(50);
+  daemon_side.tenant(kDefaultTenant).on_admitted(100);
+  // Both tables resolved the same (name, labels) cells.
+  const telemetry::Labels row{{"tenant", "default"}};
+  EXPECT_EQ(reg.counter("qos.tenant.submitted", row).value(), 2u);
+  EXPECT_EQ(reg.counter("qos.tenant.submitted_bytes", row).value(), 150u);
+  EXPECT_EQ(reg.counter("qos.tenant.direct_fallback", row).value(), 1u);
+  EXPECT_EQ(reg.counter("qos.tenant.admitted", row).value(), 1u);
+  EXPECT_EQ(daemon_side.tenant(kDefaultTenant).submitted,
+            client_side.tenant(kDefaultTenant).submitted);
+}
+
 // --------------------------------------------- admission lattice
 
 TEST(QosEnforcerTest, BelowWatermarkAdmitsEveryone) {

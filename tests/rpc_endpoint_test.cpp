@@ -146,57 +146,98 @@ TEST(RpcIonEndpoints, RefusedSubmitAnswersWithoutAResponse) {
 // under a new id. The stub must forget the abandoned call: its entry
 // and the read slab the entry holds.
 TEST(RpcIonEndpoints, LostResponsesLeaveNoPendingCallsOrSlabs) {
-  for (auto transport : {rpc::TransportKind::kShmRing,
-                         rpc::TransportKind::kTcp}) {
-    SCOPED_TRACE(rpc::to_string(transport));
-    telemetry::Registry reg;
-    fault::ManualFaultClock clock;
-    fault::FaultPlan plan;
-    // Server->client frames go ack, response, ack, response, ...: the
-    // aggregation window below holds every dispatch long after its ack
-    // left, so the even frames are the responses. Frames 1-2 belong to
-    // the write; the drops eat the responses of three read attempts.
-    plan.drop_msg(fault::rpc_rsp_site(0), 4)
-        .drop_msg(fault::rpc_rsp_site(0), 6)
-        .drop_msg(fault::rpc_rsp_site(0), 8);
-    fault::FaultInjector injector(std::move(plan), &clock, &reg);
-    ServiceConfig cfg = fast_config(reg);
-    cfg.transport = transport;
-    cfg.injector = &injector;
-    cfg.ion.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
-    cfg.ion.scheduler.aggregation_window = 0.02;
-    ForwardingService svc(cfg);
-    core::Mapping m;
-    m.epoch = 1;
-    m.pool = 1;
-    m.jobs[7] = core::Mapping::Entry{"drill", {0}, false};
-    svc.apply_mapping(m);
+  telemetry::Registry reg;
+  fault::ManualFaultClock clock;
+  fault::FaultPlan plan;
+  // Server->client frames go ack, response, ack, response, ...: the
+  // aggregation window below holds every dispatch long after its ack
+  // left, so the even frames are the responses. Frames 1-2 belong to
+  // the write; the drops eat the responses of three read attempts.
+  plan.drop_msg(fault::rpc_rsp_site(0), 4)
+      .drop_msg(fault::rpc_rsp_site(0), 6)
+      .drop_msg(fault::rpc_rsp_site(0), 8);
+  fault::FaultInjector injector(std::move(plan), &clock, &reg);
+  ServiceConfig cfg = fast_config(reg);
+  cfg.transport = rpc::TransportKind::kTcp;
+  cfg.injector = &injector;
+  cfg.ion.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
+  cfg.ion.scheduler.aggregation_window = 0.02;
+  ForwardingService svc(cfg);
+  core::Mapping m;
+  m.epoch = 1;
+  m.pool = 1;
+  m.jobs[7] = core::Mapping::Entry{"drill", {0}, false};
+  svc.apply_mapping(m);
 
-    ClientConfig cc;
-    cc.job = 7;
-    cc.app_label = "drill";
-    cc.poll_period = 0.0;
-    cc.request_timeout = 0.2;
-    cc.max_attempts = 8;
-    cc.registry = &reg;
-    Client client(cc, svc);
-    const auto data = pattern_data(kBlock, 9);
-    ASSERT_EQ(client.pwrite(0, "/lost", 0, kBlock, data), kBlock);
-    std::vector<std::byte> out(kBlock);
-    ASSERT_EQ(client.pread(0, "/lost", 0, kBlock, out), kBlock);
-    EXPECT_EQ(out, data);
-    svc.drain();
+  ClientConfig cc;
+  cc.job = 7;
+  cc.app_label = "drill";
+  cc.poll_period = 0.0;
+  cc.request_timeout = 0.2;
+  cc.max_attempts = 8;
+  cc.registry = &reg;
+  Client client(cc, svc);
+  const auto data = pattern_data(kBlock, 9);
+  ASSERT_EQ(client.pwrite(0, "/lost", 0, kBlock, data), kBlock);
+  std::vector<std::byte> out(kBlock);
+  ASSERT_EQ(client.pread(0, "/lost", 0, kBlock, out), kBlock);
+  EXPECT_EQ(out, data);
+  svc.drain();
 
-    EXPECT_EQ(injector.injected(fault::rpc_rsp_site(0)), 3u);
-    // At least one lost frame was a response the client gave up on (a
-    // lost ack is resent by the stub and costs no client retry).
-    EXPECT_GE(counter_sum(reg, "fwd.retries"), 1.0);
-    auto& stub = dynamic_cast<RpcIonClient&>(svc.ion_port(0));
-    EXPECT_EQ(stub.pending_calls(), 0u);
-    EXPECT_EQ(counter_sum(reg, "fwd.ion.slab.acquired"),
-              counter_sum(reg, "fwd.ion.slab.released"));
+  EXPECT_EQ(injector.injected(fault::rpc_rsp_site(0)), 3u);
+  // At least one lost frame was a response the client gave up on (a
+  // lost ack is resent by the stub and costs no client retry).
+  EXPECT_GE(counter_sum(reg, "fwd.retries"), 1.0);
+  auto& stub = dynamic_cast<RpcIonClient&>(svc.ion_port(0));
+  EXPECT_EQ(stub.pending_calls(), 0u);
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.slab.acquired"),
+            counter_sum(reg, "fwd.ion.slab.released"));
+}
+
+// The in-proc port is direct calls: a pwrite, a pread and an fsync
+// through the service move no frame at all. Over TCP the same three
+// ops must go through the codec, so rpc.frames_sent counts them.
+class ServiceFrames : public ::testing::TestWithParam<rpc::TransportKind> {};
+
+TEST_P(ServiceFrames, InProcMovesNoFrameTcpMovesSome) {
+  telemetry::Registry reg;
+  ServiceConfig cfg = fast_config(reg);
+  cfg.transport = GetParam();
+  ForwardingService svc(cfg);
+  core::Mapping m;
+  m.epoch = 1;
+  m.pool = 1;
+  m.jobs[7] = core::Mapping::Entry{"frames", {0}, false};
+  svc.apply_mapping(m);
+
+  ClientConfig cc;
+  cc.job = 7;
+  cc.app_label = "frames";
+  cc.poll_period = 0.0;
+  cc.registry = &reg;
+  Client client(cc, svc);
+  const auto data = pattern_data(kBlock, 11);
+  ASSERT_EQ(client.pwrite(0, "/frames", 0, kBlock, data), kBlock);
+  std::vector<std::byte> out(kBlock);
+  ASSERT_EQ(client.pread(0, "/frames", 0, kBlock, out), kBlock);
+  EXPECT_EQ(out, data);
+  client.fsync("/frames");
+  svc.drain();
+
+  const double frames = counter_sum(reg, "rpc.frames_sent");
+  if (GetParam() == rpc::TransportKind::kInProc) {
+    EXPECT_EQ(frames, 0.0);
+  } else {
+    EXPECT_GT(frames, 0.0);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ServiceFrames,
+    ::testing::Values(rpc::TransportKind::kInProc, rpc::TransportKind::kTcp),
+    [](const ::testing::TestParamInfo<rpc::TransportKind>& info) {
+      return std::string(rpc::to_string(info.param));
+    });
 
 }  // namespace
 }  // namespace iofa::fwd

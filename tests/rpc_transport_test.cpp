@@ -1,5 +1,5 @@
-// Transport layer (PR 10): the FrameRing channel, the three Transport
-// implementations behind one interface, the ChaosTransport decorator's
+// Transport layer: the Transport implementations behind one interface
+// (synchronous loopback and TCP), the ChaosTransport decorator's
 // verb semantics, and the option/env plumbing that selects between
 // them. Everything here is below the endpoint layer - frames are
 // opaque byte vectors; the dedup/retry discipline is exercised by
@@ -24,7 +24,6 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "rpc/chaos.hpp"
-#include "rpc/frame_ring.hpp"
 #include "rpc/options.hpp"
 #include "rpc/transport.hpp"
 
@@ -37,85 +36,6 @@ std::vector<std::byte> frame_of(int tag, std::size_t len = 4) {
     f[i] = static_cast<std::byte>((tag + static_cast<int>(i)) & 0xFF);
   }
   return f;
-}
-
-// --- FrameRing -----------------------------------------------------------
-
-TEST(FrameRing, FifoOrderSingleProducer) {
-  FrameRing ring(8);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(ring.push(frame_of(i)));
-  for (int i = 0; i < 6; ++i) {
-    auto f = ring.pop_wait();
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(*f, frame_of(i));
-  }
-}
-
-TEST(FrameRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(FrameRing(3).capacity(), 8u);  // minimum 8
-  EXPECT_EQ(FrameRing(9).capacity(), 16u);
-  EXPECT_EQ(FrameRing(64).capacity(), 64u);
-}
-
-TEST(FrameRing, CloseDrainsThenReturnsNullopt) {
-  FrameRing ring(8);
-  ASSERT_TRUE(ring.push(frame_of(1)));
-  ASSERT_TRUE(ring.push(frame_of(2)));
-  ring.close();
-  EXPECT_FALSE(ring.push(frame_of(3)));  // refused after close
-  EXPECT_EQ(ring.pop_wait(), frame_of(1));
-  EXPECT_EQ(ring.pop_wait(), frame_of(2));
-  EXPECT_FALSE(ring.pop_wait().has_value());  // drained + closed
-}
-
-TEST(FrameRing, CloseWakesParkedConsumer) {
-  FrameRing ring(8);
-  std::thread consumer([&] {  // iofa-lint: allow(raw-thread)
-    EXPECT_FALSE(ring.pop_wait().has_value());
-  });
-  sleep_for_seconds(0.02);  // give the consumer time to park
-  ring.close();
-  consumer.join();
-}
-
-TEST(FrameRing, FullRingBlocksProducerUntilConsumed) {
-  FrameRing ring(8);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(ring.push(frame_of(i)));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {  // iofa-lint: allow(raw-thread)
-    ASSERT_TRUE(ring.push(frame_of(99)));
-    pushed.store(true);
-  });
-  sleep_for_seconds(0.02);
-  EXPECT_FALSE(pushed.load());  // still parked on the full ring
-  EXPECT_EQ(ring.pop_wait(), frame_of(0));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ring.close();
-}
-
-TEST(FrameRing, ConcurrentProducersLoseNothing) {
-  FrameRing ring(16);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  std::vector<std::thread> producers;  // iofa-lint: allow(raw-thread)
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::vector<std::byte> f(8);
-        f[0] = static_cast<std::byte>(p);
-        ASSERT_TRUE(ring.push(std::move(f)));
-      }
-    });
-  }
-  int counts[kProducers] = {};
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    auto f = ring.pop_wait();
-    ASSERT_TRUE(f.has_value());
-    ++counts[static_cast<int>((*f)[0])];
-  }
-  for (auto& t : producers) t.join();
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(counts[p], kPerProducer);
 }
 
 // --- Transport implementations -------------------------------------------
@@ -139,8 +59,8 @@ TEST(LoopbackTransport, DeliversBothDirectionsSynchronously) {
 }
 
 /// Shared stress body: N frames each way, FIFO per direction, nothing
-/// lost. Runs against whatever make_transport() hands back, so shm and
-/// tcp satisfy the identical contract.
+/// lost. Runs against whatever make_transport() hands back, so every
+/// frame transport satisfies the identical contract.
 void exercise_duplex(Transport& t, int frames) {
   Mutex mu;
   CondVar cv;
@@ -184,15 +104,8 @@ void exercise_duplex(Transport& t, int frames) {
   t.close();
 }
 
-TEST(ShmRingTransport, DuplexFifoDelivery) {
-  RpcOptions opts;
-  opts.ring_capacity = 16;  // small ring: exercises producer parking
-  auto t = make_transport(TransportKind::kShmRing, opts);
-  exercise_duplex(*t, 2000);
-}
-
 TEST(TcpTransport, DuplexFifoDelivery) {
-  auto t = make_transport(TransportKind::kTcp, RpcOptions{});
+  auto t = make_transport(TransportKind::kTcp);
   exercise_duplex(*t, 500);
 }
 
@@ -218,7 +131,7 @@ TEST(TcpTransport, FramesUpTo8MiBArriveWholeAndInOrderBothWays) {
       sent[side].push_back(std::move(f));
     }
   }
-  auto t = make_transport(TransportKind::kTcp, RpcOptions{});
+  auto t = make_transport(TransportKind::kTcp);
   Mutex mu;
   CondVar cv;
   std::vector<std::vector<std::byte>> got[2];
@@ -268,7 +181,7 @@ TEST(TcpTransport, CloseRacingSendersIsClean) {
   // releases the fds, and every send after close() is dropped.
   const std::vector<std::byte> frame(8u << 20, std::byte{0x5A});
   for (int round = 0; round < 10; ++round) {
-    auto t = make_transport(TransportKind::kTcp, RpcOptions{});
+    auto t = make_transport(TransportKind::kTcp);
     t->set_handler(kClientSide, [](std::vector<std::byte>) {});
     t->set_handler(kServerSide, [](std::vector<std::byte>) {});
     std::atomic<int> sent{0};
@@ -292,24 +205,22 @@ TEST(TcpTransport, CloseRacingSendersIsClean) {
 }
 
 TEST(Transport, MakeTransportRefusesInProcKinds) {
-  EXPECT_THROW(make_transport(TransportKind::kInProc, RpcOptions{}),
+  EXPECT_THROW(make_transport(TransportKind::kInProc),
                std::invalid_argument);
-  EXPECT_THROW(make_transport(TransportKind::kAuto, RpcOptions{}),
+  EXPECT_THROW(make_transport(TransportKind::kAuto),
                std::invalid_argument);
 }
 
 TEST(Transport, CloseIsIdempotentAndDropsLateSends) {
-  for (auto kind : {TransportKind::kShmRing, TransportKind::kTcp}) {
-    auto t = make_transport(kind, RpcOptions{});
-    std::atomic<int> got{0};
-    t->set_handler(kServerSide,
-                   [&](std::vector<std::byte>) { got.fetch_add(1); });
-    t->set_handler(kClientSide, [&](std::vector<std::byte>) {});
-    t->close();
-    t->close();
-    t->send(kClientSide, frame_of(1));  // silently dropped
-    EXPECT_EQ(got.load(), 0) << to_string(kind);
-  }
+  auto t = make_transport(TransportKind::kTcp);
+  std::atomic<int> got{0};
+  t->set_handler(kServerSide,
+                 [&](std::vector<std::byte>) { got.fetch_add(1); });
+  t->set_handler(kClientSide, [&](std::vector<std::byte>) {});
+  t->close();
+  t->close();
+  t->send(kClientSide, frame_of(1));  // silently dropped
+  EXPECT_EQ(got.load(), 0);
 }
 
 // --- ChaosTransport verb semantics ---------------------------------------
@@ -451,23 +362,30 @@ TEST(ChaosTransport, SameSeedSameDecisions) {
 
 TEST(RpcOptions, ParseTransportNames) {
   EXPECT_EQ(parse_transport("inproc"), TransportKind::kInProc);
-  EXPECT_EQ(parse_transport("shm"), TransportKind::kShmRing);
   EXPECT_EQ(parse_transport("tcp"), TransportKind::kTcp);
   EXPECT_FALSE(parse_transport("").has_value());
   EXPECT_FALSE(parse_transport("udp").has_value());
-  EXPECT_FALSE(parse_transport("SHM").has_value());
+  EXPECT_FALSE(parse_transport("TCP").has_value());
+  EXPECT_FALSE(parse_transport("shm").has_value());
 }
 
 TEST(RpcOptions, ResolveTransportHonoursEnvironment) {
   // Explicit kinds ignore the environment entirely.
   ::setenv("IOFA_TRANSPORT", "tcp", 1);
-  EXPECT_EQ(resolve_transport(TransportKind::kShmRing),
-            TransportKind::kShmRing);
+  EXPECT_EQ(resolve_transport(TransportKind::kInProc),
+            TransportKind::kInProc);
   // kAuto follows it.
   EXPECT_EQ(resolve_transport(TransportKind::kAuto), TransportKind::kTcp);
+  // An unknown name, shm included, fails with the valid names listed.
   ::setenv("IOFA_TRANSPORT", "shm", 1);
-  EXPECT_EQ(resolve_transport(TransportKind::kAuto),
-            TransportKind::kShmRing);
+  try {
+    resolve_transport(TransportKind::kAuto);
+    ADD_FAILURE() << "IOFA_TRANSPORT=shm was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("want inproc or tcp"),
+              std::string::npos)
+        << e.what();
+  }
   // A typo in the matrix must fail loudly, not run in-proc silently.
   ::setenv("IOFA_TRANSPORT", "smh", 1);
   EXPECT_THROW(resolve_transport(TransportKind::kAuto),
@@ -487,11 +405,6 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
   {
     RpcOptions o;
     o.dedup_window = 0;
-    EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
-  }
-  {
-    RpcOptions o;
-    o.ring_capacity = 0;
     EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
   }
   {

@@ -64,42 +64,21 @@ struct OverloadFlags {
   double admission_watermark = 0.0;  ///< > 0 enables admission control
   int breaker_threshold = 0;         ///< > 0 enables circuit breakers
   double fallback_mbps = 0.0;        ///< direct-PFS bandwidth cap
-  bool check_accounting = false;     ///< assert the overload identity
+  bool check_accounting = false;     ///< assert the ledger identity
   /// --qos-tenant specs; non-empty enables the QoS subsystem for the
   /// live drill (tenants matched to jobs by app label).
   std::vector<qos::TenantSpec> tenants;
-  /// --transport value ("inproc" / "shm" / "tcp"); empty = kAuto
+  /// --transport value ("inproc" / "tcp"); empty = kAuto
   /// (IOFA_TRANSPORT, defaulting to in-proc).
   std::string transport;
 };
 
-/// Verify the overload accounting identity (overload.hpp) against the
-/// global registry. Returns true when every submission attempt landed
-/// in exactly one bucket.
-bool overload_accounting_ok() {
-  const auto snap = telemetry::Registry::global().snapshot();
-  double submitted = 0, accounted = 0;
-  for (const auto& s : snap.samples) {
-    if (s.name == "fwd.overload.submitted") {
-      submitted += s.value;
-    } else if (s.name == "fwd.overload.admitted" ||
-               s.name == "fwd.overload.rejected" ||
-               s.name == "fwd.overload.expired" ||
-               s.name == "fwd.overload.direct_fallback" ||
-               s.name == "fwd.ion.failed_requests") {
-      accounted += s.value;
-    }
-  }
-  std::cout << "overload accounting: submitted " << submitted
-            << " vs accounted " << accounted << "\n";
-  return submitted == accounted;
-}
-
-/// Per-tenant edition of the identity (PR 6): for every tenant label,
-/// qos.tenant.submitted == admitted + rejected + expired +
-/// direct_fallback + failed. Vacuously true when QoS is off (no
-/// qos.tenant.* counters registered).
-bool tenant_accounting_ok() {
+/// The admission-ledger identity (qos/enforcer.hpp) over the global
+/// registry: for every tenant label, qos.tenant.submitted == admitted +
+/// rejected + expired + direct_fallback + failed. An identity over zero
+/// requests proves nothing, so a run in which no tenant submitted
+/// anything fails the check too.
+bool ledger_ok() {
   const auto snap = telemetry::Registry::global().snapshot();
   std::map<std::string, double> submitted, accounted;
   for (const auto& s : snap.samples) {
@@ -119,11 +98,23 @@ bool tenant_accounting_ok() {
     }
   }
   bool ok = true;
+  double total = 0.0;
   for (const auto& [tenant, sub] : submitted) {
     const double acc = accounted[tenant];
     std::cout << "tenant '" << tenant << "' accounting: submitted " << sub
               << " vs accounted " << acc << "\n";
     ok = ok && sub == acc;
+    total += sub;
+  }
+  if (!ok) {
+    std::cerr << "iofa_queue_sim: admission ledger identity violated "
+                 "(see qos/enforcer.hpp)\n";
+  } else if (total == 0.0) {
+    std::cerr << "iofa_queue_sim: no tenant recorded a submission; the "
+                 "ledger check proves nothing\n";
+    ok = false;
+  } else {
+    std::cout << "ledger accounting ok\n";
   }
   return ok;
 }
@@ -163,7 +154,7 @@ qos::TenantSpec parse_tenant_spec(const std::string& spec) {
 /// Run the canonical 3-tenant contention drill (qos/drill.hpp) and
 /// report per-tenant outcomes from the qos.tenant.* counters. Exit 1
 /// when the guaranteed tenant misses its SLO, 3 when --check-accounting
-/// finds a tenant whose buckets do not sum to its submissions.
+/// fails the ledger check.
 int run_qos_drill(std::uint64_t seed, bool check_accounting) {
   qos::DrillConfig cfg;
   cfg.seed = seed;
@@ -192,14 +183,7 @@ int run_qos_drill(std::uint64_t seed, bool check_accounting) {
             << "x best-effort load -> SLO "
             << (r.gold_slo_met ? "met" : "MISSED") << "\n";
 
-  if (check_accounting) {
-    if (!tenant_accounting_ok()) {
-      std::cerr << "iofa_queue_sim: per-tenant accounting identity "
-                   "violated (see qos/enforcer.hpp)\n";
-      return 3;
-    }
-    std::cout << "per-tenant accounting ok\n";
-  }
+  if (check_accounting && !ledger_ok()) return 3;
   return r.gold_slo_met ? 0 : 1;
 }
 
@@ -264,13 +248,16 @@ int run_fault_drill(const std::string& plan_path,
     const auto kind = rpc::parse_transport(overload.transport);
     if (!kind) {
       std::cerr << "iofa_queue_sim: unknown --transport '"
-                << overload.transport << "' (want inproc, shm or tcp)\n";
+                << overload.transport << "' (want inproc or tcp)\n";
       return 2;
     }
     opts.transport = *kind;
   }
 
   try {
+    // Resolve IOFA_TRANSPORT here so an unknown name is a usage error,
+    // not an exception out of the service constructor.
+    opts.transport = rpc::resolve_transport(opts.transport);
     jobs::validate_live_options(opts);
   } catch (const std::invalid_argument& bad) {
     std::cerr << "iofa_queue_sim: " << bad.what() << "\n";
@@ -303,10 +290,12 @@ int run_fault_drill(const std::string& plan_path,
     const bool fault_metric =
         s.name.rfind("fault.", 0) == 0 || s.name.rfind("fwd.retries", 0) == 0 ||
         s.name.rfind("fwd.failovers", 0) == 0 ||
-        s.name.rfind("fwd.client.direct_fallback", 0) == 0 ||
         s.name.rfind("fwd.ion.flush_abandoned", 0) == 0 ||
-        s.name.rfind("fwd.ion.failed_requests", 0) == 0 ||
         s.name.rfind("fwd.overload.", 0) == 0 ||
+        s.name == "qos.tenant.submitted" || s.name == "qos.tenant.admitted" ||
+        s.name == "qos.tenant.rejected" || s.name == "qos.tenant.expired" ||
+        s.name == "qos.tenant.direct_fallback" ||
+        s.name == "qos.tenant.failed" ||
         s.name.rfind("arbiter.resolves_on_failure", 0) == 0;
     if (!fault_metric || s.value == 0.0) continue;
     std::cout << "  " << s.name;
@@ -316,22 +305,7 @@ int run_fault_drill(const std::string& plan_path,
     std::cout << " = " << s.value << "\n";
   }
 
-  if (overload.check_accounting) {
-    if (!overload_accounting_ok()) {
-      std::cerr << "iofa_queue_sim: overload accounting identity "
-                   "violated (see overload.hpp)\n";
-      return 3;
-    }
-    std::cout << "overload accounting ok\n";
-    if (!tenant_accounting_ok()) {
-      std::cerr << "iofa_queue_sim: per-tenant accounting identity "
-                   "violated (see qos/enforcer.hpp)\n";
-      return 3;
-    }
-    if (!overload.tenants.empty()) {
-      std::cout << "per-tenant accounting ok\n";
-    }
-  }
+  if (overload.check_accounting && !ledger_ok()) return 3;
   return 0;
 }
 
@@ -423,13 +397,15 @@ int main(int argc, char** argv) {
                    "  --fallback-mbps M        cap the direct-PFS "
                    "degradation path at M MiB/s (0 = uncapped)\n"
                    "  --transport T            carry the client<->ION and "
-                   "mapping links over T = inproc|shm|tcp\n"
+                   "mapping links over T = inproc|tcp\n"
                    "                           (default: IOFA_TRANSPORT, "
-                   "else inproc)\n"
-                   "  --check-accounting       exit 3 unless the "
-                   "fwd.overload.* identity (and, with QoS on, the\n"
-                   "                           per-tenant qos.tenant.* "
-                   "identity) holds after the run\n"
+                   "else inproc; needs --fault-plan)\n"
+                   "  --check-accounting       exit 3 unless the admission "
+                   "ledger identity (qos.tenant.*,\n"
+                   "                           one row per tenant, "
+                   "'default' with QoS off) holds and some\n"
+                   "                           tenant submitted work; "
+                   "needs --fault-plan or --qos-drill\n"
                    "qos flags:\n"
                    "  --qos-tenant SPEC        add a tenant to the live "
                    "drill; SPEC = name:class:reserved_mbps\n"
@@ -448,6 +424,18 @@ int main(int argc, char** argv) {
     }
   }
   opts.reallocate_running = policy_name != "static";
+
+  // The discrete-event simulator has no links and no ledger: a flag it
+  // would silently ignore is a usage error, not a passing check.
+  if (overload.check_accounting && fault_plan.empty() && !qos_drill) {
+    std::cerr << "iofa_queue_sim: --check-accounting needs --fault-plan "
+                 "or --qos-drill\n";
+    return 2;
+  }
+  if (!overload.transport.empty() && fault_plan.empty()) {
+    std::cerr << "iofa_queue_sim: --transport needs --fault-plan\n";
+    return 2;
+  }
 
   if (qos_drill) {
     return run_qos_drill(qos_seed, overload.check_accounting);

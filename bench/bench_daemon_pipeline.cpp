@@ -41,6 +41,7 @@
 #include "common/table.hpp"
 #include "fwd/daemon.hpp"
 #include "fwd/pfs_backend.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 
 // --- global allocation counter ---------------------------------------------
@@ -150,7 +151,7 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
   std::vector<std::shared_ptr<fwd::WaitSlot>> slots;
   slots.reserve(static_cast<std::size_t>(ops));
 
-  // Warmup outside the measured region: lets the worker/flusher/drainer
+  // Warmup outside the measured region: lets the worker/flusher
   // threads finish starting, builds the slab arena, and faults the hot
   // code paths in, so the measured tail is the pipeline's, not the
   // thread spawner's.

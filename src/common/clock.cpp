@@ -19,6 +19,19 @@ MonotonicClock::time_point monotonic_now() {
   return std::chrono::steady_clock::now();
 }
 
+MonotonicClock::time_point deadline_after(double seconds) {
+  const auto now = monotonic_now();
+  if (seconds <= 0.0) return now;
+  // One second of slack absorbs the double rounding near the limit.
+  const double headroom =
+      std::chrono::duration<double>(MonotonicClock::time_point::max() - now)
+          .count() -
+      1.0;
+  if (!(seconds < headroom)) return MonotonicClock::time_point::max();
+  return now + std::chrono::duration_cast<MonotonicClock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 std::uint64_t monotonic_micros() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(

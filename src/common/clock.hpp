@@ -19,6 +19,12 @@ using MonotonicClock = std::chrono::steady_clock;
 /// The current instant on the process-wide monotonic timeline.
 MonotonicClock::time_point monotonic_now();
 
+/// The instant `seconds` from now, for condition-variable deadlines.
+/// Saturates at MonotonicClock::time_point::max() when the sum would
+/// not fit (an infinite, NaN or ~1e10 s timeout waits forever instead
+/// of wrapping into the past); a non-positive timeout is now.
+MonotonicClock::time_point deadline_after(double seconds);
+
 /// Microseconds since the process clock epoch (first use), monotonic.
 std::uint64_t monotonic_micros();
 

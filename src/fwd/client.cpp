@@ -8,7 +8,7 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
-#include "fwd/completion_ring.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 
 namespace iofa::fwd {
@@ -162,13 +162,14 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       req.payload = service_.acquire_payload(p.sub_size);
       if (!req.payload.slab_backed()) payload_allocs_ctr_->add();
     }
-    if (config_.request_timeout > 0.0) {
+    const double budget_us = config_.request_timeout * 1e6;
+    if (budget_us > 0.0 && budget_us < 1e18) {
       // Absolute deadline: once the client would have given up anyway,
       // the daemon may drop the request at dequeue instead of spending
-      // saturated dispatch capacity on it.
+      // saturated dispatch capacity on it. A timeout too long for a
+      // microsecond stamp (inf included) leaves the request without one.
       req.deadline_us =
-          monotonic_micros() +
-          static_cast<std::uint64_t>(config_.request_timeout * 1e6);
+          monotonic_micros() + static_cast<std::uint64_t>(budget_us);
     }
     return req;
   };

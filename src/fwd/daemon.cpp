@@ -52,7 +52,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
                      std::max(params.ingest_bandwidth * 0.02,
                               static_cast<double>(4 * MiB))),
       epoch_(iofa::monotonic_now()),
-      ring_(params.completion_ring_capacity),
       ledger_(params.qos ? params.qos->metrics()
                          : qos::QosMetrics(registry_of(params))) {
   auto& reg = registry_of(params_);
@@ -81,10 +80,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.flush_coalesced_extents =
       &reg.counter("fwd.ion.flush_coalesced_extents", labels);
   metrics_.flush_steals = &reg.counter("fwd.ion.flush_steals", labels);
-  metrics_.completions_drained =
-      &reg.counter("fwd.ion.completions_drained", labels);
-  metrics_.completion_ring_full =
-      &reg.counter("fwd.ion.completion_ring_full", labels);
   metrics_.path_interned = &reg.counter("fwd.ion.path_interned", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
@@ -125,7 +120,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   for (std::size_t f = 0; f < flush_shards_.size(); ++f) {
     flush_shards_[f]->worker = std::thread([this, f] { flusher_loop(f); });
   }
-  drainer_ = std::thread([this] { drainer_loop(); });
 }
 
 IonDaemon::~IonDaemon() { shutdown(); }
@@ -252,10 +246,6 @@ void IonDaemon::shutdown() {
   for (auto& fs : flush_shards_) {
     if (fs->worker.joinable()) fs->worker.join();
   }
-  // All producers are parked before the ring closes, so the drainer's
-  // closed-and-empty exit condition cannot race a late push.
-  ring_.close();
-  if (drainer_.joinable()) drainer_.join();
 }
 
 void IonDaemon::finish_pending() {
@@ -269,40 +259,8 @@ void IonDaemon::finish_pending() {
 
 void IonDaemon::complete(std::shared_ptr<CompletionSink> done,
                          Completion result) {
-  if (done) {
-    CompletionRecord rec{std::move(done), result};
-    if (ring_.try_push(rec)) return;
-    // Full ring: complete inline (counted). Never blocks the pipeline.
-    metrics_.completion_ring_full->add();
-    rec.done->complete(rec.result);
-  }
+  if (done) done->complete(result);
   finish_pending();
-}
-
-void IonDaemon::drainer_loop() {
-  auto& tracer = telemetry::Tracer::global();
-  bool named = false;
-  std::vector<CompletionRecord> batch;
-  batch.reserve(256);
-  for (;;) {
-    if (!named && tracer.enabled()) {
-      tracer.set_thread_name("ion" + std::to_string(id_) + ".drainer");
-      named = true;
-    }
-    batch.clear();
-    ring_.drain(batch, 256);
-    if (batch.empty()) {
-      if (ring_.is_closed()) return;
-      ring_.wait_nonempty(1e-3);
-      continue;
-    }
-    for (auto& rec : batch) {
-      rec.done->complete(rec.result);
-      rec.done.reset();
-      finish_pending();
-    }
-    metrics_.completions_drained->add(batch.size());
-  }
 }
 
 void IonDaemon::fail_request(FwdRequest& req) {

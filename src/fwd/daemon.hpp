@@ -17,8 +17,10 @@
 //       flusher: coalesced scatter-gather PFS drain under the
 //       in-flight byte budget (idle flushers steal the oldest item of
 //       a busy sibling; the extent gate keeps last-writer-wins order)
-//   completions --> MPSC ring --> drainer thread (runs the requests'
-//       continuations, so workers never pay a wakeup or response send)
+//   completions run inline on the thread that settles the request:
+//       the worker (write-behind acks, reads, expiry, crash fail-out)
+//       or the flusher (fsync markers, write-through and abandoned
+//       flushes), with no daemon lock held
 //
 // Requests for one (file_id, op) stream always land on the same
 // dispatch shard and all flush traffic of a file on the same flusher
@@ -59,7 +61,6 @@
 #include "common/units.hpp"
 #include "fault/backoff.hpp"
 #include "fault/injector.hpp"
-#include "fwd/completion_ring.hpp"
 #include "fwd/overload.hpp"
 #include "fwd/pfs_backend.hpp"
 #include "fwd/request.hpp"
@@ -108,10 +109,6 @@ struct IonParams {
   /// flusher). The extent gate serialises overlapping same-file writes
   /// by enqueue order, so last-writer-wins is preserved.
   bool flush_work_stealing = true;
-  /// Completion-ring capacity (rounded up to a power of two). When the
-  /// ring is momentarily full the pusher runs the continuation inline
-  /// (counted in fwd.ion.completion_ring_full), never blocking.
-  std::size_t completion_ring_capacity = 4096;
   /// Shared payload slab pool (owned by the ForwardingService or the
   /// bench); may be null. The daemon does not allocate payloads itself
   /// — the pointer feeds pool occupancy into the admission saturation
@@ -300,7 +297,6 @@ class IonDaemon {
 
   void worker_loop(std::size_t si);
   void flusher_loop(std::size_t fi);
-  void drainer_loop();
   /// Per-shard scheduler factory: the configured AGIOS scheduler,
   /// wrapped in the tenant-weighted decorator when QoS is active.
   std::unique_ptr<agios::Scheduler> make_shard_scheduler() const;
@@ -336,9 +332,11 @@ class IonDaemon {
                          std::uint64_t lo, std::uint64_t hi)
       IOFA_EXCLUDES(flush_mu_);
 
-  /// Route a completion through the MPSC ring (inline fallback when the
-  /// ring is full; a null continuation settles immediately).
-  void complete(std::shared_ptr<CompletionSink> done, Completion result);
+  /// Run the request's continuation (if any) on the calling worker or
+  /// flusher, then settle its pending count. Callers hold no daemon
+  /// lock: the continuation may send a response frame or wake a caller.
+  void complete(std::shared_ptr<CompletionSink> done, Completion result)
+      IOFA_EXCLUDES(flush_enqueue_mu_, flush_mu_, dirty_mu_, pending_mu_);
 
   bool is_crashed() const {
     return crashed_manual_.load() ||
@@ -415,10 +413,6 @@ class IonDaemon {
                               std::pair<std::uint64_t, std::uint64_t>>>
       flush_extents_ IOFA_GUARDED_BY(flush_mu_);
 
-  /// Batched completion path: pipeline threads push, drainer_ completes.
-  CompletionRing ring_;
-  std::thread drainer_;
-
   std::atomic<bool> running_{true};
   std::atomic<bool> crashed_manual_{false};
   /// Requests queued before this monotonic stamp have their queue-wait
@@ -457,8 +451,6 @@ class IonDaemon {
     // Zero-copy pipeline instrumentation.
     telemetry::Counter* flush_coalesced_extents = nullptr;
     telemetry::Counter* flush_steals = nullptr;
-    telemetry::Counter* completions_drained = nullptr;
-    telemetry::Counter* completion_ring_full = nullptr;
     telemetry::Counter* path_interned = nullptr;
     // Overload surface (outside the admission identity).
     telemetry::Counter* busy = nullptr;      ///< IonBusy answers

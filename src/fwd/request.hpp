@@ -31,9 +31,10 @@ struct Completion {
   bool ok() const { return status == CompletionStatus::kOk; }
 };
 
-/// A request's continuation: the daemon's completion drainer (or the
-/// inline ring-full fallback) calls complete() exactly once per
-/// accepted request, with no daemon lock held.
+/// A request's continuation. complete() runs exactly once per accepted
+/// request, inline on the daemon worker or flusher that settles it,
+/// with no daemon lock held. It must not block on the daemon that runs
+/// it (that thread is the daemon's dispatch or flush capacity).
 class CompletionSink {
  public:
   CompletionSink() = default;

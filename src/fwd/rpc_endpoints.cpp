@@ -1,7 +1,6 @@
 #include "fwd/rpc_endpoints.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -35,13 +34,6 @@ static_assert(pinned(rpc::WireStatus::kOk, CompletionStatus::kOk) &&
 
 telemetry::Registry& reg_of(telemetry::Registry* registry) {
   return registry ? *registry : telemetry::Registry::global();
-}
-
-/// Sleep-until helper: one ack-timeout window from now.
-MonotonicClock::time_point ack_deadline(Seconds timeout) {
-  return monotonic_now() +
-         std::chrono::duration_cast<MonotonicClock::duration>(
-             std::chrono::duration<double>(timeout));
 }
 
 }  // namespace
@@ -100,7 +92,7 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
   for (;;) {
     transport_.send(rpc::kClientSide, frame);
     frames_sent_ctr_->add();
-    const auto deadline = ack_deadline(options_.ack_timeout);
+    const auto deadline = deadline_after(options_.ack_timeout);
     {
       UniqueLock lk(mu_);
       auto it = pending_.find(id);
@@ -380,7 +372,7 @@ bool RpcMappingClient::round_trip(std::uint64_t id,
   }
   transport_.send(rpc::kClientSide, frame);
   frames_sent_ctr_->add();
-  const auto deadline = ack_deadline(options_.ack_timeout);
+  const auto deadline = deadline_after(options_.ack_timeout);
   bool ok = false;
   {
     UniqueLock lk(mu_);

@@ -21,8 +21,9 @@
 //     the shim abandons the attempt (the stub drops its entry) and
 //     re-offers under a NEW id, which the daemon terminally counts once
 //     more - the same semantics a timed-out in-proc attempt always had.
-//   * Responses are sent by the request's continuation on the daemon's
-//     completion drainer; nothing polls for completions.
+//   * Responses are sent by the request's continuation, inline on the
+//     daemon worker or flusher that settles it; nothing polls for
+//     completions.
 //   * Mapping fetch/publish use BOUNDED attempts: giving up is safe
 //     (a lost publish is the dropped-mapping-file scenario the
 //     HealthMonitor self-heals; a failed fetch keeps the cached view).

@@ -1,0 +1,29 @@
+#include "fwd/wait_slot.hpp"
+
+#include "common/clock.hpp"
+
+namespace iofa::fwd {
+
+void WaitSlot::complete(Completion c) {
+  MutexLock lk(mu_);
+  result_ = c;
+  done_ = true;
+  cv_.notify_all();
+}
+
+Completion WaitSlot::wait() {
+  UniqueLock lk(mu_);
+  while (!done_) cv_.wait(lk);
+  return result_;
+}
+
+std::optional<Completion> WaitSlot::wait_for(Seconds timeout) {
+  const auto deadline = deadline_after(timeout);
+  UniqueLock lk(mu_);
+  while (!done_) {
+    if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
+  }
+  return done_ ? std::optional<Completion>(result_) : std::nullopt;
+}
+
+}  // namespace iofa::fwd

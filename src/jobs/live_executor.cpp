@@ -66,7 +66,7 @@ void validate_live_options(const LiveExecutorOptions& options) {
     reject("max_attempts must be >= 1 (got " +
            std::to_string(options.max_attempts) + ")");
   }
-  if (options.request_timeout < 0.0) {
+  if (!(options.request_timeout >= 0.0)) {
     reject("request_timeout must be >= 0");
   }
   if (options.client_backoff.base <= 0.0 ||
@@ -75,7 +75,7 @@ void validate_live_options(const LiveExecutorOptions& options) {
     reject("client_backoff wants base > 0, cap >= base, multiplier >= 1");
   }
   if (options.breaker.enabled) {
-    if (options.request_timeout <= 0.0) {
+    if (!(options.request_timeout > 0.0)) {
       // A breaker fed only by submission outcomes never sees a slow
       // (as opposed to refusing) ION fail; without a timeout it would
       // sit closed while every client blocks forever.

@@ -37,7 +37,7 @@ void validate_rpc_options(const RpcOptions& options) {
   auto reject = [](const std::string& why) {
     throw std::invalid_argument("rpc options: " + why);
   };
-  if (options.ack_timeout <= 0.0) reject("ack_timeout must be > 0");
+  if (!(options.ack_timeout > 0.0)) reject("ack_timeout must be > 0");
   if (options.dedup_window < 16) {
     // A tiny window evicts outcomes while their duplicates are still in
     // flight, which silently breaks exactly-once application.

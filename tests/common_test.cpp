@@ -1,4 +1,4 @@
-// Unit tests for the common utilities: RNG, statistics, histogram,
+// Unit tests for the common utilities: clock, RNG, statistics, histogram,
 // token bucket, bounded queue, thread pool, tables.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/histogram.hpp"
 #include "common/queue.hpp"
 #include "common/rng.hpp"
@@ -46,6 +47,22 @@ TEST(Units, Constants) {
   EXPECT_EQ(MiB, 1024u * 1024u);
   EXPECT_EQ(GiB, 1024u * 1024u * 1024u);
   EXPECT_EQ(MB, 1000u * 1000u);
+}
+
+// ---------------------------------------------------------------- clock
+TEST(Clock, DeadlineAfterSaturatesInsteadOfWrapping) {
+  const auto max = iofa::MonotonicClock::time_point::max();
+  EXPECT_EQ(iofa::deadline_after(std::numeric_limits<double>::infinity()),
+            max);
+  EXPECT_EQ(iofa::deadline_after(1e12), max);
+  EXPECT_EQ(iofa::deadline_after(std::numeric_limits<double>::quiet_NaN()),
+            max);
+  const auto before = iofa::monotonic_now();
+  const auto soon = iofa::deadline_after(0.5);
+  EXPECT_GT(soon, before);
+  EXPECT_LT(soon, max);
+  const auto past = iofa::deadline_after(-1.0);
+  EXPECT_LE(past, iofa::monotonic_now());
 }
 
 // ------------------------------------------------------------------ rng

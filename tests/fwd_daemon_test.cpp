@@ -16,6 +16,7 @@
 #include "fwd/daemon.hpp"
 #include "fwd/pfs_backend.hpp"
 #include "fwd/service.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -69,6 +70,14 @@ FwdRequest read_req(const std::string& path, std::uint64_t offset,
   req.size = size;
   req.payload =
       iofa::Payload::wrap(std::make_shared<std::vector<std::byte>>(size));
+  return req;
+}
+
+FwdRequest fsync_req(const std::string& path) {
+  FwdRequest req;
+  req.op = FwdOp::Fsync;
+  req.path = path;
+  req.file_id = gkfs::hash_path(path);
   return req;
 }
 
@@ -669,6 +678,154 @@ TEST(IonDaemon, FlushOfOlderWriteKeepsNewerOverlapDirty) {
   EXPECT_EQ(rslot->wait().value, 8u);
   EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.span().data()), 8),
             "xxABxxxx");
+}
+
+/// A continuation that counts its calls; a second call is a double
+/// completion (a WaitSlot would silently overwrite it).
+class CountingSink final : public CompletionSink {
+ public:
+  void complete(Completion c) override {
+    MutexLock lk(mu_);
+    if (++calls_ > 1) ADD_FAILURE() << "continuation completed twice";
+    last_ = c;
+    cv_.notify_all();
+  }
+  /// Block until the first call.
+  void wait() const {
+    UniqueLock lk(mu_);
+    while (calls_ == 0) cv_.wait(lk);
+  }
+  int calls() const {
+    MutexLock lk(mu_);
+    return calls_;
+  }
+  Completion last() const {
+    MutexLock lk(mu_);
+    return last_;
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable CondVar cv_;
+  int calls_ IOFA_GUARDED_BY(mu_) = 0;
+  Completion last_ IOFA_GUARDED_BY(mu_);
+};
+
+std::shared_ptr<CountingSink> count_on(FwdRequest& req) {
+  auto sink = std::make_shared<CountingSink>();
+  req.done = sink;
+  return sink;
+}
+
+void expect_once(const CountingSink& sink, CompletionStatus status,
+                 std::size_t value, const char* path) {
+  EXPECT_EQ(sink.calls(), 1) << path;
+  EXPECT_EQ(sink.last().status, status) << path;
+  EXPECT_EQ(sink.last().value, value) << path;
+}
+
+TEST(IonDaemon, EveryTerminalPathCompletesExactlyOnce) {
+  // Continuations run inline on the worker or flusher that settles the
+  // request. Each terminal path must call its continuation exactly
+  // once, and drain() must return only after it did.
+  constexpr std::size_t kLen = 4096;
+  {
+    // Write-behind ack, staging read, PFS read, fsync marker, expiry.
+    // The closed gate holds the flusher at its first PFS write, so the
+    // staged range stays dirty until the read has been served.
+    telemetry::Registry reg;
+    GateClock gate;
+    fault::FaultInjector injector(fault::FaultPlan{}, &gate, &reg);
+    PfsParams pp = fast_pfs();
+    pp.registry = &reg;
+    pp.injector = &injector;
+    EmulatedPfs pfs(pp);
+    IonParams params = fast_ion();
+    params.registry = &reg;
+    IonDaemon daemon(0, params, pfs);
+
+    auto wreq = write_req("/once", 0, pattern_data(kLen, 1));
+    auto write_ack = count_on(wreq);
+    ASSERT_TRUE(daemon.submit(std::move(wreq)));
+    auto sreq = read_req("/once", 0, kLen);
+    auto staged_read = count_on(sreq);
+    ASSERT_TRUE(daemon.submit(std::move(sreq)));
+    auto freq = fsync_req("/once");
+    auto marker = count_on(freq);
+    ASSERT_TRUE(daemon.submit(std::move(freq)));
+    auto xreq = write_req("/once", kLen, pattern_data(kLen, 2));
+    xreq.deadline_us = 1;  // long past: expires at dequeue
+    auto expired = count_on(xreq);
+    ASSERT_TRUE(daemon.submit(std::move(xreq)));
+    staged_read->wait();
+    gate.open();
+    daemon.drain();
+
+    auto preq = read_req("/once", 0, kLen);  // flushed: clean now
+    auto pfs_read = count_on(preq);
+    ASSERT_TRUE(daemon.submit(std::move(preq)));
+    daemon.drain();
+
+    expect_once(*write_ack, CompletionStatus::kOk, kLen, "write-behind");
+    expect_once(*staged_read, CompletionStatus::kOk, kLen, "staging read");
+    expect_once(*marker, CompletionStatus::kOk, 0, "fsync marker");
+    expect_once(*expired, CompletionStatus::kExpired, 0, "expiry");
+    expect_once(*pfs_read, CompletionStatus::kOk, kLen, "pfs read");
+    EXPECT_EQ(daemon.stats().reads_local, 1u);
+    EXPECT_EQ(daemon.stats().reads_pfs, 1u);
+  }
+  {
+    // Write-through: the first flush lands, the second is abandoned.
+    telemetry::Registry reg;
+    fault::ManualFaultClock clock;
+    fault::FaultPlan plan;
+    plan.error_after(fault::kPfsWriteSite, 2);
+    fault::FaultInjector injector(std::move(plan), &clock, &reg);
+    PfsParams pp = fast_pfs();
+    pp.registry = &reg;
+    pp.injector = &injector;
+    EmulatedPfs pfs(pp);
+    IonParams params = fast_ion();
+    params.registry = &reg;
+    params.write_through = true;
+    params.max_flush_attempts = 1;
+    IonDaemon daemon(0, params, pfs);
+
+    auto lreq = write_req("/wt.a", 0, pattern_data(kLen, 3));
+    auto landed = count_on(lreq);
+    ASSERT_TRUE(daemon.submit(std::move(lreq)));
+    auto areq = write_req("/wt.b", 0, pattern_data(kLen, 4));
+    auto abandoned = count_on(areq);
+    ASSERT_TRUE(daemon.submit(std::move(areq)));
+    daemon.drain();
+
+    expect_once(*landed, CompletionStatus::kOk, kLen, "write-through");
+    expect_once(*abandoned, CompletionStatus::kIonDown, 0,
+                "abandoned flush");
+  }
+  {
+    // Admission-site crash: the first request takes the ION down.
+    telemetry::Registry reg;
+    fault::ManualFaultClock clock;
+    fault::FaultPlan plan;
+    plan.crash_ion_after(0, 1);
+    fault::FaultInjector injector(std::move(plan), &clock, &reg);
+    PfsParams pp = fast_pfs();
+    pp.registry = &reg;
+    EmulatedPfs pfs(pp);
+    IonParams params = fast_ion();
+    params.registry = &reg;
+    params.injector = &injector;
+    IonDaemon daemon(0, params, pfs);
+
+    auto creq = write_req("/crash", 0, pattern_data(kLen, 5));
+    auto crashed = count_on(creq);
+    ASSERT_TRUE(daemon.submit(std::move(creq)));
+    daemon.drain();
+
+    expect_once(*crashed, CompletionStatus::kIonDown, 0, "crash");
+    EXPECT_FALSE(daemon.alive());
+  }
 }
 
 TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {

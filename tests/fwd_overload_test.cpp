@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -44,6 +45,7 @@
 #include "fwd/overload.hpp"
 #include "fwd/pfs_backend.hpp"
 #include "fwd/service.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 #include "jobs/live_executor.hpp"
 #include "platform/profile.hpp"
@@ -618,6 +620,38 @@ TEST(OverloadScenarios, LedgerIsTheOnlyLedger) {
   expect_blocks_on_pfs(c.service->pfs(), path, 1, seed);
 }
 
+// An infinite request timeout means "wait as long as it takes": no
+// offer may time out, expire at dequeue or fall back to the PFS.
+TEST(OverloadScenarios, InfiniteRequestTimeoutNeverGivesUp) {
+  const std::uint64_t seed = base_seed();
+  IOFA_TRACE_SEED(seed);
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  Cluster c(std::move(plan), 1, [](ServiceConfig& cfg) {
+    cfg.transport = rpc::TransportKind::kInProc;
+  });
+  c.service->apply_mapping(mapping_to({0}, 1, 1));
+
+  ClientConfig cc = c.client_config();
+  cc.request_timeout = std::numeric_limits<double>::infinity();
+  Client client(cc, *c.service);
+  constexpr int kWrites = 64;
+  for (int i = 0; i < kWrites; ++i) {
+    const auto data = pattern_data(kBlock, seed + static_cast<unsigned>(i));
+    EXPECT_EQ(client.pwrite(0, "/inf", block_offset(i), kBlock, data),
+              kBlock);
+  }
+  client.fsync("/inf");
+  c.service->drain();
+
+  EXPECT_EQ(counter_sum(c.reg, "fwd.retries"), 0.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.expired"), 0.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.direct_fallback"), 0.0);
+  EXPECT_EQ(counter_sum(c.reg, "qos.tenant.admitted"), kWrites + 1.0);
+  expect_blocks_on_pfs(c.service->pfs(), "/inf", kWrites, seed);
+  expect_overload_identity(c.reg);
+}
+
 // Consecutive refusals trip the per-ION breaker; while it is open the
 // client stops offering work entirely and degrades to the shared,
 // bandwidth-capped direct-PFS path.
@@ -888,6 +922,17 @@ TEST(ValidateLiveOptions, RejectsNonsensicalKnobs) {
   {
     auto o = overload_live_opts();
     o.request_timeout = 0.0;  // breaker with zero timeout: senseless
+    EXPECT_THROW(jobs::validate_live_options(o), std::invalid_argument);
+  }
+  for (const bool breaker : {false, true}) {
+    auto o = overload_live_opts();
+    o.breaker.enabled = breaker;
+    o.request_timeout = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(jobs::validate_live_options(o), std::invalid_argument);
+  }
+  {
+    auto o = overload_live_opts();
+    o.rpc.ack_timeout = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(jobs::validate_live_options(o), std::invalid_argument);
   }
   {

@@ -23,6 +23,7 @@
 #include "fwd/client.hpp"
 #include "fwd/rpc_endpoints.hpp"
 #include "fwd/service.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 #include "rpc/transport.hpp"
 
@@ -95,7 +96,7 @@ TEST(RpcIonEndpoints, LoopbackRoundTripNeedsNoSleepAndNoThread) {
   auto wrote = wait_on(w);
   // The ack crosses the loopback synchronously inside try_submit.
   ASSERT_EQ(stub.try_submit(std::move(w)), SubmitResult::kAccepted);
-  // drain() returns only after the drainer ran the continuation, which
+  // drain() returns only after the worker ran the continuation, which
   // sent the response, which completed the slot - all without a timer.
   svc.daemon(0).drain();
   const auto w_done = wrote->wait_for(0.0);

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -415,6 +416,11 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
   {
     RpcOptions o;
     o.retry_backoff.base = -1.0;
+    EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
+  }
+  {
+    RpcOptions o;
+    o.ack_timeout = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
   }
 }

@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "fwd/daemon.hpp"
 #include "fwd/pfs_backend.hpp"
+#include "fwd/wait_slot.hpp"
 #include "gkfs/chunk.hpp"
 #include "telemetry/telemetry.hpp"
 

@@ -102,25 +102,6 @@ class BoundedQueue {
     return PopResult::kItem;
   }
 
-  /// Optional-returning flavour. Collapses timeout and closed into one
-  /// nullopt - fine for callers that poll closed() separately, wrong
-  /// for drain-on-shutdown loops (use the PopResult overload there).
-  template <typename Rep, typename Period>
-  std::optional<T> try_pop_for(std::chrono::duration<Rep, Period> timeout)
-      IOFA_EXCLUDES(mu_) {
-    std::optional<T> out(std::in_place);
-    if (try_pop_for(timeout, *out) != PopResult::kItem) out.reset();
-    return out;
-  }
-
-  /// Deprecated spelling of try_pop_for, kept for call-site symmetry
-  /// with pop().
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout)
-      IOFA_EXCLUDES(mu_) {
-    return try_pop_for(timeout);
-  }
-
   /// Non-blocking conditional pop: takes the front item only when
   /// `pred(front)` holds (work-stealing peers use this to skip queues
   /// whose head they must not take, e.g. fsync markers).

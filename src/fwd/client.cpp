@@ -115,12 +115,14 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
                             const std::vector<int>& targets) {
   // GekkoFS chunk distribution: one sub-request per chunk, each to the
   // chunk's home daemon - over ALL daemons in burst-buffer mode, over
-  // the job's assigned ION subset in forwarding mode. Failure handling
-  // per sub-request: bounded attempts rotating through the epoch's
-  // target list (timeouts, failed completions, refused submits advance),
-  // then a direct-PFS rescue. Positional I/O is idempotent, so a
-  // retried write that double-applies is indistinguishable from one
-  // that applied once.
+  // the job's assigned ION subset in forwarding mode. Every chunk is
+  // issued before any is waited on. Failure handling per sub-request:
+  // a refusal (kRejected) moves on to the next ION of the same cycle at
+  // no attempt's cost; a timeout or failed completion consumes an
+  // attempt and starts a new cycle after a backoff; a cycle of refusals
+  // or the last attempt ends in a direct-PFS rescue. Positional I/O is
+  // idempotent, so a retried write that double-applies is
+  // indistinguishable from one that applied once.
   (void)rank;
   const std::uint64_t id = gkfs::hash_path(path);
   const auto daemons = targets.size();
@@ -133,9 +135,11 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     std::uint64_t file_offset = 0;
     std::uint64_t sub_size = 0;
     std::uint64_t rel = 0;
-    std::size_t slot = 0;   ///< index into `targets` currently serving
-    int attempts = 0;       ///< accepted submissions so far
-    bool submitted = false;
+    std::size_t start = 0;   ///< index into `targets` the cycle began at
+    std::size_t offered = 0; ///< cycle positions used so far
+    std::size_t slot = 0;    ///< index into `targets` of the current offer
+    std::size_t served = 0;  ///< slot of the last accepted attempt
+    int attempts = 0;        ///< accepted attempts so far
   };
 
   auto make_request = [&](const Pending& p) {
@@ -174,54 +178,30 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     return req;
   };
 
-  // One submission pass: offer the sub-request to IONs starting at
-  // `start`, at most one full cycle. Counts a failover whenever the
-  // accepting ION differs from the one that served (or was about to
-  // serve) the previous attempt.
-  auto submit_from = [&](Pending& p, std::size_t start) {
-    for (std::size_t k = 0; k < daemons; ++k) {
-      const std::size_t slot = (start + k) % daemons;
+  // Offer the sub-request to the next ION of its cycle (one pass over
+  // `targets` from p.start); false once the cycle is used up.
+  auto offer = [&](Pending& p) {
+    while (p.offered < daemons) {
+      const std::size_t slot = (p.start + p.offered++) % daemons;
       const int ion = targets[slot];
       // An open breaker means "stop offering work": skip the ION
       // without submitting (half-open windows admit their budgeted
       // probes through this same check).
       if (!breaker_allow(ion)) continue;
       FwdRequest req = make_request(p);
-      auto wait = wait_on(req);
-      Payload buf = req.payload;  // add_ref, not a byte copy
+      p.wait = wait_on(req);
+      p.buf = req.payload;  // add_ref, not a byte copy
+      p.slot = slot;
       ledger_.on_submitted(p.sub_size);
-      const SubmitResult res =
-          service_.ion_port(ion).try_submit(std::move(req));
-      if (res == SubmitResult::kAccepted) {
-        if (p.submitted ? slot != p.slot : slot != start) {
-          failover_ctr_->add();
-        }
-        p.wait = std::move(wait);
-        p.buf = std::move(buf);
-        p.slot = slot;
-        p.submitted = true;
-        ++p.attempts;
-        return true;
-      }
-      // IonBusy or down: a fast, counted rejection that feeds the
-      // breaker - not a timeout masquerading as a failure.
-      ledger_.on_rejected();
-      breaker_failure(ion);
+      service_.ion_port(ion).issue(std::move(req));
+      return true;
     }
     return false;
   };
-
-  // Wait for the current attempt; false on timeout (the attempt is
-  // abandoned: a late completion lands in its orphaned slot) or failure.
-  auto wait_done = [&](Pending& p, std::size_t& got) {
-    const std::optional<Completion> c =
-        config_.request_timeout > 0.0
-            ? p.wait->wait_for(config_.request_timeout)
-            : p.wait->wait();
-    if (!c) service_.ion_port(targets[p.slot]).abandon(*p.wait);
-    if (!c || !c->ok()) return false;
-    got = c->value;
-    return true;
+  auto new_cycle = [&](Pending& p, std::size_t start) {
+    p.start = start;
+    p.offered = 0;
+    return offer(p);
   };
 
   // Rescue path: the op bypasses forwarding entirely. Direct writes
@@ -254,28 +234,48 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     p.file_offset = slice.file_offset;
     p.sub_size = slice.size;
     p.rel = slice.file_offset - offset;
-    const std::size_t preferred = gkfs::daemon_of(id, slice.chunk, daemons);
-    if (submit_from(p, preferred)) {
-      forwarded_ops_.fetch_add(1);
-      forwarded_ctr_->add();
+    p.served = gkfs::daemon_of(id, slice.chunk, daemons);
+    if (new_cycle(p, p.served)) {
       pending.push_back(std::move(p));
     } else {
-      n += direct_rescue(p);  // every ION refused (all down)
+      n += direct_rescue(p);  // every breaker is open
     }
   }
   for (auto& p : pending) {
     for (;;) {
-      std::size_t got = 0;
-      if (wait_done(p, got)) {
-        breaker_success(targets[p.slot]);
+      const int ion = targets[p.slot];
+      const std::optional<Completion> c =
+          service_.ion_port(ion).wait(*p.wait, config_.request_timeout);
+      if (c && c->status == CompletionStatus::kRejected) {
+        // IonBusy or down: a fast, counted refusal that feeds the
+        // breaker - not a timeout masquerading as a failure.
+        ledger_.on_rejected();
+        breaker_failure(ion);
+        if (!offer(p)) {
+          n += direct_rescue(p);
+          break;
+        }
+        continue;
+      }
+      // Accepted (a timed-out attempt is one the ION held). A failover
+      // is an accepted attempt served by another ION than the last one
+      // (than the chunk's home ION for the first).
+      if (p.slot != p.served) failover_ctr_->add();
+      p.served = p.slot;
+      if (++p.attempts == 1) {
+        forwarded_ops_.fetch_add(1);
+        forwarded_ctr_->add();
+      }
+      if (c && c->ok()) {
+        breaker_success(ion);
         if (op == FwdOp::Read && !p.buf.empty() && !rdata.empty()) {
           std::memcpy(rdata.data() + p.rel, p.buf.span().data(),
-                      std::min<std::size_t>(got, p.buf.size()));
+                      std::min<std::size_t>(c->value, p.buf.size()));
         }
-        n += got;
+        n += c->value;
         break;
       }
-      breaker_failure(targets[p.slot]);
+      breaker_failure(ion);
       retries_ctr_->add();
       if (p.attempts >= config_.max_attempts) {
         n += direct_rescue(p);
@@ -285,8 +285,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
           config_.backoff, p.attempts,
           config_.retry_seed ^ id ^ p.file_offset));
       // Next ION of the epoch (same one when it is the only target).
-      const std::size_t next = daemons > 1 ? (p.slot + 1) % daemons : 0;
-      if (!submit_from(p, next)) {
+      if (!new_cycle(p, daemons > 1 ? (p.slot + 1) % daemons : 0)) {
         n += direct_rescue(p);
         break;
       }
@@ -355,15 +354,13 @@ void Client::fsync(const std::string& path) {
     // already staged on that ION, not new load to shed. The daemon
     // exempts markers from admission control for the same reason.
     ledger_.on_submitted(0);
-    if (service_.ion_port(ion).try_submit(std::move(req)) ==
-        SubmitResult::kAccepted) {
-      // A failure status means the ION crashed mid-fsync. Its flusher
-      // keeps draining the staged data (node-local storage survives),
-      // so durability is a matter of time, not of this marker.
-      wait->wait();
-    } else {
-      ledger_.on_rejected();
-    }
+    auto& port = service_.ion_port(ion);
+    port.issue(std::move(req));
+    // Any other failure status means the ION crashed mid-fsync. Its
+    // flusher keeps draining the staged data (node-local storage
+    // survives), so durability is a matter of time, not of this marker.
+    const std::optional<Completion> c = port.wait(*wait, 0.0);
+    if (c && c->status == CompletionStatus::kRejected) ledger_.on_rejected();
   };
   if (config_.mode == ClientMode::BurstBuffer) {
     // Chunks are scattered: every daemon may hold staged data.

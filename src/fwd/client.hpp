@@ -49,7 +49,9 @@ struct ClientConfig {
   /// Per-sub-request completion timeout; 0 waits forever. A timed-out
   /// request is abandoned and retried elsewhere - positional I/O is
   /// idempotent, so a late completion of the abandoned copy is
-  /// harmless.
+  /// harmless. Over a framed transport the wait ends only once the ION
+  /// answered for the request (rpc_endpoints.hpp), so an offer lost on
+  /// the wire is resent rather than abandoned.
   Seconds request_timeout = 0.0;
   /// Submission attempts per sub-request (rotating through the IONs of
   /// the current mapping epoch) before falling back to direct PFS.

@@ -612,24 +612,11 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
   if (run.size() > 1) {
     metrics_.flush_coalesced_extents->add(run.size() - 1);
   }
-  // Last-writer-wins gate BEFORE the budget: a writer holding in-flight
-  // budget never waits on the gate, so the two wait domains cannot form
-  // a hold-and-wait cycle. Run seqs are FIFO-increasing, so awaiting
+  // Last-writer-wins gate. Run seqs are FIFO-increasing, so awaiting
   // them in order only ever blocks on strictly older extents.
   for (const auto& item : run) {
     await_extent_turn(file_id, item.seq, item.offset,
                       item.offset + item.size);
-  }
-  const Bytes budget = params_.flush_inflight_budget;
-  if (budget > 0) {
-    // In-flight byte budget: cap what the pool pushes at the PFS
-    // concurrently. An over-budget run is admitted once the pool is
-    // otherwise idle, so progress is never blocked.
-    UniqueLock lk(flush_mu_);
-    while (flush_inflight_ > 0 && flush_inflight_ + total > budget) {
-      flush_cv_.wait(lk);
-    }
-    flush_inflight_ += total;
   }
 
   const std::string& path = paths_.lookup(file_id);
@@ -645,15 +632,14 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
   }
 
   // Settle one item's accounting after its extent reached the PFS (or
-  // was abandoned): dirty map, extent gate, barrier counter, budget,
-  // and the completion record. The slab reference is dropped here -
+  // was abandoned): dirty map, extent gate, barrier counter, and the
+  // completion record. The slab reference is dropped here -
   // payload lifetime ends exactly when the PFS has the bytes.
   auto settle = [&](FlushItem& item, bool flushed) {
     if (flushed) mark_clean(item.file_id, item.offset, item.size);
     {
       MutexLock lk(flush_mu_);
       ++flush_completed_;
-      if (budget > 0) flush_inflight_ -= item.size;
       auto fit = flush_extents_.find(item.file_id);
       if (fit != flush_extents_.end()) {
         fit->second.erase(item.seq);
@@ -748,7 +734,7 @@ void IonDaemon::flusher_loop(std::size_t fi) {
       named = true;
     }
     std::optional<FlushItem> first = fs.queue.try_pop();
-    if (!first && params_.flush_work_stealing && flush_shards_.size() > 1) {
+    if (!first && flush_shards_.size() > 1) {
       if (auto stolen = try_steal_flush(fi)) {
         std::vector<FlushItem> run;
         run.push_back(std::move(*stolen));
@@ -795,8 +781,7 @@ void IonDaemon::flusher_loop(std::size_t fi) {
         continue;
       }
       const bool contiguous =
-          !run.empty() && params_.coalesce_flushes &&
-          run.back().file_id == entry.file_id &&
+          !run.empty() && run.back().file_id == entry.file_id &&
           run.back().offset + run.back().size == entry.offset;
       if (!run.empty() && !contiguous) {
         flush_run(run);

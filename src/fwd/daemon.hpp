@@ -14,9 +14,9 @@
 //   submit() --(file_id, op) shard--> ingest[0..N) --> worker[0..N)
 //       worker: AGIOS schedule + aggregate, stage, ack, enqueue flush
 //   flush items --(file_id) shard--> flush[0..M) --> flusher[0..M)
-//       flusher: coalesced scatter-gather PFS drain under the
-//       in-flight byte budget (idle flushers steal the oldest item of
-//       a busy sibling; the extent gate keeps last-writer-wins order)
+//       flusher: coalesced scatter-gather PFS drain (idle flushers
+//       steal the oldest item of a busy sibling; the extent gate keeps
+//       last-writer-wins order)
 //   completions run inline on the thread that settles the request:
 //       the worker (write-behind acks, reads, expiry, crash fail-out)
 //       or the flusher (fsync markers, write-through and abandoned
@@ -91,24 +91,15 @@ struct IonParams {
   /// pipelines, as opposed to op_overhead which charges the bandwidth
   /// component. 0 = not modelled (legacy behaviour).
   Seconds dispatch_latency = 0.0;
-  /// Cap on bytes concurrently in flight from the flusher pool to the
-  /// PFS (0 = unbounded). A single over-budget item is still admitted
-  /// alone, so progress is never blocked.
-  Bytes flush_inflight_budget = 0;
   /// A flusher drains up to this many bytes from its queue in one
   /// batched run before writing (amortises queue wakeups) and merges
   /// contiguous same-file extents of the batch into one scatter-gather
-  /// PFS write.
+  /// PFS write (fault decisions stay per-extent, so seeded replay is
+  /// unaffected by how the batch happened to group). An idle flusher
+  /// steals the oldest data item of a sibling's queue; the extent gate
+  /// serialises overlapping same-file writes by enqueue order, so
+  /// last-writer-wins is preserved.
   Bytes flush_batch_max = 8 * MiB;
-  /// Merge contiguous same-file extents of a flush batch into a single
-  /// EmulatedPfs::write_gather call. Fault decisions stay per-extent,
-  /// so seeded replay is unaffected by how the batch happened to group.
-  bool coalesce_flushes = true;
-  /// Let an idle flusher steal the oldest data item of a sibling's
-  /// queue (head-of-line relief when one hot file monopolises its
-  /// flusher). The extent gate serialises overlapping same-file writes
-  /// by enqueue order, so last-writer-wins is preserved.
-  bool flush_work_stealing = true;
   /// Shared payload slab pool (owned by the ForwardingService or the
   /// bench); may be null. The daemon does not allocate payloads itself
   /// — the pointer feeds pool occupancy into the admission saturation
@@ -394,7 +385,7 @@ class IonDaemon {
   std::atomic<std::uint64_t> pending_{0};
   void finish_pending() IOFA_EXCLUDES(pending_mu_);
 
-  // Fsync barrier + in-flight budget accounting for the flusher pool.
+  // Fsync barrier and extent-gate accounting for the flusher pool.
   Mutex flush_enqueue_mu_;
   mutable Mutex flush_mu_;
   CondVar flush_cv_;
@@ -403,8 +394,6 @@ class IonDaemon {
   std::uint64_t flush_enqueued_ IOFA_GUARDED_BY(flush_mu_) = 0;
   /// data items drained (flushed or abandoned)
   std::uint64_t flush_completed_ IOFA_GUARDED_BY(flush_mu_) = 0;
-  /// bytes currently being written to the PFS by the pool
-  Bytes flush_inflight_ IOFA_GUARDED_BY(flush_mu_) = 0;
   /// Extent gate: every enqueued-but-unwritten data extent, per file,
   /// keyed by enqueue seq. A writer (owner or thief) waits until no
   /// overlapping extent with a smaller seq remains registered.

@@ -12,22 +12,27 @@
 
 #include "core/arbiter.hpp"
 #include "fwd/daemon.hpp"
+#include "fwd/wait_slot.hpp"
 
 namespace iofa::fwd {
 
 class MappingStore;
 
-/// Offering requests to one ION daemon. Implementations keep the exact
-/// try_submit contract of IonDaemon: the returned SubmitResult is the
-/// admission answer, and an accepted request's `done` continuation is
-/// later completed exactly once (request.hpp).
+/// Offering requests to one ION daemon. A forwarded request gets one
+/// answer, its Completion: issue() completes `req.done` exactly once
+/// whatever happens to the offer, a refusal at admission included
+/// (kRejected - the ION holds nothing of it).
 class IonPort {
  public:
   virtual ~IonPort() = default;
-  virtual SubmitResult try_submit(FwdRequest req) = 0;
-  /// The caller gave up waiting on `done` (request timeout): release
-  /// any state held for that request. In-proc there is none.
-  virtual void abandon(const CompletionSink& done) { (void)done; }
+  virtual void issue(FwdRequest req) = 0;
+  /// Wait for the completion of an issued request whose `done` is
+  /// `slot`; `timeout` 0 waits for it however long it takes. nullopt
+  /// means the wait timed out while the ION held the request (it still
+  /// settles there, into the orphaned slot) and the port has already
+  /// released everything it kept for the call.
+  virtual std::optional<Completion> wait(WaitSlot& slot,
+                                         Seconds timeout) = 0;
 };
 
 /// One coherent read of a client's mapping entry: the job's ION list
@@ -52,12 +57,18 @@ class MappingPort {
   virtual bool publish(const core::Mapping& mapping) = 0;
 };
 
-/// In-proc: forwards to IonDaemon::try_submit, nothing else.
+/// In-proc: IonDaemon::try_submit, with a refusal completed inline.
 class DirectIonPort : public IonPort {
  public:
   explicit DirectIonPort(IonDaemon& daemon) : daemon_(daemon) {}
-  SubmitResult try_submit(FwdRequest req) override {
-    return daemon_.try_submit(std::move(req));
+  void issue(FwdRequest req) override {
+    const std::shared_ptr<CompletionSink> done = req.done;
+    if (daemon_.try_submit(std::move(req)) != SubmitResult::kAccepted) {
+      done->complete({CompletionStatus::kRejected, 0});
+    }
+  }
+  std::optional<Completion> wait(WaitSlot& slot, Seconds timeout) override {
+    return timeout > 0.0 ? slot.wait_for(timeout) : slot.wait();
   }
 
  private:

@@ -18,9 +18,10 @@ enum class FwdOp : std::uint8_t { Write, Read, Fsync };
 /// rpc::WireStatus (static_assert in rpc_endpoints.cpp).
 enum class CompletionStatus : std::uint8_t {
   kOk = 0,
-  kIonDown = 1,  ///< ION crashed / refused it, or its flush was abandoned
+  kIonDown = 1,  ///< ION crashed while holding it, or its flush was lost
   kExpired = 2,  ///< deadline passed while queued (qos.tenant.expired)
-  kError = 3     ///< any other failure reported by a peer
+  kError = 3,    ///< any other failure reported by a peer
+  kRejected = 4  ///< refused at admission (busy/down); the ION holds none
 };
 
 /// The one completion record: every way a request can end is a status
@@ -31,10 +32,11 @@ struct Completion {
   bool ok() const { return status == CompletionStatus::kOk; }
 };
 
-/// A request's continuation. complete() runs exactly once per accepted
-/// request, inline on the daemon worker or flusher that settles it,
-/// with no daemon lock held. It must not block on the daemon that runs
-/// it (that thread is the daemon's dispatch or flush capacity).
+/// A request's continuation. complete() runs exactly once per offered
+/// request: inline on the daemon worker or flusher that settles an
+/// accepted one, with no daemon lock held, or by the port that saw the
+/// refusal (kRejected). It must not block on the daemon that runs it
+/// (that thread is the daemon's dispatch or flush capacity).
 class CompletionSink {
  public:
   CompletionSink() = default;
@@ -62,7 +64,8 @@ struct FwdRequest {
   /// are charged and tracked but never materialised.
   Payload payload;
   /// Completed once the daemon finishes the request (for writes: once
-  /// staged; durability comes from Fsync).
+  /// staged; durability comes from Fsync), or with kRejected when the
+  /// ION refuses the offer.
   std::shared_ptr<CompletionSink> done;
   std::uint64_t tag = 0;  ///< daemon-local scheduler handle
   /// Stamped by IonDaemon::try_submit (monotonic_micros) on EVERY

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -23,14 +24,12 @@ constexpr bool pinned(Wire w, Local l) {
 static_assert(pinned(rpc::WireOp::kWrite, FwdOp::Write) &&
               pinned(rpc::WireOp::kRead, FwdOp::Read) &&
               pinned(rpc::WireOp::kFsync, FwdOp::Fsync));
-static_assert(pinned(rpc::WireSubmitResult::kAccepted,
-                     SubmitResult::kAccepted) &&
-              pinned(rpc::WireSubmitResult::kBusy, SubmitResult::kBusy) &&
-              pinned(rpc::WireSubmitResult::kDown, SubmitResult::kDown));
 static_assert(pinned(rpc::WireStatus::kOk, CompletionStatus::kOk) &&
               pinned(rpc::WireStatus::kIonDown, CompletionStatus::kIonDown) &&
               pinned(rpc::WireStatus::kExpired, CompletionStatus::kExpired) &&
-              pinned(rpc::WireStatus::kError, CompletionStatus::kError));
+              pinned(rpc::WireStatus::kError, CompletionStatus::kError) &&
+              pinned(rpc::WireStatus::kRejected,
+                     CompletionStatus::kRejected));
 
 telemetry::Registry& reg_of(telemetry::Registry* registry) {
   return registry ? *registry : telemetry::Registry::global();
@@ -57,7 +56,7 @@ RpcIonClient::RpcIonClient(rpc::Transport& transport, int ion,
                          });
 }
 
-SubmitResult RpcIonClient::try_submit(FwdRequest req) {
+void RpcIonClient::issue(FwdRequest req) {
   const std::uint64_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
 
@@ -71,100 +70,112 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
   msg.deadline_us = req.deadline_us;
   msg.path = req.path;
   // Serialised straight from the slab: the frame is the one wire copy
-  // inherent to a message boundary, and every resend below borrows it.
+  // inherent to a message boundary, and every resend borrows it.
   std::span<const std::byte> payload;
   if (req.op == FwdOp::Write) payload = req.payload.span();
-  const std::vector<std::byte> frame = rpc::encode(id, msg, payload);
+  std::vector<std::byte> frame = rpc::encode(id, msg, payload);
 
   {
     MutexLock lk(mu_);
+    ids_.emplace(req.done.get(), id);
     PendingCall& call = pending_[id];
     call.done = std::move(req.done);
     if (req.op == FwdOp::Read) call.payload = std::move(req.payload);
   }
-
-  // At-least-once: resend the same id until the server answers. The
-  // dedup window makes every resend invisible to the daemon, so this
-  // loop can be unbounded without ever double-applying (see the header
-  // comment for why bounded give-up would break the accounting
-  // identity).
-  int attempt = 0;
-  for (;;) {
-    transport_.send(rpc::kClientSide, frame);
-    frames_sent_ctr_->add();
-    const auto deadline = deadline_after(options_.ack_timeout);
-    {
-      UniqueLock lk(mu_);
-      auto it = pending_.find(id);
-      while (it != pending_.end() && !it->second.ack) {
-        if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
-        it = pending_.find(id);
-      }
-      // Gone: the response arrived (possibly ahead of a reordered ack)
-      // and completed the call - an implicit accept.
-      if (it == pending_.end()) return SubmitResult::kAccepted;
-      if (const auto ack = it->second.ack) {
-        // An accepted call stays pending until its response lands.
-        if (*ack != rpc::WireSubmitResult::kAccepted) pending_.erase(it);
-        return static_cast<SubmitResult>(*ack);
-      }
-    }
-    // Ack window expired: pace the resend with the deterministic
-    // jittered backoff (stream keyed by the request id so replays of
-    // the same seed resend at the same instants).
-    ++attempt;
-    retries_ctr_->add();
-    sleep_for_seconds(
-        fault::backoff_delay(options_.retry_backoff, attempt, seed_ ^ id));
-  }
+  frames_sent_ctr_->add();
+  transport_.send(rpc::kClientSide, frame);
+  // Keep the frame for the waiter's resends, unless the answer already
+  // arrived during the send.
+  MutexLock lk(mu_);
+  const auto it = pending_.find(id);
+  if (it != pending_.end()) it->second.frame = std::move(frame);
 }
 
-void RpcIonClient::abandon(const CompletionSink& done) {
-  // Linear scan: abandons happen only on request timeouts.
-  MutexLock lk(mu_);
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->second.done.get() == &done) {
-      pending_.erase(it);
-      return;
-    }
+std::optional<Completion> RpcIonClient::wait(WaitSlot& slot,
+                                             Seconds timeout) {
+  std::uint64_t id = 0;
+  {
+    MutexLock lk(mu_);
+    const auto it = ids_.find(&slot);
+    if (it == ids_.end()) return slot.wait();  // answered already
+    id = it->second;
   }
+  const Seconds give_up = timeout > 0.0
+                             ? monotonic_seconds() + timeout
+                             : std::numeric_limits<Seconds>::infinity();
+  std::vector<std::byte> frame;
+  for (int resend = 1;; ++resend) {
+    // One slice per send: the ack window plus the deterministic jittered
+    // backoff (stream keyed by the request id, so replays of the same
+    // seed resend at the same instants).
+    const Seconds slice =
+        options_.ack_timeout +
+        fault::backoff_delay(options_.retry_backoff, resend, seed_ ^ id);
+    const Seconds left = give_up - monotonic_seconds();
+    if (left > 0.0) {
+      if (auto c = slot.wait_for(std::min(slice, left))) return c;
+    } else {
+      // Past the request timeout: wait for any answer to the last send.
+      const auto slice_end = deadline_after(slice);
+      UniqueLock lk(mu_);
+      for (;;) {
+        const auto it = pending_.find(id);
+        if (it == pending_.end() || it->second.held) break;
+        if (cv_.wait_until(lk, slice_end) == std::cv_status::timeout) break;
+      }
+    }
+    {
+      MutexLock lk(mu_);
+      const auto it = pending_.find(id);
+      if (it == pending_.end()) break;  // the response landed
+      if (it->second.held && monotonic_seconds() >= give_up) {
+        // Handoff rule: give up only once the ION said it holds the
+        // request; until then, resend at once and wait for an answer.
+        ids_.erase(&slot);
+        pending_.erase(it);  // with the read slab it held
+        return std::nullopt;
+      }
+      frame = it->second.frame;  // resends are rare; copy, send unlocked
+    }
+    retries_ctr_->add();
+    frames_sent_ctr_->add();
+    transport_.send(rpc::kClientSide, frame);
+  }
+  return slot.wait();  // completed by on_frame right after the erase
 }
 
 void RpcIonClient::on_frame(std::vector<std::byte> frame) {
   frames_recv_ctr_->add();
-  rpc::Decoded decoded;
-  try {
-    decoded = rpc::decode(frame);
-  } catch (const rpc::CodecError&) {
-    // Malformed frame (a truncate drill, or wire damage): drop it. If
-    // it carried an ack the resend loop recovers; if a response, the
-    // request timeout does.
+  const rpc::Decoded decoded = rpc::decode(frame);
+  if (!decoded.ok()) {
+    // Malformed frame (a truncate drill, or wire damage): drop it; the
+    // waiter's next resend fetches the answer again.
     codec_errors_ctr_->add();
     return;
   }
+  const auto* rsp = std::get_if<rpc::SubmitResponseMsg>(&decoded.msg);
   std::shared_ptr<CompletionSink> done;
   Payload dst;
   {
     MutexLock lk(mu_);
     const auto it = pending_.find(decoded.request_id);
-    if (it == pending_.end()) return;  // settled or abandoned call
-    PendingCall& call = it->second;
-    if (const auto* ack = std::get_if<rpc::SubmitAckMsg>(&decoded.msg)) {
-      if (!call.ack) call.ack = ack->result;
-    } else if (std::holds_alternative<rpc::SubmitResponseMsg>(decoded.msg)) {
-      done = std::move(call.done);
-      dst = std::move(call.payload);
+    if (it == pending_.end()) return;  // settled, or its waiter gave up
+    if (rsp) {
+      done = std::move(it->second.done);
+      dst = std::move(it->second.payload);
+      ids_.erase(done.get());
       pending_.erase(it);
+    } else if (std::holds_alternative<rpc::SubmitAckMsg>(decoded.msg)) {
+      it->second.held = true;
     }
-    cv_.notify_all();
+    cv_.notify_all();  // a waiter past its request timeout
   }
   if (!done) return;
-  const auto& rsp = std::get<rpc::SubmitResponseMsg>(decoded.msg);
-  const Completion result{static_cast<CompletionStatus>(rsp.status),
-                          static_cast<std::size_t>(rsp.value)};
-  if (result.ok() && !dst.empty() && !rsp.data.empty()) {
-    std::memcpy(dst.span().data(), rsp.data.data(),
-                std::min(dst.size(), rsp.data.size()));
+  const Completion result{static_cast<CompletionStatus>(rsp->status),
+                          static_cast<std::size_t>(rsp->value)};
+  if (result.ok() && !dst.empty() && !rsp->data.empty()) {
+    std::memcpy(dst.span().data(), rsp->data.data(),
+                std::min(dst.size(), rsp->data.size()));
   }
   dst.reset();  // a completed call holds no slab
   // Outside the lock: the continuation wakes the caller.
@@ -173,8 +184,8 @@ void RpcIonClient::on_frame(std::vector<std::byte> frame) {
 
 // --- RpcIonServer ----------------------------------------------------------
 
-/// An accepted request's continuation: encodes the SubmitResponse (read
-/// data straight from the server-side slab) for the server to send.
+/// A request's continuation: encodes its one SubmitResponse (read data
+/// straight from the server-side slab) for the server to send.
 class RpcIonServer::ResponseSink final : public CompletionSink {
  public:
   ResponseSink(RpcIonServer& server, std::uint64_t id, Payload read_data)
@@ -226,20 +237,18 @@ RpcIonServer::~RpcIonServer() {
 
 void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   frames_recv_ctr_->add();
-  rpc::Decoded decoded;
-  try {
-    decoded = rpc::decode(frame);
-  } catch (const rpc::CodecError&) {
+  const rpc::Decoded decoded = rpc::decode(frame);
+  if (!decoded.ok()) {
     codec_errors_ctr_->add();
-    return;  // the stub's resend loop re-delivers an intact copy
+    return;  // the stub's waiter resends an intact copy
   }
   const auto* msg = std::get_if<rpc::SubmitRequestMsg>(&decoded.msg);
   if (!msg) return;  // not ours (client-side frame echoed by a test)
   const std::uint64_t id = decoded.request_id;
 
   bool fresh = false;
-  std::optional<rpc::WireSubmitResult> cached_ack;
-  std::shared_ptr<const std::vector<std::byte>> cached_response;
+  bool held = false;
+  std::shared_ptr<const std::vector<std::byte>> cached;
   {
     MutexLock lk(mu_);
     const auto inserted = dedup_.try_emplace(id);
@@ -247,29 +256,29 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     if (fresh) {
       ++outstanding_;
     } else {
-      // Duplicate (chaos dup or an at-least-once resend): replay the
-      // cached outcome, never touch the daemon (while the original is
-      // still being offered there is nothing to replay yet).
       dedup_hits_ctr_->add();
-      cached_ack = inserted.first->second.ack;
-      cached_response = inserted.first->second.response;
+      held = inserted.first->second.accepted;
+      cached = inserted.first->second.response;
     }
   }
   if (!fresh) {
-    if (cached_ack) {
+    // Duplicate (chaos dup or the waiter's resend): never touch the
+    // daemon. Replay the answer of a settled request, say "held" for
+    // one the daemon has, and nothing while the original is still
+    // being offered.
+    if (cached) {
       frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide,
-                      rpc::encode(id, rpc::SubmitAckMsg{*cached_ack}));
-    }
-    if (cached_response) {
+      transport_.send(rpc::kServerSide, *cached);
+    } else if (held) {
       frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide, *cached_response);
+      transport_.send(rpc::kServerSide, rpc::encode(id, rpc::SubmitAckMsg{}));
     }
     return;
   }
 
   // Fresh request: rebuild the FwdRequest (payload re-materialised
-  // from the deployment slab pool) and offer it to the daemon.
+  // from the deployment slab pool) and offer it to the daemon. decode()
+  // already checked the payload against the op and size.
   FwdRequest req;
   req.op = static_cast<FwdOp>(msg->op);
   req.path = msg->path;
@@ -292,27 +301,20 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     req.payload = service_.acquire_payload(msg->size);
     read_data = req.payload;
   }
-  req.done = std::make_shared<ResponseSink>(*this, id, std::move(read_data));
+  const auto sink =
+      std::make_shared<ResponseSink>(*this, id, std::move(read_data));
+  req.done = sink;
 
-  // The continuation may run (and respond) before try_submit returns;
-  // the client stub accepts a response ahead of its ack.
-  const SubmitResult res =
-      service_.daemon(ion_).try_submit(std::move(req));
-  const rpc::SubmitAckMsg ack{static_cast<rpc::WireSubmitResult>(res)};
-  {
+  // An accepted request answers from its continuation (possibly before
+  // try_submit returns); a refused one answers here.
+  if (service_.daemon(ion_).try_submit(std::move(req)) ==
+      SubmitResult::kAccepted) {
     MutexLock lk(mu_);
     const auto it = dedup_.find(id);
-    if (it != dedup_.end()) {
-      it->second.ack = ack.result;
-      if (res != SubmitResult::kAccepted) mark_terminal_locked(id, it->second);
-    }
-    // A refused request's continuation is never called.
-    if (res != SubmitResult::kAccepted && --outstanding_ == 0) {
-      idle_cv_.notify_all();
-    }
+    if (it != dedup_.end()) it->second.accepted = true;
+  } else {
+    sink->complete({CompletionStatus::kRejected, 0});
   }
-  frames_sent_ctr_->add();
-  transport_.send(rpc::kServerSide, rpc::encode(id, ack));
 }
 
 void RpcIonServer::respond(
@@ -321,21 +323,15 @@ void RpcIonServer::respond(
     MutexLock lk(mu_);
     const auto it = dedup_.find(id);
     if (it != dedup_.end()) {
-      it->second.response = frame;  // replayed to late duplicates
-      mark_terminal_locked(id, it->second);
+      it->second.response = frame;  // replayed to later duplicates
+      terminal_order_.push_back(id);
+      evict_locked();
     }
   }
   frames_sent_ctr_->add();
   transport_.send(rpc::kServerSide, *frame);
   MutexLock lk(mu_);
   if (--outstanding_ == 0) idle_cv_.notify_all();
-}
-
-void RpcIonServer::mark_terminal_locked(std::uint64_t id, DedupEntry& entry) {
-  if (entry.terminal) return;
-  entry.terminal = true;
-  terminal_order_.push_back(id);
-  evict_locked();
 }
 
 void RpcIonServer::evict_locked() {
@@ -421,10 +417,8 @@ bool RpcMappingClient::publish(const core::Mapping& mapping) {
 
 void RpcMappingClient::on_frame(std::vector<std::byte> frame) {
   frames_recv_ctr_->add();
-  rpc::Decoded decoded;
-  try {
-    decoded = rpc::decode(frame);
-  } catch (const rpc::CodecError&) {
+  const rpc::Decoded decoded = rpc::decode(frame);
+  if (!decoded.ok()) {
     codec_errors_ctr_->add();
     return;
   }
@@ -472,10 +466,8 @@ void RpcMappingServer::evict_locked() {
 
 void RpcMappingServer::on_frame(std::vector<std::byte> frame) {
   frames_recv_ctr_->add();
-  rpc::Decoded decoded;
-  try {
-    decoded = rpc::decode(frame);
-  } catch (const rpc::CodecError&) {
+  const rpc::Decoded decoded = rpc::decode(frame);
+  if (!decoded.ok()) {
     codec_errors_ctr_->add();
     return;
   }

@@ -6,24 +6,31 @@
 //
 // Delivery discipline (the accounting identity depends on it):
 //
-//   * Submits are AT-LEAST-ONCE: the stub resends the SAME request id
-//     until a SubmitAck arrives. Resends are unbounded on purpose - a
-//     bounded give-up after the server accepted (but every ack was
-//     lost) would double-count the offer once the client re-submitted
-//     it under a new id. The server always answers (kDown even while
-//     its daemon is crashed), so resends terminate for any plan that
-//     eventually lets one ack frame through.
-//   * The server keeps a dedup window of answered request ids and
-//     replays the CACHED ack/response for a duplicate - a dup or
-//     resend can never reach the daemon twice (rpc.dedup_hits counts
-//     the absorbed copies).
-//   * A LOST SubmitResponse surfaces as the client's request timeout;
-//     the shim abandons the attempt (the stub drops its entry) and
-//     re-offers under a NEW id, which the daemon terminally counts once
-//     more - the same semantics a timed-out in-proc attempt always had.
-//   * Responses are sent by the request's continuation, inline on the
-//     daemon worker or flusher that settles it; nothing polls for
-//     completions.
+//   * One answer per request: every submit is answered by exactly one
+//     SubmitResponse - the completion its continuation ships (inline on
+//     the daemon worker or flusher that settles it; nothing polls), or
+//     kRejected when the daemon refused the offer (busy or down; the
+//     server answers even while its daemon is crashed). A fresh
+//     accepted request sends nothing until it settles.
+//   * Submits are AT-LEAST-ONCE, driven by the waiter: issue() sends
+//     once; wait() waits in ack_timeout slices, paced by the seeded
+//     retry_backoff, and resends the SAME request id until the response
+//     lands.
+//   * The server keeps a dedup window of request ids. A duplicate of a
+//     settled id replays the cached response, so a lost response costs
+//     one resend, not a request timeout. A duplicate of an accepted but
+//     unsettled id gets an empty SubmitAck ("held"); one that arrives
+//     while the original is still being offered gets nothing. A dup or
+//     resend never reaches the daemon twice (rpc.dedup_hits counts the
+//     absorbed copies).
+//   * Handoff rule: past the request timeout, wait() returns the
+//     response if one arrives and gives up only once a held ack said
+//     the ION has the request. Until an answer comes it resends at once
+//     and waits for one, so an offer that never reached the ION is never
+//     abandoned and every qos.tenant.submitted finds its bucket. The
+//     shim re-offers a timed-out attempt under a NEW id, which the
+//     daemon terminally counts once more - the same semantics a
+//     timed-out in-proc attempt has.
 //   * Mapping fetch/publish use BOUNDED attempts: giving up is safe
 //     (a lost publish is the dropped-mapping-file scenario the
 //     HealthMonitor self-heals; a failed fetch keeps the cached view).
@@ -51,7 +58,8 @@ namespace iofa::fwd {
 class ForwardingService;
 
 /// Client-side stub for one ION link. Thread-safe: the shim's issuing
-/// threads call try_submit concurrently.
+/// threads call issue() and wait() concurrently (a fresh WaitSlot per
+/// issued request).
 class RpcIonClient : public IonPort {
  public:
   /// `transport` and `registry` must outlive the stub. `seed` feeds the
@@ -60,11 +68,12 @@ class RpcIonClient : public IonPort {
                const rpc::RpcOptions& options, std::uint64_t seed,
                telemetry::Registry* registry = nullptr);
 
-  SubmitResult try_submit(FwdRequest req) override;
-  /// Drop an abandoned call's entry (and its read slab).
-  void abandon(const CompletionSink& done) override IOFA_EXCLUDES(mu_);
+  void issue(FwdRequest req) override IOFA_EXCLUDES(mu_);
+  std::optional<Completion> wait(WaitSlot& slot, Seconds timeout) override
+      IOFA_EXCLUDES(mu_);
 
-  /// Calls whose response has not arrived and that were not abandoned.
+  /// Calls whose response has not arrived and whose waiter has not
+  /// timed out.
   std::size_t pending_calls() IOFA_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     return pending_.size();
@@ -74,7 +83,8 @@ class RpcIonClient : public IonPort {
   struct PendingCall {
     std::shared_ptr<CompletionSink> done;
     Payload payload;  ///< read destination (response data copies here)
-    std::optional<rpc::WireSubmitResult> ack;
+    std::vector<std::byte> frame;  ///< the request, for wait()'s resends
+    bool held = false;  ///< a SubmitAck said the ION holds it
   };
 
   void on_frame(std::vector<std::byte> frame) IOFA_EXCLUDES(mu_);
@@ -87,15 +97,18 @@ class RpcIonClient : public IonPort {
   CondVar cv_;
   std::unordered_map<std::uint64_t, PendingCall> pending_
       IOFA_GUARDED_BY(mu_);
+  /// The request id of each pending call, by its continuation.
+  std::unordered_map<const CompletionSink*, std::uint64_t> ids_
+      IOFA_GUARDED_BY(mu_);
   telemetry::Counter* retries_ctr_ = nullptr;       ///< rpc.retries
   telemetry::Counter* frames_sent_ctr_ = nullptr;   ///< rpc.frames_sent
   telemetry::Counter* frames_recv_ctr_ = nullptr;   ///< rpc.frames_recv
   telemetry::Counter* codec_errors_ctr_ = nullptr;  ///< rpc.codec_errors
 };
 
-/// Daemon-side server for one ION link: decodes submits, dedups,
-/// offers to the daemon and acks; each accepted request's continuation
-/// ships its response when the daemon completes it.
+/// Daemon-side server for one ION link: decodes submits, dedups and
+/// offers them to the daemon; each request's continuation ships its one
+/// response - when the daemon completes it, or at once on a refusal.
 class RpcIonServer {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
@@ -107,14 +120,11 @@ class RpcIonServer {
  private:
   class ResponseSink;
 
-  /// A replay re-encodes the ack from its result; the response frame
-  /// (which may carry read data) is shared with the send that shipped
-  /// it, never copied.
   struct DedupEntry {
-    std::optional<rpc::WireSubmitResult> ack;  ///< unset while offered
-    /// Null until the request completed.
+    bool accepted = false;  ///< the daemon holds it: a resend gets "held"
+    /// The one answer, once shipped (null until then). Shared with the
+    /// send that shipped it, never copied - it may carry read data.
     std::shared_ptr<const std::vector<std::byte>> response;
-    bool terminal = false;  ///< busy/down ack, or response cached
   };
 
   void on_frame(std::vector<std::byte> frame) IOFA_EXCLUDES(mu_);
@@ -122,8 +132,6 @@ class RpcIonServer {
   void respond(std::uint64_t id,
                std::shared_ptr<const std::vector<std::byte>> frame)
       IOFA_EXCLUDES(mu_);
-  void mark_terminal_locked(std::uint64_t id, DedupEntry& entry)
-      IOFA_REQUIRES(mu_);
   void evict_locked() IOFA_REQUIRES(mu_);
 
   rpc::Transport& transport_;
@@ -132,10 +140,10 @@ class RpcIonServer {
   const rpc::RpcOptions options_;
   Mutex mu_;
   std::unordered_map<std::uint64_t, DedupEntry> dedup_ IOFA_GUARDED_BY(mu_);
-  /// Terminal ids in completion order - the eviction queue. Ids whose
+  /// Answered ids in answer order - the eviction queue. Ids whose
   /// response is still pending are not in here and never evicted.
   std::deque<std::uint64_t> terminal_order_ IOFA_GUARDED_BY(mu_);
-  /// Accepted requests whose response has not been sent yet.
+  /// Offered requests whose response has not been sent yet.
   std::size_t outstanding_ IOFA_GUARDED_BY(mu_) = 0;
   CondVar idle_cv_;
   telemetry::Counter* dedup_hits_ctr_ = nullptr;    ///< rpc.dedup_hits

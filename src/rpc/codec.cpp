@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -37,14 +38,16 @@ void put_string(std::vector<std::byte>& out, const std::string& v) {
 
 /// Bounds-checked sequential reader over a body span. Every read
 /// validates remaining length first, so a malformed length field can
-/// never walk past the buffer.
+/// never walk past the buffer. The first malformation is kept as the
+/// reader's error; every later read yields zeros / empty runs, so a
+/// decoder parses straight through and checks failed() once at the end.
 class Reader {
  public:
   Reader(const std::byte* data, std::size_t size)
       : data_(data), size_(size) {}
 
   std::uint64_t le(std::size_t n) {
-    need(n);
+    if (!need(n)) return 0;
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < n; ++i) {
       v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
@@ -59,7 +62,7 @@ class Reader {
   /// A length-prefixed byte run, as a view into the frame.
   std::span<const std::byte> run() {
     const std::uint32_t n = u32();
-    need(n);
+    if (!need(n)) return {};
     const std::span<const std::byte> out(data_ + pos_, n);
     pos_ += n;
     return out;
@@ -73,20 +76,30 @@ class Reader {
     return {reinterpret_cast<const char*>(r.data()), r.size()};
   }
 
+  /// Record a malformation (only the first one is kept).
+  void fail(std::string why) {
+    if (!error_) error_ = CodecError{std::move(why)};
+  }
+  bool failed() const { return error_.has_value(); }
+  const CodecError& error() const { return *error_; }
+
   /// Decoders call this last: leftover bytes are a malformation, not
   /// forward compatibility (the version field owns evolution).
-  void expect_done() const {
-    if (pos_ != size_) throw CodecError("trailing bytes in body");
+  void expect_done() {
+    if (pos_ != size_) fail("trailing bytes in body");
   }
 
  private:
-  void need(std::size_t n) const {
-    if (size_ - pos_ < n) throw CodecError("body truncated");
+  bool need(std::size_t n) {
+    if (!error_ && size_ - pos_ >= n) return true;
+    fail("body truncated");
+    return false;
   }
 
   const std::byte* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  std::optional<CodecError> error_;
 };
 
 std::uint64_t load_le64(const std::byte* p) {
@@ -185,10 +198,8 @@ std::vector<std::byte> encode(std::uint64_t request_id,
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
-                              const SubmitAckMsg& m) {
-  std::vector<std::byte> frame = open_frame(1);
-  put_le(frame, static_cast<std::uint8_t>(m.result), 1);
-  return seal(MsgType::kSubmitAck, request_id, std::move(frame));
+                              const SubmitAckMsg&) {
+  return seal(MsgType::kSubmitAck, request_id, open_frame(0));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
@@ -234,33 +245,36 @@ std::vector<std::byte> encode(std::uint64_t request_id,
 
 namespace {
 
-/// Header checks shared by decode() and peek_type(). Returns the type;
-/// fills request_id / body_len.
-MsgType check_header(const std::vector<std::byte>& frame,
-                     std::uint64_t* request_id, std::size_t* body_len) {
-  if (frame.size() < kHeaderSize) throw CodecError("frame shorter than header");
+/// Header checks shared by decode() and peek_type(): the type, with
+/// request_id / body_len filled in, or why the header was refused.
+std::variant<CodecError, MsgType> check_header(
+    const std::vector<std::byte>& frame, std::uint64_t* request_id,
+    std::size_t* body_len) {
+  if (frame.size() < kHeaderSize) {
+    return CodecError{"frame shorter than header"};
+  }
   Reader h(frame.data(), kHeaderSize);
-  if (h.u32() != kWireMagic) throw CodecError("bad magic");
+  if (h.u32() != kWireMagic) return CodecError{"bad magic"};
   const std::uint8_t version = h.u8();
   if (version != kWireVersion) {
-    throw CodecError("unsupported wire version " + std::to_string(version));
+    return CodecError{"unsupported wire version " + std::to_string(version)};
   }
   const std::uint8_t type = h.u8();
   if (type < static_cast<std::uint8_t>(MsgType::kSubmitRequest) ||
       type > static_cast<std::uint8_t>(MsgType::kMappingPublishAck)) {
-    throw CodecError("unknown message type " + std::to_string(type));
+    return CodecError{"unknown message type " + std::to_string(type)};
   }
-  if (h.le(2) != 0) throw CodecError("nonzero reserved field");
+  if (h.le(2) != 0) return CodecError{"nonzero reserved field"};
   const std::uint64_t id = h.u64();
   const std::uint32_t len = h.u32();
-  if (h.u32() != 0) throw CodecError("nonzero reserved field");
-  if (len > kMaxBodyLen) throw CodecError("body length over limit");
+  if (h.u32() != 0) return CodecError{"nonzero reserved field"};
+  if (len > kMaxBodyLen) return CodecError{"body length over limit"};
   if (frame.size() != kHeaderSize + len) {
-    throw CodecError("frame length does not match body length");
+    return CodecError{"frame length does not match body length"};
   }
   const std::uint64_t want = h.u64();
   if (want != checksum(frame.data(), frame.data() + kHeaderSize, len)) {
-    throw CodecError("checksum mismatch");
+    return CodecError{"checksum mismatch"};
   }
   if (request_id) *request_id = id;
   if (body_len) *body_len = len;
@@ -269,21 +283,25 @@ MsgType check_header(const std::vector<std::byte>& frame,
 
 }  // namespace
 
-MsgType peek_type(const std::vector<std::byte>& frame) {
+std::variant<CodecError, MsgType> peek_type(
+    const std::vector<std::byte>& frame) {
   return check_header(frame, nullptr, nullptr);
 }
 
 Decoded decode(const std::vector<std::byte>& frame) {
   Decoded out;
   std::size_t body_len = 0;
-  const MsgType type = check_header(frame, &out.request_id, &body_len);
+  auto type = check_header(frame, &out.request_id, &body_len);
+  if (auto* err = std::get_if<CodecError>(&type)) {
+    return Decoded{0, std::move(*err)};
+  }
   Reader r(frame.data() + kHeaderSize, body_len);
-  switch (type) {
+  switch (std::get<MsgType>(type)) {
     case MsgType::kSubmitRequest: {
       SubmitRequestMsg m;
       const std::uint8_t op = r.u8();
       if (op > static_cast<std::uint8_t>(WireOp::kFsync)) {
-        throw CodecError("bad op " + std::to_string(op));
+        r.fail("bad op " + std::to_string(op));
       }
       m.op = static_cast<WireOp>(op);
       m.tenant = r.u32();
@@ -295,25 +313,27 @@ Decoded decode(const std::vector<std::byte>& frame) {
       m.path = r.str();
       m.payload = r.bytes();
       r.expect_done();
+      // The daemon sizes and copies buffers by `size`, so the payload
+      // must agree: all of a write's bytes or none (accounting-only),
+      // none for a read or fsync, and never more than a frame holds.
+      if (m.size > kMaxBodyLen) r.fail("request size over limit");
+      if (!m.payload.empty() &&
+          (m.op != WireOp::kWrite || m.payload.size() != m.size)) {
+        r.fail("payload does not match op and size");
+      }
       out.msg = std::move(m);
       break;
     }
     case MsgType::kSubmitAck: {
-      SubmitAckMsg m;
-      const std::uint8_t res = r.u8();
-      if (res > static_cast<std::uint8_t>(WireSubmitResult::kDown)) {
-        throw CodecError("bad submit result " + std::to_string(res));
-      }
-      m.result = static_cast<WireSubmitResult>(res);
       r.expect_done();
-      out.msg = m;
+      out.msg = SubmitAckMsg{};
       break;
     }
     case MsgType::kSubmitResponse: {
       SubmitResponseMsg m;
       const std::uint8_t status = r.u8();
-      if (status > static_cast<std::uint8_t>(WireStatus::kError)) {
-        throw CodecError("bad status " + std::to_string(status));
+      if (status > static_cast<std::uint8_t>(WireStatus::kRejected)) {
+        r.fail("bad status " + std::to_string(status));
       }
       m.status = static_cast<WireStatus>(status);
       m.value = r.u64();
@@ -333,14 +353,13 @@ Decoded decode(const std::vector<std::byte>& frame) {
       MappingReplyMsg m;
       m.epoch = r.u64();
       const std::uint8_t found = r.u8();
-      if (found > 1) throw CodecError("bad found flag");
+      if (found > 1) r.fail("bad found flag");
       m.found = found == 1;
       const std::uint32_t n = r.u32();
       // Each ion costs 4 body bytes; an absurd count dies here instead
       // of in a giant reserve.
-      if (n > kMaxBodyLen / 4) throw CodecError("ion list over limit");
-      m.ions.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
+      if (n > kMaxBodyLen / 4) r.fail("ion list over limit");
+      for (std::uint32_t i = 0; i < n && !r.failed(); ++i) {
         m.ions.push_back(static_cast<std::int32_t>(r.u32()));
       }
       r.expect_done();
@@ -360,6 +379,7 @@ Decoded decode(const std::vector<std::byte>& frame) {
       break;
     }
   }
+  if (r.failed()) return Decoded{0, r.error()};
   return out;
 }
 

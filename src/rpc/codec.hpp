@@ -21,11 +21,10 @@
 //
 // The checksum covers the header (hash field excluded) AND the body, so
 // any single-word change anywhere - request id included - is detected.
-// decode() throws CodecError on any malformation and never reads past
-// the buffer.
+// decode() answers any malformation with a CodecError value and never
+// reads past the buffer.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -34,13 +33,17 @@
 
 namespace iofa::rpc {
 
-/// Decoded frame: the request id from the header plus the typed body.
+/// decode()'s answer, a typed value either way: the request id from
+/// the header plus the typed body - or, as the body's first
+/// alternative, the CodecError that refused the frame (request_id is
+/// then 0). Errors are values; nothing in the codec throws.
 struct Decoded {
   std::uint64_t request_id = 0;
-  std::variant<SubmitRequestMsg, SubmitAckMsg, SubmitResponseMsg,
-               MappingGetMsg, MappingReplyMsg, MappingPublishMsg,
-               MappingPublishAckMsg>
+  std::variant<CodecError, SubmitRequestMsg, SubmitAckMsg,
+               SubmitResponseMsg, MappingGetMsg, MappingReplyMsg,
+               MappingPublishMsg, MappingPublishAckMsg>
       msg;
+  bool ok() const { return msg.index() != 0; }
 };
 
 std::vector<std::byte> encode(std::uint64_t request_id,
@@ -70,13 +73,15 @@ std::vector<std::byte> encode(std::uint64_t request_id,
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingPublishAckMsg& m);
 
-/// Parse one frame. Throws CodecError on ANY malformation; a returned
-/// Decoded is fully validated (checksum included).
+/// Parse one frame. ANY malformation is a CodecError; a decoded
+/// message is fully validated (checksum included, and a SubmitRequest's
+/// payload agrees with its op and size).
 Decoded decode(const std::vector<std::byte>& frame);
 
 /// The message type of a well-formed frame (header checks only; used
-/// for cheap routing and by tests). Throws CodecError when the header
-/// is malformed.
-MsgType peek_type(const std::vector<std::byte>& frame);
+/// for cheap routing and by tests), or the CodecError of a malformed
+/// header.
+std::variant<CodecError, MsgType> peek_type(
+    const std::vector<std::byte>& frame);
 
 }  // namespace iofa::rpc

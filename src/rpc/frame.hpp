@@ -12,21 +12,23 @@
 // the codec.
 //
 // Versioning: kWireVersion is part of the header; a decoder refuses
-// frames from a different version with CodecError, so mixed-version
-// deployments fail loudly at the boundary instead of corrupting state.
+// frames from a different version with a CodecError value, so
+// mixed-version deployments fail loudly at the boundary instead of
+// corrupting state.
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace iofa::rpc {
 
 inline constexpr std::uint32_t kWireMagic = 0x41464F49;  // "IOFA" LE
-/// Version 3: the body checksum folds 32-byte blocks into four
-/// independent lanes (version 2 chained every word serially, version 1
-/// hashed byte-wise).
-inline constexpr std::uint8_t kWireVersion = 3;
+/// Version 4: one answer per request - a refusal is a SubmitResponse
+/// (kRejected) and SubmitAck is an empty "held" reply to a resend.
+/// Version 3 sent an eager ack carrying the admission result; its
+/// checksum (four lanes over 32-byte blocks) is unchanged. Version 2
+/// chained every word serially, version 1 hashed byte-wise.
+inline constexpr std::uint8_t kWireVersion = 4;
 /// Fixed header size in bytes (see codec.cpp for the exact layout).
 inline constexpr std::size_t kHeaderSize = 32;
 /// Decoder refuses bodies above this (a flipped length bit must not
@@ -34,17 +36,17 @@ inline constexpr std::size_t kHeaderSize = 32;
 inline constexpr std::size_t kMaxBodyLen = 64u << 20;
 
 /// Every malformed frame - truncated, bit-flipped, wrong magic/version,
-/// length mismatch, trailing bytes - surfaces as this one typed error.
-/// Decoders never crash, hang, or partially apply a bad frame.
-struct CodecError : std::runtime_error {
-  explicit CodecError(const std::string& why)
-      : std::runtime_error("rpc codec: " + why) {}
+/// length mismatch, trailing bytes - is refused with this one typed
+/// value (codec.hpp returns it; nothing throws). Decoders never crash,
+/// hang, or partially apply a bad frame.
+struct CodecError {
+  std::string why;
 };
 
 enum class MsgType : std::uint8_t {
   kSubmitRequest = 1,   ///< client -> ION: one forwarded request
-  kSubmitAck = 2,       ///< ION -> client: try_submit outcome
-  kSubmitResponse = 3,  ///< ION -> client: terminal completion
+  kSubmitAck = 2,       ///< ION -> client: "held" (resend of an open id)
+  kSubmitResponse = 3,  ///< ION -> client: the one answer (refusal too)
   kMappingGet = 4,      ///< client -> store: entry + epoch for a job
   kMappingReply = 5,    ///< store -> client: epoch, entry (if any)
   kMappingPublish = 6,  ///< arbiter -> store: serialized mapping
@@ -65,20 +67,14 @@ struct SubmitRequestMsg {
   double stream_weight = 1.0;
   std::uint64_t deadline_us = 0;
   std::string path;
-  /// Write payload bytes; empty in accounting-only mode.
+  /// Write payload bytes: empty (accounting-only) or exactly `size`
+  /// bytes; reads and fsyncs carry none (decode() enforces both).
   std::vector<std::byte> payload;
 };
 
-/// Wire mirror of fwd::SubmitResult (same pinning story as WireOp).
-enum class WireSubmitResult : std::uint8_t {
-  kAccepted = 0,
-  kBusy = 1,
-  kDown = 2
-};
-
-struct SubmitAckMsg {
-  WireSubmitResult result = WireSubmitResult::kDown;
-};
+/// The answer to a resend whose id the ION accepted but has not
+/// settled: "held, the response follows". A fresh request gets no ack.
+struct SubmitAckMsg {};
 
 /// Terminal outcome classes a completion can carry back: the wire
 /// mirror of fwd::CompletionStatus (pinned by static_assert in
@@ -87,7 +83,8 @@ enum class WireStatus : std::uint8_t {
   kOk = 0,
   kIonDown = 1,
   kExpired = 2,
-  kError = 3
+  kError = 3,
+  kRejected = 4
 };
 
 struct SubmitResponseMsg {

@@ -39,14 +39,16 @@ std::optional<TransportKind> parse_transport(const std::string& name);
 TransportKind resolve_transport(TransportKind configured);
 
 struct RpcOptions {
-  /// How long a client stub waits for a SubmitAck before resending the
-  /// same request id. Resends are at-least-once: the server's dedup
-  /// window answers duplicates from cache, so a resend can never
-  /// double-apply. The stub resends until an ack arrives (servers
-  /// always answer, even for crashed daemons), so the accounting
-  /// identity sees exactly one authoritative outcome per offer.
+  /// How long a waiting client stub goes without the response before
+  /// resending the same request id. Resends are at-least-once: the
+  /// server's dedup window answers a duplicate from cache (the settled
+  /// response, or an empty "held" ack while the daemon still has it),
+  /// so a resend can never double-apply, and a lost response costs one
+  /// resend. Past the request timeout the stub gives up only once some
+  /// answer arrived, so the accounting identity sees exactly one
+  /// authoritative outcome per offer.
   Seconds ack_timeout = 0.25;
-  /// Pacing between ack resends (deterministic seeded jitter).
+  /// Pacing between resends (deterministic seeded jitter).
   fault::BackoffPolicy retry_backoff = {};
   /// Request ids remembered per server for duplicate suppression.
   /// Entries whose response is still pending are never evicted.

@@ -554,19 +554,21 @@ TEST(BoundedQueueTest, CloseDrainsThenNullopt) {
 
 TEST(BoundedQueueTest, PopForTimesOut) {
   BoundedQueue<int> q(4);
+  int out = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(30)).has_value());
+  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(30), out),
+            PopResult::kTimeout);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   EXPECT_GT(elapsed, 0.025);
 }
 
-// Regression for the drain-on-shutdown bug: consumers used the
-// optional-returning try_pop_for, which collapses "nothing yet, retry"
+// Regression for the drain-on-shutdown bug: consumers used an
+// optional-returning timed pop, which collapsed "nothing yet, retry"
 // and "closed and drained, stop" into one nullopt - so a slow producer
 // (or a scheduler holding requests back) could see its consumer leave
-// early. The PopResult overload keeps the two apart.
+// early. PopResult keeps the two apart.
 TEST(BoundedQueueTest, TryPopForDistinguishesTimeoutFromClosed) {
   BoundedQueue<int> q(4);
   int out = 0;

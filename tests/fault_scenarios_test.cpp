@@ -737,25 +737,26 @@ TEST(FaultScenarios, RpcChaosWithCrashRestartLosesNoAcknowledgedWrite) {
   plan.seed = seed;
   plan.crash_ion(1, 1.0);
   plan.restart_ion(1, 2.0);
-  plan.drop_msg(fault::rpc_req_site(0), 3)       // lost request: resend
-      .drop_msg(fault::rpc_rsp_site(0), 2)       // lost ack: resend + dedup
-      .dup_msg(fault::rpc_req_site(1), 2)        // dup into a live daemon
+  // Server->client frames carry only answers (no ack per request), so
+  // rsp ordinal k is the k-th answer on that link.
+  plan.drop_msg(fault::rpc_req_site(0), 3)  // lost request: resend
+      .drop_msg(fault::rpc_rsp_site(0), 1)  // lost response: resend, replay
+      .dup_msg(fault::rpc_req_site(1), 2)   // dup into a live daemon
       .dup_msg(fault::rpc_req_site(0), 6)
-      .drop_msg(fault::rpc_rsp_site(1), 4);
+      .drop_msg(fault::rpc_rsp_site(1), 2);
   Cluster c(std::move(plan), 2, /*workers_per_ion=*/1,
             rpc::TransportKind::kTcp);
   c.service->apply_mapping(mapping_to({0, 1}, 1, 2));
 
   ClientConfig cc = c.client_config();
-  // A dropped SubmitResponse surfaces as the client's request timeout
-  // (the stub's at-least-once resends cover acks, not responses);
-  // without a timeout the shim would wait on the lost completion
-  // forever.
+  // A dropped SubmitResponse is recovered by the waiter's resend, which
+  // the server's dedup cache answers; the request timeout bounds the
+  // wait on a request the ION holds.
   cc.request_timeout = 0.5;
   cc.max_attempts = 8;
   Client client(cc, *c.service);
   write_blocks(client, "/chaos", 0, 8, seed);
-  c.clock.set(1.0);  // ion 1 down: kDown acks drive failover to ion 0
+  c.clock.set(1.0);  // ion 1 down: kRejected answers drive failover to ion 0
   write_blocks(client, "/chaos", 8, 16, seed);
   c.clock.set(2.0);  // ion 1 back
   write_blocks(client, "/chaos", 16, 24, seed);

@@ -889,7 +889,6 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   IonParams params = fast_ion();
   params.workers = 8;
   params.registry = &reg;
-  params.flush_work_stealing = true;
   params.flush_batch_max = 4 * KiB;  // one extent per run: maximal overlap
   IonDaemon daemon(0, params, pfs);
   ASSERT_EQ(daemon.flushers(), 8);

@@ -627,9 +627,7 @@ TEST(OverloadScenarios, InfiniteRequestTimeoutNeverGivesUp) {
   IOFA_TRACE_SEED(seed);
   fault::FaultPlan plan;
   plan.seed = seed;
-  Cluster c(std::move(plan), 1, [](ServiceConfig& cfg) {
-    cfg.transport = rpc::TransportKind::kInProc;
-  });
+  Cluster c(std::move(plan), 1);
   c.service->apply_mapping(mapping_to({0}, 1, 1));
 
   ClientConfig cc = c.client_config();

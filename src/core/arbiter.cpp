@@ -195,13 +195,17 @@ const Mapping& Arbiter::job_started(JobId id, AppEntry app) {
   if (warm_enabled_) {
     pending_deltas_.push_back({id, build_class(app)});
   }
+  items_ += app.curve.options().size();
   running_.emplace(id, std::move(app));
   if (!epoch_defer()) arbitrate();
   return mapping_;
 }
 
 const Mapping& Arbiter::job_finished(JobId id) {
-  running_.erase(id);
+  const auto it = running_.find(id);
+  if (it == running_.end()) return mapping_;
+  items_ -= it->second.curve.options().size();
+  running_.erase(it);
   if (warm_enabled_) pending_deltas_.push_back({id, std::nullopt});
   if (epoch_defer()) return mapping_;
   counts_.erase(id);
@@ -213,11 +217,12 @@ const Mapping& Arbiter::job_finished(JobId id) {
 const Mapping& Arbiter::job_updated(JobId id, AppEntry app) {
   auto it = running_.find(id);
   if (it == running_.end()) return mapping_;
+  items_ += app.curve.options().size();
+  items_ -= it->second.curve.options().size();
+  // A curve change is one leaf of the warm tree; it still republishes
+  // now, even in epoch mode.
+  if (warm_enabled_) pending_deltas_.push_back({id, build_class(app)});
   it->second = std::move(app);
-  // Curve change: structural, so the persisted DP suffix math no
-  // longer applies — rebuild and republish now even in epoch mode.
-  warm_valid_ = false;
-  pending_deltas_.clear();
   // The label may have changed too: rematerialise every entry.
   remap_all_ = true;
   arbitrate();
@@ -228,7 +233,7 @@ const Mapping& Arbiter::set_pool(int pool) {
   options_.pool = pool;
   // Recovered-beyond-pool ids would otherwise linger in failed_.
   failed_.erase(failed_.lower_bound(pool), failed_.end());
-  // The warm table is sized by the physical pool: resize is structural.
+  // The warm tree is sized by the physical pool: resize rebuilds it.
   warm_valid_ = false;
   pending_deltas_.clear();
   arbitrate();
@@ -322,30 +327,23 @@ void Arbiter::arbitrate() {
   // The policy solves over the SURVIVING pool: dead IONs contribute no
   // capacity (Eq. 2 recomputed on survivors).
   const int capacity = options_.pool - static_cast<int>(failed_.size());
-  std::size_t items = 0;  ///< MCKP items: feasible options across classes
-  for (const auto& [id, app] : running_) items += app.curve.options().size();
 
-  // Warm path first: flush deltas into the persisted table (suffix
-  // recompute only) and read the solution off the final layer. The
-  // full policy solve remains for rebuilds after structural changes
-  // and for infeasible primaries, where the policy owns the shared-ION
-  // fallback of Section 3.1.
+  // Warm path first: flush deltas into the persisted tree (the paths
+  // they touch only) and read the solution off its root. The full
+  // policy solve remains for infeasible primaries, where the policy
+  // owns the shared-ION fallback of Section 3.1.
   Seconds solve_seconds = 0.0;
   Allocation alloc;
   bool warm_used = false;
   if (warm_enabled_) {
     const auto t0 = iofa::monotonic_now();
     const bool rebuilt = warm_sync();
-    const auto sol = warm_.solve(capacity);
+    // One in-order backtrack: each job's ION count, in JobId order.
+    warm_used = warm_.solve_weights(capacity, alloc.ions);
     solve_seconds +=
         std::chrono::duration<double>(iofa::monotonic_now() - t0).count();
-    if (sol) {
-      warm_used = true;
+    if (warm_used) {
       (rebuilt ? ctr_fallbacks_ : ctr_incremental_)->add();
-      alloc.ions.resize(running_.size());
-      for (std::size_t i = 0; i < running_.size(); ++i) {
-        alloc.ions[i] = warm_.class_at(i)[sol->choice[i]].weight;
-      }
     } else {
       // Primary infeasible (possible only with classes present):
       // delegate to the policy, which owns the shared fallback.
@@ -373,7 +371,7 @@ void Arbiter::arbitrate() {
   last_solve_seconds_.store(solve_seconds, std::memory_order_relaxed);
 
   ctr_solves_->add();
-  ctr_items_->add(items);
+  ctr_items_->add(items_);
   hist_solve_us_->observe(solve_seconds * 1e6);
   hist_classes_->observe(static_cast<double>(running_.size()));
   gauge_running_->set(static_cast<double>(running_.size()));

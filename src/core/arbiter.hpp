@@ -56,10 +56,10 @@ struct ArbiterOptions {
   bool reallocate_running = true;
   /// Metrics destination; nullptr means telemetry::Registry::global().
   telemetry::Registry* registry = nullptr;
-  /// Reuse a warm-start MCKP table across solves when the policy
-  /// supports it: single-job deltas recompute only a suffix of the DP,
-  /// ION failure/recovery only rescans the final layer. Structural
-  /// changes (pool resize, curve change) fall back to a full rebuild.
+  /// Reuse a warm-start MCKP tree across solves when the policy
+  /// supports it: a job start, finish or profile change re-merges
+  /// O(log n) nodes, ION failure/recovery only rescans the root. A pool
+  /// resize falls back to a full rebuild.
   bool incremental = true;
   /// When > 0, job start/finish and ION-recovery deltas batch into
   /// scheduled re-solve epochs driven by tick() with caller-passed
@@ -79,10 +79,11 @@ class Arbiter {
   /// already running replaces its profile: it behaves as job_updated().
   const Mapping& job_started(JobId id, AppEntry app);
   /// Remove a job and re-arbitrate (epoch mode: batched, as above).
+  /// Unknown ids are ignored: no solve, no epoch bump, no pending event.
   const Mapping& job_finished(JobId id);
-  /// Replace a running job's profile. A curve change is structural:
-  /// the warm table is dropped and a full solve runs immediately, even
-  /// in epoch mode. Unknown ids are ignored.
+  /// Replace a running job's profile: one class update in the warm
+  /// tree, then an immediate re-solve and republish, even in epoch
+  /// mode. Unknown ids are ignored.
   const Mapping& job_updated(JobId id, AppEntry app);
 
   /// Epoch scheduler. Call with monotonic time (the HealthMonitor
@@ -138,9 +139,9 @@ class Arbiter {
   /// only the jobs whose assignment changed. Returns how many entries
   /// it rematerialised.
   std::size_t materialize(const Allocation& alloc);
-  /// Bring the warm table in line with running_: replay pending deltas
-  /// (suffix recompute) or rebuild from scratch after a structural
-  /// change. Returns true when it rebuilt.
+  /// Bring the warm tree in line with running_: replay pending deltas
+  /// or rebuild from scratch after a pool resize. Returns true when it
+  /// rebuilt.
   bool warm_sync();
   static MckpClass build_class(const AppEntry& app);
   /// Epoch mode: record the event for the next tick instead of solving
@@ -150,6 +151,7 @@ class Arbiter {
   std::shared_ptr<ArbitrationPolicy> policy_;
   ArbiterOptions options_;
   std::map<JobId, AppEntry> running_;
+  std::size_t items_ = 0;  ///< MCKP items: curve options over running_
   std::map<JobId, int> counts_;
   std::set<int> failed_;  ///< IONs excluded from arbitration
   std::map<int, double> load_hints_;  ///< saturated-but-alive IONs

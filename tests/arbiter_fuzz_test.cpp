@@ -349,9 +349,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PolicyFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
 // ===================================================================
-// Warm-start differential fuzzers (PR 8): the incremental table must
-// be VALUE-IDENTICAL - exact ==, not NEAR - to a fresh solve_mckp_dp
-// after every delta, because it replays the very same DP transitions.
+// Warm-start differential fuzzers: the incremental tree must be
+// IDENTICAL - value (exact ==, not NEAR), weight and every choice - to
+// a fresh solve_mckp_dp after every delta, because both sum in fixed
+// point and break ties by the same canonical rule.
 
 std::uint64_t fault_seed() {
   if (const char* env = std::getenv("IOFA_FAULT_SEED")) {
@@ -387,16 +388,22 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
     MckpClass c;
     const std::size_t n = 1 + rng.index(5);
     for (std::size_t j = 0; j < n; ++j) {
-      // Weights deliberately overshoot max_weight sometimes: items the
+      // Every class has a 0-weight item (a job's direct option), so the
+      // stream stays feasible however many classes it holds; without
+      // one, a few dozen classes are infeasible at any capacity and
+      // the value/choice checks below would never run. The other
+      // weights deliberately overshoot max_weight sometimes: items the
       // table must ignore exactly like the fresh DP does.
-      c.push_back(MckpItem{rng.uniform_int(0, max_weight + 2),
-                           rng.uniform(0.0, 1000.0)});
+      const int w = j == 0 ? 0 : rng.uniform_int(0, max_weight + 2);
+      c.push_back(MckpItem{w, rng.uniform(0.0, 1000.0)});
     }
     return c;
   };
 
   int events = 0;
-  for (int step = 0; events < 10'000; ++step) {
+  int compared = 0;
+  int step = 0;
+  for (; events < 10'000; ++step) {
     const double dice = rng.uniform01();
     if (model.empty() || dice < 0.40) {
       const std::uint64_t key = next_key++;
@@ -424,7 +431,7 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
       capacity = rng.uniform_int(0, max_weight);
       ++events;
     } else {
-      // Batched epoch: several deltas, one suffix recompute.
+      // Batched epoch: several deltas, one refresh of the tree.
       std::vector<IncrementalMckp::Delta> batch;
       const std::size_t n = 2 + rng.index(4);
       for (std::size_t b = 0; b < n; ++b) {
@@ -457,23 +464,175 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
     ASSERT_EQ(warm->value, fresh->value)
         << "step " << step << " capacity " << capacity;
     ASSERT_EQ(warm->weight, fresh->weight) << "step " << step;
+    ASSERT_EQ(warm->choice.size(), model.size());
+    for (std::size_t i = 0; i < warm->choice.size(); ++i) {
+      ASSERT_EQ(warm->choice[i], fresh->choice[i])
+          << "step " << step << " class " << i;
+    }
 
     // Feasibility of the reconstructed choices.
-    ASSERT_EQ(warm->choice.size(), model.size());
     double value = 0.0;
     int weight = 0;
     for (std::size_t i = 0; i < warm->choice.size(); ++i) {
-      ASSERT_LT(warm->choice[i], inc.class_at(i).size());
-      value += inc.class_at(i)[warm->choice[i]].value;
-      weight += inc.class_at(i)[warm->choice[i]].weight;
+      ASSERT_LT(warm->choice[i], classes[i].size());
+      value += classes[i][warm->choice[i]].value;
+      weight += classes[i][warm->choice[i]].weight;
     }
     ASSERT_EQ(weight, warm->weight);
     ASSERT_LE(weight, capacity);
     ASSERT_NEAR(value, warm->value, 1e-6);
+    ++compared;
   }
+  EXPECT_EQ(compared, step) << "every step must reach the value checks";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDeltaFuzz,
+                         ::testing::Values(1u, 7u, 1337u));
+
+/// Exact ties on purpose: every class is one of at most 8 templates of
+/// small integer-valued items, so many selections share the optimal
+/// value and weight (job-churn deals its jobs from a small deck the
+/// same way). The tree must pick the DP's canonical vector every time,
+/// and the arbiter's counts must match a fresh MckpPolicy solve.
+class IncrementalTieFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IncrementalTieFuzz, DuplicateClassesPickTheDpsCanonicalVector) {
+  const std::uint64_t seed = GetParam() * 0xD1B54A32D192ED03ULL + fault_seed();
+  IOFA_TRACE_SEED(fault_seed());
+  Rng rng(seed);
+
+  const int max_weight = 6 + static_cast<int>(rng.index(11));  // 6..16
+  // Each template starts with a 0-weight item, so every instance is
+  // feasible and reaches the choice check.
+  std::vector<MckpClass> templates(1 + rng.index(8));
+  for (auto& t : templates) {
+    const std::size_t n = 1 + rng.index(4);
+    for (std::size_t j = 0; j < n; ++j) {
+      t.push_back(MckpItem{j == 0 ? 0 : rng.uniform_int(0, 4),
+                           static_cast<double>(rng.uniform_int(0, 6))});
+    }
+  }
+  IncrementalMckp inc;
+  inc.reset(max_weight);
+  std::map<std::uint64_t, MckpClass> model;
+  int capacity = max_weight;
+  std::uint64_t next_key = 1;
+  const auto pick = [&] { return templates[rng.index(templates.size())]; };
+  const auto random_key = [&] {
+    auto it = model.begin();
+    std::advance(it, static_cast<long>(rng.index(model.size())));
+    return it->first;
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const double dice = rng.uniform01();
+    if (model.empty() || dice < 0.40) {
+      const std::uint64_t key = next_key++;
+      model[key] = pick();
+      inc.upsert(key, model[key]);
+    } else if (dice < 0.55) {
+      const std::uint64_t key = random_key();
+      model[key] = pick();
+      inc.upsert(key, model[key]);
+    } else if (dice < 0.80) {
+      const std::uint64_t key = random_key();
+      model.erase(key);
+      EXPECT_TRUE(inc.erase(key));
+    } else if (dice < 0.92) {
+      capacity = rng.uniform_int(0, max_weight);
+    } else {
+      std::vector<IncrementalMckp::Delta> batch;
+      for (std::size_t b = 2 + rng.index(4); b > 0; --b) {
+        if (!model.empty() && rng.uniform01() < 0.4) {
+          const std::uint64_t key = random_key();
+          model.erase(key);
+          batch.push_back({key, std::nullopt});
+        } else {
+          const std::uint64_t key = next_key++;
+          model[key] = pick();
+          batch.push_back({key, model[key]});
+        }
+      }
+      inc.apply(std::move(batch));
+    }
+
+    std::vector<MckpClass> classes;
+    for (const auto& [key, c] : model) classes.push_back(c);
+    const auto fresh = solve_mckp_dp(classes, capacity);
+    const auto warm = inc.solve(capacity);
+    ASSERT_TRUE(fresh.has_value()) << "step " << step;
+    ASSERT_TRUE(warm.has_value()) << "step " << step;
+    ASSERT_EQ(warm->value, fresh->value) << "step " << step;
+    ASSERT_EQ(warm->weight, fresh->weight) << "step " << step;
+    ASSERT_EQ(warm->choice, fresh->choice) << "step " << step;
+  }
+}
+
+TEST_P(IncrementalTieFuzz, ArbiterCountsMatchFreshSolveUnderCurveUpdates) {
+  const std::uint64_t seed = GetParam() * 0x94D049BB133111EBULL + fault_seed();
+  IOFA_TRACE_SEED(fault_seed());
+  Rng rng(seed);
+
+  std::vector<platform::BandwidthCurve> deck(1 + rng.index(8));
+  for (auto& curve : deck) {
+    std::vector<std::pair<int, double>> points;
+    for (int opt : {0, 1, 2, 4, 8}) {
+      points.emplace_back(opt, 100.0 * rng.uniform_int(0, 8));
+    }
+    curve = platform::BandwidthCurve(points);
+  }
+  const int pool = 4 + static_cast<int>(rng.index(12));
+  Arbiter arb(std::make_shared<MckpPolicy>(),
+              ArbiterOptions{pool, std::nullopt, true});
+  std::map<JobId, AppEntry> running;
+  std::set<int> failed;
+  JobId next_id = 1;
+  const auto dealt = [&] {
+    return AppEntry{"T", 16, 256, deck[rng.index(deck.size())]};
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const double dice = rng.uniform01();
+    if (running.empty() || dice < 0.35) {
+      const JobId id = next_id++;
+      running[id] = dealt();
+      arb.job_started(id, running[id]);
+    } else if (dice < 0.60) {
+      auto it = running.begin();
+      std::advance(it, static_cast<long>(rng.index(running.size())));
+      arb.job_finished(it->first);
+      running.erase(it);
+    } else if (dice < 0.80) {
+      auto it = running.begin();
+      std::advance(it, static_cast<long>(rng.index(running.size())));
+      it->second = dealt();
+      arb.job_updated(it->first, it->second);
+    } else if (dice < 0.90) {
+      const int ion =
+          static_cast<int>(rng.index(static_cast<std::size_t>(pool)));
+      if (failed.insert(ion).second) arb.ion_failed(ion);
+    } else {
+      const int ion =
+          static_cast<int>(rng.index(static_cast<std::size_t>(pool)));
+      if (failed.erase(ion)) arb.ion_recovered(ion);
+    }
+
+    AllocationProblem prob;
+    prob.pool = pool - static_cast<int>(failed.size());
+    for (const auto& [id, app] : running) prob.apps.push_back(app);
+    const auto fresh = MckpPolicy().allocate(prob);
+    std::size_t i = 0;
+    for (const auto& [id, app] : running) {
+      const bool is_shared = i < fresh.shared.size() && fresh.shared[i];
+      ASSERT_TRUE(arb.last_counts().count(id));
+      EXPECT_EQ(arb.last_counts().at(id), is_shared ? 0 : fresh.ions[i])
+          << "job " << id << " diverged at step " << step;
+      ++i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalTieFuzz,
                          ::testing::Values(1u, 7u, 1337u));
 
 /// Arbiter-level delta streams: job add/finish, ION fail/recover AND

@@ -549,6 +549,19 @@ TEST(Arbiter, EventRematerialisesOnlyTheJobsItRemaps) {
     EXPECT_EQ(remapped() - r0, k_finish) << "finish of job " << id;
     moved += k_finish;
 
+    // Finishing a job that holds IONs hands them to other jobs. (With
+    // exact ties, a finish of a job holding none moves no one.)
+    before = arb.last_counts();
+    const auto holder =
+        std::find_if(before.begin(), before.end(),
+                     [](const auto& entry) { return entry.second > 0; });
+    ASSERT_NE(holder, before.end());
+    r0 = remapped();
+    arb.job_finished(holder->first);
+    const double k_holder = changed(before, arb.last_counts());
+    EXPECT_EQ(remapped() - r0, k_holder) << "finish of job " << holder->first;
+    moved += k_holder;
+
     // A start rematerialises the new job plus the jobs it shrinks.
     before = arb.last_counts();
     r0 = remapped();

@@ -9,6 +9,13 @@
 // predicate explicitly after every wakeup (spurious-wakeup safe) and
 // the lock discipline is enforced at compile time by the IOFA_STRICT
 // clang build (see common/annotations.hpp).
+//
+// Consumer wakeups: a push wakes a sleeping consumer only when it makes
+// the queue non-empty, and a pop that leaves items behind wakes the
+// next sleeper. A consumer that is already awake takes what arrives
+// while it works, so a queue shared by several consumers (the ION's
+// flusher pool) pays a wakeup per backlog step instead of one per
+// item, and a backlog still fans out to every sleeping consumer.
 
 #include <chrono>
 #include <cstddef>
@@ -38,38 +45,44 @@ class BoundedQueue {
 
   /// Blocks while full. Returns false if the queue was closed.
   bool push(T item) IOFA_EXCLUDES(mu_) {
+    bool wake = false;
     {
       UniqueLock lk(mu_);
       while (!closed_ && items_.size() >= capacity_) not_full_.wait(lk);
       if (closed_) return false;
-      items_.push_back(std::move(item));
+      wake = push_locked(std::move(item));
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
   /// Non-blocking push. Returns false when full or closed.
   bool try_push(T item) IOFA_EXCLUDES(mu_) {
+    bool wake = false;
     {
       MutexLock lk(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
+      wake = push_locked(std::move(item));
     }
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
   /// Blocks while empty. Returns nullopt once closed and drained.
   std::optional<T> pop() IOFA_EXCLUDES(mu_) {
     std::optional<T> out;
+    bool wake = false;
     {
       UniqueLock lk(mu_);
-      while (!closed_ && items_.empty()) not_empty_.wait(lk);
+      while (!closed_ && items_.empty()) {
+        ++sleepers_;
+        not_empty_.wait(lk);
+        --sleepers_;
+      }
       if (items_.empty()) return std::nullopt;
-      out.emplace(std::move(items_.front()));
-      items_.pop_front();
+      wake = pop_locked(out);
     }
-    not_full_.notify_one();
+    notify_after_pop(wake);
     return out;
   }
 
@@ -82,11 +95,15 @@ class BoundedQueue {
   PopResult try_pop_for(std::chrono::duration<Rep, Period> timeout, T& out)
       IOFA_EXCLUDES(mu_) {
     const auto deadline = iofa::monotonic_now() + timeout;
+    std::optional<T> popped;
+    bool wake = false;
     {
       UniqueLock lk(mu_);
       while (!closed_ && items_.empty()) {
-        if (not_empty_.wait_until(lk, deadline) == std::cv_status::timeout &&
-            items_.empty()) {
+        ++sleepers_;
+        const std::cv_status st = not_empty_.wait_until(lk, deadline);
+        --sleepers_;
+        if (st == std::cv_status::timeout && items_.empty()) {
           // predicate re-checked: a timed-out wait still pops when an
           // item slipped in
           return closed_ ? PopResult::kClosed : PopResult::kTimeout;
@@ -95,41 +112,41 @@ class BoundedQueue {
       if (items_.empty()) {
         return closed_ ? PopResult::kClosed : PopResult::kTimeout;
       }
-      out = std::move(items_.front());
-      items_.pop_front();
+      wake = pop_locked(popped);
     }
-    not_full_.notify_one();
+    out = std::move(*popped);
+    notify_after_pop(wake);
     return PopResult::kItem;
   }
 
   /// Non-blocking conditional pop: takes the front item only when
-  /// `pred(front)` holds (work-stealing peers use this to skip queues
-  /// whose head they must not take, e.g. fsync markers).
+  /// `pred(front)` holds (a flusher grows its run with this, taking the
+  /// head only while it extends the run).
   template <typename Pred>
   std::optional<T> try_pop_if(Pred&& pred) IOFA_EXCLUDES(mu_) {
     std::optional<T> out;
+    bool wake = false;
     {
       MutexLock lk(mu_);
       if (items_.empty() || !pred(static_cast<const T&>(items_.front()))) {
         return std::nullopt;
       }
-      out.emplace(std::move(items_.front()));
-      items_.pop_front();
+      wake = pop_locked(out);
     }
-    not_full_.notify_one();
+    notify_after_pop(wake);
     return out;
   }
 
   /// Non-blocking pop.
   std::optional<T> try_pop() IOFA_EXCLUDES(mu_) {
     std::optional<T> out;
+    bool wake = false;
     {
       MutexLock lk(mu_);
       if (items_.empty()) return std::nullopt;
-      out.emplace(std::move(items_.front()));
-      items_.pop_front();
+      wake = pop_locked(out);
     }
-    not_full_.notify_one();
+    notify_after_pop(wake);
     return out;
   }
 
@@ -157,12 +174,35 @@ class BoundedQueue {
   bool empty() const IOFA_EXCLUDES(mu_) { return size() == 0; }
 
  private:
+  /// Append; true when a sleeping consumer must be woken (the queue was
+  /// empty, so no consumer already awake is bound to see the item).
+  bool push_locked(T&& item) IOFA_REQUIRES(mu_) {
+    const bool wake = items_.empty() && sleepers_ > 0;
+    items_.push_back(std::move(item));
+    return wake;
+  }
+
+  /// Move the front into `out`; true when items remain for a sleeping
+  /// consumer to take.
+  bool pop_locked(std::optional<T>& out) IOFA_REQUIRES(mu_) {
+    out.emplace(std::move(items_.front()));
+    items_.pop_front();
+    return !items_.empty() && sleepers_ > 0;
+  }
+
+  void notify_after_pop(bool wake_next) {
+    if (wake_next) not_empty_.notify_one();
+    not_full_.notify_one();
+  }
+
   const std::size_t capacity_;
   mutable Mutex mu_;
   CondVar not_empty_;
   CondVar not_full_;
   std::deque<T> items_ IOFA_GUARDED_BY(mu_);
   bool closed_ IOFA_GUARDED_BY(mu_) = false;
+  /// Consumers blocked in pop() / try_pop_for().
+  int sleepers_ IOFA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace iofa

@@ -21,6 +21,12 @@ telemetry::Registry& registry_of(const IonParams& params) {
   return params.registry ? *params.registry : telemetry::Registry::global();
 }
 
+int worker_count(const IonParams& params) { return std::max(1, params.workers); }
+
+int flusher_count(const IonParams& params) {
+  return params.flushers > 0 ? params.flushers : worker_count(params);
+}
+
 }  // namespace
 
 bool PathTable::intern(std::uint64_t id, std::string&& path) {
@@ -51,6 +57,10 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
       ingest_bucket_(params.ingest_bandwidth,
                      std::max(params.ingest_bandwidth * 0.02,
                               static_cast<double>(4 * MiB))),
+      // 4 x queue_capacity staged items per flusher: past that, a slow
+      // PFS back-pressures the workers.
+      flush_queue_(params.queue_capacity * 4 *
+                   static_cast<std::size_t>(flusher_count(params))),
       epoch_(iofa::monotonic_now()),
       ledger_(params.qos ? params.qos->metrics()
                          : qos::QosMetrics(registry_of(params))) {
@@ -79,7 +89,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.flush_abandoned = &reg.counter("fwd.ion.flush_abandoned", labels);
   metrics_.flush_coalesced_extents =
       &reg.counter("fwd.ion.flush_coalesced_extents", labels);
-  metrics_.flush_steals = &reg.counter("fwd.ion.flush_steals", labels);
   metrics_.path_interned = &reg.counter("fwd.ion.path_interned", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
@@ -97,8 +106,8 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   baseline_.reads_local = metrics_.reads_local->value();
   baseline_.reads_pfs = metrics_.reads_pfs->value();
 
-  const int workers = std::max(1, params_.workers);
-  const int flushers = params_.flushers > 0 ? params_.flushers : workers;
+  const int workers = worker_count(params_);
+  const int flushers = flusher_count(params_);
   metrics_.workers->set(static_cast<double>(workers));
 
   shards_.reserve(static_cast<std::size_t>(workers));
@@ -107,18 +116,14 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
     shard->scheduler = make_shard_scheduler();
     shards_.push_back(std::move(shard));
   }
-  flush_shards_.reserve(static_cast<std::size_t>(flushers));
-  for (int f = 0; f < flushers; ++f) {
-    flush_shards_.push_back(
-        std::make_unique<FlushShard>(params_.queue_capacity * 4));
-  }
   // All shard state exists before any thread starts: worker/flusher
   // loops never see a partially built pipeline.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->worker = std::thread([this, s] { worker_loop(s); });
   }
-  for (std::size_t f = 0; f < flush_shards_.size(); ++f) {
-    flush_shards_[f]->worker = std::thread([this, f] { flusher_loop(f); });
+  flushers_.reserve(static_cast<std::size_t>(flushers));
+  for (std::size_t f = 0; f < static_cast<std::size_t>(flushers); ++f) {
+    flushers_.emplace_back([this, f] { flusher_loop(f); });
   }
 }
 
@@ -146,12 +151,6 @@ std::size_t IonDaemon::shard_of(std::uint64_t file_id, FwdOp op) const {
   // scrambles low-entropy sequential file ids across shards.
   const std::uint64_t key = file_id * 2 + (op == FwdOp::Read ? 1 : 0);
   return static_cast<std::size_t>(SplitMix64(key).next() % shards_.size());
-}
-
-std::size_t IonDaemon::flush_shard_of(std::uint64_t file_id) const {
-  if (flush_shards_.size() == 1) return 0;
-  return static_cast<std::size_t>(SplitMix64(file_id).next() %
-                                  flush_shards_.size());
 }
 
 double IonDaemon::saturation() const {
@@ -242,9 +241,9 @@ void IonDaemon::shutdown() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  for (auto& fs : flush_shards_) fs->queue.close();
-  for (auto& fs : flush_shards_) {
-    if (fs->worker.joinable()) fs->worker.join();
+  flush_queue_.close();
+  for (auto& flusher : flushers_) {
+    if (flusher.joinable()) flusher.join();
   }
 }
 
@@ -278,12 +277,13 @@ void IonDaemon::fail_in_flight(Shard& shard) {
   shard.scheduler = make_shard_scheduler();
 }
 
-void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
-  // flush_enqueue_mu_ spans [counter update, queue push] so a marker's
-  // barrier can never be overtaken in its own queue by a data item that
-  // was counted before it - the invariant the fsync barrier's
-  // deadlock-freedom argument rests on. flush_mu_ is NOT held across
-  // the (blocking) push: flusher completions need it to make room.
+void IonDaemon::enqueue_flush(FlushItem item) {
+  // flush_enqueue_mu_ spans [counter update, queue push], so queue order
+  // is seq order and a marker's barrier can never be overtaken by a
+  // data item that was counted before it - the invariants the run rule
+  // and the fsync barrier's deadlock-freedom rest on. flush_mu_ is NOT
+  // held across the (blocking) push: flusher completions need it to
+  // make room.
   MutexLock elk(flush_enqueue_mu_);
   {
     MutexLock lk(flush_mu_);
@@ -291,7 +291,7 @@ void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
       item.barrier = flush_enqueued_;
     } else {
       // Data items register their extent in the gate NOW, not at write
-      // time: a thief that later steals any item of this file is
+      // time: whichever flusher later takes any item of this file is
       // guaranteed to see every earlier overlapping extent and wait its
       // turn, which is what preserves last-writer-wins across flushers.
       item.seq = ++flush_enqueued_;
@@ -300,7 +300,7 @@ void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
     }
   }
   pending_.fetch_add(1);
-  flush_shards_[flush_shard_of(file_id)]->queue.push(std::move(item));
+  flush_queue_.push(std::move(item));
 }
 
 void IonDaemon::worker_loop(std::size_t si) {
@@ -366,7 +366,7 @@ void IonDaemon::worker_loop(std::size_t si) {
       marker.fsync = true;
       marker.done = std::move(req.done);
       marker.tenant = req.tenant;
-      enqueue_flush(std::move(marker), req.file_id);
+      enqueue_flush(std::move(marker));
       finish_pending();
       return;
     }
@@ -524,39 +524,61 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
         // admitted-vs-failed outcome moves there with it.
         item.done = std::move(req.done);
         item.write_through = true;
-        enqueue_flush(std::move(item), req.file_id);
+        enqueue_flush(std::move(item));
         finish_pending();
       } else {
         ledger_.tenant(req.tenant).on_admitted(req.size);
-        enqueue_flush(std::move(item), req.file_id);
+        enqueue_flush(std::move(item));
         complete(std::move(req.done), {CompletionStatus::kOk, req.size});
       }
     } else {
-      // Read: prefer the staging store while the range is dirty here.
-      std::size_t n = req.size;
-      if (is_dirty(req.file_id, req.offset, req.size)) {
-        if (params_.store_data && !req.payload.empty()) {
-          const std::span<std::byte> dst = req.payload.span();
-          for (const auto& slice :
-               gkfs::split_range(req.offset, req.size)) {
-            staging_.read(
-                req.file_id, slice.chunk, slice.offset_in_chunk,
-                dst.subspan(slice.file_offset - req.offset, slice.size));
-          }
-        }
-        metrics_.reads_local->add();
-      } else {
-        std::span<std::byte> out =
-            !req.payload.empty()
-                ? req.payload.span().first(
-                      std::min<std::size_t>(req.payload.size(), req.size))
+      // Read: segments still dirty here come from the staging store,
+      // clean ones from the PFS. The result ends at the last byte either
+      // source has; a clean hole before a later dirty segment reads as
+      // zeros.
+      const std::span<std::byte> buf =
+          req.payload.empty()
+              ? std::span<std::byte>()
+              : req.payload.span().first(
+                    std::min<std::size_t>(req.payload.size(), req.size));
+      const std::uint64_t end = req.offset + req.size;
+      std::uint64_t valid_end = req.offset;
+      bool touched_pfs = false;
+      for (std::uint64_t lo = req.offset; lo < end;) {
+        bool dirty = false;
+        const std::uint64_t hi = dirty_run_end(req.file_id, lo, end, dirty);
+        const std::size_t at = lo - req.offset;
+        const std::span<std::byte> out =
+            at < buf.size()
+                ? buf.subspan(at, std::min<std::size_t>(buf.size() - at,
+                                                        hi - lo))
                 : std::span<std::byte>();
-        // The ION is ONE reader at the PFS no matter how many client
-        // processes it stands for - that is the flow-reshaping benefit.
-        n = pfs_.read(paths_.lookup(req.file_id), req.offset, req.size, out,
-                      /*stream_weight=*/1.0);
-        metrics_.reads_pfs->add();
+        if (dirty) {
+          if (params_.store_data) {
+            for (const auto& slice : gkfs::split_range(lo, out.size())) {
+              staging_.read(req.file_id, slice.chunk, slice.offset_in_chunk,
+                            out.subspan(slice.file_offset - lo, slice.size));
+            }
+          }
+          valid_end = hi;
+        } else {
+          // The ION is ONE reader at the PFS no matter how many client
+          // processes it stands for - that is the flow-reshaping benefit.
+          const std::size_t got = pfs_.read(paths_.lookup(req.file_id), lo,
+                                            hi - lo, out,
+                                            /*stream_weight=*/1.0);
+          if (got < out.size()) {
+            std::fill(out.begin() + static_cast<std::ptrdiff_t>(got),
+                      out.end(), std::byte{0});
+          }
+          valid_end = std::max(valid_end, lo + got);
+          touched_pfs = true;
+        }
+        lo = hi;
       }
+      const std::size_t n = valid_end - req.offset;
+      // A read that needed the PFS for any byte counts as a PFS read.
+      (touched_pfs ? metrics_.reads_pfs : metrics_.reads_local)->add();
       ledger_.tenant(req.tenant).on_admitted(req.size);
       req.payload.reset();  // the consumer holds its own reference
       complete(std::move(req.done), {CompletionStatus::kOk, n});
@@ -565,15 +587,15 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
 }
 
 void IonDaemon::flush_marker(FlushItem& item) {
-  // The barrier counts data items enqueued daemon-wide before this
-  // marker; durability means all of them drained (flushed or
-  // abandoned). Waiting here cannot deadlock: the oldest undrained
-  // data item is always at some flusher's queue head (or already
-  // stolen), and whoever writes it waits only on strictly older
-  // extents, never on a barrier.
+  // The barrier is the seq of the last data item enqueued daemon-wide
+  // before this marker; durability means every seq up to it drained
+  // (flushed or abandoned). Waiting here cannot deadlock: the queue is
+  // FIFO, so each of those items was popped before this marker and is
+  // drained or in another flusher's run, which waits only on strictly
+  // older runs, never on a barrier.
   {
     UniqueLock lk(flush_mu_);
-    while (flush_completed_ < item.barrier) flush_cv_.wait(lk);
+    while (flush_drained_ < item.barrier) flush_cv_.wait(lk);
   }
   ledger_.tenant(item.tenant).on_admitted(0);
   complete(std::move(item.done), {});
@@ -612,8 +634,10 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
   if (run.size() > 1) {
     metrics_.flush_coalesced_extents->add(run.size() - 1);
   }
-  // Last-writer-wins gate. Run seqs are FIFO-increasing, so awaiting
-  // them in order only ever blocks on strictly older extents.
+  // Last-writer-wins gate. A run's seqs are consecutive and it is
+  // popped after every older item, so any older overlapping extent
+  // belongs to a run taken earlier whose seqs are all below this one's:
+  // the wait graph between flushers is acyclic.
   for (const auto& item : run) {
     await_extent_turn(file_id, item.seq, item.offset,
                       item.offset + item.size);
@@ -639,7 +663,12 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
     if (flushed) mark_clean(item.file_id, item.offset, item.size);
     {
       MutexLock lk(flush_mu_);
-      ++flush_completed_;
+      flush_drained_ahead_.push(item.seq);
+      while (!flush_drained_ahead_.empty() &&
+             flush_drained_ahead_.top() == flush_drained_ + 1) {
+        flush_drained_ahead_.pop();
+        ++flush_drained_;
+      }
       auto fit = flush_extents_.find(item.file_id);
       if (fit != flush_extents_.end()) {
         fit->second.erase(item.seq);
@@ -701,95 +730,42 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
   }
 }
 
-std::optional<IonDaemon::FlushItem> IonDaemon::try_steal_flush(
-    std::size_t thief) {
-  // Steal the oldest DATA item of a busy sibling: head-of-line relief
-  // when one hot file monopolises its flusher. Markers are never stolen
-  // (their barrier must settle on their own queue's cadence), and only
-  // queue fronts are taken, so per-queue seqs seen by thieves stay the
-  // smallest remaining - the extent gate orders everything else.
-  const std::size_t n = flush_shards_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    auto& victim = flush_shards_[(thief + k) % n]->queue;
-    auto item = victim.try_pop_if(
-        [](const FlushItem& front) { return !front.fsync; });
-    if (item) {
-      metrics_.flush_steals->add();
-      return item;
-    }
-  }
-  return std::nullopt;
-}
-
 void IonDaemon::flusher_loop(std::size_t fi) {
   auto& tracer = telemetry::Tracer::global();
   bool named = false;
-  FlushShard& fs = *flush_shards_[fi];
-  for (;;) {
+  std::vector<FlushItem> run;
+  while (auto head = flush_queue_.pop()) {
     if (!named && tracer.enabled()) {
       tracer.set_thread_name(
           "ion" + std::to_string(id_) +
-          (flush_shards_.size() == 1 ? ".flusher"
-                                     : ".flusher" + std::to_string(fi)));
+          (flushers_.size() == 1 ? ".flusher"
+                                 : ".flusher" + std::to_string(fi)));
       named = true;
     }
-    std::optional<FlushItem> first = fs.queue.try_pop();
-    if (!first && flush_shards_.size() > 1) {
-      if (auto stolen = try_steal_flush(fi)) {
-        std::vector<FlushItem> run;
-        run.push_back(std::move(*stolen));
-        flush_run(run);
-        continue;
-      }
+    if (head->fsync) {
+      flush_marker(*head);
+      continue;
     }
-    if (!first) {
-      FlushItem item;
-      switch (fs.queue.try_pop_for(1ms, item)) {
-        case PopResult::kItem:
-          first.emplace(std::move(item));
-          break;
-        case PopResult::kTimeout:
-          continue;
-        case PopResult::kClosed:
-          return;
-      }
+    // Grow one run from the head: same file, offset-contiguous, the
+    // next enqueue seq, up to flush_batch_max bytes. A seq gap (another
+    // flusher took the item in between) ends the run, which is what
+    // keeps every extent-gate wait pointing at a strictly older run.
+    Bytes run_bytes = head->size;
+    run.push_back(std::move(*head));
+    while (run_bytes < params_.flush_batch_max) {
+      auto next = flush_queue_.try_pop_if([&](const FlushItem& front) {
+        const FlushItem& back = run.back();
+        return !front.fsync && front.file_id == back.file_id &&
+               front.offset == back.offset + back.size &&
+               front.seq == back.seq + 1;
+      });
+      if (!next) break;
+      run_bytes += next->size;
+      run.push_back(std::move(*next));
     }
-    // Drain a batch: everything immediately available up to
-    // flush_batch_max, in FIFO order (grouping amortises queue wakeups;
-    // processing order is unchanged, so replay determinism holds).
-    std::vector<FlushItem> batch;
-    Bytes batch_bytes = first->fsync ? 0 : first->size;
-    batch.push_back(std::move(*first));
-    while (batch_bytes < params_.flush_batch_max) {
-      auto more = fs.queue.try_pop();
-      if (!more) break;
-      if (!more->fsync) batch_bytes += more->size;
-      batch.push_back(std::move(*more));
-    }
-    metrics_.flush_batch_bytes->observe(static_cast<double>(batch_bytes));
-    // Walk the batch grouping contiguous same-file extents into runs;
-    // each run becomes one scatter-gather PFS write. Markers cut the
-    // current run (they must observe everything before them settled).
-    std::vector<FlushItem> run;
-    for (auto& entry : batch) {
-      if (entry.fsync) {
-        if (!run.empty()) {
-          flush_run(run);
-          run.clear();
-        }
-        flush_marker(entry);
-        continue;
-      }
-      const bool contiguous =
-          !run.empty() && run.back().file_id == entry.file_id &&
-          run.back().offset + run.back().size == entry.offset;
-      if (!run.empty() && !contiguous) {
-        flush_run(run);
-        run.clear();
-      }
-      run.push_back(std::move(entry));
-    }
-    if (!run.empty()) flush_run(run);
+    metrics_.flush_batch_bytes->observe(static_cast<double>(run_bytes));
+    flush_run(run);
+    run.clear();
   }
 }
 
@@ -839,18 +815,22 @@ void IonDaemon::mark_clean(std::uint64_t file_id, std::uint64_t offset,
   if (fit->second.empty()) dirty_.erase(fit);
 }
 
-bool IonDaemon::is_dirty(std::uint64_t file_id, std::uint64_t offset,
-                         std::uint64_t size) const {
+std::uint64_t IonDaemon::dirty_run_end(std::uint64_t file_id,
+                                       std::uint64_t lo, std::uint64_t hi,
+                                       bool& dirty) const {
   MutexLock lk(dirty_mu_);
+  dirty = false;
   auto fit = dirty_.find(file_id);
-  if (fit == dirty_.end()) return false;
+  if (fit == dirty_.end()) return hi;
   const auto& cover = fit->second;
-  const std::uint64_t hi = offset + size;
-  auto it = cover.upper_bound(offset);
-  if (it != cover.begin() && std::prev(it)->second > 0) return true;
-  // Adjacent segments never share a count, so the segment after a
-  // clean one is dirty: the range is dirty iff one starts inside it.
-  return it != cover.end() && it->first < hi;
+  auto it = cover.upper_bound(lo);
+  dirty = it != cover.begin() && std::prev(it)->second > 0;
+  // Skip boundaries between two dirty segments of different counts; the
+  // first boundary that flips dirtiness (or hi) ends the run.
+  while (it != cover.end() && it->first < hi && (it->second > 0) == dirty) {
+    ++it;
+  }
+  return it != cover.end() && it->first < hi ? it->first : hi;
 }
 
 IonDaemon::Stats IonDaemon::stats() const {

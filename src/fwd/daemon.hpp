@@ -13,21 +13,24 @@
 //
 //   submit() --(file_id, op) shard--> ingest[0..N) --> worker[0..N)
 //       worker: AGIOS schedule + aggregate, stage, ack, enqueue flush
-//   flush items --(file_id) shard--> flush[0..M) --> flusher[0..M)
-//       flusher: coalesced scatter-gather PFS drain (idle flushers
-//       steal the oldest item of a busy sibling; the extent gate keeps
-//       last-writer-wins order)
+//   flush items --> one FIFO flush queue --> flusher[0..M)
+//       flusher: pops one run (the head plus the seq-consecutive,
+//       offset-contiguous same-file items behind it) and drains it as
+//       one scatter-gather PFS write; the extent gate keeps
+//       last-writer-wins order between flushers
 //   completions run inline on the thread that settles the request:
 //       the worker (write-behind acks, reads, expiry, crash fail-out)
 //       or the flusher (fsync markers, write-through and abandoned
 //       flushes), with no daemon lock held
 //
 // Requests for one (file_id, op) stream always land on the same
-// dispatch shard and all flush traffic of a file on the same flusher
-// queue, so per-file FIFO ordering is preserved end-to-end while
-// independent streams proceed in parallel. Fsync markers carry a
-// sequence barrier: they complete only after every flush item enqueued
-// before them (across all flush shards) has been drained or abandoned.
+// dispatch shard, so per-file FIFO order holds through staging while
+// independent streams proceed in parallel. Flush items enter the one
+// flush queue in daemon-wide enqueue-seq order; a flusher writes an
+// extent only once every older overlapping extent of the file has
+// reached the PFS, so last writer wins whichever flusher takes it.
+// Fsync markers carry a sequence barrier: they complete only after
+// every flush item enqueued before them has been drained or abandoned.
 // With workers == 1 and flushers == 1 the pipeline degenerates to the
 // original serial dispatcher/flusher pair and is byte-identical under
 // fault-seed replay (coalescing keeps one fault decision per extent,
@@ -42,9 +45,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -83,22 +87,20 @@ struct IonParams {
   /// so per-stream FIFO order is preserved; independent streams proceed
   /// in parallel. 1 = the original serial dispatcher.
   int workers = 1;
-  /// PFS flusher pool size; 0 = one flusher per worker. Flush items are
-  /// keyed by file_id to a flusher so per-file flush order holds.
+  /// PFS flusher pool size; 0 = one flusher per worker. All flushers
+  /// pop the one daemon-wide flush queue; the extent gate keeps
+  /// per-file last-writer-wins order between them.
   int flushers = 0;
   /// Modelled per-dispatch service time of the relay (RPC handling,
   /// syscall, interrupt cost) - the latency component the worker pool
   /// pipelines, as opposed to op_overhead which charges the bandwidth
   /// component. 0 = not modelled (legacy behaviour).
   Seconds dispatch_latency = 0.0;
-  /// A flusher drains up to this many bytes from its queue in one
-  /// batched run before writing (amortises queue wakeups) and merges
-  /// contiguous same-file extents of the batch into one scatter-gather
-  /// PFS write (fault decisions stay per-extent, so seeded replay is
-  /// unaffected by how the batch happened to group). An idle flusher
-  /// steals the oldest data item of a sibling's queue; the extent gate
-  /// serialises overlapping same-file writes by enqueue order, so
-  /// last-writer-wins is preserved.
+  /// Byte cap of one flush run: a flusher grows a run from the queue
+  /// head while the next item is a same-file, offset-contiguous extent
+  /// with the next enqueue seq, and writes the run as one
+  /// scatter-gather PFS write (fault decisions stay per-extent, so
+  /// seeded replay is unaffected by how runs happened to group).
   Bytes flush_batch_max = 8 * MiB;
   /// Shared payload slab pool (owned by the ForwardingService or the
   /// bench); may be null. The daemon does not allocate payloads itself
@@ -166,7 +168,7 @@ class IonDaemon {
 
   int id() const { return id_; }
   int workers() const { return static_cast<int>(shards_.size()); }
-  int flushers() const { return static_cast<int>(flush_shards_.size()); }
+  int flushers() const { return static_cast<int>(flushers_.size()); }
 
   /// Offer a request. kBusy is the fast retryable overload answer
   /// (saturation past the admission watermark, or an ion.<id>.busy
@@ -251,8 +253,9 @@ class IonDaemon {
     std::uint64_t size = 0;
     Payload payload;  ///< slab handle; released after the PFS write
     bool fsync = false;  ///< marker: completes once its barrier is met
-    /// Fsync barrier: data items enqueued (daemon-wide) before this
-    /// marker; the marker completes once that many items have drained.
+    /// Fsync barrier: the seq of the last data item enqueued
+    /// (daemon-wide) before this marker; the marker completes once every
+    /// seq up to it has drained.
     std::uint64_t barrier = 0;
     /// The marker's continuation, or a write-through write's own (null
     /// for write-behind data items, which were acked at stage time).
@@ -280,12 +283,6 @@ class IonDaemon {
     std::thread worker;
   };
 
-  struct FlushShard {
-    explicit FlushShard(std::size_t capacity) : queue(capacity) {}
-    BoundedQueue<FlushItem> queue;
-    std::thread worker;
-  };
-
   void worker_loop(std::size_t si);
   void flusher_loop(std::size_t fi);
   /// Per-shard scheduler factory: the configured AGIOS scheduler,
@@ -295,30 +292,25 @@ class IonDaemon {
                const std::string& request_fault_site);
   /// Complete a fsync marker (barrier wait + ack).
   void flush_marker(FlushItem& item) IOFA_EXCLUDES(flush_mu_);
-  /// Write one coalesced run of same-file, offset-contiguous items
-  /// (run.size() == 1 for uncoalesced traffic) as a scatter-gather PFS
-  /// dispatch, then settle each item's accounting.
+  /// Write one run of same-file, offset-contiguous, seq-consecutive
+  /// items (run.size() == 1 for uncoalesced traffic) as a
+  /// scatter-gather PFS dispatch, then settle each item's accounting.
   void flush_run(std::vector<FlushItem>& run) IOFA_EXCLUDES(flush_mu_);
-  /// Steal the oldest data item of a sibling flush queue; nullopt when
-  /// every queue is empty or holds only markers at its head.
-  std::optional<FlushItem> try_steal_flush(std::size_t thief);
   Seconds now() const;
 
   std::size_t shard_of(std::uint64_t file_id, FwdOp op) const;
-  std::size_t flush_shard_of(std::uint64_t file_id) const;
 
   /// Enqueue a data item / fsync marker. Serialised by
-  /// flush_enqueue_mu_ so a marker's barrier count can never be
-  /// overtaken in its own queue by a later data item. Data items are
-  /// also registered in the extent gate here (enqueue time), which is
-  /// what makes work-stealing safe: a thief always sees every earlier
-  /// overlapping extent, drained or not.
-  void enqueue_flush(FlushItem item, std::uint64_t file_id)
-      IOFA_EXCLUDES(flush_enqueue_mu_);
+  /// flush_enqueue_mu_ so queue order is seq order and a marker's
+  /// barrier count can never be overtaken by a later data item. Data
+  /// items are also registered in the extent gate here (enqueue time),
+  /// so a flusher always sees every earlier overlapping extent,
+  /// drained or not.
+  void enqueue_flush(FlushItem item) IOFA_EXCLUDES(flush_enqueue_mu_);
 
   /// Block until no registered same-file extent with seq < `seq`
   /// overlaps [lo, hi) (the last-writer-wins order gate). Waits only on
-  /// strictly smaller sequence numbers, so gate chains terminate.
+  /// strictly older runs, so gate chains terminate.
   void await_extent_turn(std::uint64_t file_id, std::uint64_t seq,
                          std::uint64_t lo, std::uint64_t hi)
       IOFA_EXCLUDES(flush_mu_);
@@ -347,8 +339,11 @@ class IonDaemon {
                   std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
   void mark_clean(std::uint64_t file_id, std::uint64_t offset,
                   std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
-  bool is_dirty(std::uint64_t file_id, std::uint64_t offset,
-                std::uint64_t size) const IOFA_EXCLUDES(dirty_mu_);
+  /// End of the maximal segment [lo, end) of [lo, hi) whose bytes are
+  /// all dirty or all clean; `dirty` reports which.
+  std::uint64_t dirty_run_end(std::uint64_t file_id, std::uint64_t lo,
+                              std::uint64_t hi, bool& dirty) const
+      IOFA_EXCLUDES(dirty_mu_);
 
   int id_;
   IonParams params_;
@@ -357,10 +352,12 @@ class IonDaemon {
   // per-tenant limiter, so it legitimately sits outside it.
   TokenBucket ingest_bucket_;  // iofa-lint: allow(raw-token-bucket)
 
-  // Shard vectors are sized in the constructor and never resized, so
-  // the vectors themselves are safe to read concurrently.
+  // Shard and flusher vectors are sized in the constructor and never
+  // resized, so the vectors themselves are safe to read concurrently.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<FlushShard>> flush_shards_;
+  /// The one flush queue every flusher pops, in enqueue-seq order.
+  BoundedQueue<FlushItem> flush_queue_;
+  std::vector<std::thread> flushers_;
 
   gkfs::ChunkStore staging_;
   PathTable paths_;
@@ -392,11 +389,18 @@ class IonDaemon {
   /// data items enqueued towards the flushers (markers excluded); also
   /// the source of FlushItem::seq
   std::uint64_t flush_enqueued_ IOFA_GUARDED_BY(flush_mu_) = 0;
-  /// data items drained (flushed or abandoned)
-  std::uint64_t flush_completed_ IOFA_GUARDED_BY(flush_mu_) = 0;
+  /// Drain watermark: every data item with seq <= this has drained
+  /// (flushed or abandoned). Flushers finish items out of seq order, so
+  /// a plain count could pass a barrier while an older item is still in
+  /// flight; drained seqs above the watermark wait in a min-heap until
+  /// the gap below them closes.
+  std::uint64_t flush_drained_ IOFA_GUARDED_BY(flush_mu_) = 0;
+  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                      std::greater<>>
+      flush_drained_ahead_ IOFA_GUARDED_BY(flush_mu_);
   /// Extent gate: every enqueued-but-unwritten data extent, per file,
-  /// keyed by enqueue seq. A writer (owner or thief) waits until no
-  /// overlapping extent with a smaller seq remains registered.
+  /// keyed by enqueue seq. A flusher waits until no overlapping extent
+  /// with a smaller seq remains registered.
   std::unordered_map<std::uint64_t,
                      std::map<std::uint64_t,
                               std::pair<std::uint64_t, std::uint64_t>>>
@@ -439,7 +443,6 @@ class IonDaemon {
     telemetry::Counter* flush_abandoned = nullptr;  ///< retry budget hit
     // Zero-copy pipeline instrumentation.
     telemetry::Counter* flush_coalesced_extents = nullptr;
-    telemetry::Counter* flush_steals = nullptr;
     telemetry::Counter* path_interned = nullptr;
     // Overload surface (outside the admission identity).
     telemetry::Counter* busy = nullptr;      ///< IonBusy answers

@@ -97,21 +97,6 @@ ClientMappingView::ClientMappingView(MappingPort& port, core::JobId job,
   remap_counter_ = &reg.counter("fwd.client.remaps", labels);
 }
 
-ClientMappingView::ClientMappingView(const MappingStore& store,
-                                     core::JobId job, Seconds poll_period,
-                                     telemetry::Registry* registry)
-    : port_(nullptr),
-      owned_(std::make_unique<DirectMappingPort>(store)),
-      job_(job),
-      poll_period_(poll_period),
-      last_poll_(iofa::monotonic_now() - std::chrono::hours(1)) {
-  port_ = owned_.get();
-  auto& reg = registry ? *registry : telemetry::Registry::global();
-  const telemetry::Labels labels{{"job", std::to_string(job_)}};
-  poll_counter_ = &reg.counter("fwd.client.polls", labels);
-  remap_counter_ = &reg.counter("fwd.client.remaps", labels);
-}
-
 void ClientMappingView::poll_locked() {
   ++polls_;
   poll_counter_->add();

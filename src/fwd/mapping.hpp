@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -72,12 +71,6 @@ class ClientMappingView {
                     Seconds poll_period,
                     telemetry::Registry* registry = nullptr);
 
-  /// Convenience: a view straight over a store (builds its own direct
-  /// port) - the pre-RPC constructor tests still use.
-  ClientMappingView(const MappingStore& store, core::JobId job,
-                    Seconds poll_period,
-                    telemetry::Registry* registry = nullptr);
-
   /// Current ION list (empty = direct access). Triggers a poll when due.
   std::vector<int> ions() IOFA_EXCLUDES(mu_);
   bool direct() { return ions().empty(); }
@@ -92,7 +85,6 @@ class ClientMappingView {
   void poll_locked() IOFA_REQUIRES(mu_);
 
   MappingPort* port_;
-  std::unique_ptr<MappingPort> owned_;  ///< compat ctor's direct port
   core::JobId job_;
   Seconds poll_period_;
   mutable Mutex mu_;

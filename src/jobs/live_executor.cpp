@@ -106,15 +106,6 @@ void validate_live_options(const LiveExecutorOptions& options) {
   if (options.health_fail_threshold < 1) {
     reject("health_fail_threshold must be >= 1");
   }
-  if (options.arbiter_epoch < 0.0) {
-    reject("arbiter_epoch must be >= 0");
-  }
-  if (options.arbiter_epoch > 0.0 && options.health_period <= 0.0) {
-    // The HealthMonitor sweep is the arbiter's only tick source in the
-    // live runtime; without it, batched deltas would never be solved
-    // and the mapping would silently stay stale.
-    reject("arbiter_epoch requires health_period > 0 to drive ticks");
-  }
   if (options.qos.enabled && !options.admission.enabled) {
     // Class-aware admission piggybacks on the saturation tracker; with
     // admission off there is no watermark signal and every class would
@@ -149,8 +140,6 @@ LiveRunResult run_queue_live(const std::vector<workload::AppSpec>& queue,
 
   core::ArbiterOptions arbiter_options{options.pool, options.static_ratio,
                                        options.reallocate_running};
-  arbiter_options.incremental = options.arbiter_incremental;
-  arbiter_options.epoch_period = options.arbiter_epoch;
   core::Arbiter arbiter(std::move(policy), arbiter_options);
 
   if (options.fault_clock) options.fault_clock->arm();

@@ -69,17 +69,6 @@ struct LiveExecutorOptions {
   /// ION is declared failed.
   int health_fail_threshold = 1;
 
-  // --- incremental arbitration (PR 8) ----------------------------------
-  /// Warm-start MCKP table reuse across solves (ArbiterOptions::
-  /// incremental). On by default; a no-op for policies without
-  /// warm-start support.
-  bool arbiter_incremental = true;
-  /// > 0 batches job start/finish deltas into re-solve epochs of this
-  /// period (ArbiterOptions::epoch_period), ticked by the
-  /// HealthMonitor's sweep — so it requires health_period > 0. ION
-  /// death still re-solves immediately. 0 = per-event re-solve.
-  Seconds arbiter_epoch = 0.0;
-
   // --- rpc transport (PR 10) -------------------------------------------
   /// Transport carrying the Client <-> ION and mapping links
   /// (ServiceConfig::transport). kAuto resolves IOFA_TRANSPORT and

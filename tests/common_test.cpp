@@ -637,6 +637,40 @@ TEST(BoundedQueueTest, BlockingPushWaitsForConsumer) {
   EXPECT_GT(elapsed, 0.020);
 }
 
+TEST(BoundedQueueTest, BurstReachesEverySleepingConsumer) {
+  // A push into a non-empty queue wakes no one; the consumer that takes
+  // an item with more behind it wakes the next sleeper. A burst must
+  // still reach every sleeping consumer: each one holds its item until
+  // released, so a wakeup that is never passed on leaves fewer than
+  // four holding when the deadline comes.
+  constexpr int kConsumers = 4;
+  BoundedQueue<int> q(16);
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      if (!q.pop()) return;
+      holding.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  // Let the consumers park in pop() before the burst.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (int i = 0; i < kConsumers; ++i) ASSERT_TRUE(q.push(i));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (holding.load() < kConsumers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int reached = holding.load();
+  release.store(true);
+  q.close();
+  for (auto& t : consumers) t.join();
+  EXPECT_EQ(reached, kConsumers);
+}
+
 TEST(BoundedQueueTest, ManyProducersManyConsumers) {
   BoundedQueue<int> q(16);
   std::atomic<long> sum{0};

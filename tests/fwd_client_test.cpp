@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/arbiter.hpp"
@@ -202,7 +203,8 @@ TEST(MappingStoreTest, PublishWritesOnlyTheEntriesAnEventChanged) {
 TEST(ClientMappingViewTest, CachesUntilPollPeriod) {
   MappingStore store;
   store.publish(mapping_for(1, {0}, 1));
-  ClientMappingView view(store, 1, /*poll_period=*/10.0);
+  DirectMappingPort port(std::as_const(store));
+  ClientMappingView view(port, 1, /*poll_period=*/10.0);
   EXPECT_EQ(view.ions(), (std::vector<int>{0}));  // initial poll
   store.publish(mapping_for(1, {1, 2}, 2));
   // Inside the poll period: still the stale view (the paper's 10 s lag).
@@ -214,7 +216,8 @@ TEST(ClientMappingViewTest, CachesUntilPollPeriod) {
 
 TEST(ClientMappingViewTest, ZeroPeriodSeesEveryChange) {
   MappingStore store;
-  ClientMappingView view(store, 1, 0.0);
+  DirectMappingPort port(std::as_const(store));
+  ClientMappingView view(port, 1, 0.0);
   EXPECT_TRUE(view.ions().empty());
   store.publish(mapping_for(1, {3}, 1));
   EXPECT_EQ(view.ions(), (std::vector<int>{3}));

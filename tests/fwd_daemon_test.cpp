@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "common/mutex.hpp"
@@ -79,6 +86,28 @@ FwdRequest fsync_req(const std::string& path) {
   req.path = path;
   req.file_id = gkfs::hash_path(path);
   return req;
+}
+
+/// Run `body` on its own thread and wait up to `limit` for it. A body
+/// still running then is reported as a failure and the process exits:
+/// a deadlocked daemon can be neither joined nor destroyed, and the
+/// test must fail instead of hanging the suite.
+template <typename Body>
+void run_with_watchdog(std::chrono::seconds limit, const std::string& what,
+                       Body body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << what << " still running after " << limit.count()
+                  << " s (deadlock)";
+    std::fflush(nullptr);
+    std::_Exit(EXIT_FAILURE);
+  }
+  runner.join();
 }
 
 TEST(IonDaemon, WriteCompletesAndFlushesToPfs) {
@@ -877,15 +906,19 @@ TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {
 
 TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   // Regression for flusher head-of-line blocking: with 8 flushers and
-  // only two hot files, six flushers are permanently idle and steal
-  // from the two owners. Stolen extents overlap the owners' queued
-  // rewrites of the same offsets, so only the enqueue-seq extent gate
-  // keeps last-writer-wins; a steal that bypassed it would let an older
+  // only two hot files, all eight flushers take runs of the same two
+  // files from the shared queue. Their extents overlap queued rewrites
+  // of the same offsets, so only the enqueue-seq extent gate keeps
+  // last-writer-wins; a flusher that bypassed it would let an older
   // version land last.
   telemetry::Registry reg;
   PfsParams pp = fast_pfs();
-  pp.write_bandwidth = 80.0e6;  // slow enough that flush queues back up
+  // ~2 ms per 4 KiB flush once the burst is drained: the flush queue
+  // backs up, so several flushers hold items of the same file at once.
+  pp.write_bandwidth = 4.0e6;
+  pp.registry = &reg;
   EmulatedPfs pfs(pp);
+  pfs.write("/warm", 0, static_cast<Bytes>(8 * MiB), {});  // drain the burst
   IonParams params = fast_ion();
   params.workers = 8;
   params.registry = &reg;
@@ -894,16 +927,18 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   ASSERT_EQ(daemon.flushers(), 8);
 
   constexpr int kVersions = 64;
+  // Built up front so the writes arrive faster than the PFS drains them.
+  std::vector<FwdRequest> reqs;
   std::vector<std::shared_ptr<WaitSlot>> slots;
   for (int v = 0; v < kVersions; ++v) {
     for (int f = 0; f < 2; ++f) {
-      auto req = write_req(
+      reqs.push_back(write_req(
           "/hot" + std::to_string(f), static_cast<std::uint64_t>(v % 4) * 4096,
-          pattern_data(4096, static_cast<std::uint64_t>(1000 * f + v)));
-      slots.push_back(wait_on(req));
-      ASSERT_TRUE(daemon.submit(std::move(req)));
+          pattern_data(4096, static_cast<std::uint64_t>(1000 * f + v))));
+      slots.push_back(wait_on(reqs.back()));
     }
   }
+  for (auto& req : reqs) ASSERT_TRUE(daemon.submit(std::move(req)));
   for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
   daemon.drain();
 
@@ -920,8 +955,191 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
           << "file " << f << " slot " << slot << " lost last-writer-wins";
     }
   }
-  // The six idle flushers must actually have relieved the two owners.
-  EXPECT_GT(reg.counter("fwd.ion.flush_steals", {{"ion", "0"}}).value(), 0u);
+  // More than one flusher must actually have written the same hot file
+  // at once: a PFS write that queues behind another on the file's lock
+  // is a contention stall.
+  EXPECT_GT(reg.counter("fwd.pfs.lock_contention").value(), 0u);
+}
+
+TEST(IonDaemon, OverlappingMisalignedRewritesDrainAcrossWorkerCounts) {
+  // Regression for a flusher deadlock: writes at [0,4K), [2K,6K) and
+  // [4K,8K) of two hot files, rewritten round after round. If a flusher
+  // could coalesce items s and s+2 into one run while another holds
+  // s+1, each would wait in the extent gate for the other's extent.
+  // Runs are gap-free in enqueue seq, so every gate wait points at a
+  // strictly older run and drain() must return.
+  constexpr int kRounds = 400;
+  constexpr std::array<std::uint64_t, 3> kOffsets{0, 2 * KiB, 4 * KiB};
+  for (int w : {2, 4, 8}) {
+    EmulatedPfs pfs(fast_pfs());
+    IonParams params = fast_ion();
+    params.workers = w;
+    IonDaemon daemon(0, params, pfs);
+    ASSERT_EQ(daemon.flushers(), w);
+    ASSERT_EQ(params.flush_batch_max, IonParams{}.flush_batch_max);
+
+    // The expected final bytes of each file: every write applied in
+    // submission order.
+    std::array<std::vector<std::byte>, 2> expected;
+    for (auto& e : expected) e.assign(8 * KiB, std::byte{0});
+    run_with_watchdog(std::chrono::seconds(60),
+                      "drain at workers=" + std::to_string(w), [&] {
+      std::vector<std::shared_ptr<WaitSlot>> slots;
+      for (int r = 0; r < kRounds; ++r) {
+        for (int f = 0; f < 2; ++f) {
+          for (std::size_t k = 0; k < kOffsets.size(); ++k) {
+            auto data = pattern_data(
+                4 * KiB, static_cast<std::uint64_t>((r * 2 + f) * 3 + k));
+            std::copy(data.begin(), data.end(),
+                      expected[f].begin() +
+                          static_cast<std::ptrdiff_t>(kOffsets[k]));
+            auto req =
+                write_req("/ov" + std::to_string(f), kOffsets[k], data);
+            slots.push_back(wait_on(req));
+            EXPECT_TRUE(daemon.submit(std::move(req)));
+          }
+        }
+      }
+      for (auto& s : slots) EXPECT_EQ(s->wait().value, 4 * KiB);
+      daemon.drain();
+    });
+    for (int f = 0; f < 2; ++f) {
+      std::vector<std::byte> out(8 * KiB);
+      ASSERT_EQ(pfs.read("/ov" + std::to_string(f), 0, 8 * KiB, out),
+                8 * KiB);
+      EXPECT_EQ(out, expected[f])
+          << "file " << f << " lost last-writer-wins at workers=" << w;
+    }
+  }
+}
+
+TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
+  // Several threads interleave writes to several files with fsyncs. An
+  // fsync must not complete before every write acked ahead of it - by
+  // any thread - is on the PFS, whichever flusher drained it. Each
+  // thread owns its own 4 KiB slots; a slot's first 8 bytes carry its
+  // version, so the PFS copy can be compared against what was acked.
+  constexpr int kThreads = 4;
+  constexpr int kFiles = 3;
+  constexpr int kSlots = 4;  // per thread and file
+  constexpr int kRounds = 40;
+  constexpr int kAll = kThreads * kFiles * kSlots;
+  auto slot_path = [](int i) { return "/fb" + std::to_string(i % kFiles); };
+  auto slot_offset = [](int i) {
+    return static_cast<std::uint64_t>(i / kFiles) * 4 * KiB;
+  };
+  auto slot_data = [](int i, std::uint64_t version) {
+    auto data = pattern_data(4 * KiB, version * kAll + static_cast<unsigned>(i));
+    std::memcpy(data.data(), &version, sizeof version);
+    return data;
+  };
+  for (int w : {2, 4, 8}) {
+    EmulatedPfs pfs(fast_pfs());
+    IonParams params = fast_ion();
+    params.workers = w;
+    IonDaemon daemon(0, params, pfs);
+    ASSERT_EQ(daemon.flushers(), w);
+    run_with_watchdog(std::chrono::seconds(60),
+                      "fsync/drain at workers=" + std::to_string(w), [&] {
+      // acked[i]: the newest acknowledged version of slot i.
+      std::array<std::atomic<std::uint64_t>, kAll> acked{};
+      auto thread_body = [&](int t) {
+        iofa::Rng rng(static_cast<std::uint64_t>(100 * w + t));
+        for (int r = 0; r < kRounds; ++r) {
+          for (int k = 0; k < 3; ++k) {
+            const int i = (t * kFiles * kSlots) +
+                          static_cast<int>(rng.next() % (kFiles * kSlots));
+            const std::uint64_t version = acked[i].load() + 1;
+            auto req = write_req(slot_path(i), slot_offset(i),
+                                 slot_data(i, version));
+            auto slot = wait_on(req);
+            EXPECT_TRUE(daemon.submit(std::move(req)));
+            EXPECT_EQ(slot->wait().value, 4 * KiB);
+            acked[i].store(version);
+          }
+          std::array<std::uint64_t, kAll> before{};
+          for (int i = 0; i < kAll; ++i) before[i] = acked[i].load();
+          auto sync = fsync_req(slot_path(t));
+          auto slot = wait_on(sync);
+          EXPECT_TRUE(daemon.submit(std::move(sync)));
+          EXPECT_TRUE(slot->wait().ok());
+          for (int i = 0; i < kAll; ++i) {
+            if (before[i] == 0) continue;
+            std::vector<std::byte> out(4 * KiB);
+            ASSERT_EQ(pfs.read(slot_path(i), slot_offset(i), 4 * KiB, out),
+                      4 * KiB)
+                << "slot " << i << " missing after fsync at workers=" << w;
+            std::uint64_t on_pfs = 0;
+            std::memcpy(&on_pfs, out.data(), sizeof on_pfs);
+            EXPECT_GE(on_pfs, before[i])
+                << "slot " << i << " acked before the fsync but not on "
+                << "the PFS at workers=" << w;
+            if (i / (kFiles * kSlots) == t) {
+              // Own slot: no newer version can be in flight.
+              EXPECT_EQ(out, slot_data(i, before[i])) << "slot " << i;
+            }
+          }
+        }
+      };
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) threads.emplace_back(thread_body, t);
+      for (auto& th : threads) th.join();
+      daemon.drain();
+    });
+  }
+}
+
+TEST(IonDaemon, PartlyDirtyReadTakesCleanBytesFromThePfs) {
+  // A read range that is only partly staged here: the dirty bytes come
+  // from staging, the clean ones from the PFS (not zero-filled from a
+  // staging store that never held them). The PFS is slow enough that
+  // each staged 4 KiB write stays dirty for ~40 ms.
+  PfsParams slow = fast_pfs();
+  slow.write_bandwidth = 1.0e5;
+  slow.op_overhead = 0;
+  EmulatedPfs pfs(slow);
+  const std::vector<std::byte> on_pfs(4 * KiB, std::byte{0xAA});
+  ASSERT_TRUE(pfs.write("/mix", 4 * KiB, 4 * KiB, on_pfs));
+  pfs.write("/warm", 0, static_cast<Bytes>(8 * MiB), {});  // drain the burst
+
+  IonDaemon daemon(0, fast_ion(), pfs);
+  const auto staged = pattern_data(4 * KiB, 11);
+  auto wreq = write_req("/mix", 0, staged);
+  auto wslot = wait_on(wreq);
+  ASSERT_TRUE(daemon.submit(std::move(wreq)));
+  ASSERT_TRUE(wslot->wait().ok());
+
+  auto rreq = read_req("/mix", 0, 8 * KiB);
+  iofa::Payload buf = rreq.payload;
+  auto rslot = wait_on(rreq);
+  ASSERT_TRUE(daemon.submit(std::move(rreq)));
+  EXPECT_EQ(rslot->wait().value, 8 * KiB);
+  const auto got = buf.span();
+  EXPECT_TRUE(std::equal(staged.begin(), staged.end(), got.begin()))
+      << "dirty half not served from staging";
+  EXPECT_TRUE(std::equal(on_pfs.begin(), on_pfs.end(), got.begin() + 4096))
+      << "clean half not served from the PFS";
+  // A read that needed the PFS for any byte counts as a PFS read.
+  EXPECT_EQ(daemon.stats().reads_pfs, 1u);
+  EXPECT_EQ(daemon.stats().reads_local, 0u);
+
+  // A clean hole past the PFS's end of file reads as zeros when a dirty
+  // segment follows it, and the read ends with that segment.
+  auto w2 = write_req("/mix", 12 * KiB, staged);
+  auto w2slot = wait_on(w2);
+  ASSERT_TRUE(daemon.submit(std::move(w2)));
+  ASSERT_TRUE(w2slot->wait().ok());
+  auto r2 = read_req("/mix", 8 * KiB, 8 * KiB);
+  iofa::Payload buf2 = r2.payload;
+  std::fill(buf2.span().begin(), buf2.span().end(), std::byte{0x55});
+  auto r2slot = wait_on(r2);
+  ASSERT_TRUE(daemon.submit(std::move(r2)));
+  EXPECT_EQ(r2slot->wait().value, 8 * KiB);
+  const auto got2 = buf2.span();
+  EXPECT_TRUE(std::all_of(got2.begin(), got2.begin() + 4096,
+                          [](std::byte b) { return b == std::byte{0}; }))
+      << "hole not zero-filled";
+  EXPECT_TRUE(std::equal(staged.begin(), staged.end(), got2.begin() + 4096));
 }
 
 TEST(IonDaemon, PathsInternedOncePerFile) {

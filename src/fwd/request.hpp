@@ -33,10 +33,14 @@ struct Completion {
 };
 
 /// A request's continuation. complete() runs exactly once per offered
-/// request: inline on the daemon worker or flusher that settles an
-/// accepted one, with no daemon lock held, or by the port that saw the
-/// refusal (kRejected). It must not block on the daemon that runs it
-/// (that thread is the daemon's dispatch or flush capacity).
+/// request: inline on the thread that settles an accepted one, or by
+/// the port that saw the refusal (kRejected). The settling thread is a
+/// daemon worker or flusher, or the RPC server's reader thread when it
+/// dispatched the request inline; a dispatching thread (worker or
+/// reader) holds that shard's dispatch lock and no other daemon lock.
+/// A continuation must not block on the daemon that runs it, nor offer
+/// it a new request (that thread is the daemon's dispatch or flush
+/// capacity, and may hold the shard lock the offer would need).
 class CompletionSink {
  public:
   CompletionSink() = default;

@@ -306,8 +306,11 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   req.done = sink;
 
   // An accepted request answers from its continuation (possibly before
-  // try_submit returns); a refused one answers here.
-  if (service_.daemon(ion_).try_submit(std::move(req)) ==
+  // try_submit returns); a refused one answers here. This thread only
+  // reads this link's frames, so on an idle shard it dispatches the
+  // request itself rather than wake a worker and wait.
+  if (service_.daemon(ion_).try_submit(std::move(req),
+                                       SubmitMode::kInlineWhenIdle) ==
       SubmitResult::kAccepted) {
     MutexLock lk(mu_);
     const auto it = dedup_.find(id);

@@ -611,8 +611,11 @@ void FileModel::build_structure() {
       classes_[static_cast<std::size_t>(stack.back().class_model)]
           .has_guarded = true;
     }
-    // Call collection: identifier followed by '(' while locks are held.
-    // Member calls on other objects (obj.f(), p->f()) are skipped: the
+    // Call collection: identifier followed by '('. Calls are kept even
+    // with no lexical lock held: an IOFA_REQUIRES contract (often on a
+    // declaration in another file) supplies the entry locks at
+    // finalize. Member calls on other objects (obj.f(), p->f()) are
+    // skipped: the
     // base name alone cannot identify the callee, and a misresolved
     // edge fabricates lock-order cycles.
     if (t.kind == TokenKind::kIdentifier && i + 1 < n &&
@@ -624,12 +627,8 @@ void FileModel::build_structure() {
         t.text != "decltype" && t.text != "assert" &&
         t.text != "static_cast" && t.text != "dynamic_cast" &&
         t.text != "reinterpret_cast" && t.text != "const_cast") {
-      FunctionModel* fn = current_function();
-      if (fn) {
-        auto held = held_locks();
-        if (!held.empty()) {
-          fn->calls.push_back({t.text, t.line, std::move(held)});
-        }
+      if (FunctionModel* fn = current_function()) {
+        fn->calls.push_back({t.text, t.line, held_locks(), in_lambda()});
       }
     }
     header.push_back(c[i]);

@@ -75,11 +75,14 @@ struct LockAcquisition {
   bool in_lambda = false;
 };
 
-/// A call made while at least one lock is held.
+/// A call made while at least one lock is held, lexically or through
+/// the enclosing function's IOFA_REQUIRES contract.
 struct HeldCall {
   std::string callee;             ///< base (unqualified) callee name
   std::size_t line = 0;
-  std::vector<std::string> held;  ///< locks held at the call site
+  std::vector<std::string> held;  ///< locks lexically held at the call
+  /// Made inside a lambda body, which does not inherit entry locks.
+  bool in_lambda = false;
 };
 
 struct FunctionModel {

@@ -48,7 +48,7 @@ class BoundedQueue {
     bool wake = false;
     {
       UniqueLock lk(mu_);
-      while (!closed_ && items_.size() >= capacity_) not_full_.wait(lk);
+      while (!closed_ && full_locked()) not_full_.wait(lk);
       if (closed_) return false;
       wake = push_locked(std::move(item));
     }
@@ -61,11 +61,53 @@ class BoundedQueue {
     bool wake = false;
     {
       MutexLock lk(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
+      if (closed_ || full_locked()) return false;
       wake = push_locked(std::move(item));
     }
     if (wake) not_empty_.notify_one();
     return true;
+  }
+
+  /// Hold one slot for a later push_reserved(), blocking while full.
+  /// Returns false (nothing held) once closed.
+  bool reserve() IOFA_EXCLUDES(mu_) {
+    UniqueLock lk(mu_);
+    while (!closed_ && full_locked()) not_full_.wait(lk);
+    if (closed_) return false;
+    ++reserved_;
+    return true;
+  }
+
+  /// Non-blocking reserve(): false when full or closed.
+  bool try_reserve() IOFA_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    if (closed_ || full_locked()) return false;
+    ++reserved_;
+    return true;
+  }
+
+  /// Push into a slot held by reserve()/try_reserve(); never blocks.
+  /// The slot is used up either way; returns false if the queue was
+  /// closed meanwhile.
+  bool push_reserved(T item) IOFA_EXCLUDES(mu_) {
+    bool wake = false;
+    {
+      MutexLock lk(mu_);
+      --reserved_;
+      if (closed_) return false;
+      wake = push_locked(std::move(item));
+    }
+    if (wake) not_empty_.notify_one();
+    return true;
+  }
+
+  /// Give back a slot held by reserve()/try_reserve() without pushing.
+  void cancel_reservation() IOFA_EXCLUDES(mu_) {
+    {
+      MutexLock lk(mu_);
+      --reserved_;
+    }
+    not_full_.notify_one();
   }
 
   /// Blocks while empty. Returns nullopt once closed and drained.
@@ -174,6 +216,10 @@ class BoundedQueue {
   bool empty() const IOFA_EXCLUDES(mu_) { return size() == 0; }
 
  private:
+  bool full_locked() const IOFA_REQUIRES(mu_) {
+    return items_.size() + reserved_ >= capacity_;
+  }
+
   /// Append; true when a sleeping consumer must be woken (the queue was
   /// empty, so no consumer already awake is bound to see the item).
   bool push_locked(T&& item) IOFA_REQUIRES(mu_) {
@@ -203,6 +249,8 @@ class BoundedQueue {
   bool closed_ IOFA_GUARDED_BY(mu_) = false;
   /// Consumers blocked in pop() / try_pop_for().
   int sleepers_ IOFA_GUARDED_BY(mu_) = 0;
+  /// Slots held by reserve()/try_reserve() and not yet pushed.
+  std::size_t reserved_ IOFA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace iofa

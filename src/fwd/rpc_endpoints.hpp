@@ -8,7 +8,8 @@
 //
 //   * One answer per request: every submit is answered by exactly one
 //     SubmitResponse - the completion its continuation ships (inline on
-//     the daemon worker or flusher that settles it; nothing polls), or
+//     the daemon worker or flusher that settles it, or on this server's
+//     reader when it dispatched the request itself; nothing polls), or
 //     kRejected when the daemon refused the offer (busy or down; the
 //     server answers even while its daemon is crashed). A fresh
 //     accepted request sends nothing until it settles.

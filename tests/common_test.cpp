@@ -512,6 +512,48 @@ TEST(BoundedQueueTest, FreedSlotReopensExactlyOnce) {
   EXPECT_EQ(q.size(), 3u);
 }
 
+TEST(BoundedQueueTest, ReservedSlotCountsAsTakenUntilPushedOrCancelled) {
+  BoundedQueue<int> q(2);
+  ASSERT_TRUE(q.try_push(0));
+  ASSERT_TRUE(q.try_reserve());
+  // The last slot is held: no other producer gets it.
+  EXPECT_FALSE(q.try_push(1));
+  EXPECT_FALSE(q.try_reserve());
+  q.cancel_reservation();
+  ASSERT_TRUE(q.try_reserve());
+  EXPECT_TRUE(q.push_reserved(2));  // never waits
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.try_push(3));
+  EXPECT_EQ(q.pop().value(), 0);
+  EXPECT_EQ(q.pop().value(), 2);
+}
+
+TEST(BoundedQueueTest, BlockedReserveWakesWhenAReservationIsCancelled) {
+  BoundedQueue<int> q(1);
+  ASSERT_TRUE(q.try_reserve());
+  std::atomic<bool> reserved{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.reserve());  // blocks until the slot is given back
+    reserved.store(true);
+    EXPECT_TRUE(q.push_reserved(7));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(reserved.load());
+  q.cancel_reservation();
+  producer.join();
+  EXPECT_EQ(q.pop().value(), 7);
+}
+
+TEST(BoundedQueueTest, CloseFailsReserveAndReservedPush) {
+  BoundedQueue<int> q(2);
+  ASSERT_TRUE(q.try_reserve());
+  q.close();
+  EXPECT_FALSE(q.reserve());
+  EXPECT_FALSE(q.try_reserve());
+  EXPECT_FALSE(q.push_reserved(1));
+  EXPECT_FALSE(q.pop().has_value());
+}
+
 TEST(BoundedQueueTest, BlockedPushWakesWhenSlotFrees) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.try_push(0));

@@ -20,10 +20,17 @@ Completion WaitSlot::wait() {
 std::optional<Completion> WaitSlot::wait_for(Seconds timeout) {
   const auto deadline = deadline_after(timeout);
   UniqueLock lk(mu_);
-  while (!done_) {
+  while (!done_ && !nudged_) {
     if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
   }
+  nudged_ = false;
   return done_ ? std::optional<Completion>(result_) : std::nullopt;
+}
+
+void WaitSlot::nudge() {
+  MutexLock lk(mu_);
+  nudged_ = true;
+  cv_.notify_all();
 }
 
 }  // namespace iofa::fwd

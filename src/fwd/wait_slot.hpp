@@ -19,13 +19,16 @@ class WaitSlot final : public CompletionSink {
   void complete(Completion c) override IOFA_EXCLUDES(mu_);
   /// Block until completed.
   Completion wait() IOFA_EXCLUDES(mu_);
-  /// nullopt when not completed within `timeout`.
+  /// nullopt when not completed within `timeout`, or when nudged.
   std::optional<Completion> wait_for(Seconds timeout) IOFA_EXCLUDES(mu_);
+  /// End the current (or next) wait_for() without completing the slot.
+  void nudge() IOFA_EXCLUDES(mu_);
 
  private:
   Mutex mu_;
   CondVar cv_;
   bool done_ IOFA_GUARDED_BY(mu_) = false;
+  bool nudged_ IOFA_GUARDED_BY(mu_) = false;
   Completion result_ IOFA_GUARDED_BY(mu_);
 };
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/arbiter.hpp"
@@ -17,7 +18,9 @@
 #include "gkfs/chunk.hpp"
 #include "platform/perf_model.hpp"
 #include "platform/profile.hpp"
+#include "rpc/tcp_transport.hpp"
 #include "rpc/transport.hpp"
+#include "telemetry/metrics.hpp"
 #include "workload/pattern.hpp"
 
 namespace iofa::fwd {
@@ -126,6 +129,61 @@ TEST(MappingStoreTest, RpcFetchNeverPairsIonsWithAnotherEpoch) {
   RpcMappingServer server(link, store, options);
   RpcMappingClient client(link, options);
   expect_untorn_fetches(store, client);
+}
+
+// The same drill over a real TCP link, with the publishes crossing it
+// too: a publisher thread and three fetchers share one RpcMappingClient,
+// so the waiting callers take turns reading the link for each other.
+// Nothing tears and, with an ack window far longer than any round trip,
+// nothing is resent either.
+TEST(MappingStoreTest, TcpFetchSharingTheLinkWithPublishesNeverTears) {
+  telemetry::Registry reg;
+  MappingStore store;
+  rpc::TcpTransport link;
+  rpc::RpcOptions options;
+  options.ack_timeout = 5.0;
+  RpcMappingServer server(link, store, options, &reg);
+  RpcMappingClient client(link, options, &reg);
+  constexpr core::JobId kJob = 7;
+  ASSERT_TRUE(client.publish(mapping_for(kJob, {1}, 1)));
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    for (std::uint64_t epoch = 2; !stop.load(std::memory_order_relaxed);
+         ++epoch) {
+      auto m = mapping_for(kJob, {static_cast<int>(epoch % 2)}, epoch);
+      m.jobs[kJob + 1] = core::Mapping::Entry{"other", {2, 3}, false};
+      client.publish(m);
+    }
+  });
+  constexpr int kFetchers = 3;
+  std::atomic<int> torn{0};
+  std::atomic<std::uint64_t> epochs_seen{0};
+  std::vector<std::thread> fetchers;
+  for (int f = 0; f < kFetchers; ++f) {
+    fetchers.emplace_back([&] {
+      std::uint64_t last_epoch = 0;
+      // At least 2000 fetches each, spanning 50 epochs between them;
+      // the cap only bounds a starved publisher.
+      for (int i = 0; i < 200'000 && (i < 2'000 || epochs_seen.load() < 50);
+           ++i) {
+        const auto snap = client.fetch(kJob);
+        if (!snap || !snap->found ||
+            snap->ions != std::vector<int>{static_cast<int>(snap->epoch % 2)}) {
+          torn.fetch_add(1);
+          continue;
+        }
+        if (snap->epoch != last_epoch) epochs_seen.fetch_add(1);
+        last_epoch = snap->epoch;
+      }
+    });
+  }
+  for (auto& f : fetchers) f.join();
+  stop.store(true);
+  publisher.join();
+  link.close();  // joins the server's reader before the endpoints go
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GE(epochs_seen.load(), 50u);
+  EXPECT_EQ(reg.counter("rpc.retries", {{"link", "mapping"}}).value(), 0u);
 }
 
 TEST(MappingStoreTest, RpcPublishCarriesEveryLabel) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -693,12 +694,22 @@ TEST(OverloadScenarios, RefusalsTripBreakerAndDegradeRateLimited) {
 
 // ~10x offered load against 2 small IONs: the run completes, queues
 // stay bounded, nothing crashes, and the accounting identity holds
-// exactly across admitted / rejected / expired / direct-fallback.
+// exactly across admitted / rejected / expired / direct-fallback. The
+// overload is made, not hoped for: while the fault clock sits in the
+// IONs' stall windows every dispatch stalls for 1 s, and the threads
+// make their first offers together only once a primer write has put
+// each ION's worker into such a stall. Their 16 first offers queue
+// behind it, at least 8 at one ION, whose watermark is 4. The test
+// keeps the clock there until a refusal was counted (by the queue
+// depth or by the queue wait, the saturation score takes either) or
+// every thread is done.
 TEST(OverloadScenarios, TenXLoadCompletesWithExactAccounting) {
   const std::uint64_t seed = base_seed();
   IOFA_TRACE_SEED(seed);
   fault::FaultPlan plan;
   plan.seed = seed;
+  plan.stall(fault::request_site(0), 1.0, 1.0)
+      .stall(fault::request_site(1), 1.0, 1.0);
   Cluster c(std::move(plan), 2, [](ServiceConfig& cfg) {
     cfg.ion.queue_capacity = 8;
     cfg.ion.dispatch_latency = 5.0e-3;  // ~200 req/s per ION
@@ -719,21 +730,57 @@ TEST(OverloadScenarios, TenXLoadCompletesWithExactAccounting) {
 
   constexpr int kThreads = 16;
   constexpr int kBlocks = 8;
+  c.clock.set(1.0);  // inside both stall windows: the IONs are held
+  std::vector<std::thread> primers;
+  for (int d = 0; d < 2; ++d) {
+    primers.emplace_back([&, d] {
+      // A one-block file whose only chunk lives on ION d.
+      std::string path;
+      for (int n = 0; path.empty(); ++n) {
+        const std::string p = "/prime." + std::to_string(n);
+        if (gkfs::daemon_of(gkfs::hash_path(p), 0, 2) ==
+            static_cast<std::size_t>(d)) {
+          path = p;
+        }
+      }
+      const auto data = pattern_data(kBlock, seed + 99);
+      EXPECT_EQ(client.pwrite(100, path, 0, kBlock, data), kBlock);
+    });
+  }
+  const bool primed = wait_until(
+      [&] {
+        return c.injector.injected(fault::request_site(0)) >= 1 &&
+               c.injector.injected(fault::request_site(1)) >= 1;
+      },
+      30.0);
   std::atomic<std::uint64_t> bytes{0};
+  std::atomic<int> done{0};
+  std::latch start(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       const std::string path = "/ovl" + std::to_string(t);
+      start.arrive_and_wait();
       for (int i = 0; i < kBlocks; ++i) {
         const auto data = pattern_data(
             kBlock, seed + static_cast<unsigned>(t * 1000 + i));
         bytes.fetch_add(client.pwrite(static_cast<std::uint32_t>(t), path,
                                       block_offset(i), kBlock, data));
       }
+      done.fetch_add(1);
     });
   }
+  wait_until(
+      [&] {
+        return counter_sum(c.reg, "fwd.overload.busy") >= 1.0 ||
+               done.load() == kThreads;
+      },
+      30.0);
+  c.clock.set(3.0);  // past the windows: the IONs drain at full speed
   for (auto& w : workers) w.join();
+  for (auto& p : primers) p.join();
+  EXPECT_TRUE(primed) << "a primer write never reached its ION";
   EXPECT_EQ(bytes.load(),
             static_cast<std::uint64_t>(kThreads) * kBlocks * kBlock);
 

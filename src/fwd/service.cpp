@@ -1,8 +1,11 @@
 #include "fwd/service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <thread>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "fault/plan.hpp"
 #include "fwd/rpc_endpoints.hpp"
 #include "rpc/chaos.hpp"
@@ -136,16 +139,31 @@ void ForwardingService::drain() {
 }
 
 void ForwardingService::shutdown() {
-  for (auto& d : daemons_) d->shutdown();
-  if (rpc_ && !rpc_closed_) {
-    rpc_closed_ = true;
-    // Order matters: the daemons above have run every continuation, so
-    // the last responses left over a live transport; only then do the
-    // transports close (joining their delivery threads - after this no
-    // handler can fire into a stub again).
-    for (auto& link : rpc_->ions) link.transport->close();
-    rpc_->mapping_transport->close();
+  if (!rpc_ || rpc_closed_) {
+    for (auto& d : daemons_) d->shutdown();
+    return;
   }
+  rpc_closed_ = true;
+  // Answers nobody waits for (abandoned calls, chaos dups) can fill a
+  // client side until a daemon blocks sending more, so each ION link is
+  // read until it closes. The daemons then run every continuation and
+  // the last responses leave over a live transport; only then do the
+  // transports close (after this no handler fires into a stub again).
+  std::vector<std::thread> readers;  // iofa-lint: allow(raw-thread)
+  for (auto& link : rpc_->ions) {
+    readers.emplace_back([&t = *link.transport] {
+      const Seconds forever = std::numeric_limits<Seconds>::infinity();
+      rpc::Received r;
+      while ((r = t.receive(rpc::kClientSide, forever)) !=
+             rpc::Received::kClosed) {
+        if (r == rpc::Received::kBusy) sleep_for_seconds(1e-3);  // a waiter
+      }
+    });
+  }
+  for (auto& d : daemons_) d->shutdown();
+  for (auto& link : rpc_->ions) link.transport->close();
+  rpc_->mapping_transport->close();
+  for (auto& r : readers) r.join();
 }
 
 }  // namespace iofa::fwd

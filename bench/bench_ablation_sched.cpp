@@ -39,7 +39,6 @@ int main() {
     cfg.ion.scheduler.kind = kind;
     cfg.ion.scheduler.aggregation_window = 0.001;
     cfg.ion.scheduler.twins_window = 0.001;
-    cfg.ion.store_data = false;
     fwd::ForwardingService service(cfg);
 
     core::Mapping mapping;
@@ -53,7 +52,6 @@ int main() {
     cc.app_label = "abl";
     cc.stream_weight = 8.0;
     cc.poll_period = 0.0;
-    cc.store_data = false;
     fwd::Client client(cc, service);
 
     workload::AccessPattern pattern;
@@ -66,7 +64,6 @@ int main() {
 
     fwd::ReplayOptions opts;
     opts.threads = 8;
-    opts.store_data = false;
     const auto result = fwd::replay_pattern(client, pattern, opts, "abl");
     service.drain();
 

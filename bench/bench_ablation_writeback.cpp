@@ -24,7 +24,6 @@ iofa::fwd::ServiceConfig make_config(bool write_through) {
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 900.0e6;
   cfg.ion.op_overhead = 16 * iofa::KiB;
-  cfg.ion.store_data = false;
   cfg.ion.write_through = write_through;
   return cfg;
 }
@@ -54,7 +53,6 @@ int main() {
       cc.app_label = "burst";
       cc.stream_weight = 4.0;
       cc.poll_period = 0.0;
-      cc.store_data = false;
       fwd::Client client(cc, service);
 
       workload::AppSpec app;
@@ -75,7 +73,6 @@ int main() {
 
       fwd::ReplayOptions opts;
       opts.threads = 8;
-      opts.store_data = false;
       const auto result = replay_app(client, app, opts);
       service.drain();
 

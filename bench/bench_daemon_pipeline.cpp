@@ -122,7 +122,6 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
   // Default scheduler: TO-AGG. Contiguous same-file writes aggregate
   // into one dispatch, so one 150us service slot acknowledges a whole
   // merged run instead of a single request.
-  ip.store_data = false;
   ip.workers = workers;
   // Accounting-only flush items are trivial; two flushers keep the
   // thread count (and single-core scheduling noise) down.
@@ -206,8 +205,9 @@ RunResult run_once(int workers, int ops, SlabPool& pool) {
     req.offset = next_block[f]++ * kRequestBytes;
     req.size = kRequestBytes;
     // Zero-copy path: a slab handle, never a heap buffer. The bytes are
-    // left unwritten (store_data=false drops them at the stage) so the
-    // measurement stays about the pipeline, not memset bandwidth.
+    // left unwritten (the PFS's store_data=false drops them at the
+    // stage) so the measurement stays about the pipeline, not memset
+    // bandwidth.
     req.payload = pool.try_acquire(kRequestBytes);
     if (req.payload.empty()) req.payload = Payload::heap(kRequestBytes);
     slots.push_back(fwd::wait_on(req));

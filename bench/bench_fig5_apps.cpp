@@ -31,7 +31,6 @@ iofa::fwd::ServiceConfig g5k_like(int ions) {
   cfg.ion.op_overhead = 32 * iofa::KiB;
   cfg.ion.scheduler.kind = iofa::agios::SchedulerKind::TimeWindowAggregation;
   cfg.ion.scheduler.aggregation_window = 0.0005;
-  cfg.ion.store_data = false;
   return cfg;
 }
 
@@ -67,14 +66,12 @@ int main(int argc, char** argv) {
       cc.app_label = app.label;
       cc.stream_weight = static_cast<double>(app.processes) / 4.0;
       cc.poll_period = 0.0;
-      cc.store_data = false;
       fwd::Client client(cc, service);
 
       fwd::ReplayOptions opts;
       opts.threads = 4;
       opts.volume_scale = 1.0 / 1024.0;
       opts.min_phase_bytes = 64 * MiB;
-      opts.store_data = false;
       const auto result = replay_app(client, app, opts);
       service.drain();
 

@@ -33,7 +33,6 @@ iofa::jobs::LiveRunResult run_policy(
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 650.0e6;
   cfg.ion.op_overhead = 32 * KiB;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
 
   jobs::LiveExecutorOptions opts;
@@ -45,7 +44,6 @@ iofa::jobs::LiveRunResult run_policy(
                               // accessing the PFS for this test"
   opts.threads_per_job = 2;
   opts.poll_period = 0.005;   // scaled analogue of the 10 s poll
-  opts.replay.store_data = false;
   opts.replay.volume_scale = 1.0 / 2048.0;
   opts.replay.min_phase_bytes = 16 * MiB;
 

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 650.0e6;
   cfg.ion.op_overhead = 32 * KiB;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
 
   jobs::LiveExecutorOptions opts;
@@ -55,7 +54,6 @@ int main(int argc, char** argv) {
   opts.forbid_direct = true;  // the Fig. 9 platform has no direct path
   opts.threads_per_job = 2;
   opts.poll_period = 0.002;
-  opts.replay.store_data = false;
   opts.replay.volume_scale = 1.0 / 8192.0;
 
   std::cout << "Running the Section 5.3 queue under " << policy->name()

@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
     cfg.pfs.store_data = false;
     cfg.ion.ingest_bandwidth = 650.0e6;
     cfg.ion.op_overhead = 32 * KiB;
-    cfg.ion.store_data = false;
     fwd::ForwardingService service(cfg);
 
     // Publish the mapping for this configuration (empty = direct).
@@ -66,12 +65,10 @@ int main(int argc, char** argv) {
     cc.app_label = "forge";
     cc.stream_weight = static_cast<double>(pattern.processes()) / 8.0;
     cc.poll_period = 0.0;
-    cc.store_data = false;
     fwd::Client client(cc, service);
 
     fwd::ReplayOptions opts;
     opts.threads = 8;
-    opts.store_data = false;
     const auto result = fwd::replay_pattern(client, pattern, opts, "forge");
     service.drain();
 

@@ -36,12 +36,10 @@ int main(int argc, char** argv) {
   fwd::ServiceConfig cfg;
   cfg.ion_count = 4;
   cfg.pfs.store_data = false;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
   fwd::ClientConfig cc;
   cc.job = 1;
   cc.app_label = app.label;
-  cc.store_data = false;
   fwd::Client client(cc, service);
   auto log = std::make_shared<trace::TraceLog>(app.label);
   client.set_trace(log);
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
   fwd::ReplayOptions opts;
   opts.threads = 4;
   opts.volume_scale = 1.0 / 4096.0;
-  opts.store_data = false;
   replay_app(client, app, opts);
   service.drain();
   std::cout << "Trace: " << log->size() << " records, "

@@ -151,7 +151,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     req.size = p.sub_size;
     req.stream_weight = config_.stream_weight;
     req.tenant = config_.tenant;
-    if (op == FwdOp::Write && config_.store_data && !wdata.empty()) {
+    if (op == FwdOp::Write && !wdata.empty()) {
       // The ONE fill of the payload bytes: user buffer -> slab. From
       // here the slab is referenced (never copied) through the daemon
       // pipeline until the PFS scatter-gather write reads it.
@@ -159,8 +159,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       if (!req.payload.slab_backed()) payload_allocs_ctr_->add();
       auto sub = wdata.subspan(p.rel, p.sub_size);
       std::memcpy(req.payload.span().data(), sub.data(), sub.size());
-    } else if (op == FwdOp::Read && config_.store_data &&
-               !rdata.empty()) {
+    } else if (op == FwdOp::Read && !rdata.empty()) {
       // Fresh buffer per attempt: an abandoned (timed-out) request may
       // still complete into ITS buffer later without racing ours.
       req.payload = service_.acquire_payload(p.sub_size);

@@ -41,8 +41,6 @@ struct ClientConfig {
   double stream_weight = 1.0;
   /// Mapping poll period (the paper's default is 10 s on real clusters).
   Seconds poll_period = 0.05;
-  /// Null payloads: account bytes without materialising them.
-  bool store_data = true;
   ClientMode mode = ClientMode::Forwarding;
 
   // --- failure handling ------------------------------------------------

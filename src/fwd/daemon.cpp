@@ -211,7 +211,7 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
         metrics_.busy->add();
         return SubmitResult::kBusy;
       }
-    } else if (score >= 1.0) {
+    } else if (admission_->rejects(score)) {
       metrics_.busy->add();
       return SubmitResult::kBusy;
     }
@@ -641,7 +641,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
     inflight_bytes_.fetch_sub(req.size);
 
     if (req.op == FwdOp::Write) {
-      if (params_.store_data && !req.payload.empty()) {
+      if (pfs_.params().store_data && !req.payload.empty()) {
         // The staging store references the slab bytes for the copy-in;
         // the SAME slab then rides the flush item to the PFS - the
         // payload is written once by the client and never duplicated.
@@ -696,7 +696,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
                                                         hi - lo))
                 : std::span<std::byte>();
         if (dirty) {
-          if (params_.store_data) {
+          if (pfs_.params().store_data) {
             for (const auto& slice : gkfs::split_range(lo, out.size())) {
               staging_.read(req.file_id, slice.chunk, slice.offset_in_chunk,
                             out.subspan(slice.file_offset - lo, slice.size));

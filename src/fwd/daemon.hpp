@@ -91,7 +91,6 @@ struct IonParams {
   Bytes op_overhead = 64 * KiB;       ///< token surcharge per dispatch
   std::size_t queue_capacity = 256;
   agios::SchedulerConfig scheduler;
-  bool store_data = true;  ///< keep staged bytes for read-back
   /// Write-through: acknowledge writes only after the PFS has them
   /// (no burst-buffer effect; ablation of the write-behind staging).
   bool write_through = false;
@@ -242,9 +241,7 @@ class IonDaemon {
   /// Overloaded-but-alive: refusing new work yet still serving. The
   /// HealthMonitor turns this into an arbiter load hint, never an
   /// eviction.
-  bool overloaded() const {
-    return params_.admission.enabled && saturation() >= 1.0;
-  }
+  bool overloaded() const { return admission_->rejects(saturation()); }
   /// Load hint fed to the arbiter. Without QoS this is the raw
   /// saturation score; with QoS the borrowed (sheddable) share of the
   /// granted bandwidth is discounted - an ION drowning in best-effort

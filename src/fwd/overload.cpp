@@ -50,8 +50,8 @@ double SaturationTracker::score(std::size_t queue_depth,
   if (options_.queue_wait_limit > 0.0) {
     s = std::max(s, wait_p99_us() / (options_.queue_wait_limit * 1e6));
   }
-  if (options_.slab_high_watermark > 0.0 && slab_used_fraction > 0.0) {
-    s = std::max(s, slab_used_fraction / options_.slab_high_watermark);
+  if (slab_used_fraction > 0.0) {
+    s = std::max(s, slab_used_fraction / kSlabHighWatermark);
   }
   return s;
 }

@@ -53,19 +53,20 @@ struct AdmissionOptions {
   Bytes inflight_bytes_limit = 0;
   /// p99 ingest-queue wait ceiling; 0 disables the criterion.
   Seconds queue_wait_limit = 0.0;
-  /// Payload slab-pool occupancy (fullest size class, 0..1) at which
-  /// the saturation score reaches 1.0 — pool exhaustion becomes
-  /// backpressure before clients start paying heap fallbacks. 0
-  /// disables the criterion; it is also inert while the daemon has no
-  /// slab pool attached (slab_used_fraction stays 0).
-  double slab_high_watermark = 0.95;
 };
 
-/// Folds queue depth, in-flight bytes and p99 queue wait into one
-/// saturation score (max over the enabled criteria, each normalised so
-/// 1.0 means "at the high watermark"). The p99 comes from the daemon's
-/// own fwd.ion.queue_wait_us histogram and is cached briefly so the
-/// submit hot path never walks buckets more than once per millisecond.
+/// Payload slab-pool occupancy (fullest size class, 0..1) at which the
+/// saturation score reaches 1.0 — pool exhaustion becomes backpressure
+/// before clients start paying heap fallbacks. Inert while the daemon
+/// has no slab pool attached (slab_used_fraction stays 0).
+inline constexpr double kSlabHighWatermark = 0.95;
+
+/// Folds queue depth, in-flight bytes, p99 queue wait and slab-pool
+/// occupancy into one saturation score (max over the enabled criteria,
+/// each normalised so 1.0 means "at the high watermark"). The p99 comes
+/// from the daemon's own fwd.ion.queue_wait_us histogram and is cached
+/// briefly so the submit hot path never walks buckets more than once
+/// per millisecond.
 class SaturationTracker {
  public:
   SaturationTracker(AdmissionOptions options,
@@ -80,12 +81,10 @@ class SaturationTracker {
   double score(std::size_t queue_depth, std::size_t queue_capacity,
                Bytes inflight_bytes, double slab_used_fraction = 0.0) const;
 
-  bool should_reject(std::size_t queue_depth, std::size_t queue_capacity,
-                     Bytes inflight_bytes,
-                     double slab_used_fraction = 0.0) const {
-    return options_.enabled &&
-           score(queue_depth, queue_capacity, inflight_bytes,
-                 slab_used_fraction) >= 1.0;
+  /// The admission rule: with admission enabled, a score at or past
+  /// the high watermark refuses new data requests.
+  bool rejects(double score) const {
+    return options_.enabled && score >= 1.0;
   }
 
  private:

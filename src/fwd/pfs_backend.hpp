@@ -47,7 +47,10 @@ struct PfsParams {
   double contention_coeff = 0.01;    ///< per extra weighted stream
   double shared_lock_overhead = 0.5; ///< extra cost factor under a file
                                      ///  lock held by >1 concurrent writer
-  bool store_data = true;            ///< keep bytes for read-back
+  /// Keep bytes for read-back. The deployment's one accounting-only
+  /// switch: false charges every byte but stores none, and the daemons
+  /// and the RPC server read it from here.
+  bool store_data = true;
   /// Metrics destination; nullptr means telemetry::Registry::global().
   telemetry::Registry* registry = nullptr;
   /// Fault-injection hook (sites pfs.write / pfs.read); may be null.

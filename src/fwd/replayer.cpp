@@ -68,6 +68,9 @@ ReplayResult replay_app(Client& client, const workload::AppSpec& app,
   result.app_label = app.label;
 
   const auto t_begin = iofa::monotonic_now();
+  // Payload bytes only when the PFS keeps them (verification runs);
+  // accounting-only deployments replay sizes.
+  const bool store_data = client.service().pfs().params().store_data;
 
   for (std::size_t pi = 0; pi < app.phases.size(); ++pi) {
     const auto& ph = app.phases[pi];
@@ -115,7 +118,7 @@ ReplayResult replay_app(Client& client, const workload::AppSpec& app,
         // Fill pattern handed to pwrite, which copies it into a slab
         // payload at the submit boundary; never enters a FwdRequest.
         std::vector<std::byte> payload;  // iofa-lint: allow(raw-payload)
-        if (options.store_data) {
+        if (store_data) {
           payload.resize(plan.request_size);
           for (auto& b : payload) {
             b = static_cast<std::byte>(rng.next() & 0xFF);
@@ -134,7 +137,7 @@ ReplayResult replay_app(Client& client, const workload::AppSpec& app,
             std::size_t n = 0;
             if (ph.operation == Operation::Write) {
               n = client.pwrite(rank, path, offset, plan.request_size,
-                                options.store_data
+                                store_data
                                     ? std::span<const std::byte>(payload)
                                     : std::span<const std::byte>());
             } else {

@@ -25,8 +25,6 @@ struct ReplayOptions {
   Bytes min_phase_bytes = 0;
   /// Multiplier on compute_before gaps (0 skips them entirely).
   double time_scale = 0.0;
-  /// Materialise payload bytes (verification) or account-only (benches).
-  bool store_data = false;
   std::uint64_t seed = 42;  ///< payload generation seed
 };
 

@@ -345,8 +345,8 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     std::memcpy(req.payload.span().data(), msg->payload.data(),
                 msg->payload.size());
   } else if (req.op == FwdOp::Read && msg->size > 0 &&
-             service_.config().ion.store_data) {
-    // Reads materialise a server-side buffer only when the daemon
+             service_.pfs().params().store_data) {
+    // Reads materialise a server-side buffer only when the deployment
     // stores data at all; accounting-only deployments answer with
     // sizes, not bytes.
     req.payload = service_.acquire_payload(msg->size);

@@ -104,7 +104,6 @@ ForwardingService::ForwardingService(ServiceConfig config)
   daemons_.reserve(static_cast<std::size_t>(config_.ion_count));
   for (int i = 0; i < config_.ion_count; ++i) {
     IonParams params = config_.ion;
-    params.store_data = config_.pfs.store_data && params.store_data;
     if (config_.injector && !params.injector) {
       params.injector = config_.injector;
     }

@@ -47,7 +47,6 @@ fwd::ServiceConfig live_service_config(const LiveExecutorOptions& options,
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 650.0e6;
   cfg.ion.op_overhead = 32 * KiB;
-  cfg.ion.store_data = false;
   cfg.ion.workers = std::max(1, options.workers_per_ion);
   cfg.ion.admission = options.admission;
   cfg.fallback_bandwidth = options.fallback_bandwidth;
@@ -193,7 +192,6 @@ LiveRunResult run_queue_live(const std::vector<workload::AppSpec>& queue,
             static_cast<double>(jspec.processes) /
             static_cast<double>(std::max(1, options.threads_per_job));
         cc.poll_period = options.poll_period;
-        cc.store_data = options.replay.store_data;
         cc.request_timeout = options.request_timeout;
         cc.max_attempts = options.max_attempts;
         cc.backoff = options.client_backoff;

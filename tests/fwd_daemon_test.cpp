@@ -308,7 +308,6 @@ TEST(IonDaemon, AccountingOnlyModeMovesNoData) {
   pp.store_data = false;
   EmulatedPfs pfs(pp);
   IonParams ip = fast_ion();
-  ip.store_data = false;
   IonDaemon daemon(0, ip, pfs);
 
   FwdRequest req;
@@ -336,7 +335,6 @@ TEST(IonDaemon, WriteThroughAcksOnlyAfterPfs) {
 
   IonParams params = fast_ion();
   params.write_through = true;
-  params.store_data = false;
   IonDaemon daemon(0, params, pfs);
 
   FwdRequest req;
@@ -368,7 +366,6 @@ TEST(IonDaemon, WriteBehindAcksBeforePfs) {
   pfs.write("/warm", 0, static_cast<Bytes>(8 * MiB), {});  // drain the burst
 
   IonParams params = fast_ion();
-  params.store_data = false;
   IonDaemon daemon(0, params, pfs);
 
   FwdRequest req;

@@ -394,14 +394,15 @@ TEST(SaturationTracker, DepthCriterionNormalisesToWatermark) {
   SaturationTracker t(a, nullptr);
   EXPECT_DOUBLE_EQ(t.score(2, 8, 0), 0.5);  // 2 / (8 * 0.5)
   EXPECT_DOUBLE_EQ(t.score(4, 8, 0), 1.0);
-  EXPECT_FALSE(t.should_reject(3, 8, 0));
-  EXPECT_TRUE(t.should_reject(4, 8, 0));
+  EXPECT_FALSE(t.rejects(t.score(3, 8, 0)));
+  EXPECT_TRUE(t.rejects(t.score(4, 8, 0)));
 
   AdmissionOptions off = a;
   off.enabled = false;
   SaturationTracker disabled(off, nullptr);
   EXPECT_DOUBLE_EQ(disabled.score(100, 8, 0), 0.0);
-  EXPECT_FALSE(disabled.should_reject(100, 8, 0));
+  EXPECT_FALSE(disabled.rejects(disabled.score(100, 8, 0)));
+  EXPECT_FALSE(disabled.rejects(2.0));  // disabled never refuses
 }
 
 TEST(SaturationTracker, InflightBytesCriterionTakesTheMax) {
@@ -413,7 +414,7 @@ TEST(SaturationTracker, InflightBytesCriterionTakesTheMax) {
   EXPECT_DOUBLE_EQ(t.score(0, 8, 512 * KiB), 0.5);
   // Depth says 0.5, bytes say 2.0: the max wins.
   EXPECT_DOUBLE_EQ(t.score(2, 8, 2 * MiB), 2.0);
-  EXPECT_TRUE(t.should_reject(0, 8, 1 * MiB));
+  EXPECT_TRUE(t.rejects(t.score(0, 8, 1 * MiB)));
 }
 
 TEST(SaturationTracker, QueueWaitP99CriterionRejectsSlowQueues) {
@@ -430,7 +431,7 @@ TEST(SaturationTracker, QueueWaitP99CriterionRejectsSlowQueues) {
   // The p99 estimate lands in the 50 ms log2 bucket (>= 32768 us),
   // comfortably past the 25 ms ceiling.
   EXPECT_GE(t.score(0, 8, 0), 1.0);
-  EXPECT_TRUE(t.should_reject(0, 8, 0));
+  EXPECT_TRUE(t.rejects(t.score(0, 8, 0)));
 
   AdmissionOptions no_wait = a;
   no_wait.queue_wait_limit = 0.0;  // criterion disabled
@@ -441,22 +442,30 @@ TEST(SaturationTracker, QueueWaitP99CriterionRejectsSlowQueues) {
 // --------------------------------------------------------------------
 // Daemon admission control + deadline propagation.
 
+// r2 and r3 are queued only once the worker draws r1's stall: it pulls
+// whatever is queued into its scheduler before that, not after.
 TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
   telemetry::Registry reg;
+  fault::ManualFaultClock clock;
+  fault::FaultPlan plan;
+  plan.stall(fault::request_site(0), 1.0, 1.0);
+  fault::FaultInjector injector(std::move(plan), &clock, &reg);
   EmulatedPfs pfs(fast_pfs(&reg));
   IonParams params = fast_ion(&reg);
   params.queue_capacity = 4;
-  params.dispatch_latency = 0.1;  // keep the worker busy deterministically
+  params.injector = &injector;
   params.admission.enabled = true;
   params.admission.queue_high_watermark = 0.5;  // saturates at depth 2
   IonDaemon daemon(0, params, pfs);
 
+  clock.set(1.0);  // inside the stall window
   auto r1 = write_req("/adm", 0, pattern_data(kBlock, 1));
   auto s1 = wait_on(r1);
   ASSERT_EQ(daemon.try_submit(std::move(r1)), SubmitResult::kAccepted);
-  // The worker holds r1 in its dispatch-latency sleep; everything
-  // submitted now sits in the ingest queue.
-  ASSERT_TRUE(wait_until([&] { return daemon.queue_depth() == 0; }));
+  // The worker holds r1 in its stall; everything submitted now sits in
+  // the ingest queue.
+  ASSERT_TRUE(wait_until(
+      [&] { return injector.injected(fault::request_site(0)) >= 1; }));
 
   auto r2 = write_req("/adm", kBlock, pattern_data(kBlock, 2));
   auto r3 = write_req("/adm", 2 * kBlock, pattern_data(kBlock, 3));
@@ -477,6 +486,7 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
   auto sync = fsync_req("/adm");
   auto fsync_slot = wait_on(sync);
   EXPECT_EQ(daemon.try_submit(std::move(sync)), SubmitResult::kAccepted);
+  clock.set(3.0);  // past the window: the queued requests do not stall
 
   EXPECT_EQ(s1->wait().value, kBlock);
   EXPECT_EQ(s2->wait().value, kBlock);
@@ -845,9 +855,9 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   IOFA_TRACE_SEED(seed);
   fault::FaultPlan plan;
   plan.seed = seed;
+  plan.stall(fault::request_site(0), 1.0, 1.0);
   Cluster c(std::move(plan), 2, [](ServiceConfig& cfg) {
     cfg.ion.queue_capacity = 4;
-    cfg.ion.dispatch_latency = 0.15;
     cfg.ion.admission.enabled = true;
     cfg.ion.admission.queue_high_watermark = 0.5;  // saturates at depth 2
   });
@@ -859,13 +869,15 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   EXPECT_FALSE(hm.poll_once());
   const auto epoch_before = c.service->mapping_store().epoch();
 
-  // Back up daemon 0: one request in the worker's dispatch sleep, two
+  // Back up daemon 0: one request held in a request-site stall, two
   // more queued behind it.
   auto& d0 = c.service->daemon(0);
+  c.clock.set(1.0);  // inside the stall window
   auto r1 = write_req("/hint", 0, pattern_data(kBlock, 1));
   auto s1 = wait_on(r1);
   ASSERT_EQ(d0.try_submit(std::move(r1)), SubmitResult::kAccepted);
-  ASSERT_TRUE(wait_until([&] { return d0.queue_depth() == 0; }));
+  ASSERT_TRUE(wait_until(
+      [&] { return c.injector.injected(fault::request_site(0)) >= 1; }));
   auto r2 = write_req("/hint", kBlock, pattern_data(kBlock, 2));
   auto r3 = write_req("/hint", 2 * kBlock, pattern_data(kBlock, 3));
   auto s2 = wait_on(r2);
@@ -884,6 +896,7 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   EXPECT_EQ(c.service->mapping_store().epoch(), epoch_before);
   EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 0.0);
 
+  c.clock.set(3.0);  // past the window: the queued requests do not stall
   EXPECT_TRUE(s1->wait().ok());
   EXPECT_TRUE(s2->wait().ok());
   EXPECT_TRUE(s3->wait().ok());

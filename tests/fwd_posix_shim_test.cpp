@@ -28,7 +28,7 @@ class PosixShimTest : public ::testing::Test {
  protected:
   PosixShimTest()
       : service_(make_config()),
-        client_(ClientConfig{1, "shim", 1.0, 0.0, true}, service_),
+        client_(ClientConfig{1, "shim", 1.0, 0.0}, service_),
         shim_(client_) {
     core::Mapping m;
     m.epoch = 1;

@@ -15,13 +15,14 @@ using workload::FileLayout;
 using workload::Operation;
 using workload::Spatiality;
 
-ServiceConfig fast_service(int ions = 2) {
+ServiceConfig fast_service(bool store_data = true) {
   ServiceConfig cfg;
-  cfg.ion_count = ions;
+  cfg.ion_count = 2;
   cfg.pfs.write_bandwidth = 4.0e9;
   cfg.pfs.read_bandwidth = 4.0e9;
   cfg.pfs.op_overhead = 4 * KiB;
   cfg.pfs.contention_coeff = 0.0;
+  cfg.pfs.store_data = store_data;
   cfg.ion.ingest_bandwidth = 4.0e9;
   cfg.ion.op_overhead = 4 * KiB;
   cfg.ion.scheduler.kind = agios::SchedulerKind::Fifo;
@@ -53,13 +54,12 @@ ReplayOptions verify_opts() {
   ReplayOptions o;
   o.threads = 4;
   o.volume_scale = 1.0;
-  o.store_data = true;
   return o;
 }
 
 TEST(Replayer, DirectSharedContiguousMovesAllBytes) {
   ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   const auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous);
   const auto result = replay_app(client, app, verify_opts());
   EXPECT_EQ(result.write_bytes, 64u * 4096u);
@@ -78,7 +78,7 @@ TEST(Replayer, ForwardedPathDeliversToPfs) {
   m.pool = 2;
   m.jobs[1] = core::Mapping::Entry{"tiny", {0, 1}, false};
   service.apply_mapping(m);
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   const auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous);
   const auto result = replay_app(client, app, verify_opts());
   EXPECT_EQ(result.write_bytes, 64u * 4096u);
@@ -88,7 +88,7 @@ TEST(Replayer, ForwardedPathDeliversToPfs) {
 
 TEST(Replayer, FppCreatesOneFilePerRank) {
   ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   const auto app =
       tiny_app(FileLayout::FilePerProcess, Spatiality::Contiguous, 4);
   replay_app(client, app, verify_opts());
@@ -106,7 +106,7 @@ TEST(Replayer, FppCreatesOneFilePerRank) {
 
 TEST(Replayer, SharedFileIsSingleFile) {
   ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   const auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous);
   replay_app(client, app, verify_opts());
   service.drain();
@@ -117,7 +117,7 @@ TEST(Replayer, SharedFileIsSingleFile) {
 
 TEST(Replayer, StridedOffsetsInterleaveRanks) {
   ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   auto app = tiny_app(FileLayout::SharedFile, Spatiality::Strided1D);
   app.phases.resize(1);  // write only
   replay_app(client, app, verify_opts());
@@ -127,15 +127,14 @@ TEST(Replayer, StridedOffsetsInterleaveRanks) {
 }
 
 TEST(Replayer, VolumeScaleShrinksWork) {
-  ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, false}, service);
+  ForwardingService service(fast_service(/*store_data=*/false));
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous, 4,
                       4096, 1024 * 4096);
   app.phases.resize(1);
   ReplayOptions opts;
   opts.threads = 4;
   opts.volume_scale = 1.0 / 16.0;
-  opts.store_data = false;
   const auto result = replay_app(client, app, opts);
   EXPECT_EQ(result.write_bytes, 1024u * 4096u / 16u);
 }
@@ -147,7 +146,7 @@ TEST(Replayer, FlushAfterForcesPfsDurability) {
   m.pool = 2;
   m.jobs[1] = core::Mapping::Entry{"tiny", {0}, false};
   service.apply_mapping(m);
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous);
   app.phases.resize(1);
   app.phases[0].flush_after = true;
@@ -158,7 +157,7 @@ TEST(Replayer, FlushAfterForcesPfsDurability) {
 
 TEST(Replayer, WriterSubsetRestrictsRanks) {
   ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
   AppSpec app = tiny_app(FileLayout::FilePerProcess,
                          Spatiality::Contiguous, 8);
   app.phases.resize(1);
@@ -179,7 +178,7 @@ TEST(Replayer, ReadBackMatchesWrittenData) {
   m.pool = 2;
   m.jobs[1] = core::Mapping::Entry{"tiny", {0, 1}, false};
   service.apply_mapping(m);
-  Client client(ClientConfig{1, "tiny", 1.0, 0.0, true}, service);
+  Client client(ClientConfig{1, "tiny", 1.0, 0.0}, service);
 
   auto app = tiny_app(FileLayout::SharedFile, Spatiality::Contiguous);
   app.phases[0].flush_after = true;
@@ -188,8 +187,8 @@ TEST(Replayer, ReadBackMatchesWrittenData) {
 }
 
 TEST(Replayer, PatternReplayRuns) {
-  ForwardingService service(fast_service());
-  Client client(ClientConfig{1, "pat", 1.0, 0.0, false}, service);
+  ForwardingService service(fast_service(/*store_data=*/false));
+  Client client(ClientConfig{1, "pat", 1.0, 0.0}, service);
   workload::AccessPattern p;
   p.compute_nodes = 2;
   p.processes_per_node = 2;
@@ -199,7 +198,6 @@ TEST(Replayer, PatternReplayRuns) {
   p.total_bytes = 64 * 4096;
   ReplayOptions opts;
   opts.threads = 4;
-  opts.store_data = false;
   const auto result = replay_pattern(client, p, opts, "pat");
   EXPECT_EQ(result.write_bytes, 64u * 4096u);
   EXPECT_EQ(result.app_label, "pat");

@@ -37,9 +37,10 @@ TEST(Integration, TraceDrivenEstimationPipeline) {
   // Run a kernel on the runtime, collect its trace, classify it, and
   // check that the detected pattern matches the kernel's spec - the
   // paper's "Darshan traces -> access pattern -> MCKP items" pipeline.
-  fwd::ForwardingService service(verification_service());
-  fwd::Client client(fwd::ClientConfig{1, "IOR", 1.0, 0.0, false},
-                     service);
+  fwd::ServiceConfig cfg = verification_service();
+  cfg.pfs.store_data = false;  // the trace needs sizes, not bytes
+  fwd::ForwardingService service(cfg);
+  fwd::Client client(fwd::ClientConfig{1, "IOR", 1.0, 0.0}, service);
   auto log = std::make_shared<trace::TraceLog>("IOR");
   client.set_trace(log);
 
@@ -47,7 +48,6 @@ TEST(Integration, TraceDrivenEstimationPipeline) {
   fwd::ReplayOptions opts;
   opts.threads = 4;
   opts.volume_scale = 1.0 / 512.0;  // keep >= 8 writers after scaling
-  opts.store_data = false;
   replay_app(client, app, opts);
   service.drain();
 
@@ -79,8 +79,7 @@ TEST(Integration, ArbiterDrivenRemapPreservesData) {
   service.apply_mapping(arbiter->job_started(
       1, core::AppEntry{"writer", 8, 16, curve}));
 
-  fwd::Client client(fwd::ClientConfig{1, "writer", 1.0, 0.0, true},
-                     service);
+  fwd::Client client(fwd::ClientConfig{1, "writer", 1.0, 0.0}, service);
   Rng rng(33);
   std::vector<std::vector<std::byte>> blocks;
   auto write_block = [&](int index) {
@@ -125,7 +124,6 @@ TEST(Integration, PaperQueueLiveMckpVsStatic) {
     cfg.pfs.store_data = false;
     cfg.ion.ingest_bandwidth = 650.0e6;
     cfg.ion.op_overhead = 32 * KiB;
-    cfg.ion.store_data = false;
     fwd::ForwardingService service(cfg);
 
     jobs::LiveExecutorOptions opts;
@@ -136,7 +134,6 @@ TEST(Integration, PaperQueueLiveMckpVsStatic) {
     opts.forbid_direct = true;
     opts.threads_per_job = 2;
     opts.poll_period = 0.001;
-    opts.replay.store_data = false;
     opts.replay.volume_scale = 1.0 / 16384.0;
 
     return run_queue_live(workload::paper_queue(),

@@ -195,7 +195,6 @@ TEST(LiveExecutor, SmallQueueRunsToCompletion) {
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 2.0e9;
   cfg.ion.op_overhead = 16 * KiB;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
 
   std::vector<workload::AppSpec> queue{
@@ -207,7 +206,6 @@ TEST(LiveExecutor, SmallQueueRunsToCompletion) {
   opts.pool = 4;
   opts.static_ratio = 16.0;
   opts.threads_per_job = 2;
-  opts.replay.store_data = false;
   opts.replay.threads = 2;
 
   const auto result =
@@ -226,7 +224,6 @@ TEST(LiveExecutor, ForbidDirectStripsZeroOption) {
   fwd::ServiceConfig cfg;
   cfg.ion_count = 2;
   cfg.pfs.store_data = false;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
 
   std::vector<workload::AppSpec> queue{synth_app("flat", 8, 4 * MiB)};
@@ -235,7 +232,6 @@ TEST(LiveExecutor, ForbidDirectStripsZeroOption) {
   opts.pool = 2;
   opts.forbid_direct = true;
   opts.threads_per_job = 2;
-  opts.replay.store_data = false;
 
   const auto result =
       run_queue_live(queue, tiny_profiles(),

@@ -1119,6 +1119,33 @@ TEST_P(ServiceFrames, InProcMovesNoFrameTcpMovesSome) {
   }
 }
 
+// Accounting-only mode is one switch, the PFS's store_data: a
+// deployment that sets only it moves sizes, not bytes. Forwarded writes
+// and reads handed no caller buffers take no payload slab on either end
+// of the link, so the server answers a read without a buffer to fill.
+TEST_P(ServiceFrames, AccountingOnlyPfsTakesNoSlab) {
+  telemetry::Registry reg;
+  ServiceConfig cfg = fast_config(reg);
+  cfg.transport = GetParam();
+  cfg.pfs.store_data = false;
+  ForwardingService svc(cfg);
+  map_job_7(svc);
+  Client client(job_7(reg, /*request_timeout=*/0.0), svc);
+
+  constexpr std::uint64_t kBlocks = 8;
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(client.pwrite(0, "/acct", b * kBlock, kBlock), kBlock);
+    EXPECT_EQ(client.pread(0, "/acct", b * kBlock, kBlock), kBlock);  // staged
+  }
+  client.fsync("/acct");
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {  // now served by the PFS
+    EXPECT_EQ(client.pread(0, "/acct", b * kBlock, kBlock), kBlock);
+  }
+  svc.drain();
+  EXPECT_EQ(svc.pfs().bytes_written(), kBlocks * kBlock);
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.slab.acquired"), 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Transports, ServiceFrames,
     ::testing::Values(rpc::TransportKind::kInProc, rpc::TransportKind::kTcp),

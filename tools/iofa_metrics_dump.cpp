@@ -55,7 +55,6 @@ jobs::LiveRunResult run_sample(std::size_t n_jobs,
   cfg.pfs.store_data = false;
   cfg.ion.ingest_bandwidth = 650.0e6;
   cfg.ion.op_overhead = 32 * KiB;
-  cfg.ion.store_data = false;
   fwd::ForwardingService service(cfg);
 
   jobs::LiveExecutorOptions opts;
@@ -66,7 +65,6 @@ jobs::LiveRunResult run_sample(std::size_t n_jobs,
   opts.forbid_direct = true;
   opts.threads_per_job = 2;
   opts.poll_period = 0.002;
-  opts.replay.store_data = false;
   opts.replay.volume_scale = 1.0 / 8192.0;
   opts.replay.min_phase_bytes = 4 * MiB;
 

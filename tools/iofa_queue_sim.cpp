@@ -221,7 +221,6 @@ int run_fault_drill(const std::string& plan_path,
   opts.reallocate_running = sim_opts.reallocate_running;
   opts.threads_per_job = 2;
   opts.poll_period = 0.002;
-  opts.replay.store_data = false;
   opts.replay.volume_scale = 1.0 / 8192.0;
   opts.replay.min_phase_bytes = 4 * MiB;
   opts.fault_clock = &clock;

@@ -16,9 +16,10 @@
 //   try_submit(kInlineWhenIdle) on an idle FIFO shard: the caller runs
 //       the worker's ingest -> schedule -> process steps itself under
 //       the shard's dispatch lock, and no worker wakes for the request,
-//       when no step would wait: a write with a reserved flush slot or
-//       a read served wholly from staging, relay tokens taken, no fault
-//       stall drawn (a drawn stall goes to the worker with the draws)
+//       when no step would wait: a write with a reserved flush slot, a
+//       read served wholly from staging, or a wholly clean read whose
+//       PFS admission is paid now; relay tokens taken, no fault stall
+//       drawn (a drawn stall goes to the worker with the draws)
 //   flush items --> one FIFO flush queue --> flusher[0..M)
 //       flusher: pops one run (the head plus the seq-consecutive,
 //       offset-contiguous same-file items behind it) and drains it as
@@ -152,13 +153,14 @@ enum class SubmitResult {
 enum class SubmitMode {
   kQueue,  ///< always through the shard's ingest queue and worker
   /// Dispatch on the calling thread when the shard is idle and no step
-  /// of the dispatch would wait: a write with a free flush-queue slot
-  /// or a read served wholly from staging, relay tokens on hand, and no
-  /// fault stall drawn for it. Otherwise queue (a drawn stall is served
-  /// by the worker). Only FIFO daemons without QoS or dispatch_latency
-  /// dispatch inline. For a caller that would otherwise only wait for
-  /// the worker (the RPC server's reader thread): an async submitter
-  /// would end up doing every shard's work itself.
+  /// of the dispatch would wait: a write with a free flush-queue slot,
+  /// a read served wholly from staging, or a wholly clean read whose
+  /// PFS charge the read bucket covers now; relay tokens on hand, and
+  /// no fault stall drawn for it. Otherwise queue (a drawn stall is
+  /// served by the worker). Only FIFO daemons without QoS or
+  /// dispatch_latency dispatch inline. For a caller that would otherwise
+  /// only wait for the worker (the RPC server's reader thread): an async
+  /// submitter would end up doing every shard's work itself.
   kInlineWhenIdle
 };
 
@@ -307,6 +309,9 @@ class IonDaemon {
     std::optional<fault::FaultDecision> admit;
     /// The request (or shard) site's decision.
     std::optional<fault::FaultDecision> request;
+    /// A wholly clean read's PFS admission (its pfs.read decision, and
+    /// its charge if that was paid).
+    std::optional<EmulatedPfs::ReadAdmission> pfs_read;
   };
 
   /// An ingest-queue entry.
@@ -317,9 +322,13 @@ class IonDaemon {
 
   /// What an inline dispatch took before it committed, so process()
   /// never waits for it: the relay tokens and, for a write, one
-  /// flush-queue slot (cleared once the flush item used it).
+  /// flush-queue slot (cleared once the flush item used it). A read
+  /// comes from the one source fixed at eligibility: staging when its
+  /// range is pinned dirty, else the PFS through its prepaid admission.
   struct InlineHold {
     bool flush_slot = false;
+    bool pinned = false;
+    std::optional<EmulatedPfs::ReadAdmission> pfs;
   };
 
   /// One dispatch shard: a bounded ingest queue plus the scheduler
@@ -344,8 +353,9 @@ class IonDaemon {
     std::unique_ptr<agios::Scheduler> scheduler IOFA_GUARDED_BY(mu);
     std::unordered_map<std::uint64_t, FwdRequest> in_flight
         IOFA_GUARDED_BY(mu);
-    /// Request-site decisions drawn ahead for scheduled tags (Predrawn).
-    std::unordered_map<std::uint64_t, fault::FaultDecision> request_faults
+    /// Request-site and PFS read decisions drawn ahead for scheduled
+    /// tags (Predrawn).
+    std::unordered_map<std::uint64_t, Predrawn> request_faults
         IOFA_GUARDED_BY(mu);
     std::uint64_t next_tag IOFA_GUARDED_BY(mu) = 1;
     /// Request-level fault site: at workers == 1 the legacy name keeps
@@ -427,11 +437,13 @@ class IonDaemon {
                   std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
   void mark_clean(std::uint64_t file_id, std::uint64_t offset,
                   std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
-  /// Register one more extent over [offset, offset + size) if every
-  /// byte of it is already dirty, and report whether it did: a flush
-  /// then cannot clean the range until mark_clean() releases the pin.
-  bool pin_dirty(std::uint64_t file_id, std::uint64_t offset,
-                 std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
+  /// Where the bytes of a read's range are (an empty range is kMixed).
+  enum class Coverage { kMixed, kDirty, kClean };
+  /// Classify [offset, offset + size). A wholly dirty range is pinned:
+  /// one more extent is registered over it, so a flush cannot clean it
+  /// until mark_clean() releases the pin.
+  Coverage pin_if_dirty(std::uint64_t file_id, std::uint64_t offset,
+                        std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
   /// End of the maximal segment [lo, end) of [lo, hi) whose bytes are
   /// all dirty or all clean; `dirty` reports which.
   std::uint64_t dirty_run_end(std::uint64_t file_id, std::uint64_t lo,

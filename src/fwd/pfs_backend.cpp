@@ -36,21 +36,29 @@ std::shared_ptr<EmulatedPfs::FileLock> EmulatedPfs::lock_for(
   return slot;
 }
 
-double EmulatedPfs::charge(std::uint64_t size, double stream_weight,
-                           bool is_read, double extra_factor) {
+bool EmulatedPfs::charge(std::uint64_t size, double stream_weight,
+                         bool is_read, double extra_factor, bool wait) {
   const double streams =
       weighted_streams_.fetch_add(stream_weight) + stream_weight;
   gauge_streams_->set(streams);
-  hist_request_bytes_->observe(static_cast<double>(size));
   const double contention =
       1.0 + params_.contention_coeff * std::max(0.0, streams - 1.0);
   const double tokens =
       (static_cast<double>(size) +
        static_cast<double>(params_.op_overhead)) *
       contention * extra_factor;
-  (is_read ? read_bucket_ : write_bucket_).acquire(tokens);
+  TokenBucket& bucket = is_read ? read_bucket_ : write_bucket_;
+  bool paid = true;
+  if (wait) {
+    bucket.acquire(tokens);
+  } else {
+    // try_acquire throws on a charge past the burst, which no wait
+    // could cover at once; the caller pays such a charge blocking.
+    paid = tokens <= bucket.burst() && bucket.try_acquire(tokens);
+  }
   weighted_streams_.fetch_sub(stream_weight);
-  return tokens;
+  if (paid) hist_request_bytes_->observe(static_cast<double>(size));
+  return paid;
 }
 
 bool EmulatedPfs::write(const std::string& path, std::uint64_t offset,
@@ -151,15 +159,30 @@ std::size_t EmulatedPfs::write_gather(const std::string& path,
   return admitted;
 }
 
+EmulatedPfs::ReadAdmission EmulatedPfs::try_admit_read(std::uint64_t size) {
+  ReadAdmission admission;
+  if (params_.injector) {
+    admission.fault = params_.injector->decide(fault::kPfsReadSite);
+  }
+  admission.paid = admission.fault.stall <= 0.0 &&
+                   charge(size, /*stream_weight=*/1.0, /*is_read=*/true, 1.0,
+                          /*wait=*/false);
+  return admission;
+}
+
 std::size_t EmulatedPfs::read(const std::string& path, std::uint64_t offset,
                               std::uint64_t size, std::span<std::byte> out,
-                              double stream_weight) {
-  if (params_.injector) {
-    // Reads are stall-only (latency spikes); see FaultPlan::validate.
-    const auto d = params_.injector->decide(fault::kPfsReadSite);
-    if (d.stall > 0.0) sleep_for_seconds(d.stall);
+                              double stream_weight,
+                              const ReadAdmission* admission) {
+  // Reads are stall-only (latency spikes); see FaultPlan::validate.
+  const fault::FaultDecision d =
+      admission ? admission->fault
+      : params_.injector ? params_.injector->decide(fault::kPfsReadSite)
+                         : fault::FaultDecision{};
+  if (d.stall > 0.0) sleep_for_seconds(d.stall);
+  if (!admission || !admission->paid) {
+    charge(size, stream_weight, /*is_read=*/true, 1.0);
   }
-  charge(size, stream_weight, /*is_read=*/true, 1.0);
   bytes_read_.fetch_add(size);
   read_ops_.fetch_add(1);
   ctr_bytes_read_->add(size);

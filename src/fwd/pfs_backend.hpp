@@ -91,11 +91,27 @@ class EmulatedPfs {
                            std::span<const GatherExtent> extents,
                            double stream_weight = 1.0);
 
+  /// A read's admission to the device: its pfs.read fault decision and
+  /// whether its token charge is already paid.
+  struct ReadAdmission {
+    fault::FaultDecision fault;
+    bool paid = false;
+  };
+
+  /// Non-blocking read admission for a caller that must not wait: draws
+  /// the read's pfs.read decision and, unless it stalls, pays the charge
+  /// of one stream when the read bucket covers all of it now. Never
+  /// waits; hand the result to read() whether or not it was paid.
+  ReadAdmission try_admit_read(std::uint64_t size);
+
   /// Blocking positional read; returns bytes read (clamped at EOF when
-  /// data is stored; `size` otherwise).
+  /// data is stored; `size` otherwise). With an `admission` the read
+  /// applies its decision instead of drawing one and charges only if it
+  /// is unpaid.
   std::size_t read(const std::string& path, std::uint64_t offset,
                    std::uint64_t size, std::span<std::byte> out,
-                   double stream_weight = 1.0);
+                   double stream_weight = 1.0,
+                   const ReadAdmission* admission = nullptr);
 
   bool create(const std::string& path);
   std::optional<gkfs::Metadata> stat(const std::string& path) const;
@@ -121,8 +137,11 @@ class EmulatedPfs {
   std::shared_ptr<FileLock> lock_for(const std::string& path)
       IOFA_EXCLUDES(locks_mu_);
 
-  double charge(std::uint64_t size, double stream_weight, bool is_read,
-                double extra_factor);
+  /// Take `(size + op_overhead) x contention x extra_factor` tokens.
+  /// Without `wait` it takes them only if the bucket holds them now and
+  /// reports whether it did.
+  bool charge(std::uint64_t size, double stream_weight, bool is_read,
+              double extra_factor, bool wait = true);
 
   PfsParams params_;
   // The PFS's own bandwidth model, not a per-tenant limiter: tenancy

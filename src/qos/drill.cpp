@@ -65,8 +65,8 @@ DrillResult run_contention_drill(const DrillConfig& config,
   }
 
   // Saturation model: admitted bytes pile onto a backlog drained at ION
-  // capacity; the score is backlog / watermark, matching how the real
-  // SaturationTracker normalises "1.0 = at the high watermark".
+  // capacity; a backlog at the watermark is saturated, matching how the
+  // real SaturationTracker normalises "1.0 = at the high watermark".
   const double watermark = config.capacity * config.watermark_horizon;
   double backlog = 0.0;
   Seconds next_beat = config.beat_period;
@@ -75,7 +75,7 @@ DrillResult run_contention_drill(const DrillConfig& config,
       static_cast<std::size_t>(config.duration / config.tick);
   for (std::size_t k = 0; k < ticks; ++k) {
     const Seconds t = static_cast<double>(k) * config.tick;
-    const double score = backlog / watermark;
+    const bool saturated = backlog >= watermark;
     for (auto& tn : tenants) {
       if (!tn.active_at(t)) continue;
       tn.carry += tn.offered_rate * config.tick;
@@ -88,7 +88,7 @@ DrillResult run_contention_drill(const DrillConfig& config,
         tn.offered_total += size;
         const TenantCounters& c = runtime.metrics().tenant(tn.id);
         c.on_submitted(size);
-        if (enforcer.admit(tn.id, size, score, t)) {
+        if (enforcer.admit(tn.id, size, saturated, t)) {
           c.on_admitted(size);
           backlog += static_cast<double>(size);
         } else {

@@ -63,10 +63,10 @@ void QosEnforcer::record_grant(TenantId t,
   atomic_add(granted_borrowed_, g.borrowed);
 }
 
-bool QosEnforcer::admit(TenantId t, Bytes bytes, double score, Seconds now) {
+bool QosEnforcer::admit(TenantId t, Bytes bytes, bool saturated,
+                        Seconds now) {
   if (t >= registry_.size()) t = kDefaultTenant;
   const double n = static_cast<double>(bytes);
-  const bool saturated = score >= 1.0;
   if (!saturated) {
     // Below the watermark nobody is refused; tokens are still charged
     // so the reserved/borrowed ledger reflects who actually consumed

@@ -110,11 +110,11 @@ class QosEnforcer {
  public:
   QosEnforcer(const TenantRegistry& registry, QosMetrics& metrics);
 
-  /// Class-aware admission for one data request of `bytes` payload at
-  /// saturation `score` (the daemon's SaturationTracker output; >= 1.0
-  /// means past the high watermark). Consumes tokens on admit; a
-  /// rejected request consumes none.
-  bool admit(TenantId t, Bytes bytes, double score, Seconds now);
+  /// Class-aware admission for one data request of `bytes` payload;
+  /// `saturated` is the daemon's admission verdict
+  /// (SaturationTracker::rejects). Consumes tokens on admit; a rejected
+  /// request consumes none.
+  bool admit(TenantId t, Bytes bytes, bool saturated, Seconds now);
 
   /// Per-tenant ingest wait (tolerates out-of-range ids -> tenant 0).
   void observe_wait(TenantId t, double wait_us);

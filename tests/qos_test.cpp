@@ -309,9 +309,9 @@ TEST(QosEnforcerTest, BelowWatermarkAdmitsEveryone) {
   telemetry::Registry reg;
   QosMetrics metrics(registry, reg);
   QosEnforcer enf(registry, metrics);
-  EXPECT_TRUE(enf.admit(kDefaultTenant, 50, 0.99, 0.0));
-  EXPECT_TRUE(enf.admit(kSilver, 50, 0.0, 0.0));
-  EXPECT_TRUE(enf.admit(kGold, 500, 0.5, 0.0));  // even past the tokens
+  EXPECT_TRUE(enf.admit(kDefaultTenant, 50, false, 0.0));
+  EXPECT_TRUE(enf.admit(kSilver, 50, false, 0.0));
+  EXPECT_TRUE(enf.admit(kGold, 500, false, 0.0));  // even past the tokens
 }
 
 TEST(QosEnforcerTest, SaturationShedsByClass) {
@@ -320,18 +320,18 @@ TEST(QosEnforcerTest, SaturationShedsByClass) {
   QosMetrics metrics(registry, reg);
   QosEnforcer enf(registry, metrics);
   // Best-effort is rejected outright, no matter how small.
-  EXPECT_FALSE(enf.admit(kDefaultTenant, 1, 1.0, 0.0));
+  EXPECT_FALSE(enf.admit(kDefaultTenant, 1, true, 0.0));
   // Burst rides on tokens: leaf 10 + unreserved 10 cover the first 15,
   // then full cover fails and there is no forgiveness.
-  EXPECT_TRUE(enf.admit(kSilver, 15, 1.0, 0.0));
-  EXPECT_FALSE(enf.admit(kSilver, 15, 1.0, 0.0));
+  EXPECT_TRUE(enf.admit(kSilver, 15, true, 0.0));
+  EXPECT_FALSE(enf.admit(kSilver, 15, true, 0.0));
   // Guaranteed: full cover first...
-  EXPECT_TRUE(enf.admit(kGold, 25, 1.0, 0.0));
+  EXPECT_TRUE(enf.admit(kGold, 25, true, 0.0));
   // ...then exempt while its reservation has tokens (shortfall
   // forgiven)...
-  EXPECT_TRUE(enf.admit(kGold, 50, 1.0, 0.0));
+  EXPECT_TRUE(enf.admit(kGold, 50, true, 0.0));
   // ...and refused only once the reservation is truly empty.
-  EXPECT_FALSE(enf.admit(kGold, 50, 1.0, 0.0));
+  EXPECT_FALSE(enf.admit(kGold, 50, true, 0.0));
   // Of the 50 tokens granted above, 10 were borrowed slack.
   EXPECT_NEAR(enf.sheddable_fraction(), 0.2, 1e-9);
   // The grant decomposition landed in the per-tenant byte counters.
@@ -350,10 +350,10 @@ TEST(QosEnforcerTest, RejectedRequestsConsumeNoTokens) {
   QosEnforcer enf(registry, metrics);
   // Hammer refused best-effort admissions; gold's tokens must survive.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(enf.admit(kDefaultTenant, 10, 2.0, 0.0));
-    EXPECT_FALSE(enf.admit(kSilver, 1000, 2.0, 0.0));
+    EXPECT_FALSE(enf.admit(kDefaultTenant, 10, true, 0.0));
+    EXPECT_FALSE(enf.admit(kSilver, 1000, true, 0.0));
   }
-  EXPECT_TRUE(enf.admit(kGold, 30, 2.0, 0.0));  // full burst intact
+  EXPECT_TRUE(enf.admit(kGold, 30, true, 0.0));  // full burst intact
 }
 
 // ------------------------------------------- tenant-weighted scheduler

@@ -14,6 +14,10 @@ namespace iofa::core {
 
 namespace {
 
+using Change = std::pair<JobId, int>;  ///< a job's solved ION count
+constexpr int kShared = -1;  ///< the job uses the shared ION
+constexpr int kKeep = -2;    ///< the job keeps its count in counts_
+
 // Labels travel as whitespace-delimited tokens: whitespace, control
 // bytes and '%' are written as %XX, and the empty label as a lone "%"
 // (an escape always carries two hex digits, so no other label encodes
@@ -159,6 +163,8 @@ Arbiter::Arbiter(std::shared_ptr<ArbitrationPolicy> policy,
                  ArbiterOptions options)
     : policy_(std::move(policy)), options_(options) {
   mapping_.pool = options_.pool;
+  static std::atomic<std::uint64_t> publishers{0};
+  mapping_.changes.publisher = ++publishers;
   warm_enabled_ = options_.incremental && policy_->supports_warm_start();
 
   auto& reg = options_.registry ? *options_.registry
@@ -173,6 +179,7 @@ Arbiter::Arbiter(std::shared_ptr<ArbitrationPolicy> policy,
   ctr_epoch_deltas_ =
       &reg.counter("core.arbiter.epoch_batched_deltas", labels);
   ctr_remapped_ = &reg.counter("core.arbiter.remapped_jobs", labels);
+  ctr_walk_nodes_ = &reg.counter("core.arbiter.walk_nodes", labels);
   hist_solve_us_ = &reg.histogram("core.arbiter.solve_us",
                                   telemetry::BucketSpec::latency_us(), labels);
   hist_materialize_us_ = &reg.histogram(
@@ -207,10 +214,8 @@ const Mapping& Arbiter::job_finished(JobId id) {
   items_ -= it->second.curve.options().size();
   running_.erase(it);
   if (warm_enabled_) pending_deltas_.push_back({id, std::nullopt});
-  if (epoch_defer()) return mapping_;
-  counts_.erase(id);
-  mapping_.jobs.erase(id);
-  arbitrate();
+  touched_.push_back(id);
+  if (!epoch_defer()) arbitrate();
   return mapping_;
 }
 
@@ -223,8 +228,8 @@ const Mapping& Arbiter::job_updated(JobId id, AppEntry app) {
   // now, even in epoch mode.
   if (warm_enabled_) pending_deltas_.push_back({id, build_class(app)});
   it->second = std::move(app);
-  // The label may have changed too: rematerialise every entry.
-  remap_all_ = true;
+  // The label may have changed too: the entry is rewritten.
+  touched_.push_back(id);
   arbitrate();
   return mapping_;
 }
@@ -329,19 +334,19 @@ void Arbiter::arbitrate() {
   const int capacity = options_.pool - static_cast<int>(failed_.size());
 
   // Warm path first: flush deltas into the persisted tree (the paths
-  // they touch only) and read the solution off its root. The full
+  // they touch only) and read the changed counts off its root. The full
   // policy solve remains for infeasible primaries, where the policy
   // owns the shared-ION fallback of Section 3.1.
   Seconds solve_seconds = 0.0;
-  Allocation alloc;
   bool warm_used = false;
   if (warm_enabled_) {
     const auto t0 = iofa::monotonic_now();
     const bool rebuilt = warm_sync();
-    // One in-order backtrack: each job's ION count, in JobId order.
-    warm_used = warm_.solve_weights(capacity, alloc.ions);
+    const std::uint64_t walked = warm_.nodes_walked();
+    warm_used = warm_.solve_changes(capacity, changes_);
     solve_seconds +=
         std::chrono::duration<double>(iofa::monotonic_now() - t0).count();
+    ctr_walk_nodes_->add(warm_.nodes_walked() - walked);
     if (warm_used) {
       (rebuilt ? ctr_fallbacks_ : ctr_incremental_)->add();
     } else {
@@ -356,6 +361,7 @@ void Arbiter::arbitrate() {
     warm_valid_ = false;
   }
 
+  bool any_shared = false;
   if (!warm_used) {
     AllocationProblem problem;
     problem.pool = capacity;
@@ -364,9 +370,24 @@ void Arbiter::arbitrate() {
     for (const auto& [id, app] : running_) problem.apps.push_back(app);
 
     const auto t0 = iofa::monotonic_now();
-    alloc = policy_->allocate(problem);
+    const Allocation alloc = policy_->allocate(problem);
     solve_seconds +=
         std::chrono::duration<double>(iofa::monotonic_now() - t0).count();
+
+    // The change list is the allocation diffed against counts_; with a
+    // shared node in play (0 may be direct or shared) every job.
+    any_shared = std::ranges::any_of(alloc.shared, [](char s) { return s; });
+    changes_.clear();
+    auto cnt = counts_.begin();
+    for (std::size_t i = 0; const auto& [id, app] : running_) {
+      const int n = any_shared && alloc.shared[i] ? kShared : alloc.ions[i];
+      ++i;
+      while (cnt != counts_.end() && cnt->first < id) ++cnt;
+      if (any_shared || cnt == counts_.end() || cnt->second != n ||
+          cnt->first != id) {
+        changes_.emplace_back(id, n);
+      }
+    }
   }
   last_solve_seconds_.store(solve_seconds, std::memory_order_relaxed);
 
@@ -378,25 +399,21 @@ void Arbiter::arbitrate() {
   gauge_pool_->set(static_cast<double>(options_.pool));
 
   const auto t0 = iofa::monotonic_now();
-  ctr_remapped_->add(materialize(alloc));
+  ctr_remapped_->add(materialize(any_shared));
   hist_materialize_us_->observe(
       std::chrono::duration<double, std::micro>(iofa::monotonic_now() - t0)
           .count());
 }
 
-std::size_t Arbiter::materialize(const Allocation& alloc) {
+std::size_t Arbiter::materialize(bool any_shared) {
   ++mapping_.epoch;
   mapping_.pool = options_.pool;
   const int pool = options_.pool;
-  const std::size_t n_jobs = running_.size();
+  mapping_.changes.ids.clear();
 
   // Identities come from the surviving nodes only; dead ones keep their
   // ids but are unassignable until ion_recovered(). The shared ION, when
   // needed, is the highest-numbered LIVE node.
-  bool any_shared = false;
-  for (std::size_t i = 0; i < n_jobs && i < alloc.shared.size(); ++i) {
-    any_shared |= alloc.shared[i] != 0;
-  }
   std::vector<char> usable(static_cast<std::size_t>(pool), 0);
   int last_alive = -1;
   for (int ion = 0; ion < pool; ++ion) {
@@ -409,80 +426,83 @@ std::size_t Arbiter::materialize(const Allocation& alloc) {
   if (shared_ion >= 0) usable[shared_ion] = 0;
 
   // A layout change (ION death or recovery, pool resize, the shared
-  // node coming or going) or a profile change invalidates every kept
-  // assignment: rematerialise all jobs, which is the from-scratch
-  // result. Otherwise only jobs whose count or shared flag moved do.
-  const bool remap_all =
-      remap_all_ || usable != usable_ || shared_ion != shared_ion_;
-  remap_all_ = false;
+  // node coming or going) invalidates every kept assignment:
+  // rematerialise all jobs, which is the from-scratch result.
+  const bool layout = usable != usable_ || shared_ion != shared_ion_;
   usable_ = std::move(usable);
   shared_ion_ = shared_ion;
 
-  // One pass in JobId order with counts_ and mapping_.jobs in lockstep:
-  // drop finished ids, insert new ones, record what unchanged jobs hold
-  // and trim each changed job to the usable prefix of its old IONs.
-  struct Dirty {
-    Mapping::Entry* entry;
-    std::size_t want;
+  // A solved count comes first among its id's entries: it wins the dedup.
+  for (const JobId id : touched_) changes_.emplace_back(id, kKeep);
+  touched_.clear();
+  if (layout) {
+    held_.assign(static_cast<std::size_t>(pool), 0);
+    for (const auto& [id, app] : running_) changes_.emplace_back(id, kKeep);
+  }
+  std::ranges::stable_sort(changes_, {}, &Change::first);
+  const auto dups = std::ranges::unique(changes_, {}, &Change::first);
+  changes_.erase(dups.begin(), dups.end());
+
+  // Keep the usable prefix of up to `want` of an entry's exclusive
+  // IONs; the rest go back to the free pool.
+  const auto trim = [&](Mapping::Entry& entry, std::size_t want) {
+    if (entry.shared) entry.ions.clear();
+    std::size_t kept = 0;
+    for (const int ion : entry.ions) {
+      const bool keep = kept < want && ion < pool && usable_[ion];
+      if (keep) entry.ions[kept++] = ion;
+      if (ion < pool) held_[ion] = keep;
+    }
+    entry.ions.resize(kept);
   };
-  std::vector<Dirty> dirty;
+  // Changed jobs, trimmed and then topped up below.
+  std::vector<std::pair<decltype(mapping_.jobs)::iterator, std::size_t>>
+      dirty;
   std::size_t remapped = 0;
-  std::vector<char> held(static_cast<std::size_t>(pool), 0);
-  auto job = mapping_.jobs.begin();
-  auto cnt = counts_.begin();
-  std::size_t i = 0;
-  for (const auto& [id, app] : running_) {
-    while (job != mapping_.jobs.end() && job->first < id) {
-      job = mapping_.jobs.erase(job);
+  for (const auto& [id, solved] : changes_) {
+    const auto run = running_.find(id);
+    auto job = mapping_.jobs.find(id);
+    const bool fresh = job == mapping_.jobs.end();
+    if (run == running_.end()) {
+      counts_.erase(id);
+      if (fresh) continue;
+      trim(job->second, 0);
+      mapping_.jobs.erase(job);
+      mapping_.changes.ids.push_back(id);
+      continue;
     }
-    while (cnt != counts_.end() && cnt->first < id) cnt = counts_.erase(cnt);
-
-    const bool is_shared = i < alloc.shared.size() && alloc.shared[i] != 0;
-    int n = is_shared ? 0 : alloc.ions[i];
-    ++i;
-    if (cnt != counts_.end() && cnt->first == id) {
-      // STATIC never reshuffles running jobs.
-      if (!options_.reallocate_running) n = cnt->second;
-      cnt->second = n;
-      ++cnt;
-    } else {
-      counts_.emplace_hint(cnt, id, n);
+    const auto [cnt, added] = counts_.try_emplace(id, 0);
+    int n = solved;
+    // STATIC never reshuffles running jobs.
+    if (!added && (n == kKeep || !options_.reallocate_running)) {
+      n = cnt->second;
     }
+    assert(n != kKeep);
+    const bool is_shared = solved == kShared;
+    cnt->second = n = std::max(n, 0);
 
-    const bool fresh = job == mapping_.jobs.end() || job->first != id;
-    if (fresh) job = mapping_.jobs.emplace_hint(job, id, Mapping::Entry{});
+    if (fresh) job = mapping_.jobs.emplace(id, Mapping::Entry{}).first;
     Mapping::Entry& entry = job->second;
-    ++job;
     const std::size_t want = static_cast<std::size_t>(n);
-    if (!fresh && !remap_all && entry.shared == is_shared &&
-        (is_shared || entry.ions.size() == want)) {
-      if (!is_shared) {
-        for (int ion : entry.ions) held[ion] = 1;
-      }
+    if (!fresh && !layout && entry.shared == is_shared &&
+        (is_shared || entry.ions.size() == want) &&
+        entry.app_label == run->second.label) {
       continue;
     }
 
     ++remapped;
-    entry.app_label = app.label;
+    mapping_.changes.ids.push_back(id);
+    entry.app_label = run->second.label;
+    trim(entry, is_shared ? 0 : want);
     if (is_shared) {
       // Whole pool dead: nothing to share, the job goes direct.
       entry.ions.assign(shared_ion >= 0 ? 1 : 0, shared_ion);
     } else {
-      if (entry.shared) entry.ions.clear();
-      std::size_t kept = 0;
-      for (int ion : entry.ions) {
-        if (kept < want && ion < pool && usable_[ion]) {
-          entry.ions[kept++] = ion;
-          held[ion] = 1;
-        }
-      }
-      entry.ions.resize(kept);
-      dirty.push_back({&entry, want});
+      dirty.emplace_back(job, want);
     }
     entry.shared = is_shared;
   }
-  mapping_.jobs.erase(job, mapping_.jobs.end());
-  counts_.erase(cnt, counts_.end());
+  changes_.clear();
   if (dirty.empty()) return remapped;
 
   // Top the changed jobs up in id order from the free pool -
@@ -490,18 +510,21 @@ std::size_t Arbiter::materialize(const Allocation& alloc) {
   // id breaking ties (with no hints this is the lowest-id order).
   std::vector<int> free_order;
   for (int ion = 0; ion < pool; ++ion) {
-    if (usable_[ion] && !held[ion]) free_order.push_back(ion);
+    if (usable_[ion] && !held_[ion]) free_order.push_back(ion);
   }
   std::stable_sort(free_order.begin(), free_order.end(),
                    [this](int a, int b) {
                      return load_hint(a) < load_hint(b);
                    });
   std::size_t next_free = 0;
-  for (const auto& [entry, want] : dirty) {
-    while (entry->ions.size() < want && next_free < free_order.size()) {
-      entry->ions.push_back(free_order[next_free++]);
+  for (const auto& [job, want] : dirty) {
+    auto& ions = job->second.ions;
+    while (ions.size() < want && next_free < free_order.size()) {
+      held_[free_order[next_free]] = 1;
+      ions.push_back(free_order[next_free++]);
     }
-    std::sort(entry->ions.begin(), entry->ions.end());
+    std::sort(ions.begin(), ions.end());
+    if (ions.size() < want) touched_.push_back(job->first);
   }
   return remapped;
 }

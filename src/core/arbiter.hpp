@@ -36,6 +36,22 @@ struct Mapping {
   };
   std::map<JobId, Entry> jobs;
 
+  /// The ids an Arbiter wrote or erased against its epoch - 1 (for
+  /// MappingStore::publish); never serialized, compared or copied.
+  struct ChangeLog {
+    std::uint64_t publisher = 0;  ///< 0: nobody vouches for `ids`
+    std::vector<JobId> ids;       ///< ascending
+    ChangeLog() = default;
+    ChangeLog(const ChangeLog&) {}
+    ChangeLog& operator=(const ChangeLog&) {
+      publisher = 0;
+      ids.clear();
+      return *this;
+    }
+    bool operator==(const ChangeLog&) const { return true; }
+  };
+  ChangeLog changes;
+
   /// The mapping-file text: a header line, then one line per job.
   /// Labels are single tokens: whitespace, control bytes and '%' are
   /// written as %XX and the empty label as a lone '%', so every label
@@ -135,10 +151,10 @@ class Arbiter {
 
  private:
   void arbitrate();
-  /// Turn the solve into counts_ and mapping_ in place, rematerialising
-  /// only the jobs whose assignment changed. Returns how many entries
-  /// it rematerialised.
-  std::size_t materialize(const Allocation& alloc);
+  /// Apply changes_, touched_ and (layout change) every job to counts_
+  /// and mapping_ in place, rewriting only the entries that differ (ids
+  /// in mapping_.changes). Returns how many it rematerialised.
+  std::size_t materialize(bool any_shared);
   /// Bring the warm tree in line with running_: replay pending deltas
   /// or rebuild from scratch after a pool resize. Returns true when it
   /// rebuilt.
@@ -160,11 +176,12 @@ class Arbiter {
 
   // Materialisation layout of the last arbitration: which IONs could be
   // handed out exclusively and the shared node in effect (-1 = none).
-  // When either changes, or remap_all_ is set (a profile changed),
-  // every job is rematerialised from scratch.
+  // When either changes, every job is rematerialised from scratch.
   std::vector<char> usable_;
   int shared_ion_ = -1;
-  bool remap_all_ = false;
+  std::vector<char> held_;      ///< per ION: in some job's exclusive list
+  std::vector<JobId> touched_;  ///< finished, re-profiled or short of IONs
+  std::vector<std::pair<JobId, int>> changes_;  ///< the solved ION counts
 
   // Warm-start state. Invariant between solves: applying
   // pending_deltas_ to warm_ reproduces the classes of running_ in key
@@ -187,6 +204,7 @@ class Arbiter {
   telemetry::Counter* ctr_fallbacks_ = nullptr;
   telemetry::Counter* ctr_epoch_deltas_ = nullptr;
   telemetry::Counter* ctr_remapped_ = nullptr;
+  telemetry::Counter* ctr_walk_nodes_ = nullptr;
   telemetry::Histogram* hist_solve_us_ = nullptr;
   telemetry::Histogram* hist_materialize_us_ = nullptr;
   telemetry::Histogram* hist_classes_ = nullptr;

@@ -464,6 +464,7 @@ void IncrementalMckp::merge_node(std::int32_t t) {
     rank_[base + w] = r;
   }
   n.reach = reach;
+  n.merged = true;
   ++nodes_merged_;
 }
 
@@ -511,15 +512,37 @@ std::optional<MckpSolution> IncrementalMckp::solve(int capacity) const {
   return sol;
 }
 
-bool IncrementalMckp::solve_weights(int capacity,
-                                    std::vector<int>& weights) const {
-  weights.clear();
+bool IncrementalMckp::solve_changes(
+    int capacity, std::vector<std::pair<std::uint64_t, int>>& changes) {
+  changes.clear();
   if (root_ < 0) return true;
   const auto best = best_weight(capacity);
-  if (!best) return false;
-  weights.reserve(size());
-  walk(root_, *best,
-       [&](std::int32_t, std::size_t, int w) { weights.push_back(w); });
+  if (!best) {  // the caller solves another way: the next walk reports all
+    for (Node& n : nodes_) n.walk_w = n.own_w = kUnwalked;
+    return false;
+  }
+  // An unmerged node reached at its last weight backtracks as it did
+  // then, and so does its whole subtree: a merge dirties every ancestor.
+  const auto walk = [&](const auto& self, std::int32_t t, std::size_t w) {
+    while (t >= 0) {
+      Node& n = nodes_[t];
+      if (!n.merged && n.walk_w == w) return;
+      ++nodes_walked_;
+      n.merged = false;
+      n.walk_w = static_cast<std::uint16_t>(w);
+      const auto split = split_[static_cast<std::size_t>(t) * dim() + w];
+      const std::size_t right_w = split & 0xFFFF;
+      const auto own_w = static_cast<std::uint16_t>((split >> 16) & 0xFFFF);
+      self(self, n.left, w - right_w - own_w);
+      if (n.own_w != own_w) {
+        n.own_w = own_w;
+        changes.emplace_back(n.key, own_w);
+      }
+      t = n.right;
+      w = right_w;
+    }
+  };
+  walk(walk, root_, *best);
   return true;
 }
 

@@ -129,10 +129,13 @@ class IncrementalMckp {
   /// indices into those classes, in key order.
   std::optional<MckpSolution> solve(int capacity) const;
 
-  /// The same solve, reporting only each class's chosen item weight in
-  /// key order (the Arbiter's ION counts). Returns false, with weights
-  /// empty, when infeasible.
-  bool solve_weights(int capacity, std::vector<int>& weights) const;
+  /// The same solve, reporting as (key, weight), in key order, only the
+  /// classes whose chosen weight (the Arbiter's ION count) moved since
+  /// the last such walk, and every class new since. The walk descends
+  /// only into nodes merged since or reached at another weight. After
+  /// an infeasible call (false, changes empty) the next reports all.
+  bool solve_changes(int capacity,
+                     std::vector<std::pair<std::uint64_t, int>>& changes);
 
   int max_weight() const { return max_weight_; }
   std::size_t size() const { return nodes_.size() - free_.size(); }
@@ -140,6 +143,8 @@ class IncrementalMckp {
   /// Cumulative node merges since construction - the work measure the
   /// tests pin the O(log n) update cost against.
   std::uint64_t nodes_merged() const { return nodes_merged_; }
+  /// Cumulative nodes solve_changes walks descended into.
+  std::uint64_t nodes_walked() const { return nodes_walked_; }
 
  private:
   /// A class's best item at one exact weight (lowest index among equal
@@ -149,12 +154,18 @@ class IncrementalMckp {
     std::int64_t value = 0;
     std::uint16_t index = 0;
   };
+  static constexpr std::uint16_t kUnwalked = 0xFFFF;
   struct Node {
     std::uint64_t key = 0;
     std::uint64_t prio = 0;
     std::int32_t left = -1;
     std::int32_t right = -1;
     std::uint16_t reach = 0;  ///< reachable weights (entries of order_)
+    // The last solve_changes walk: the subtree's weight and the own
+    // item's (kUnwalked: new since), and whether merge_node ran since.
+    std::uint16_t walk_w = kUnwalked;
+    std::uint16_t own_w = kUnwalked;
+    bool merged = false;
     bool dirty = true;        ///< tables stale; so are all its ancestors'
   };
   /// A node's class, kept apart from the nodes a walk touches.
@@ -204,6 +215,7 @@ class IncrementalMckp {
   std::vector<std::uint16_t> mid_reach_;
   std::vector<std::uint64_t> sort_key_;
   std::uint64_t nodes_merged_ = 0;
+  std::uint64_t nodes_walked_ = 0;
 };
 
 }  // namespace iofa::core

@@ -10,6 +10,7 @@ namespace iofa::fwd {
 MappingStore::MappingStore(telemetry::Registry* registry) {
   auto& reg = registry ? *registry : telemetry::Registry::global();
   entries_written_ = &reg.counter("fwd.mapping.entries_written");
+  delta_publishes_ = &reg.counter("fwd.mapping.delta_publishes");
 }
 
 void MappingStore::publish(const core::Mapping& mapping) {
@@ -35,27 +36,43 @@ void MappingStore::publish(const core::Mapping& mapping) {
   {
     MutexLock lk(mu_);
     auto& jobs = mapping_.jobs;
-    auto it = jobs.begin();
-    const auto retire = [&](auto pos) {
-      retired.insert(retired.end(), jobs.extract(pos));
-      ++written;
-    };
-    // Both maps iterate in JobId order: one lockstep pass.
-    for (const auto& [id, entry] : next.jobs) {
-      while (it != jobs.end() && it->first < id) retire(it++);
-      if (it != jobs.end() && it->first == id) {
-        // Copy-assignment reuses the label's and the list's capacity.
-        if (!(it->second == entry)) {
-          it->second = entry;
-          ++written;
+    const auto& log = next.changes;
+    // Holding this publisher's epoch - 1, only the listed ids can differ;
+    // otherwise a lockstep pass over both (JobId-ordered) maps lists them.
+    const bool delta = log.publisher != 0 && log.publisher == publisher_ &&
+                       mapping_.epoch + 1 == next.epoch;
+    if (delta) delta_publishes_->add();
+    std::vector<core::JobId> differ;
+    if (!delta) {
+      auto it = jobs.begin();
+      for (const auto& [id, entry] : next.jobs) {
+        while (it != jobs.end() && it->first < id) {
+          differ.push_back((it++)->first);
         }
-        ++it;
-      } else {
-        jobs.emplace_hint(it, id, entry);
-        ++written;
+        const bool held = it != jobs.end() && it->first == id;
+        if (!held || !(it->second == entry)) differ.push_back(id);
+        if (held) ++it;
       }
+      for (; it != jobs.end(); ++it) differ.push_back(it->first);
     }
-    while (it != jobs.end()) retire(it++);
+    for (const core::JobId id : delta ? log.ids : differ) {
+      const auto want = next.jobs.find(id);
+      const auto it = jobs.lower_bound(id);
+      const bool held = it != jobs.end() && it->first == id;
+      if (want == next.jobs.end()) {
+        if (!held) continue;
+        retired.insert(retired.end(), jobs.extract(it));
+      } else if (!held) {
+        jobs.emplace_hint(it, id, want->second);
+      } else if (!(it->second == want->second)) {
+        // Copy-assignment reuses the label's and the list's capacity.
+        it->second = want->second;
+      } else {
+        continue;
+      }
+      ++written;
+    }
+    publisher_ = log.publisher;
     mapping_.pool = next.pool;
     mapping_.epoch = next.epoch;
     epoch_.store(mapping_.epoch, std::memory_order_release);

@@ -34,6 +34,8 @@ class MappingStore {
   /// Publish a new mapping: afterwards get() equals `mapping`. The
   /// stored mapping is patched in place, so only the entries that
   /// differ are written (and counted in fwd.mapping.entries_written).
+  /// Holding the same publisher's epoch - 1, it compares only the ids
+  /// in mapping.changes; any other publish walks every entry.
   /// Under fault injection a publish can be dropped (clients keep the
   /// old epoch until someone republishes - the HealthMonitor self-heals
   /// this) or corrupted (the serialized text is mangled; Mapping::parse
@@ -52,9 +54,11 @@ class MappingStore {
  private:
   mutable Mutex mu_;
   core::Mapping mapping_ IOFA_GUARDED_BY(mu_);
+  std::uint64_t publisher_ IOFA_GUARDED_BY(mu_) = 0;  ///< mapping_'s publisher
   std::atomic<std::uint64_t> epoch_{0};
   fault::FaultInjector* injector_ = nullptr;
   telemetry::Counter* entries_written_ = nullptr;
+  telemetry::Counter* delta_publishes_ = nullptr;
 };
 
 /// A client's cached view of its own mapping entry. Refreshes from the

@@ -123,6 +123,7 @@ class EmulatedPfs {
   std::uint64_t write_ops() const { return write_ops_.load(); }
   std::uint64_t read_ops() const { return read_ops_.load(); }
   double active_streams() const;
+  double read_burst() const { return read_bucket_.burst(); }  ///< in bytes
 
   const PfsParams& params() const { return params_; }
 

@@ -367,8 +367,13 @@ std::uint64_t fault_seed() {
 /// Seeded random streams of add / replace / finish / batch / capacity
 /// events against the solver-level table, >= 10k events per seed, each
 /// followed by the full differential check plus feasibility of the
-/// reconstructed choices. Canonical CI seeds: 1 / 7 / 1337 (the
-/// fault-suite convention; IOFA_FAULT_SEED shifts the whole stream).
+/// reconstructed choices, and by the change walk's check: its reports,
+/// applied to the weights the walks reported before, give solve()'s
+/// picks. Every 101st step also rebuilds the table from the model, and
+/// every 89th step makes it infeasible for one walk first (as when the
+/// Arbiter falls back to the policy's solve and applies other counts).
+/// Canonical CI seeds: 1 / 7 / 1337 (the fault-suite convention;
+/// IOFA_FAULT_SEED shifts the whole stream).
 class IncrementalDeltaFuzz : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -403,6 +408,9 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
   int events = 0;
   int compared = 0;
   int step = 0;
+  std::map<std::uint64_t, int> walked;  // weights the walks reported
+  std::vector<std::pair<std::uint64_t, int>> changes;
+  int full_walks = 0;
   for (; events < 10'000; ++step) {
     const double dice = rng.uniform01();
     if (model.empty() || dice < 0.40) {
@@ -482,8 +490,38 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
     ASSERT_LE(weight, capacity);
     ASSERT_NEAR(value, warm->value, 1e-6);
     ++compared;
+
+    // The change walk, outside the rng stream above.
+    if (step % 101 == 0) {
+      inc.assign(max_weight, {model.begin(), model.end()});
+    }
+    if (step % 89 == 0) {
+      constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+      inc.upsert(kEmpty, MckpClass{});
+      ASSERT_FALSE(inc.solve_changes(capacity, changes)) << "step " << step;
+      ASSERT_TRUE(inc.erase(kEmpty));
+      // The caller applied another solve: every weight it holds is stale.
+      for (auto& [key, w] : walked) w = -1;
+      ++full_walks;
+    }
+    ASSERT_TRUE(inc.solve_changes(capacity, changes)) << "step " << step;
+    std::erase_if(walked, [&](const auto& kv) {
+      return !model.contains(kv.first);
+    });
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      ASSERT_TRUE(i == 0 || changes[i - 1].first < changes[i].first)
+          << "step " << step << ": changes out of key order";
+      walked[changes[i].first] = changes[i].second;
+    }
+    ASSERT_EQ(walked.size(), model.size()) << "step " << step;
+    auto w = walked.begin();
+    for (std::size_t i = 0; i < classes.size(); ++i, ++w) {
+      ASSERT_EQ(w->second, classes[i][warm->choice[i]].weight)
+          << "step " << step << " class " << i;
+    }
   }
   EXPECT_EQ(compared, step) << "every step must reach the value checks";
+  EXPECT_GT(full_walks, 50);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDeltaFuzz,

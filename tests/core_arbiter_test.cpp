@@ -343,6 +343,26 @@ TEST(ArbiterEpoch, DeltasWithinOneEpochProduceOneSolveAndOneBump) {
   EXPECT_TRUE(arb.mapping().jobs.count(2));
 }
 
+// A job that finishes and starts again under its id before the next
+// epoch, with the same ION count, still gets its new label.
+TEST(ArbiterEpoch, RestartWithinAnEpochRewritesTheLabel) {
+  telemetry::Registry reg;
+  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
+  arb.tick(0.0);
+  arb.job_started(1, entry("IOR-MPI"));
+  ASSERT_TRUE(arb.tick(1.0));
+  ASSERT_EQ(arb.mapping().jobs.at(1).app_label, "IOR-MPI");
+  const auto ions = arb.mapping().jobs.at(1).ions;
+
+  AppEntry again = entry("IOR-MPI");
+  again.label = "IOR-MPI-rerun";
+  arb.job_finished(1);
+  arb.job_started(1, again);
+  ASSERT_TRUE(arb.tick(2.0));
+  EXPECT_EQ(arb.mapping().jobs.at(1).app_label, "IOR-MPI-rerun");
+  EXPECT_EQ(arb.mapping().jobs.at(1).ions, ions);
+}
+
 TEST(ArbiterEpoch, TickWithoutDeltasNeverFires) {
   telemetry::Registry reg;
   Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
@@ -572,6 +592,30 @@ TEST(Arbiter, EventRematerialisesOnlyTheJobsItRemaps) {
   }
   EXPECT_GT(moved, 0) << "no finish moved a count: the check is vacuous";
   EXPECT_LT(moved, 8 * 256.0);
+
+  // A profile update rewrites the updated entry (its label may have
+  // changed); every other entry moves only if its count changes.
+  for (int k = 0; k < 4; ++k) {
+    const auto before = arb.last_counts();
+    const JobId id = std::next(before.begin(), 10 + 50 * k)->first;
+    const Mapping prev = arb.mapping();
+    const double r0 = remapped();
+    AppEntry app = apps[(id * 3) % apps.size()];
+    app.label = "updated-" + std::to_string(id);
+    arb.job_updated(id, app);
+    EXPECT_EQ(arb.mapping().jobs.at(id).app_label, app.label);
+    double k_update = 1;
+    for (const auto& [job, n] : arb.last_counts()) {
+      if (job == id) continue;
+      if (before.at(job) != n) {
+        ++k_update;
+      } else {
+        EXPECT_EQ(arb.mapping().jobs.at(job), prev.jobs.at(job))
+            << "job " << job << " moved on the update of job " << id;
+      }
+    }
+    EXPECT_EQ(remapped() - r0, k_update) << "update of job " << id;
+  }
 
   // An ION failure changes the layout: every running job is redone.
   const double r0 = remapped();

@@ -50,11 +50,15 @@ std::vector<MckpClass> ordered(const std::map<std::uint64_t, MckpClass>& m) {
   return out;
 }
 
+/// Each class's chosen weight as a tree's change walks reported it.
+using Walked = std::map<std::uint64_t, int>;
+
 /// The identity contract: same feasibility, same value (exact ==, not
 /// NEAR - both solvers sum in fixed point and re-sum the chosen items
 /// in class order), same weight and the same canonical choice vector.
-void expect_identical(const IncrementalMckp& inc, int capacity,
-                      const std::map<std::uint64_t, MckpClass>& model) {
+void expect_identical(IncrementalMckp& inc, int capacity,
+                      const std::map<std::uint64_t, MckpClass>& model,
+                      Walked& walked) {
   const auto warm = inc.solve(capacity);
   const auto fresh = solve_mckp_dp(ordered(model), capacity);
   ASSERT_EQ(warm.has_value(), fresh.has_value()) << "capacity " << capacity;
@@ -66,15 +70,21 @@ void expect_identical(const IncrementalMckp& inc, int capacity,
     EXPECT_EQ(warm->choice[i], fresh->choice[i])
         << "class " << i << " capacity " << capacity;
   }
-  // The Arbiter's weights-only walk reports the same picks.
-  std::vector<int> weights;
-  ASSERT_TRUE(inc.solve_weights(capacity, weights));
-  std::vector<int> want;
+  // The Arbiter's change walk: its reports, applied to the weights the
+  // earlier walks reported, give the same picks.
+  std::vector<std::pair<std::uint64_t, int>> changes;
+  ASSERT_TRUE(inc.solve_changes(capacity, changes));
+  std::erase_if(walked, [&](const auto& kv) {
+    return !model.contains(kv.first);
+  });
+  for (const auto& [key, w] : changes) walked[key] = w;
+  Walked want;
   auto c = model.begin();
   for (const std::size_t j : warm->choice) {
-    want.push_back((c++)->second[j].weight);
+    want[c->first] = c->second[j].weight;
+    ++c;
   }
-  EXPECT_EQ(weights, want) << "capacity " << capacity;
+  EXPECT_EQ(walked, want) << "capacity " << capacity;
 }
 
 // --------------------------------------------------- table mechanics
@@ -91,11 +101,14 @@ TEST(IncrementalMckp, EmptyProblemSolvesToZero) {
 
 TEST(IncrementalMckp, SingleJobMatchesFreshDp) {
   IncrementalMckp inc;
+  Walked walked;
   inc.reset(12);
   std::map<std::uint64_t, MckpClass> model;
   model[5] = cls({{0, 1.0}, {2, 5.0}, {4, 9.0}});
   inc.upsert(5, model[5]);
-  for (int cap : {0, 1, 2, 3, 4, 12}) expect_identical(inc, cap, model);
+  for (int cap : {0, 1, 2, 3, 4, 12}) {
+    expect_identical(inc, cap, model, walked);
+  }
 }
 
 /// Node merges one single-class delta costs.
@@ -145,9 +158,60 @@ TEST(IncrementalMckp, SingleClassDeltaMergesLogarithmicallyManyNodes) {
   }
 }
 
+TEST(IncrementalMckp, SingleClassDeltaWalksLogarithmicallyManyNodes) {
+  // The change walk after one delta descends only into the nodes it
+  // re-merged and those whose weight moved: every merged node, plus the
+  // root paths of the few classes whose pick shifted. Checked against
+  // c * ceil(log2 n) with c = 6 (measured worst: 2.9 at n = 256, 3.4 at
+  // n = 4096, with at most 2 classes changing per delta).
+  for (const std::size_t n : {std::size_t{256}, std::size_t{4096}}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Rng rng(n);
+    std::vector<std::pair<std::uint64_t, MckpClass>> classes;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      classes.emplace_back(2 * k, cls({{0, 1.0}, {1, rng.uniform(0.0, 9.0)},
+                                       {2, rng.uniform(0.0, 9.0)}}));
+    }
+    IncrementalMckp inc;
+    inc.assign(12, classes);
+    std::vector<std::pair<std::uint64_t, int>> changes;
+    ASSERT_TRUE(inc.solve_changes(12, changes));
+    EXPECT_EQ(inc.nodes_walked(), n);  // the first walk visits all...
+    EXPECT_EQ(changes.size(), n);      // ...and every class is new
+
+    const auto bound = static_cast<std::uint64_t>(
+        6.0 * std::ceil(std::log2(static_cast<double>(n))));
+    std::uint64_t worst = 0;
+    const auto measure = [&](auto&& edit) {
+      const std::uint64_t merges = merges_of(inc, edit);
+      const std::uint64_t before = inc.nodes_walked();
+      ASSERT_TRUE(inc.solve_changes(12, changes));
+      const std::uint64_t visits = inc.nodes_walked() - before;
+      EXPECT_GE(visits, merges);  // every re-merged node is revisited
+      worst = std::max(worst, visits);
+    };
+    for (int round = 0; round < 64; ++round) {
+      const std::uint64_t key = 2 * (1 + rng.index(n));
+      measure([&] { inc.upsert(key, cls({{1, rng.uniform(0.0, 9.0)}})); });
+      measure([&] { inc.erase(key); });
+      measure([&] { inc.upsert(key, cls({{0, 1.0}, {2, 5.0}})); });
+      measure([&] { inc.upsert(key + 1, cls({{0, 2.0}})); });
+      measure([&] { inc.erase(key + 1); });
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_LE(worst, bound);
+    // With nothing merged and the same capacity, a walk visits nothing.
+    const std::uint64_t before = inc.nodes_walked();
+    ASSERT_TRUE(inc.solve_changes(12, changes));
+    EXPECT_EQ(inc.nodes_walked(), before);
+    EXPECT_TRUE(changes.empty());
+  }
+}
+
 TEST(IncrementalMckp, AppendOnlyRecomputesOneLayer) {
   constexpr std::uint64_t kN = 64;
   IncrementalMckp inc;
+  Walked walked;
   std::vector<std::pair<std::uint64_t, MckpClass>> classes;
   for (std::uint64_t k = 1; k <= kN; ++k) {
     classes.emplace_back(k, cls({{0, 1.0}, {1, 5.0 + double(k)}}));
@@ -167,7 +231,7 @@ TEST(IncrementalMckp, AppendOnlyRecomputesOneLayer) {
   std::map<std::uint64_t, MckpClass> model;
   for (auto& [k, c] : classes) model[k] = c;
   model[kN + 5] = cls({{0, 2.0}, {2, 8.0}});
-  expect_identical(inc, 6, model);
+  expect_identical(inc, 6, model, walked);
 }
 
 TEST(IncrementalMckp, MiddleDeltaRecomputesOnlyTheSuffix) {
@@ -175,6 +239,7 @@ TEST(IncrementalMckp, MiddleDeltaRecomputesOnlyTheSuffix) {
   // would (and, in the tree, only the slot's root path).
   constexpr std::uint64_t kN = 64;
   IncrementalMckp inc;
+  Walked walked;
   std::vector<std::pair<std::uint64_t, MckpClass>> classes;
   for (std::uint64_t k = 1; k <= kN; ++k) {
     classes.emplace_back(k, cls({{0, 0.5}, {1, double(k)}}));
@@ -202,7 +267,7 @@ TEST(IncrementalMckp, MiddleDeltaRecomputesOnlyTheSuffix) {
   for (auto& [k, c] : classes) model[k] = c;
   model[33] = cls({{0, 0.1}, {2, 9.0}});
   model.erase(1);
-  for (int cap : {0, 2, 4}) expect_identical(inc, cap, model);
+  for (int cap : {0, 2, 4}) expect_identical(inc, cap, model, walked);
 }
 
 TEST(IncrementalMckp, BatchApplyMergesSharedPathsOnce) {
@@ -213,6 +278,7 @@ TEST(IncrementalMckp, BatchApplyMergesSharedPathsOnce) {
   IncrementalMckp batched;
   batched.assign(5, classes);
   IncrementalMckp sequential = batched;
+  Walked walked_batched, walked_sequential;
 
   // Erase key 40, add key 70 (last), replace key 2: every path runs
   // through the root, which the batch merges once.
@@ -240,8 +306,8 @@ TEST(IncrementalMckp, BatchApplyMergesSharedPathsOnce) {
   model[70] = cls({{1, 3.0}});
   model[2] = cls({{0, 0.2}, {2, 4.4}});
   for (int cap : {0, 2, 5}) {
-    expect_identical(batched, cap, model);
-    expect_identical(sequential, cap, model);
+    expect_identical(batched, cap, model, walked_batched);
+    expect_identical(sequential, cap, model, walked_sequential);
   }
 }
 
@@ -249,6 +315,7 @@ TEST(IncrementalMckp, CapacityIsAQueryNotAStructure) {
   // The same root answers every capacity <= max_weight - this is what
   // makes ION fail/recover a root-scan-only operation.
   IncrementalMckp inc;
+  Walked walked;
   std::map<std::uint64_t, MckpClass> model;
   model[1] = cls({{0, 195.7}, {1, 77.6}, {2, 150.0}, {4, 390.0}});
   model[2] = cls({{0, 150.0}, {1, 597.2}, {2, 594.2}, {4, 610.0}});
@@ -257,7 +324,9 @@ TEST(IncrementalMckp, CapacityIsAQueryNotAStructure) {
                                                            model.end());
   inc.assign(12, classes);
   const auto before = inc.nodes_merged();
-  for (int cap = 0; cap <= 12; ++cap) expect_identical(inc, cap, model);
+  for (int cap = 0; cap <= 12; ++cap) {
+    expect_identical(inc, cap, model, walked);
+  }
   EXPECT_EQ(inc.nodes_merged(), before);  // solves merge nothing
 }
 
@@ -265,17 +334,26 @@ TEST(IncrementalMckp, EmptyClassMakesProblemInfeasible) {
   IncrementalMckp inc;
   inc.reset(4);
   inc.upsert(1, cls({{1, 5.0}}));
+  std::vector<std::pair<std::uint64_t, int>> changes;
+  ASSERT_TRUE(inc.solve_changes(4, changes));
   inc.upsert(2, MckpClass{});
   EXPECT_FALSE(inc.solve(4).has_value());
+  EXPECT_FALSE(inc.solve_changes(4, changes));
+  EXPECT_TRUE(changes.empty());
   // Removing the empty class restores feasibility.
   EXPECT_TRUE(inc.erase(2));
   const auto sol = inc.solve(4);
   ASSERT_TRUE(sol.has_value());
   EXPECT_EQ(sol->value, 5.0);
+  // The caller fell back to another solve in between: the walk after an
+  // infeasible one reports every class, changed or not.
+  ASSERT_TRUE(inc.solve_changes(4, changes));
+  EXPECT_EQ(changes, (std::vector<std::pair<std::uint64_t, int>>{{1, 1}}));
 }
 
 TEST(IncrementalMckp, ItemsHeavierThanMaxWeightNeverChosen) {
   IncrementalMckp inc;
+  Walked walked;
   inc.reset(4);
   inc.upsert(1, cls({{1, 3.0}, {100, 999.0}}));
   const auto sol = inc.solve(4);
@@ -284,7 +362,7 @@ TEST(IncrementalMckp, ItemsHeavierThanMaxWeightNeverChosen) {
   // ...and the table matches the fresh DP, which skips them too.
   std::map<std::uint64_t, MckpClass> model;
   model[1] = cls({{1, 3.0}, {100, 999.0}});
-  for (int cap : {0, 1, 4}) expect_identical(inc, cap, model);
+  for (int cap : {0, 1, 4}) expect_identical(inc, cap, model, walked);
 }
 
 TEST(IncrementalMckp, MinWeightsExceedingCapacityInfeasible) {
@@ -301,13 +379,14 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 TEST(IncrementalMckp, NegativeAndMinusInfinityItemsMatchFreshDp) {
   IncrementalMckp inc;
+  Walked walked;
   inc.reset(6);
   std::map<std::uint64_t, MckpClass> model;
   model[1] = cls({{1, kNegInf}, {2, -7.5}});
   model[2] = cls({{0, -3.0}, {1, kNegInf}, {3, -0.25}});
   model[3] = cls({{2, kNegInf}});  // forced: every selection is -inf
   for (const auto& [k, c] : model) inc.upsert(k, c);
-  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model);
+  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model, walked);
   const auto forced = inc.solve(6);
   ASSERT_TRUE(forced.has_value());
   EXPECT_EQ(forced->value, kNegInf);
@@ -319,7 +398,7 @@ TEST(IncrementalMckp, NegativeAndMinusInfinityItemsMatchFreshDp) {
   // Without the forced class the finite optimum wins.
   inc.erase(3);
   model.erase(3);
-  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model);
+  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model, walked);
   const auto finite = inc.solve(6);
   ASSERT_TRUE(finite.has_value());
   EXPECT_EQ(finite->value, -7.75);  // (2,-7.5) + (3,-0.25)
@@ -333,6 +412,7 @@ TEST(IncrementalMckp, ValueTiesTakeLowestWeightThenReverseLexVector) {
   std::map<std::uint64_t, MckpClass> model{{7, outer}, {8, inner},
                                            {9, outer}};
   IncrementalMckp inc;
+  Walked walked;
   inc.reset(6);
   for (const auto& [k, c] : model) inc.upsert(k, c);
   struct Want {
@@ -354,12 +434,12 @@ TEST(IncrementalMckp, ValueTiesTakeLowestWeightThenReverseLexVector) {
     EXPECT_EQ(sol->weight, want.weight);
     EXPECT_EQ(sol->choice, want.choice) << "capacity " << want.capacity;
   }
-  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model);
+  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model, walked);
 
   // Duplicate items at one weight: the lower index wins the tie.
   model[10] = cls({{1, 4.0}, {1, 4.0}, {0, 0.0}});
   inc.upsert(10, model[10]);
-  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model);
+  for (int cap = 0; cap <= 6; ++cap) expect_identical(inc, cap, model, walked);
 }
 
 TEST(IncrementalMckp, LargestPromisedMagnitudesStayExact) {
@@ -401,12 +481,13 @@ TEST(IncrementalMckp, OutOfRangeValuesClampToThePromisedMagnitude) {
   // Beyond +-kMckpMaxValue an item compares as the bound itself, so
   // ties resolve canonically instead of overflowing.
   IncrementalMckp inc;
+  Walked walked;
   inc.reset(2);
   std::map<std::uint64_t, MckpClass> model;
   model[1] = cls({{0, 4.0 * kMckpMaxValue},
                   {1, std::numeric_limits<double>::infinity()}});
   inc.upsert(1, model[1]);
-  expect_identical(inc, 2, model);
+  expect_identical(inc, 2, model, walked);
   const auto sol = inc.solve(2);
   ASSERT_TRUE(sol.has_value());
   EXPECT_EQ(sol->choice[0], 0u);  // equal after clamping: lower weight

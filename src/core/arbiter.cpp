@@ -1,9 +1,9 @@
 #include "core/arbiter.hpp"
 #include "common/clock.hpp"
+#include "common/parse.hpp"
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <string_view>
@@ -36,15 +36,6 @@ void write_label(std::ostream& os, const std::string& label) {
       os << ch;
     }
   }
-}
-
-/// A whole token as one number; false on anything else (sign where the
-/// type has none, trailing bytes, out of range).
-template <typename T>
-bool parse_number(std::string_view tok, T& out, int base = 10) {
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, out, base);
-  return ec == std::errc() && ptr == end;
 }
 
 std::optional<std::string> read_label(std::string_view tok) {
@@ -176,8 +167,6 @@ Arbiter::Arbiter(std::shared_ptr<ArbitrationPolicy> policy,
   ctr_items_ = &reg.counter("core.arbiter.items", labels);
   ctr_incremental_ = &reg.counter("core.arbiter.incremental_solves", labels);
   ctr_fallbacks_ = &reg.counter("core.arbiter.full_fallbacks", labels);
-  ctr_epoch_deltas_ =
-      &reg.counter("core.arbiter.epoch_batched_deltas", labels);
   ctr_remapped_ = &reg.counter("core.arbiter.remapped_jobs", labels);
   ctr_walk_nodes_ = &reg.counter("core.arbiter.walk_nodes", labels);
   hist_solve_us_ = &reg.histogram("core.arbiter.solve_us",
@@ -191,20 +180,11 @@ Arbiter::Arbiter(std::shared_ptr<ArbitrationPolicy> policy,
   gauge_pool_ = &reg.gauge("core.arbiter.pool", labels);
 }
 
-bool Arbiter::epoch_defer() {
-  if (options_.epoch_period <= 0.0) return false;
-  ++pending_events_;
-  return true;
-}
-
 const Mapping& Arbiter::job_started(JobId id, AppEntry app) {
   if (running_.contains(id)) return job_updated(id, std::move(app));
-  if (warm_enabled_) {
-    pending_deltas_.push_back({id, build_class(app)});
-  }
   items_ += app.curve.options().size();
   running_.emplace(id, std::move(app));
-  if (!epoch_defer()) arbitrate();
+  arbitrate(id);
   return mapping_;
 }
 
@@ -213,9 +193,8 @@ const Mapping& Arbiter::job_finished(JobId id) {
   if (it == running_.end()) return mapping_;
   items_ -= it->second.curve.options().size();
   running_.erase(it);
-  if (warm_enabled_) pending_deltas_.push_back({id, std::nullopt});
   touched_.push_back(id);
-  if (!epoch_defer()) arbitrate();
+  arbitrate(id);
   return mapping_;
 }
 
@@ -224,13 +203,10 @@ const Mapping& Arbiter::job_updated(JobId id, AppEntry app) {
   if (it == running_.end()) return mapping_;
   items_ += app.curve.options().size();
   items_ -= it->second.curve.options().size();
-  // A curve change is one leaf of the warm tree; it still republishes
-  // now, even in epoch mode.
-  if (warm_enabled_) pending_deltas_.push_back({id, build_class(app)});
   it->second = std::move(app);
   // The label may have changed too: the entry is rewritten.
   touched_.push_back(id);
-  arbitrate();
+  arbitrate(id);
   return mapping_;
 }
 
@@ -240,15 +216,11 @@ const Mapping& Arbiter::set_pool(int pool) {
   failed_.erase(failed_.lower_bound(pool), failed_.end());
   // The warm tree is sized by the physical pool: resize rebuilds it.
   warm_valid_ = false;
-  pending_deltas_.clear();
   arbitrate();
   return mapping_;
 }
 
 const Mapping& Arbiter::ion_failed(int ion) {
-  // Always immediate, even in epoch mode: failover must not wait for
-  // the next epoch (PR 3 semantics). Pending deltas are flushed into
-  // the warm table by the solve itself.
   if (ion >= 0 && ion < options_.pool && failed_.insert(ion).second) {
     ctr_failure_resolves_->add();
     arbitrate();
@@ -258,23 +230,8 @@ const Mapping& Arbiter::ion_failed(int ion) {
 
 const Mapping& Arbiter::ion_recovered(int ion) {
   if (failed_.erase(ion) == 0) return mapping_;
-  // Recovery only grows capacity; it can wait for the epoch.
-  if (!epoch_defer()) arbitrate();
-  return mapping_;
-}
-
-bool Arbiter::tick(Seconds now) {
-  if (options_.epoch_period <= 0.0) return false;
-  if (!epoch_anchored_) {
-    epoch_anchored_ = true;
-    last_epoch_time_ = now;
-  }
-  if (pending_events_ == 0) return false;
-  if (now - last_epoch_time_ < options_.epoch_period) return false;
-  ctr_epoch_deltas_->add(pending_events_);
-  last_epoch_time_ = now;
   arbitrate();
-  return true;
+  return mapping_;
 }
 
 void Arbiter::set_load_hint(int ion, double load) {
@@ -306,42 +263,43 @@ MckpClass Arbiter::build_class(const AppEntry& app) {
   return cls;
 }
 
-bool Arbiter::warm_sync() {
-  if (!warm_valid_) {
-    std::vector<std::pair<std::uint64_t, MckpClass>> classes;
-    classes.reserve(running_.size());
-    for (const auto& [id, app] : running_) {
-      classes.emplace_back(id, build_class(app));
+bool Arbiter::warm_sync(std::optional<JobId> edited) {
+  if (warm_valid_) {
+    if (!edited) return false;
+    const auto it = running_.find(*edited);
+    if (it == running_.end()) {
+      warm_.erase(*edited);
+    } else {
+      warm_.upsert(*edited, build_class(it->second));
     }
-    warm_.assign(options_.pool, std::move(classes));
-    pending_deltas_.clear();
-    warm_valid_ = true;
-    return true;
+    return false;
   }
-  if (!pending_deltas_.empty()) {
-    warm_.apply(std::move(pending_deltas_));
-    pending_deltas_.clear();
+  std::vector<std::pair<std::uint64_t, MckpClass>> classes;
+  classes.reserve(running_.size());
+  for (const auto& [id, app] : running_) {
+    classes.emplace_back(id, build_class(app));
   }
-  return false;
+  warm_.assign(options_.pool, std::move(classes));
+  warm_valid_ = true;
+  return true;
 }
 
-void Arbiter::arbitrate() {
+void Arbiter::arbitrate(std::optional<JobId> edited) {
   telemetry::ScopedSpan span("arbitrate", "core.arbiter", "jobs",
                              static_cast<std::int64_t>(running_.size()));
-  pending_events_ = 0;
   // The policy solves over the SURVIVING pool: dead IONs contribute no
   // capacity (Eq. 2 recomputed on survivors).
   const int capacity = options_.pool - static_cast<int>(failed_.size());
 
-  // Warm path first: flush deltas into the persisted tree (the paths
-  // they touch only) and read the changed counts off its root. The full
+  // Warm path first: edit the persisted tree (the edited job's path
+  // only) and read the changed counts off its root. The full
   // policy solve remains for infeasible primaries, where the policy
   // owns the shared-ION fallback of Section 3.1.
   Seconds solve_seconds = 0.0;
   bool warm_used = false;
   if (warm_enabled_) {
     const auto t0 = iofa::monotonic_now();
-    const bool rebuilt = warm_sync();
+    const bool rebuilt = warm_sync(edited);
     const std::uint64_t walked = warm_.nodes_walked();
     warm_used = warm_.solve_changes(capacity, changes_);
     solve_seconds +=
@@ -354,11 +312,6 @@ void Arbiter::arbitrate() {
       // delegate to the policy, which owns the shared fallback.
       ctr_fallbacks_->add();
     }
-  } else {
-    // Keep the delta buffer from growing under policies that never
-    // consume it (greedy ablation, non-MCKP policies).
-    pending_deltas_.clear();
-    warm_valid_ = false;
   }
 
   bool any_shared = false;

@@ -77,40 +77,22 @@ struct ArbiterOptions {
   /// O(log n) nodes, ION failure/recovery only rescans the root. A pool
   /// resize falls back to a full rebuild.
   bool incremental = true;
-  /// When > 0, job start/finish and ION-recovery deltas batch into
-  /// scheduled re-solve epochs driven by tick() with caller-passed
-  /// time (clock-hygiene: the arbiter never reads a clock). ION death
-  /// still re-solves immediately, out of band. 0 keeps the legacy
-  /// behaviour: every event re-arbitrates immediately.
-  Seconds epoch_period = 0.0;
 };
 
 class Arbiter {
  public:
   Arbiter(std::shared_ptr<ArbitrationPolicy> policy, ArbiterOptions options);
 
-  /// Register a job and re-arbitrate. Returns the new mapping. In
-  /// epoch mode the delta is batched and the PREVIOUS mapping is
-  /// returned until the next tick() republishes. Starting an id that is
-  /// already running replaces its profile: it behaves as job_updated().
+  /// Register a job and re-arbitrate. Returns the new mapping.
+  /// Starting an id that is already running replaces its profile: it
+  /// behaves as job_updated().
   const Mapping& job_started(JobId id, AppEntry app);
-  /// Remove a job and re-arbitrate (epoch mode: batched, as above).
-  /// Unknown ids are ignored: no solve, no epoch bump, no pending event.
+  /// Remove a job and re-arbitrate. Unknown ids are ignored: no solve,
+  /// no epoch bump.
   const Mapping& job_finished(JobId id);
   /// Replace a running job's profile: one class update in the warm
-  /// tree, then an immediate re-solve and republish, even in epoch
-  /// mode. Unknown ids are ignored.
+  /// tree, then a re-solve and republish. Unknown ids are ignored.
   const Mapping& job_updated(JobId id, AppEntry app);
-
-  /// Epoch scheduler. Call with monotonic time (the HealthMonitor
-  /// passes iofa::monotonic_seconds()); epochs are measured from the
-  /// first observed tick. Fires — one batched solve plus one mapping
-  /// republish — when deltas are pending and a full epoch_period has
-  /// elapsed since the last epoch. Returns true when it fired; always
-  /// false when epoch_period == 0.
-  bool tick(Seconds now);
-  /// Deltas recorded since the last solve (epoch mode).
-  std::size_t pending_events() const { return pending_events_; }
 
   /// Resize the forwarding pool (elastic recruitment of idle compute
   /// nodes - recruited IONs take ids >= the old pool size) and
@@ -150,19 +132,18 @@ class Arbiter {
   const std::map<JobId, int>& last_counts() const { return counts_; }
 
  private:
-  void arbitrate();
+  /// Re-solve and republish. `edited` names the one job whose class
+  /// changed (started, finished or re-profiled) since the last solve.
+  void arbitrate(std::optional<JobId> edited = std::nullopt);
   /// Apply changes_, touched_ and (layout change) every job to counts_
   /// and mapping_ in place, rewriting only the entries that differ (ids
   /// in mapping_.changes). Returns how many it rematerialised.
   std::size_t materialize(bool any_shared);
-  /// Bring the warm tree in line with running_: replay pending deltas
-  /// or rebuild from scratch after a pool resize. Returns true when it
-  /// rebuilt.
-  bool warm_sync();
+  /// Bring the warm tree in line with running_: upsert or erase the
+  /// edited job's class, or rebuild from scratch while the tree is
+  /// invalid. Returns true when it rebuilt.
+  bool warm_sync(std::optional<JobId> edited);
   static MckpClass build_class(const AppEntry& app);
-  /// Epoch mode: record the event for the next tick instead of solving
-  /// now. Returns false (solve immediately) when epoch_period == 0.
-  bool epoch_defer();
 
   std::shared_ptr<ArbitrationPolicy> policy_;
   ArbiterOptions options_;
@@ -183,16 +164,12 @@ class Arbiter {
   std::vector<JobId> touched_;  ///< finished, re-profiled or short of IONs
   std::vector<std::pair<JobId, int>> changes_;  ///< the solved ION counts
 
-  // Warm-start state. Invariant between solves: applying
-  // pending_deltas_ to warm_ reproduces the classes of running_ in key
-  // order (warm_valid_ == false means "rebuild instead").
+  // Warm-start state. Invariant between solves: warm_ holds the classes
+  // of running_ in key order (warm_valid_ == false means "rebuild
+  // instead").
   bool warm_enabled_ = false;  ///< options_.incremental && policy supports it
   bool warm_valid_ = false;
   IncrementalMckp warm_;
-  std::vector<IncrementalMckp::Delta> pending_deltas_;
-  std::size_t pending_events_ = 0;  ///< events awaiting the next epoch
-  bool epoch_anchored_ = false;     ///< first tick() seen
-  Seconds last_epoch_time_ = 0.0;
 
   // Telemetry ("core.arbiter.*", labelled with the policy name): the
   // live analogue of the Sec. 5.3 solve-timing numbers.
@@ -202,7 +179,6 @@ class Arbiter {
   telemetry::Counter* ctr_items_ = nullptr;
   telemetry::Counter* ctr_incremental_ = nullptr;
   telemetry::Counter* ctr_fallbacks_ = nullptr;
-  telemetry::Counter* ctr_epoch_deltas_ = nullptr;
   telemetry::Counter* ctr_remapped_ = nullptr;
   telemetry::Counter* ctr_walk_nodes_ = nullptr;
   telemetry::Histogram* hist_solve_us_ = nullptr;

@@ -225,13 +225,6 @@ bool IncrementalMckp::erase(std::uint64_t key) {
   return found;
 }
 
-void IncrementalMckp::apply(std::vector<Delta> deltas) {
-  // Every edit only dirties its path; the shared top of the tree is
-  // then merged once for the whole batch.
-  for (auto& d : deltas) edit(d.key, std::move(d.cls));
-  refresh(root_);
-}
-
 bool IncrementalMckp::edit(std::uint64_t key,
                            std::optional<MckpClass> cls) {
   if (!cls) {

@@ -99,13 +99,6 @@ std::optional<MckpSolution> solve_mckp_bruteforce(
 /// so every subtree holding it is infeasible.
 class IncrementalMckp {
  public:
-  /// One class edit: cls == nullopt erases the key, otherwise the class
-  /// is inserted or replaced.
-  struct Delta {
-    std::uint64_t key = 0;
-    std::optional<MckpClass> cls;
-  };
-
   /// Drop all classes and size the table for weights 0..max_weight.
   void reset(int max_weight);
 
@@ -118,10 +111,6 @@ class IncrementalMckp {
 
   /// Remove one class; returns false when the key is absent.
   bool erase(std::uint64_t key);
-
-  /// Apply a batch of edits; a node on several edited paths is merged
-  /// once (the epoch-mode batching primitive).
-  void apply(std::vector<Delta> deltas);
 
   /// Query the root at any capacity in [0, max_weight] (larger
   /// capacities are clamped). Value- and choice-identical to

@@ -88,11 +88,6 @@ bool HealthMonitor::poll_once() {
   }
   for (int ion : died) arbiter_.ion_failed(ion);
   for (int ion : recovered) arbiter_.ion_recovered(ion);
-  // Epoch mode: the monitor's sweep is the arbiter's clock. Deltas
-  // batched since the last epoch (job churn, recoveries) get their one
-  // solve here; ion_failed above already re-solved out of band. The
-  // epoch bump makes the store-epoch check below republish.
-  arbiter_.tick(monotonic_seconds());
   // Self-heal a lost publish: the arbiter moved on but the store never
   // saw it (dropped / corrupt-rejected mapping file).
   if (service_.mapping_store().epoch() != arbiter_.mapping().epoch) {

@@ -439,28 +439,26 @@ TEST_P(IncrementalDeltaFuzz, TenThousandDeltasStayIdenticalToFreshOracle) {
       capacity = rng.uniform_int(0, max_weight);
       ++events;
     } else {
-      // Batched epoch: several deltas, one refresh of the tree.
-      std::vector<IncrementalMckp::Delta> batch;
+      // A run of several edits with no solve between them.
       const std::size_t n = 2 + rng.index(4);
       for (std::size_t b = 0; b < n; ++b) {
         if (!model.empty() && rng.uniform01() < 0.4) {
           auto it = model.begin();
           std::advance(it, static_cast<long>(rng.index(model.size())));
-          batch.push_back({it->first, std::nullopt});
+          EXPECT_TRUE(inc.erase(it->first));
           model.erase(it);
         } else {
           const std::uint64_t key = next_key++;
           auto c = random_class();
           model[key] = c;
-          batch.push_back({key, std::move(c)});
+          inc.upsert(key, std::move(c));
         }
         ++events;
       }
-      inc.apply(std::move(batch));
     }
 
-    // Differential check after EVERY event (batches check once, after
-    // the batch lands, like the arbiter's epoch solve does).
+    // Differential check after EVERY event (a run of edits checks once,
+    // after its last edit).
     std::vector<MckpClass> classes;
     classes.reserve(model.size());
     for (const auto& [key, c] : model) classes.push_back(c);
@@ -579,19 +577,17 @@ TEST_P(IncrementalTieFuzz, DuplicateClassesPickTheDpsCanonicalVector) {
     } else if (dice < 0.92) {
       capacity = rng.uniform_int(0, max_weight);
     } else {
-      std::vector<IncrementalMckp::Delta> batch;
       for (std::size_t b = 2 + rng.index(4); b > 0; --b) {
         if (!model.empty() && rng.uniform01() < 0.4) {
           const std::uint64_t key = random_key();
           model.erase(key);
-          batch.push_back({key, std::nullopt});
+          EXPECT_TRUE(inc.erase(key));
         } else {
           const std::uint64_t key = next_key++;
           model[key] = pick();
-          batch.push_back({key, model[key]});
+          inc.upsert(key, model[key]);
         }
       }
-      inc.apply(std::move(batch));
     }
 
     std::vector<MckpClass> classes;
@@ -748,89 +744,6 @@ TEST_P(ArbiterDeltaFuzz, DeltaStreamsWithResizesMatchFreshSolve) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ArbiterDeltaFuzz,
                          ::testing::Values(1u, 7u, 1337u));
 
-/// Epoch-mode streams: random events and random clock advances. The
-/// oracle is checked at every epoch boundary (where a batched solve
-/// just ran) and after every out-of-band ION death.
-class EpochModeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EpochModeFuzz, BatchedEpochSolvesMatchFreshSolveAtEveryBoundary) {
-  const std::uint64_t seed = GetParam() * 40503u + fault_seed();
-  IOFA_TRACE_SEED(fault_seed());
-  Rng rng(seed);
-  platform::PerfModel model(platform::mn4_params());
-  const auto grid = workload::mn4_scenario_grid();
-  const auto options = platform::default_ion_options();
-
-  const int pool = 4 + static_cast<int>(rng.index(12));
-  ArbiterOptions o{pool, std::nullopt, true};
-  o.epoch_period = 1.0;
-  Arbiter arb(std::make_shared<MckpPolicy>(), o);
-
-  std::map<JobId, AppEntry> running;
-  std::set<int> failed;
-  JobId next_id = 1;
-  Seconds now = 0.0;
-  arb.tick(now);
-
-  auto check_against_fresh = [&] {
-    check_mapping(arb.mapping(), pool);
-    AllocationProblem prob;
-    prob.pool = pool - static_cast<int>(failed.size());
-    for (const auto& [id, app] : running) prob.apps.push_back(app);
-    const auto fresh = MckpPolicy().allocate(prob);
-    ASSERT_EQ(fresh.ions.size(), running.size());
-    std::size_t i = 0;
-    for (const auto& [id, app] : running) {
-      const bool is_shared = i < fresh.shared.size() && fresh.shared[i];
-      ASSERT_TRUE(arb.last_counts().count(id));
-      EXPECT_EQ(arb.last_counts().at(id), is_shared ? 0 : fresh.ions[i])
-          << "job " << id << " diverged at t=" << now;
-      ++i;
-    }
-  };
-
-  for (int step = 0; step < 300; ++step) {
-    const double dice = rng.uniform01();
-    if (running.empty() || dice < 0.40) {
-      const auto& pattern = grid[rng.index(grid.size())];
-      const JobId id = next_id++;
-      AppEntry app{"S", pattern.compute_nodes, pattern.processes(),
-                   platform::curve_from_model(model, pattern, options)};
-      running.emplace(id, app);
-      arb.job_started(id, app);
-    } else if (dice < 0.65) {
-      auto it = running.begin();
-      std::advance(it, static_cast<long>(rng.index(running.size())));
-      arb.job_finished(it->first);
-      running.erase(it);
-    } else if (dice < 0.75) {
-      const int ion =
-          static_cast<int>(rng.index(static_cast<std::size_t>(pool)));
-      if (failed.insert(ion).second) {
-        arb.ion_failed(ion);
-        // Out-of-band failover: solved immediately, pending flushed.
-        EXPECT_EQ(arb.pending_events(), 0u);
-        check_against_fresh();
-      }
-    } else if (dice < 0.85) {
-      const int ion =
-          static_cast<int>(rng.index(static_cast<std::size_t>(pool)));
-      if (failed.erase(ion)) arb.ion_recovered(ion);
-    }
-
-    now += rng.uniform(0.0, 0.5);
-    if (arb.tick(now)) check_against_fresh();
-  }
-
-  // Drain whatever is still pending and check the final state.
-  now += 2.0;
-  arb.tick(now);
-  check_against_fresh();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EpochModeFuzz,
-                         ::testing::Values(1u, 7u, 1337u));
-
 // ===================================================================
 // Materialisation differential fuzz: the arbiter edits its mapping in
 // place and rematerialises only the jobs whose assignment changed. The
@@ -909,7 +822,7 @@ Mapping reference_materialize(const Mapping& prev,
 
 struct MaterializeConfig {
   const char* name;
-  bool epoch;            ///< batch deltas into tick()-driven epochs
+  bool reuse_ids;        ///< a start may take a finished job's id again
   bool reallocate;       ///< ArbiterOptions::reallocate_running
   bool static_policy;    ///< STATIC instead of MCKP
   double no_direct;      ///< share of jobs whose curve lacks the 0-ION option
@@ -917,14 +830,13 @@ struct MaterializeConfig {
 
 constexpr MaterializeConfig kMaterializeConfigs[] = {
     {"mckp", false, true, false, 0.2},
-    {"epoch", true, true, false, 0.2},
+    {"reuse_ids", true, true, false, 0.2},
     {"static_pinned", false, false, true, 0.2},
     // Every curve needs an ION: more jobs than IONs forces MCKP's
     // shared-ION fallback (Section 3.1).
     {"shared_fallback", false, true, false, 1.0},
-    // Deferred recoveries plus immediate failures can move the shared
-    // node while the exclusive set stays the same.
-    {"epoch_shared_fallback", true, true, false, 1.0},
+    // Id reuse with the shared-ION fallback in play.
+    {"reuse_ids_shared_fallback", true, true, false, 1.0},
 };
 
 class MaterializeDiffFuzz
@@ -972,7 +884,6 @@ TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
   int pool = 2 + static_cast<int>(rng.index(12));
   ArbiterOptions o{pool, std::nullopt, cfg.reallocate};
   if (cfg.static_policy) o.static_ratio = 8.0;
-  if (cfg.epoch) o.epoch_period = 1.0;
   Arbiter arb(policy, o);
 
   // Mirrors of everything the materialiser reads.
@@ -980,8 +891,7 @@ TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
   std::set<int> failed;
   std::map<int, double> hints;
   JobId next_id = 1;
-  Seconds now = 0.0;
-  arb.tick(now);
+  std::vector<JobId> finished;  ///< ids that ran and are not running now
   auto pick_running = [&] {
     auto it = running.begin();
     std::advance(it, static_cast<long>(rng.index(running.size())));
@@ -1032,6 +942,12 @@ TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
     check_mapping(got, pool);
   };
 
+  auto finish = [&](std::map<JobId, AppEntry>::iterator it) {
+    arb.job_finished(it->first);
+    finished.push_back(it->first);
+    running.erase(it);
+  };
+
   for (int event = 0; event < 10'000; ++event) {
     const Mapping prev = arb.mapping();
     const double dice = rng.uniform01();
@@ -1039,19 +955,25 @@ TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
                       (running.size() < 28 && rng.uniform01() < 0.5);
     if (dice < 0.30) {
       if (grow) {
-        const JobId id = next_id++;
+        JobId id = next_id;
+        if (cfg.reuse_ids && !finished.empty() && rng.uniform01() < 0.5) {
+          // Restart a finished id, often the one that just finished.
+          const std::size_t k = rng.uniform01() < 0.5
+                                    ? finished.size() - 1
+                                    : rng.index(finished.size());
+          id = finished[k];
+          finished.erase(finished.begin() + static_cast<std::ptrdiff_t>(k));
+        } else {
+          ++next_id;
+        }
         auto app = random_app();
         running[id] = app;
         arb.job_started(id, std::move(app));
       } else {
-        const auto it = pick_running();
-        arb.job_finished(it->first);
-        running.erase(it);
+        finish(pick_running());
       }
     } else if (dice < 0.50 && !running.empty()) {
-      const auto it = pick_running();
-      arb.job_finished(it->first);
-      running.erase(it);
+      finish(pick_running());
     } else if (dice < 0.56 && !running.empty()) {
       // Duplicate start: a running id starts again with a new profile.
       const auto it = pick_running();
@@ -1094,16 +1016,11 @@ TEST_P(MaterializeDiffFuzz, InPlaceMappingEqualsFromScratchReference) {
       failed.erase(failed.lower_bound(pool), failed.end());
       arb.set_pool(pool);
     } else {
-      now += rng.uniform(0.0, 0.5);
-      arb.tick(now);
+      // A second finish of a finished (or never started) id is a no-op.
+      arb.job_finished(finished.empty() ? next_id + 1000
+                                        : finished[rng.index(finished.size())]);
     }
     check(prev, event);
-    if (cfg.epoch && rng.uniform01() < 0.3) {
-      const Mapping before_tick = arb.mapping();
-      now += rng.uniform(0.0, 1.5);
-      arb.tick(now);
-      check(before_tick, event);
-    }
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GT(arbitrations, 1000u);

@@ -296,169 +296,12 @@ TEST(Arbiter, PoolNeverExceeded) {
   }
 }
 
-// ----------------------------------------------------------- epoch mode
-double epoch_counter(telemetry::Registry& reg, const std::string& name) {
+double counter_total(telemetry::Registry& reg, const std::string& name) {
   double total = 0.0;
   for (const auto& s : reg.snapshot().samples) {
     if (s.name == name) total += s.value;
   }
   return total;
-}
-
-ArbiterOptions epoch_opts(telemetry::Registry& reg, int pool,
-                          Seconds period = 1.0) {
-  ArbiterOptions o;
-  o.pool = pool;
-  o.registry = &reg;
-  o.epoch_period = period;
-  return o;
-}
-
-TEST(ArbiterEpoch, DeltasWithinOneEpochProduceOneSolveAndOneBump) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);  // anchor the epoch clock
-
-  // Three deltas inside the epoch: no solve, no publish, stale mapping.
-  arb.job_started(1, entry("IOR-MPI"));
-  arb.job_started(2, entry("S3D"));
-  arb.job_finished(1);
-  EXPECT_EQ(arb.pending_events(), 3u);
-  EXPECT_EQ(arb.mapping().epoch, 0u);
-  EXPECT_TRUE(arb.mapping().jobs.empty());
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 0.0);
-
-  // Mid-epoch tick: not yet.
-  EXPECT_FALSE(arb.tick(0.5));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 0.0);
-
-  // Epoch boundary: exactly one solve, one epoch bump, all three
-  // deltas accounted as batched.
-  EXPECT_TRUE(arb.tick(1.0));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 1.0);
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.epoch_batched_deltas"), 3.0);
-  EXPECT_EQ(arb.mapping().epoch, 1u);
-  EXPECT_EQ(arb.pending_events(), 0u);
-  ASSERT_EQ(arb.mapping().jobs.size(), 1u);
-  EXPECT_TRUE(arb.mapping().jobs.count(2));
-}
-
-// A job that finishes and starts again under its id before the next
-// epoch, with the same ION count, still gets its new label.
-TEST(ArbiterEpoch, RestartWithinAnEpochRewritesTheLabel) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);
-  arb.job_started(1, entry("IOR-MPI"));
-  ASSERT_TRUE(arb.tick(1.0));
-  ASSERT_EQ(arb.mapping().jobs.at(1).app_label, "IOR-MPI");
-  const auto ions = arb.mapping().jobs.at(1).ions;
-
-  AppEntry again = entry("IOR-MPI");
-  again.label = "IOR-MPI-rerun";
-  arb.job_finished(1);
-  arb.job_started(1, again);
-  ASSERT_TRUE(arb.tick(2.0));
-  EXPECT_EQ(arb.mapping().jobs.at(1).app_label, "IOR-MPI-rerun");
-  EXPECT_EQ(arb.mapping().jobs.at(1).ions, ions);
-}
-
-TEST(ArbiterEpoch, TickWithoutDeltasNeverFires) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  for (double t : {0.0, 1.0, 5.0, 50.0}) EXPECT_FALSE(arb.tick(t));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 0.0);
-  EXPECT_EQ(arb.mapping().epoch, 0u);
-}
-
-TEST(ArbiterEpoch, TickIsInertWhenEpochModeIsOff) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12, 0.0));
-  arb.job_started(1, entry("IOR-MPI"));  // solves immediately
-  EXPECT_EQ(arb.pending_events(), 0u);
-  EXPECT_FALSE(arb.tick(100.0));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 1.0);
-}
-
-TEST(ArbiterEpoch, IonDeathBypassesTheEpoch) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);
-  arb.job_started(1, entry("IOR-MPI"));
-  arb.tick(1.0);  // job published
-  const auto epoch_before = arb.mapping().epoch;
-
-  // A batched start is pending when ION 0 dies: failover re-solves NOW
-  // and carries the pending delta with it.
-  arb.job_started(2, entry("S3D"));
-  arb.ion_failed(0);
-  EXPECT_GT(arb.mapping().epoch, epoch_before);
-  EXPECT_EQ(epoch_counter(reg, "arbiter.resolves_on_failure"), 1.0);
-  EXPECT_TRUE(arb.mapping().jobs.count(2));
-  for (const auto& [id, e] : arb.mapping().jobs) {
-    EXPECT_EQ(std::count(e.ions.begin(), e.ions.end(), 0), 0)
-        << "job " << id << " mapped to the dead ION";
-  }
-  // The out-of-band solve consumed the pending deltas: the next epoch
-  // boundary has nothing to do.
-  EXPECT_EQ(arb.pending_events(), 0u);
-  EXPECT_FALSE(arb.tick(2.0));
-  // Deltas were flushed out of band, not epoch-batched.
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.epoch_batched_deltas"), 1.0);
-}
-
-TEST(ArbiterEpoch, IonRecoveryWaitsForTheEpoch) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);
-  arb.job_started(1, entry("IOR-MPI"));
-  arb.tick(1.0);
-  arb.ion_failed(3);
-  const auto epoch_after_death = arb.mapping().epoch;
-
-  // Recovery only grows capacity: it batches instead of re-solving.
-  arb.ion_recovered(3);
-  EXPECT_TRUE(arb.failed_ions().empty());
-  EXPECT_EQ(arb.mapping().epoch, epoch_after_death);
-  EXPECT_EQ(arb.pending_events(), 1u);
-  EXPECT_TRUE(arb.tick(2.0));
-  EXPECT_GT(arb.mapping().epoch, epoch_after_death);
-}
-
-TEST(ArbiterEpoch, LoadHintDuringPendingEpochTriggersNoExtraSolve) {
-  // Regression guard on PR 5 semantics: a load hint NEVER solves - not
-  // even when a batched epoch is pending with deltas queued.
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);
-  arb.job_started(1, entry("IOR-MPI"));
-  EXPECT_EQ(arb.pending_events(), 1u);
-
-  arb.set_load_hint(2, 7.5);
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 0.0);
-  EXPECT_EQ(arb.pending_events(), 1u);  // a hint is not a delta
-  EXPECT_EQ(arb.mapping().epoch, 0u);
-  EXPECT_DOUBLE_EQ(arb.load_hint(2), 7.5);
-
-  // The one batched solve still honours the hint at materialisation.
-  EXPECT_TRUE(arb.tick(1.0));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 1.0);
-  const auto& ions = arb.mapping().jobs.at(1).ions;
-  EXPECT_EQ(std::count(ions.begin(), ions.end(), 2), 0)
-      << "saturated ION assigned despite unloaded alternatives";
-}
-
-TEST(ArbiterEpoch, EpochsMeasureFromLastFiringNotFromEveryTick) {
-  telemetry::Registry reg;
-  Arbiter arb(std::make_shared<MckpPolicy>(), epoch_opts(reg, 12));
-  arb.tick(0.0);
-  arb.job_started(1, entry("IOR-MPI"));
-  EXPECT_TRUE(arb.tick(1.0));
-  arb.job_started(2, entry("S3D"));
-  // 1.7 is only 0.7 past the last epoch: no fire; 2.0 fires.
-  EXPECT_FALSE(arb.tick(1.7));
-  EXPECT_TRUE(arb.tick(2.0));
-  EXPECT_EQ(epoch_counter(reg, "core.arbiter.solves"), 2.0);
 }
 
 // ------------------------------------------------- duplicate job start
@@ -546,7 +389,7 @@ TEST(Arbiter, EventRematerialisesOnlyTheJobsItRemaps) {
   }
   ASSERT_EQ(arb.running_jobs(), 256u);
   auto remapped = [&] {
-    return epoch_counter(reg, "core.arbiter.remapped_jobs");
+    return counter_total(reg, "core.arbiter.remapped_jobs");
   };
   // Jobs present before and after whose count changed.
   auto changed = [](const std::map<JobId, int>& before,
@@ -631,7 +474,7 @@ TEST(Arbiter, EventRematerialisesOnlyTheJobsItRemaps) {
     }
   }
   EXPECT_EQ(static_cast<double>(timed),
-            epoch_counter(reg, "core.arbiter.solves"));
+            counter_total(reg, "core.arbiter.solves"));
 }
 
 }  // namespace

@@ -270,47 +270,6 @@ TEST(IncrementalMckp, MiddleDeltaRecomputesOnlyTheSuffix) {
   for (int cap : {0, 2, 4}) expect_identical(inc, cap, model, walked);
 }
 
-TEST(IncrementalMckp, BatchApplyMergesSharedPathsOnce) {
-  std::vector<std::pair<std::uint64_t, MckpClass>> classes;
-  for (std::uint64_t k = 1; k <= 64; ++k) {
-    classes.emplace_back(k, cls({{0, 1.0}, {1, 2.0 * double(k)}}));
-  }
-  IncrementalMckp batched;
-  batched.assign(5, classes);
-  IncrementalMckp sequential = batched;
-  Walked walked_batched, walked_sequential;
-
-  // Erase key 40, add key 70 (last), replace key 2: every path runs
-  // through the root, which the batch merges once.
-  std::vector<IncrementalMckp::Delta> deltas;
-  deltas.push_back({40, std::nullopt});
-  deltas.push_back({70, cls({{1, 3.0}})});
-  deltas.push_back({2, cls({{0, 0.2}, {2, 4.4}})});
-  const auto batch_work = merges_of(batched, [&] {
-    batched.apply(deltas);
-  });
-  const auto seq_work = merges_of(sequential, [&] {
-    for (auto& d : deltas) {
-      if (d.cls) {
-        sequential.upsert(d.key, *d.cls);
-      } else {
-        sequential.erase(d.key);
-      }
-    }
-  });
-  EXPECT_LT(batch_work, seq_work);
-
-  std::map<std::uint64_t, MckpClass> model;
-  for (auto& [k, c] : classes) model[k] = c;
-  model.erase(40);
-  model[70] = cls({{1, 3.0}});
-  model[2] = cls({{0, 0.2}, {2, 4.4}});
-  for (int cap : {0, 2, 5}) {
-    expect_identical(batched, cap, model, walked_batched);
-    expect_identical(sequential, cap, model, walked_sequential);
-  }
-}
-
 TEST(IncrementalMckp, CapacityIsAQueryNotAStructure) {
   // The same root answers every capacity <= max_weight - this is what
   // makes ION fail/recover a root-scan-only operation.
@@ -580,36 +539,27 @@ TEST(ArbiterWarmStart, CurveChangeIsOneLeafUpsert) {
 }
 
 TEST(ArbiterWarmStart, FinishingAnUnknownJobIsANoOp) {
-  for (const Seconds period : {0.0, 1.0}) {
-    SCOPED_TRACE("epoch_period " + std::to_string(period));
-    telemetry::Registry reg;
-    ArbiterOptions o;
-    o.pool = 8;
-    o.registry = &reg;
-    o.epoch_period = period;
-    Arbiter arb(std::make_shared<MckpPolicy>(), o);
-    arb.tick(0.0);
-    arb.job_started(1, job("A"));
-    arb.tick(2.0);
-    const auto epoch = arb.mapping().epoch;
-    const double solves = counter_sum(reg, "core.arbiter.solves");
-    const double items = counter_sum(reg, "core.arbiter.items");
+  telemetry::Registry reg;
+  ArbiterOptions o;
+  o.pool = 8;
+  o.registry = &reg;
+  Arbiter arb(std::make_shared<MckpPolicy>(), o);
+  arb.job_started(1, job("A"));
+  const auto epoch = arb.mapping().epoch;
+  const double solves = counter_sum(reg, "core.arbiter.solves");
+  const double items = counter_sum(reg, "core.arbiter.items");
 
-    arb.job_finished(99);
-    arb.job_finished(99);
-    EXPECT_EQ(arb.mapping().epoch, epoch);
-    EXPECT_EQ(arb.pending_events(), 0u);
-    EXPECT_FALSE(arb.tick(4.0));
-    EXPECT_EQ(counter_sum(reg, "core.arbiter.solves"), solves);
-    EXPECT_EQ(counter_sum(reg, "core.arbiter.items"), items);
-    EXPECT_EQ(arb.running_jobs(), 1u);
+  arb.job_finished(99);
+  arb.job_finished(99);
+  EXPECT_EQ(arb.mapping().epoch, epoch);
+  EXPECT_EQ(counter_sum(reg, "core.arbiter.solves"), solves);
+  EXPECT_EQ(counter_sum(reg, "core.arbiter.items"), items);
+  EXPECT_EQ(arb.running_jobs(), 1u);
 
-    // A known finish still goes through.
-    arb.job_finished(1);
-    arb.tick(6.0);
-    EXPECT_GT(arb.mapping().epoch, epoch);
-    EXPECT_TRUE(arb.mapping().jobs.empty());
-  }
+  // A known finish still goes through.
+  arb.job_finished(1);
+  EXPECT_GT(arb.mapping().epoch, epoch);
+  EXPECT_TRUE(arb.mapping().jobs.empty());
 }
 
 TEST(ArbiterWarmStart, DisabledIncrementalNeverTouchesWarmCounters) {
@@ -669,7 +619,6 @@ std::string warm_counter_dump(telemetry::Registry& reg) {
       "core.arbiter.solves",
       "core.arbiter.incremental_solves",
       "core.arbiter.full_fallbacks",
-      "core.arbiter.epoch_batched_deltas",
       "core.arbiter.items",
       "arbiter.resolves_on_failure"};
   std::ostringstream out;
@@ -688,13 +637,10 @@ std::string run_seeded_churn(std::uint64_t seed, telemetry::Registry& reg) {
   ArbiterOptions o;
   o.pool = 10;
   o.registry = &reg;
-  o.epoch_period = 1.0;
   Arbiter arb(std::make_shared<MckpPolicy>(), o);
   Rng rng(seed);
   JobId next_id = 1;
   std::vector<JobId> running;
-  Seconds now = 0.0;
-  arb.tick(now);  // anchor the epoch clock
   for (int step = 0; step < 120; ++step) {
     const double dice = rng.uniform01();
     if (running.empty() || dice < 0.5) {
@@ -710,8 +656,6 @@ std::string run_seeded_churn(std::uint64_t seed, telemetry::Registry& reg) {
     } else {
       arb.ion_recovered(static_cast<int>(rng.index(10)));
     }
-    now += rng.uniform(0.0, 0.6);
-    arb.tick(now);
   }
   return warm_counter_dump(reg);
 }

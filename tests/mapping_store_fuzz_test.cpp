@@ -320,131 +320,124 @@ core::AppEntry random_app(Rng& rng) {
 TEST(MappingStoreFuzz, ArbiterDeltaPublishEqualsFullPath) {
   constexpr int kEvents = 4'000;
   constexpr int kMaxPublishes = 2 * kEvents;
-  for (const Seconds period : {0.0, 1.0}) {
-    const std::uint64_t seed = fault_seed();
-    SCOPED_TRACE("reproduce with IOFA_FAULT_SEED=" + std::to_string(seed) +
-                 (period > 0.0 ? ", epoch mode" : ", immediate mode"));
-    Rng rng(seed * 0x9E3779B97F4A7C15ULL + 29 + (period > 0.0 ? 1 : 0));
+  const std::uint64_t seed = fault_seed();
+  SCOPED_TRACE("reproduce with IOFA_FAULT_SEED=" + std::to_string(seed));
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 29);
 
-    std::vector<char> fault(kMaxPublishes, 0);
-    fault::FaultPlan plan;
-    for (int p = 0; p < kMaxPublishes; ++p) {
-      const double u = rng.uniform01();
-      if (u < 0.03) {
-        fault[p] = 'd';
-        plan.drop_mapping(p);
-      } else if (u < 0.06) {
-        fault[p] = 'c';
-        plan.corrupt_mapping(p);
-      }
+  std::vector<char> fault(kMaxPublishes, 0);
+  fault::FaultPlan plan;
+  for (int p = 0; p < kMaxPublishes; ++p) {
+    const double u = rng.uniform01();
+    if (u < 0.03) {
+      fault[p] = 'd';
+      plan.drop_mapping(p);
+    } else if (u < 0.06) {
+      fault[p] = 'c';
+      plan.corrupt_mapping(p);
     }
-    ASSERT_FALSE(plan.validate().has_value());
-    fault::ManualFaultClock clock;
-    telemetry::Registry reg;
-    fault::FaultInjector injector(plan, &clock, &reg);
-    MappingStore store(&reg);
-    store.set_injector(&injector);
-    const telemetry::Counter& written = reg.counter(
-        "fwd.mapping.entries_written");
-    const telemetry::Counter& deltas = reg.counter(
-        "fwd.mapping.delta_publishes");
-
-    core::ArbiterOptions opts;
-    opts.pool = 8;
-    opts.epoch_period = period;
-    opts.registry = &reg;
-    core::Arbiter arb(std::make_shared<core::MckpPolicy>(), opts);
-    Seconds now = 0.0;
-    arb.tick(now);
-
-    core::Mapping reference;
-    Held held;
-    Fetcher fetcher(store, seed + 2);
-    int publishes = 0;
-    const auto publish = [&](const core::Mapping& m) {
-      const core::Mapping before = reference;
-      const std::uint64_t written_before = written.value();
-      clock.set(publishes);
-      const char f = fault[publishes++];
-      store.publish(m);
-      std::uint64_t want_written = 0;
-      if (f == 0 || (f == 'c' && m.jobs.empty())) {
-        reference = m;
-        held.add(reference);
-        want_written = entries_differing(before, m);
-      }
-      ASSERT_EQ(store.get(), reference) << "publish " << publishes;
-      ASSERT_EQ(store.epoch(), reference.epoch) << "publish " << publishes;
-      ASSERT_EQ(written.value() - written_before, want_written)
-          << "publish " << publishes;
-    };
-
-    std::set<core::JobId> running;
-    for (int e = 0; e < kEvents && publishes + 2 <= kMaxPublishes; ++e) {
-      const auto pick = [&] {
-        auto it = running.begin();
-        std::advance(it, static_cast<long>(rng.index(running.size())));
-        return *it;
-      };
-      const double dice = rng.uniform01();
-      if (dice < 0.28 && running.size() < kMaxId) {
-        core::JobId id = random_id(rng);
-        while (running.contains(id)) id = id % kMaxId + 1;
-        running.insert(id);
-        arb.job_started(id, random_app(rng));
-      } else if (dice < 0.52 && !running.empty()) {
-        const core::JobId id = pick();
-        running.erase(id);
-        arb.job_finished(id);
-      } else if (dice < 0.60 && !running.empty()) {
-        arb.job_updated(pick(), random_app(rng));
-      } else if (dice < 0.66) {
-        arb.ion_failed(static_cast<int>(rng.index(
-            static_cast<std::size_t>(arb.pool()))));
-      } else if (dice < 0.72) {
-        arb.ion_recovered(static_cast<int>(rng.index(
-            static_cast<std::size_t>(arb.pool()))));
-      } else if (dice < 0.75) {
-        arb.set_pool(4 + static_cast<int>(rng.index(9)));
-      } else if (dice < 0.85) {
-        now += rng.uniform(0.0, 1.5);
-        arb.tick(now);
-      } else if (dice < 0.91) {
-        // A copy with an entry the change log does not list edited.
-        core::Mapping copy = arb.mapping();
-        const auto& listed = arb.mapping().changes.ids;
-        for (auto& [id, entry] : copy.jobs) {
-          if (!std::binary_search(listed.begin(), listed.end(), id)) {
-            entry.app_label += "~";
-            break;
-          }
-        }
-        publish(copy);
-      } else if (dice < 0.95) {
-        // Hand-built, at the arbiter's epoch.
-        core::Mapping hand;
-        hand.epoch = arb.mapping().epoch;
-        hand.pool = arb.pool();
-        for (std::size_t n = rng.index(4); n > 0; --n) {
-          hand.jobs[random_id(rng)] = random_entry(rng, hand.pool);
-        }
-        publish(hand);
-      }
-      // Every event republishes, changed or not (the HealthMonitor's
-      // self-heal does the same).
-      publish(arb.mapping());
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    const auto& samples = fetcher.stop();
-    EXPECT_EQ(held.torn(samples), 0)
-        << "of " << samples.size() << " concurrent snapshots";
-    EXPECT_GT(samples.size(), 0u);
-    // Each arbiter epoch can patch the store at most once; the traps and
-    // faults send some of them down the full path (measured: 91% of the
-    // epochs take the delta path in immediate mode, 97% in epoch mode).
-    EXPECT_GT(deltas.value(), arb.mapping().epoch / 2);
-    EXPECT_LT(deltas.value(), arb.mapping().epoch);
   }
+  ASSERT_FALSE(plan.validate().has_value());
+  fault::ManualFaultClock clock;
+  telemetry::Registry reg;
+  fault::FaultInjector injector(plan, &clock, &reg);
+  MappingStore store(&reg);
+  store.set_injector(&injector);
+  const telemetry::Counter& written = reg.counter(
+      "fwd.mapping.entries_written");
+  const telemetry::Counter& deltas = reg.counter(
+      "fwd.mapping.delta_publishes");
+
+  core::ArbiterOptions opts;
+  opts.pool = 8;
+  opts.registry = &reg;
+  core::Arbiter arb(std::make_shared<core::MckpPolicy>(), opts);
+
+  core::Mapping reference;
+  Held held;
+  Fetcher fetcher(store, seed + 2);
+  int publishes = 0;
+  const auto publish = [&](const core::Mapping& m) {
+    const core::Mapping before = reference;
+    const std::uint64_t written_before = written.value();
+    clock.set(publishes);
+    const char f = fault[publishes++];
+    store.publish(m);
+    std::uint64_t want_written = 0;
+    if (f == 0 || (f == 'c' && m.jobs.empty())) {
+      reference = m;
+      held.add(reference);
+      want_written = entries_differing(before, m);
+    }
+    ASSERT_EQ(store.get(), reference) << "publish " << publishes;
+    ASSERT_EQ(store.epoch(), reference.epoch) << "publish " << publishes;
+    ASSERT_EQ(written.value() - written_before, want_written)
+        << "publish " << publishes;
+  };
+
+  std::set<core::JobId> running;
+  for (int e = 0; e < kEvents && publishes + 2 <= kMaxPublishes; ++e) {
+    const auto pick = [&] {
+      auto it = running.begin();
+      std::advance(it, static_cast<long>(rng.index(running.size())));
+      return *it;
+    };
+    const double dice = rng.uniform01();
+    if (dice < 0.28 && running.size() < kMaxId) {
+      core::JobId id = random_id(rng);
+      while (running.contains(id)) id = id % kMaxId + 1;
+      running.insert(id);
+      arb.job_started(id, random_app(rng));
+    } else if (dice < 0.52 && !running.empty()) {
+      const core::JobId id = pick();
+      running.erase(id);
+      arb.job_finished(id);
+    } else if (dice < 0.60 && !running.empty()) {
+      arb.job_updated(pick(), random_app(rng));
+    } else if (dice < 0.66) {
+      arb.ion_failed(static_cast<int>(rng.index(
+          static_cast<std::size_t>(arb.pool()))));
+    } else if (dice < 0.72) {
+      arb.ion_recovered(static_cast<int>(rng.index(
+          static_cast<std::size_t>(arb.pool()))));
+    } else if (dice < 0.75) {
+      arb.set_pool(4 + static_cast<int>(rng.index(9)));
+    } else if (dice < 0.85) {
+      // No event: the republish below repeats the arbiter's mapping.
+    } else if (dice < 0.91) {
+      // A copy with an entry the change log does not list edited.
+      core::Mapping copy = arb.mapping();
+      const auto& listed = arb.mapping().changes.ids;
+      for (auto& [id, entry] : copy.jobs) {
+        if (!std::binary_search(listed.begin(), listed.end(), id)) {
+          entry.app_label += "~";
+          break;
+        }
+      }
+      publish(copy);
+    } else if (dice < 0.95) {
+      // Hand-built, at the arbiter's epoch.
+      core::Mapping hand;
+      hand.epoch = arb.mapping().epoch;
+      hand.pool = arb.pool();
+      for (std::size_t n = rng.index(4); n > 0; --n) {
+        hand.jobs[random_id(rng)] = random_entry(rng, hand.pool);
+      }
+      publish(hand);
+    }
+    // Every event republishes, changed or not (the HealthMonitor's
+    // self-heal does the same).
+    publish(arb.mapping());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  const auto& samples = fetcher.stop();
+  EXPECT_EQ(held.torn(samples), 0)
+      << "of " << samples.size() << " concurrent snapshots";
+  EXPECT_GT(samples.size(), 0u);
+  // Each arbiter epoch can patch the store at most once; the traps and
+  // faults send some of them down the full path (measured: 89-91% of
+  // the epochs take the delta path at seeds 1, 7 and 1337).
+  EXPECT_GT(deltas.value(), arb.mapping().epoch / 2);
+  EXPECT_LT(deltas.value(), arb.mapping().epoch);
 }
 
 }  // namespace

@@ -15,16 +15,23 @@
 //     --pool N      forwarding nodes to arbitrate (default 12)
 //     --ratio R     STATIC deployment ratio, compute nodes per ION
 //     --policy P    mapping policy: mckp|static|size|process|one|zero|
-//                   dfra|recruit (default mckp)
+//                   oracle|dfra|recruit (default mckp)
 //     --demo        use the paper's Section 5.2 job mix instead of input
+//
+// Numbers must fill their token (the mapping file's rule). A negative
+// pool, count or ION option, a ratio <= 0, an unknown policy or a
+// malformed line is reported on stderr with exit status 2.
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/arbiter.hpp"
 #include "core/related.hpp"
@@ -35,27 +42,58 @@ namespace {
 
 using namespace iofa;
 
-std::optional<core::AppEntry> parse_line(const std::string& line) {
+/// A whole number >= 0.
+bool parse_count(std::string_view tok, int& out) {
+  return parse_number(tok, out) && out >= 0;
+}
+
+/// One profile line; on failure `why` names the bad part.
+std::optional<core::AppEntry> parse_line(const std::string& line,
+                                         std::string& why) {
   std::istringstream is(line);
   core::AppEntry entry;
-  if (!(is >> entry.label >> entry.compute_nodes >> entry.processes)) {
+  std::string nodes, procs;
+  if (!(is >> entry.label >> nodes >> procs) ||
+      !parse_count(nodes, entry.compute_nodes) ||
+      !parse_count(procs, entry.processes)) {
+    why = "want <label> <compute_nodes> <processes> as whole numbers >= 0";
     return std::nullopt;
   }
   std::vector<std::pair<int, MBps>> points;
   std::string tok;
   while (is >> tok) {
-    const auto colon = tok.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    points.emplace_back(std::stoi(tok.substr(0, colon)),
-                        std::stod(tok.substr(colon + 1)));
+    const std::string_view t(tok);
+    const auto colon = t.find(':');
+    int ions = 0;
+    MBps bw = 0.0;
+    if (colon == std::string_view::npos ||
+        !parse_count(t.substr(0, colon), ions) ||
+        !parse_number(t.substr(colon + 1), bw) || !std::isfinite(bw) ||
+        bw < 0.0) {
+      why = "'" + tok + "' is not <ions>:<MB/s> with a whole ION option " +
+            ">= 0 and a finite bandwidth >= 0";
+      return std::nullopt;
+    }
+    for (const auto& [seen, unused] : points) {
+      if (seen == ions) {
+        why = "duplicate ION option " + std::to_string(ions);
+        return std::nullopt;
+      }
+    }
+    points.emplace_back(ions, bw);
   }
-  if (points.empty()) return std::nullopt;
+  if (points.empty()) {
+    why = "no <ions>:<MB/s> points";
+    return std::nullopt;
+  }
   entry.curve = platform::BandwidthCurve(std::move(points));
   return entry;
 }
 
+/// nullptr for an unknown name.
 std::shared_ptr<core::ArbitrationPolicy> make_policy(
     const std::string& name) {
+  if (name == "mckp") return std::make_shared<core::MckpPolicy>();
   if (name == "static") return std::make_shared<core::StaticPolicy>();
   if (name == "size") return std::make_shared<core::SizePolicy>();
   if (name == "process") return std::make_shared<core::ProcessPolicy>();
@@ -64,7 +102,12 @@ std::shared_ptr<core::ArbitrationPolicy> make_policy(
   if (name == "oracle") return std::make_shared<core::OraclePolicy>();
   if (name == "dfra") return std::make_shared<core::DfraPolicy>();
   if (name == "recruit") return std::make_shared<core::RecruitmentPolicy>();
-  return std::make_shared<core::MckpPolicy>();
+  return nullptr;
+}
+
+int usage_error(const std::string& what) {
+  std::cerr << "iofa_arbitrate: " << what << "\n";
+  return 2;
 }
 
 }  // namespace
@@ -79,17 +122,34 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--pool" && i + 1 < argc) {
-      pool = std::stoi(argv[++i]);
+      const std::string_view v = argv[++i];
+      if (!parse_count(v, pool)) {
+        return usage_error("--pool wants a whole number >= 0, got '" +
+                           std::string(v) + "'");
+      }
     } else if (arg == "--ratio" && i + 1 < argc) {
-      ratio = std::stod(argv[++i]);
+      const std::string_view v = argv[++i];
+      double r = 0.0;
+      if (!parse_number(v, r) || !(r > 0.0) || !std::isfinite(r)) {
+        return usage_error("--ratio wants a finite number > 0, got '" +
+                           std::string(v) + "'");
+      }
+      ratio = r;
     } else if (arg == "--policy" && i + 1 < argc) {
       policy_name = argv[++i];
+      if (!make_policy(policy_name)) {
+        return usage_error("unknown --policy '" + policy_name +
+                           "' (mckp|static|size|process|one|zero|oracle|"
+                           "dfra|recruit)");
+      }
     } else if (arg == "--demo") {
       demo = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: iofa_arbitrate [--pool N] [--ratio R] "
                    "[--policy P] [--demo] [file]\n";
       return 0;
+    } else if (arg.starts_with("-")) {
+      return usage_error("unknown option or missing value: " + arg);
     } else {
       file = arg;
     }
@@ -119,12 +179,13 @@ int main(int argc, char** argv) {
       in = &fin;
     }
     std::string line;
-    while (std::getline(*in, line)) {
+    std::string why;
+    for (int lineno = 1; std::getline(*in, line); ++lineno) {
       if (line.empty() || line[0] == '#') continue;
-      auto entry = parse_line(line);
+      auto entry = parse_line(line, why);
       if (!entry) {
-        std::cerr << "malformed line: " << line << "\n";
-        return 1;
+        return usage_error("malformed line " + std::to_string(lineno) +
+                           ": " + why + ": " + line);
       }
       problem.apps.push_back(std::move(*entry));
     }

@@ -93,6 +93,13 @@ bool TokenBucket::try_acquire(double n, Clock::time_point now) {
   return true;
 }
 
+void TokenBucket::refund(double n) {
+  check_amount(n);
+  MutexLock lk(mu_);
+  refill_locked(monotonic_now());
+  tokens_ = std::min(burst_, tokens_ + n);
+}
+
 double TokenBucket::take(double n, Clock::time_point now) {
   check_amount(n);
   MutexLock lk(mu_);

@@ -52,6 +52,11 @@ class TokenBucket {
   /// is clamped to the last observed instant.
   bool try_acquire(double n, Clock::time_point now) IOFA_EXCLUDES(mu_);
 
+  /// Return `n` tokens taken by try_acquire() for work that was then
+  /// not done. The fill level is capped at the burst, as refill is.
+  /// Throws std::invalid_argument when `n` is negative or non-finite.
+  void refund(double n) IOFA_EXCLUDES(mu_);
+
   /// Consume up to `n` tokens - whatever is available - and return the
   /// amount actually taken. Never blocks and never goes into debt.
   double take(double n, Clock::time_point now) IOFA_EXCLUDES(mu_);

@@ -55,6 +55,14 @@ Rng& FaultInjector::site_rng(const std::string& site) {
   return it->second;
 }
 
+bool FaultInjector::targets(const std::string& site) const {
+  const auto parent = shard_site_parent(site);
+  return std::any_of(plan_.events.begin(), plan_.events.end(),
+                     [&](const FaultEvent& e) {
+                       return e.site == site || (parent && e.site == *parent);
+                     });
+}
+
 FaultDecision FaultInjector::decide(const std::string& site) {
   FaultDecision d;
   if (!enabled_) return d;

@@ -74,6 +74,11 @@ class FaultInjector {
   bool enabled() const { return enabled_; }
   const FaultPlan& plan() const { return plan_; }
 
+  /// True when the plan has an event decide() would match at `site`
+  /// (its own, or a shard stream's generic request site). The plan is
+  /// fixed at construction, so this takes no lock and counts no check.
+  bool targets(const std::string& site) const;
+
   /// Evaluate one check at `site`: advances the site's check count,
   /// fires count/probability events, reports any active stall window.
   /// The caller is responsible for sleeping through the stall (or use

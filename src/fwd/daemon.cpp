@@ -99,15 +99,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
                                                    metrics_.queue_wait_us);
   busy_site_ = fault::busy_site(id_);
   admit_site_ = fault::ion_site(id_);
-  // Inline dispatch runs on a thread that also reads a link, so no step
-  // of it may wait: a sleeping reader leaves the link's later frames in
-  // the socket, where admission control cannot see them and the
-  // client's resends go unanswered. Here that needs a scheduler that
-  // releases every request at once (FIFO, no QoS decorator) and no
-  // modelled per-dispatch service time; dispatch_inline() checks the
-  // rest per request.
-  inline_eligible_ = params_.scheduler.kind == agios::SchedulerKind::Fifo &&
-                     !params_.qos && params_.dispatch_latency <= 0.0;
   flush_seed_ = SplitMix64((params_.injector ? params_.injector->plan().seed
                                              : 0x10F0A5EEDULL) ^
                            static_cast<std::uint64_t>(id_))
@@ -130,6 +121,24 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
         workers == 1 ? fault::request_site(id_)
                      : fault::shard_site(id_, s)));
   }
+  // Inline dispatch runs on a thread that also reads a link, so no step
+  // of it may wait: a sleeping reader leaves the link's later frames in
+  // the socket, where admission control cannot see them and the
+  // client's resends go unanswered. Here that needs a scheduler that
+  // releases every request at once (FIFO, no QoS decorator), no
+  // modelled per-dispatch service time, and no fault event on a site
+  // the dispatch draws, so every draw passes; dispatch_inline() checks
+  // the rest per request.
+  const fault::FaultInjector* faults = params_.injector;
+  const fault::FaultInjector* pfs_faults = pfs_.params().injector;
+  bool faulted = (faults && faults->targets(admit_site_)) ||
+                 (pfs_faults && pfs_faults->targets(fault::kPfsReadSite));
+  for (const auto& shard : shards_) {
+    faulted = faulted || (faults && faults->targets(shard->request_fault_site));
+  }
+  inline_eligible_ = params_.scheduler.kind == agios::SchedulerKind::Fifo &&
+                     !params_.qos && params_.dispatch_latency <= 0.0 &&
+                     !faulted;
   // All shard state exists before any thread starts: worker/flusher
   // loops never see a partially built pipeline.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -229,16 +238,15 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
   pending_.fetch_add(1);
   inflight_bytes_.fetch_add(size);
   auto& shard = *shards_[shard_of(req.file_id, req.op)];
-  Queued entry{std::move(req), {}};
   if (mode == SubmitMode::kInlineWhenIdle && inline_eligible_) {
-    if (dispatch_inline(shard, entry)) return SubmitResult::kAccepted;
+    if (dispatch_inline(shard, req)) return SubmitResult::kAccepted;
   } else {
     // Counted before the push: from here until the worker has
     // scheduled it, this request bars inline dispatch on its shard.
     shard.unscheduled.fetch_add(1);
   }
   queue_depth_.fetch_add(1);
-  if (!shard.ingest.push(std::move(entry))) {
+  if (!shard.ingest.push(std::move(req))) {
     queue_depth_.fetch_sub(1);
     shard.unscheduled.fetch_sub(1);
     inflight_bytes_.fetch_sub(size);
@@ -249,14 +257,14 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
   return SubmitResult::kAccepted;
 }
 
-bool IonDaemon::dispatch_inline(Shard& shard, Queued& entry) {
+bool IonDaemon::dispatch_inline(Shard& shard, FwdRequest& req) {
   // try_lock, never lock: a shard whose worker is busy is not idle, and
   // the caller's thread must not queue up behind it.
   if (!shard.mu.try_lock()) {
     shard.unscheduled.fetch_add(1);
     return false;
   }
-  const bool dispatched = run_inline(shard, entry);
+  const bool dispatched = run_inline(shard, req);
   // Counted under the lock, so no later inline attempt on this shard
   // can overtake the request on its way to the queue.
   if (!dispatched) shard.unscheduled.fetch_add(1);
@@ -264,8 +272,7 @@ bool IonDaemon::dispatch_inline(Shard& shard, Queued& entry) {
   return dispatched;
 }
 
-bool IonDaemon::run_inline(Shard& shard, Queued& entry) {
-  FwdRequest& req = entry.req;
+bool IonDaemon::run_inline(Shard& shard, FwdRequest& req) {
   // Re-checked under the lock: shutdown() and the worker's crash branch
   // take this lock, so a dispatch that passes here finishes before
   // either looks at the shard.
@@ -277,9 +284,9 @@ bool IonDaemon::run_inline(Shard& shard, Queued& entry) {
   // slot, taken now so its enqueue cannot wait. A read needs one source
   // for its whole range: staging when every byte is dirty, pinned so no
   // flush cleans the range before the copy, or the PFS when every byte
-  // is clean and its PFS admission is paid below. Anything else (a mixed
-  // read, an fsync marker) would wait, and so would a charge past the
-  // relay bucket's burst.
+  // is clean and the read bucket covers its charge now. Anything else (a
+  // mixed read, an fsync marker) would wait, and so would a charge past
+  // the relay bucket's burst.
   const std::uint64_t file_id = req.file_id;
   const std::uint64_t offset = req.offset;
   const std::uint64_t size = req.size;
@@ -293,42 +300,30 @@ bool IonDaemon::run_inline(Shard& shard, Queued& entry) {
   if (write ? !flush_queue_.try_reserve() : cover == Coverage::kMixed) {
     return false;
   }
-  InlineHold hold{write, cover == Coverage::kDirty, {}};
+  InlineHold hold{write, cover == Coverage::kDirty};
   const auto release_hold = [&] {
     if (hold.flush_slot) flush_queue_.cancel_reservation();
     if (hold.pinned) mark_clean(file_id, offset, size);
   };
+  // An expired request takes no tokens: ingest_one settles it.
   if (req.deadline_us == 0 || monotonic_micros() <= req.deadline_us) {
-    // Draw the fault decisions the worker would draw for this request,
-    // in its order: this shard has nothing else to dispatch first. A
-    // drawn stall, or a relay or PFS read bucket short of tokens, is
-    // waited out by the worker instead, with these decisions.
-    Predrawn& faults = entry.faults;
-    faults.admit = params_.injector ? params_.injector->decide(admit_site_)
-                                    : fault::FaultDecision{};
-    if (params_.injector && !faults.admit->fail) {
-      faults.request = params_.injector->decide(shard.request_fault_site);
-    }
-    bool stalls = faults.admit->stall > 0.0 ||
-                  (faults.request && faults.request->stall > 0.0);
-    if (!stalls && cover == Coverage::kClean && !faults.admit->fail &&
-        !(faults.request && faults.request->fail)) {
-      faults.pfs_read = pfs_.try_admit_read(size);
-      stalls = !faults.pfs_read->paid;
-    }
-    if (stalls ||
-        (!faults.admit->fail && !ingest_bucket_.try_acquire(tokens))) {
+    // Relay tokens first, the PFS charge second; a refused PFS charge
+    // returns the relay tokens, and the worker pays both blocking.
+    if (!ingest_bucket_.try_acquire(tokens)) {
       release_hold();
       return false;
     }
-    hold.pfs = std::exchange(faults.pfs_read, std::nullopt);
+    if (cover == Coverage::kClean && !pfs_.try_charge_read(size)) {
+      ingest_bucket_.refund(tokens);
+      release_hold();
+      return false;
+    }
+    req.deadline_us = 0;  // paid for: ingest_one must not expire it now
   }
-  // An expired request is settled by ingest_one, which checks the
-  // deadline itself when no admission decision was drawn.
   metrics_.inline_dispatches->add();
-  ingest_one(shard, std::move(entry));
+  ingest_one(shard, std::move(req));
   // FIFO releases what it was just given; a request that ingest
-  // settled itself (expired or failed) leaves nothing.
+  // settled itself (expired) leaves nothing.
   if (auto dispatch = shard.scheduler->pop(now())) {
     process(shard, *dispatch, &hold);
   }
@@ -384,7 +379,6 @@ void IonDaemon::fail_in_flight(Shard& shard) {
   if (shard.in_flight.empty() && shard.scheduler->empty()) return;
   for (auto& [tag, req] : shard.in_flight) fail_request(req);
   shard.in_flight.clear();
-  shard.request_faults.clear();
   // The scheduler still holds the tags we just failed; rebuilding it is
   // the crash wiping the daemon's volatile dispatch state.
   shard.scheduler = make_shard_scheduler();
@@ -419,9 +413,7 @@ void IonDaemon::enqueue_flush(FlushItem item, bool slot_reserved) {
   flush_queue_.push_reserved(std::move(item));
 }
 
-void IonDaemon::ingest_one(Shard& shard, Queued&& entry) {
-  FwdRequest& req = entry.req;
-  Predrawn& faults = entry.faults;
+void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
   if (req.queued_us != 0) {
     // Crash-restart restamping: a request that sat out an outage in
     // the queue is billed from the restart, not from its enqueue -
@@ -442,7 +434,7 @@ void IonDaemon::ingest_one(Shard& shard, Queued&& entry) {
                       "bytes", static_cast<std::int64_t>(req.size));
     }
   }
-  if (!faults.admit && req.op != FwdOp::Fsync && req.deadline_us != 0 &&
+  if (req.op != FwdOp::Fsync && req.deadline_us != 0 &&
       monotonic_micros() > req.deadline_us) {
     // Deadline passed while queued: drop at dequeue (counted, never
     // silently) so a saturated queue spends dispatch capacity on work
@@ -453,13 +445,11 @@ void IonDaemon::ingest_one(Shard& shard, Queued&& entry) {
     complete(std::move(req.done), {CompletionStatus::kExpired, 0});
     return;
   }
-  if (params_.injector || faults.admit) {
+  if (params_.injector) {
     // Admission-level fault site: count-triggered crashes ("after N
     // crash ion.K") fire here, taking the triggering request with
-    // them; stalls model an overloaded ingest path. An inline attempt
-    // may have drawn the decision (and checked the deadline) already.
-    const auto d =
-        faults.admit ? *faults.admit : params_.injector->decide(admit_site_);
+    // them; stalls model an overloaded ingest path.
+    const auto d = params_.injector->decide(admit_site_);
     if (d.stall > 0.0) sleep_for_seconds(d.stall);
     if (d.fail) {
       fail_request(req);
@@ -487,9 +477,6 @@ void IonDaemon::ingest_one(Shard& shard, Queued&& entry) {
   sr.size = req.size;
   sr.arrival = now();
   sr.tenant = req.tenant;
-  if (faults.request || faults.pfs_read) {
-    shard.request_faults.emplace(tag, std::move(faults));
-  }
   shard.in_flight.emplace(tag, std::move(req));
   shard.scheduler->add(sr);
 }
@@ -500,7 +487,7 @@ void IonDaemon::worker_loop(std::size_t si) {
   bool was_down = false;
   Shard& shard = *shards_[si];
 
-  auto pop_counted = [&]() -> std::optional<Queued> {
+  auto pop_counted = [&]() -> std::optional<FwdRequest> {
     auto req = shard.ingest.try_pop();
     if (req) queue_depth_.fetch_sub(1);
     return req;
@@ -524,8 +511,8 @@ void IonDaemon::worker_loop(std::size_t si) {
         // restart reattaches to.
         was_down = true;
         fail_in_flight(shard);
-        while (auto entry = pop_counted()) {
-          fail_request(entry->req);
+        while (auto req = pop_counted()) {
+          fail_request(*req);
           shard.unscheduled.fetch_sub(1);
         }
         if (shard.ingest.closed() && shard.ingest.empty()) break;
@@ -539,8 +526,8 @@ void IonDaemon::worker_loop(std::size_t si) {
           was_down = false;
         }
         // Pull everything immediately available into the scheduler.
-        while (auto entry = pop_counted()) {
-          ingest_one(shard, std::move(*entry));
+        while (auto req = pop_counted()) {
+          ingest_one(shard, std::move(*req));
           shard.unscheduled.fetch_sub(1);
         }
         metrics_.queue_depth->set(static_cast<double>(queue_depth_.load()));
@@ -564,12 +551,12 @@ void IonDaemon::worker_loop(std::size_t si) {
     }
     // The dispatch lock is free while the worker sleeps, so an idle
     // shard can take inline dispatches meanwhile.
-    Queued entry;
-    switch (shard.ingest.try_pop_for(wait, entry)) {
+    FwdRequest req;
+    switch (shard.ingest.try_pop_for(wait, req)) {
       case PopResult::kItem: {
         queue_depth_.fetch_sub(1);
         MutexLock lk(shard.mu);
-        ingest_one(shard, std::move(entry));
+        ingest_one(shard, std::move(req));
         shard.unscheduled.fetch_sub(1);
         continue;
       }
@@ -629,18 +616,11 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
     FwdRequest req = std::move(it->second);
     shard.in_flight.erase(it);
 
-    Predrawn drawn;
-    if (auto pit = shard.request_faults.find(part.tag);
-        pit != shard.request_faults.end()) {
-      drawn = std::move(pit->second);
-      shard.request_faults.erase(pit);
-    }
     if (params_.injector) {
       // Request-level fault site: an individual forwarded I/O fails or
       // lags without taking the daemon down.
       const fault::FaultDecision d =
-          drawn.request ? *drawn.request
-                        : params_.injector->decide(shard.request_fault_site);
+          params_.injector->decide(shard.request_fault_site);
       if (d.stall > 0.0) sleep_for_seconds(d.stall);
       if (d.fail) {
         fail_request(req);
@@ -689,9 +669,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       // source has; a clean hole before a later dirty segment reads as
       // zeros. An inline read fixed its one source at eligibility: a
       // second walk could meet a write's new dirty extent and split off a
-      // PFS segment its prepaid admission does not cover.
-      std::optional<EmulatedPfs::ReadAdmission> admission =
-          hold ? hold->pfs : drawn.pfs_read;
+      // PFS segment its paid charge does not cover.
       const std::span<std::byte> buf =
           req.payload.empty()
               ? std::span<std::byte>()
@@ -723,8 +701,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
           // processes it stands for - that is the flow-reshaping benefit.
           const std::size_t got = pfs_.read(
               paths_.lookup(req.file_id), lo, hi - lo, out,
-              /*stream_weight=*/1.0, admission ? &*admission : nullptr);
-          admission.reset();  // it covers the first PFS segment only
+              /*stream_weight=*/1.0, /*charged=*/hold != nullptr);
           if (got < out.size()) {
             std::fill(out.begin() + static_cast<std::ptrdiff_t>(got),
                       out.end(), std::byte{0});
@@ -733,13 +710,6 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
           touched_pfs = true;
         }
         lo = hi;
-      }
-      // Only a queued read gets here with its admission unused: a write
-      // on the write shard made the range wholly dirty before this worker
-      // dispatched it. Its drawn stall is still slept; a charge it
-      // prepaid is lost, since the bucket has no refund.
-      if (admission && admission->fault.stall > 0.0) {
-        sleep_for_seconds(admission->fault.stall);
       }
       const std::size_t n = valid_end - req.offset;
       // A read that needed the PFS for any byte counts as a PFS read.

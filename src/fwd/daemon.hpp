@@ -18,8 +18,8 @@
 //       the shard's dispatch lock, and no worker wakes for the request,
 //       when no step would wait: a write with a reserved flush slot, a
 //       read served wholly from staging, or a wholly clean read whose
-//       PFS admission is paid now; relay tokens taken, no fault stall
-//       drawn (a drawn stall goes to the worker with the draws)
+//       PFS charge is paid now; relay tokens taken. A daemon whose fault
+//       plan names a site the dispatch draws never dispatches inline
 //   flush items --> one FIFO flush queue --> flusher[0..M)
 //       flusher: pops one run (the head plus the seq-consecutive,
 //       offset-contiguous same-file items behind it) and drains it as
@@ -60,7 +60,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -155,12 +154,13 @@ enum class SubmitMode {
   /// Dispatch on the calling thread when the shard is idle and no step
   /// of the dispatch would wait: a write with a free flush-queue slot,
   /// a read served wholly from staging, or a wholly clean read whose
-  /// PFS charge the read bucket covers now; relay tokens on hand, and
-  /// no fault stall drawn for it. Otherwise queue (a drawn stall is
-  /// served by the worker). Only FIFO daemons without QoS or
-  /// dispatch_latency dispatch inline. For a caller that would otherwise
-  /// only wait for the worker (the RPC server's reader thread): an async
-  /// submitter would end up doing every shard's work itself.
+  /// PFS charge the read bucket covers now; relay tokens on hand.
+  /// Otherwise queue. Only FIFO daemons without QoS or dispatch_latency
+  /// whose fault plan names no site the dispatch draws (ion.<N>, the
+  /// request or shard site, pfs.read) dispatch inline. For a caller that
+  /// would otherwise only wait for the worker (the RPC server's reader
+  /// thread): an async submitter would end up doing every shard's work
+  /// itself.
   kInlineWhenIdle
 };
 
@@ -298,37 +298,14 @@ class IonDaemon {
     std::uint64_t seq = 0;
   };
 
-  /// Fault decisions an inline attempt drew for its request before it
-  /// handed the request to the worker (a drawn stall must not sleep on
-  /// the caller's thread). The worker applies them instead of drawing
-  /// again, so each site's stream advances once per request whichever
-  /// thread draws.
-  struct Predrawn {
-    /// The admission step (deadline and ion.<N> site) was decided: a
-    /// pass-through decision when no injector is set.
-    std::optional<fault::FaultDecision> admit;
-    /// The request (or shard) site's decision.
-    std::optional<fault::FaultDecision> request;
-    /// A wholly clean read's PFS admission (its pfs.read decision, and
-    /// its charge if that was paid).
-    std::optional<EmulatedPfs::ReadAdmission> pfs_read;
-  };
-
-  /// An ingest-queue entry.
-  struct Queued {
-    FwdRequest req;
-    Predrawn faults;
-  };
-
   /// What an inline dispatch took before it committed, so process()
   /// never waits for it: the relay tokens and, for a write, one
   /// flush-queue slot (cleared once the flush item used it). A read
   /// comes from the one source fixed at eligibility: staging when its
-  /// range is pinned dirty, else the PFS through its prepaid admission.
+  /// range is pinned dirty, else the PFS with its charge paid.
   struct InlineHold {
     bool flush_slot = false;
     bool pinned = false;
-    std::optional<EmulatedPfs::ReadAdmission> pfs;
   };
 
   /// One dispatch shard: a bounded ingest queue plus the scheduler
@@ -343,7 +320,7 @@ class IonDaemon {
           scheduler(std::move(sched)),
           request_fault_site(std::move(request_site)) {}
     Mutex mu;
-    BoundedQueue<Queued> ingest;
+    BoundedQueue<FwdRequest> ingest;
     /// Accepted requests headed for the ingest queue and not yet handed
     /// to the scheduler: raised before the push, lowered under `mu`
     /// after ingest. Non-zero means an older request may still be
@@ -352,10 +329,6 @@ class IonDaemon {
     std::atomic<std::size_t> unscheduled{0};
     std::unique_ptr<agios::Scheduler> scheduler IOFA_GUARDED_BY(mu);
     std::unordered_map<std::uint64_t, FwdRequest> in_flight
-        IOFA_GUARDED_BY(mu);
-    /// Request-site and PFS read decisions drawn ahead for scheduled
-    /// tags (Predrawn).
-    std::unordered_map<std::uint64_t, Predrawn> request_faults
         IOFA_GUARDED_BY(mu);
     std::uint64_t next_tag IOFA_GUARDED_BY(mu) = 1;
     /// Request-level fault site: at workers == 1 the legacy name keeps
@@ -373,14 +346,13 @@ class IonDaemon {
   /// Take one accepted request off the ingest path: queue-wait
   /// observation, deadline expiry, the admission fault site, then fsync
   /// markers to the flush queue and everything else to the scheduler.
-  void ingest_one(Shard& shard, Queued&& entry) IOFA_REQUIRES(shard.mu);
+  void ingest_one(Shard& shard, FwdRequest&& req) IOFA_REQUIRES(shard.mu);
   /// Run ingest -> schedule -> process for the request on the calling
   /// thread if the shard is idle and nothing would wait. False sends
-  /// `entry` to the queue; it may then carry predrawn fault decisions,
-  /// and `shard.unscheduled` already counts it.
-  bool dispatch_inline(Shard& shard, Queued& entry);
+  /// `req` to the queue, and `shard.unscheduled` already counts it.
+  bool dispatch_inline(Shard& shard, FwdRequest& req);
   /// dispatch_inline() once the dispatch lock is held.
-  bool run_inline(Shard& shard, Queued& entry) IOFA_REQUIRES(shard.mu);
+  bool run_inline(Shard& shard, FwdRequest& req) IOFA_REQUIRES(shard.mu);
   /// Stage, ack or read back one dispatch. `hold` is set on the inline
   /// path: the tokens are paid and a write's flush slot is reserved.
   void process(Shard& shard, const agios::Dispatch& dispatch,
@@ -532,8 +504,9 @@ class IonDaemon {
   /// Admission-level fault site ("ion.<id>"), drawn once per ingest.
   std::string admit_site_;
   /// The scheduler releases every request at once (FIFO without the QoS
-  /// decorator) and no dispatch_latency is modelled: the configuration
-  /// inline dispatch needs. Each request is then checked on its own.
+  /// decorator), no dispatch_latency is modelled and no fault event can
+  /// stall or fail a dispatch: the configuration inline dispatch needs.
+  /// Each request is then checked on its own.
   bool inline_eligible_ = false;
 
   // Telemetry (lock-free on the hot path; registered at construction).

@@ -64,42 +64,8 @@ bool EmulatedPfs::charge(std::uint64_t size, double stream_weight,
 bool EmulatedPfs::write(const std::string& path, std::uint64_t offset,
                         std::uint64_t size, std::span<const std::byte> data,
                         double stream_weight) {
-  if (params_.injector) {
-    // Dispatch-level fault: the request never reaches the device, so it
-    // costs no tokens and stores nothing - the caller must retry.
-    const auto d = params_.injector->decide(fault::kPfsWriteSite);
-    if (d.stall > 0.0) sleep_for_seconds(d.stall);
-    if (d.fail) return false;
-  }
-  auto lock = lock_for(path);
-  lock->waiters.fetch_add(1);
-  {
-    MutexLock file_lk(lock->mu);
-    // Concurrent writers queued on this file pay the lock-domain
-    // surcharge (token revocation traffic in a real PFS).
-    const int queued = lock->waiters.load();
-    const double extra =
-        queued > 1 ? 1.0 + params_.shared_lock_overhead : 1.0;
-    // A write that pays the lock-domain surcharge is a contention
-    // stall: another writer queued on the same file while we held it.
-    if (queued > 1) ctr_lock_contention_->add();
-    charge(size, stream_weight, /*is_read=*/false, extra);
-    if (params_.store_data && !data.empty()) {
-      assert(data.size() >= size);
-      const std::uint64_t id = gkfs::hash_path(path);
-      for (const auto& slice : gkfs::split_range(offset, size)) {
-        store_.write(id, slice.chunk, slice.offset_in_chunk,
-                     data.subspan(slice.file_offset - offset, slice.size));
-      }
-    }
-    metadata_.extend(path, offset + size);
-  }
-  lock->waiters.fetch_sub(1);
-  bytes_written_.fetch_add(size);
-  write_ops_.fetch_add(1);
-  ctr_bytes_written_->add(size);
-  ctr_write_ops_->add();
-  return true;
+  const GatherExtent extent{offset, size, data};
+  return write_gather(path, {&extent, 1}, stream_weight) == 1;
 }
 
 std::size_t EmulatedPfs::write_gather(const std::string& path,
@@ -159,30 +125,20 @@ std::size_t EmulatedPfs::write_gather(const std::string& path,
   return admitted;
 }
 
-EmulatedPfs::ReadAdmission EmulatedPfs::try_admit_read(std::uint64_t size) {
-  ReadAdmission admission;
-  if (params_.injector) {
-    admission.fault = params_.injector->decide(fault::kPfsReadSite);
-  }
-  admission.paid = admission.fault.stall <= 0.0 &&
-                   charge(size, /*stream_weight=*/1.0, /*is_read=*/true, 1.0,
-                          /*wait=*/false);
-  return admission;
+bool EmulatedPfs::try_charge_read(std::uint64_t size) {
+  return charge(size, /*stream_weight=*/1.0, /*is_read=*/true, 1.0,
+                /*wait=*/false);
 }
 
 std::size_t EmulatedPfs::read(const std::string& path, std::uint64_t offset,
                               std::uint64_t size, std::span<std::byte> out,
-                              double stream_weight,
-                              const ReadAdmission* admission) {
+                              double stream_weight, bool charged) {
   // Reads are stall-only (latency spikes); see FaultPlan::validate.
-  const fault::FaultDecision d =
-      admission ? admission->fault
-      : params_.injector ? params_.injector->decide(fault::kPfsReadSite)
-                         : fault::FaultDecision{};
-  if (d.stall > 0.0) sleep_for_seconds(d.stall);
-  if (!admission || !admission->paid) {
-    charge(size, stream_weight, /*is_read=*/true, 1.0);
+  if (params_.injector) {
+    const auto d = params_.injector->decide(fault::kPfsReadSite);
+    if (d.stall > 0.0) sleep_for_seconds(d.stall);
   }
+  if (!charged) charge(size, stream_weight, /*is_read=*/true, 1.0);
   bytes_read_.fetch_add(size);
   read_ops_.fetch_add(1);
   ctr_bytes_read_->add(size);

@@ -91,27 +91,18 @@ class EmulatedPfs {
                            std::span<const GatherExtent> extents,
                            double stream_weight = 1.0);
 
-  /// A read's admission to the device: its pfs.read fault decision and
-  /// whether its token charge is already paid.
-  struct ReadAdmission {
-    fault::FaultDecision fault;
-    bool paid = false;
-  };
-
-  /// Non-blocking read admission for a caller that must not wait: draws
-  /// the read's pfs.read decision and, unless it stalls, pays the charge
-  /// of one stream when the read bucket covers all of it now. Never
-  /// waits; hand the result to read() whether or not it was paid.
-  ReadAdmission try_admit_read(std::uint64_t size);
+  /// Non-blocking read charge for a caller that must not wait: takes
+  /// the charge of one stream only when the read bucket covers all of
+  /// it now, and reports whether it did. Draws no fault decision; pass
+  /// `charged` to read() when it returned true.
+  bool try_charge_read(std::uint64_t size);
 
   /// Blocking positional read; returns bytes read (clamped at EOF when
-  /// data is stored; `size` otherwise). With an `admission` the read
-  /// applies its decision instead of drawing one and charges only if it
-  /// is unpaid.
+  /// data is stored; `size` otherwise). A `charged` read was paid by
+  /// try_charge_read() and takes no tokens here.
   std::size_t read(const std::string& path, std::uint64_t offset,
                    std::uint64_t size, std::span<std::byte> out,
-                   double stream_weight = 1.0,
-                   const ReadAdmission* admission = nullptr);
+                   double stream_weight = 1.0, bool charged = false);
 
   bool create(const std::string& path);
   std::optional<gkfs::Metadata> stat(const std::string& path) const;

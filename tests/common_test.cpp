@@ -416,6 +416,26 @@ TEST(TokenBucketTest, NegativeAmountsThrow) {
       std::invalid_argument);
 }
 
+TEST(TokenBucketTest, RefundIsCappedAtTheBurst) {
+  // A slow refill keeps the wall clock's share out of the levels.
+  TokenBucket tb(1.0e-3, 500.0);
+  EXPECT_TRUE(tb.try_acquire(400.0));
+  tb.refund(450.0);  // back to the cap, not to 550
+  EXPECT_NEAR(tb.available(), 500.0, 1e-6);
+  EXPECT_TRUE(tb.try_acquire(500.0));
+  tb.refund(200.0);
+  EXPECT_NEAR(tb.available(), 200.0, 1e-3);
+}
+
+TEST(TokenBucketTest, RefundRejectsNegativeAndNonFiniteAmounts) {
+  TokenBucket tb(1000.0, 500.0);
+  EXPECT_THROW(tb.refund(-1.0), std::invalid_argument);
+  EXPECT_THROW(tb.refund(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(tb.refund(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+}
+
 TEST(TokenBucketTest, ExplicitTimelineIsDeterministic) {
   // Two buckets driven with the same explicit instants make identical
   // decisions - no wall clock involved.

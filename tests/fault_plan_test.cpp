@@ -9,6 +9,7 @@
 #include <string>
 
 #include "fault/backoff.hpp"
+#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 
 namespace iofa::fault {
@@ -237,6 +238,31 @@ TEST(FaultPlanDsl, ShardSiteHelpers) {
   EXPECT_EQ(shard_site_parent("ion.3.request"), std::nullopt);
   EXPECT_EQ(shard_site_parent("ion.3"), std::nullopt);
   EXPECT_EQ(shard_site_parent("pfs.write"), std::nullopt);
+}
+
+// targets() answers "could decide() fire here" from the plan alone, as
+// decide() matches sites, and counts no check.
+TEST(FaultInjectorTargets, OwnSiteAndShardParentOnly) {
+  ManualFaultClock clock;
+  FaultPlan plan;
+  plan.crash_ion(1, 0.25).stall(request_site(2), 0.0, 0.01);
+  const FaultInjector injector(std::move(plan), &clock);
+  EXPECT_TRUE(injector.targets(ion_site(1)));
+  EXPECT_TRUE(injector.targets(request_site(2)));
+  // A shard stream is matched by its ion.<N>.request parent.
+  EXPECT_TRUE(injector.targets(shard_site(2, 3)));
+  EXPECT_FALSE(injector.targets(shard_site(1, 0)));
+  EXPECT_FALSE(injector.targets(ion_site(2)));
+  EXPECT_FALSE(injector.targets(busy_site(1)));
+  EXPECT_FALSE(injector.targets(kPfsReadSite));
+  EXPECT_EQ(injector.checks(request_site(2)), 0u);
+}
+
+TEST(FaultInjectorTargets, InertInjectorTargetsNothing) {
+  const FaultInjector injector;
+  EXPECT_FALSE(injector.targets(ion_site(0)));
+  EXPECT_FALSE(injector.targets(request_site(0)));
+  EXPECT_FALSE(injector.targets(kPfsReadSite));
 }
 
 TEST(FaultPlanDsl, BusySiteHelpers) {

@@ -727,11 +727,9 @@ TEST_P(InlineDispatch, CleanFsyncedReadsGoInline) {
   EXPECT_EQ(counter_sum(reg, "fwd.pfs.bytes_read"), kReads * kBlock);
 }
 
-// The pfs.read leg of DrawnStallsAreServedByTheWorker: a clean read
-// whose PFS read decision stalls is handed to the worker with that
-// decision, which the worker applies instead of drawing again. While
-// the window is open no clean read runs inline; each read draws the
-// site once whichever thread dispatched it.
+// The pfs.read leg of DrawnStallsAreServedByTheWorker: a daemon whose
+// fault plan names pfs.read serves every read on the worker, inside
+// the stall window and after it, and each read draws the site once.
 TEST_P(InlineDispatch, DrawnPfsReadStallsAreServedByTheWorker) {
   telemetry::Registry reg;
   fault::ManualFaultClock clock;
@@ -751,22 +749,15 @@ TEST_P(InlineDispatch, DrawnPfsReadStallsAreServedByTheWorker) {
             ->ok());
   }
   ASSERT_TRUE(ion.fsync("/pstall"));
-  const double inline_before = counter_sum(reg, "fwd.ion.inline_dispatches");
-  double inline_stalled = 0.0;
   for (int i = 0; i < 2 * kOps; ++i) {
-    if (i == kOps) {
-      inline_stalled =
-          counter_sum(reg, "fwd.ion.inline_dispatches") - inline_before;
-      clock.set(1.0);  // the window closes
-    }
+    if (i == kOps) clock.set(1.0);  // the window closes
     ASSERT_EQ(ion.read("/pstall", offset(i)),
               std::vector<std::byte>(kBlock, std::byte{4}))
         << "block " << i;
   }
   ion.svc.daemon(0).drain();
-  EXPECT_EQ(inline_stalled, 0.0) << "a stalled PFS read ran on the reader";
-  EXPECT_GT(counter_sum(reg, "fwd.ion.inline_dispatches") - inline_before,
-            0.0);
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0)
+      << "a request of a pfs.read-faulted daemon ran on the reader";
   EXPECT_EQ(counter_sum(reg, "fwd.ion.reads_pfs"), 2 * kOps);
   EXPECT_EQ(injector.checks(fault::kPfsReadSite), 2u * kOps);
   EXPECT_EQ(injector.injected(fault::kPfsReadSite),
@@ -997,10 +988,9 @@ TEST(InlineDispatchEligibility, PfsReadsQueueWhereAdmissionSeesTheBacklog) {
 }
 
 // A fault stall drawn for a request is slept by the worker, never by
-// the reader, and each request still draws each fault site exactly once
-// whichever thread dispatches it. While the request site's stall window
-// is open every request is handed to the worker; once it has closed
-// they run inline again.
+// the reader: a daemon whose fault plan names a site the dispatch
+// draws serves every request on the worker, inside the stall window
+// and after it. Each request draws each fault site exactly once.
 TEST(InlineDispatchEligibility, DrawnStallsAreServedByTheWorker) {
   telemetry::Registry reg;
   fault::ManualFaultClock clock;
@@ -1022,10 +1012,34 @@ TEST(InlineDispatchEligibility, DrawnStallsAreServedByTheWorker) {
   EXPECT_EQ(injector.checks(fault::request_site(0)), 2u * kOps);
   EXPECT_EQ(injector.injected(fault::request_site(0)),
             static_cast<std::uint64_t>(kOps));
-  const double inline_ops = counter_sum(reg, "fwd.ion.inline_dispatches");
-  EXPECT_GT(inline_ops, 0.0);
-  EXPECT_LE(inline_ops, kOps) << "a stalled request ran on the reader";
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0)
+      << "a request of a faulted daemon ran on the reader";
   EXPECT_EQ(counter_sum(reg, "fwd.ion.dispatches"), 2 * kOps);
+}
+
+// Only this daemon's dispatch sites bar inline dispatch: a plan that
+// scripts another ION's request site and this ION's request frames
+// leaves ion 0 dispatching inline.
+TEST(InlineDispatchEligibility, OtherSitesLeaveTheDaemonInline) {
+  telemetry::Registry reg;
+  fault::ManualFaultClock clock;
+  fault::FaultPlan plan;
+  plan.stall(fault::request_site(1), 0.0, 1.0);
+  plan.delay_msg(fault::rpc_req_site(0), 1u << 30, 0.001);
+  fault::FaultInjector injector(std::move(plan), &clock, &reg);
+  ServiceConfig cfg = fifo_workers(reg, 1);
+  cfg.injector = &injector;
+  TcpIon ion(reg, cfg);
+  constexpr int kOps = 16;
+  for (int i = 0; i < kOps; ++i) {
+    const auto offset = static_cast<std::uint64_t>(i) * kBlock;
+    ASSERT_TRUE(
+        ion.stub.wait(*ion.write("/other", offset, std::byte{2}), 0.0)->ok());
+  }
+  ion.svc.daemon(0).drain();
+  EXPECT_GT(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0);
+  EXPECT_EQ(injector.checks(fault::request_site(0)),
+            static_cast<std::uint64_t>(kOps));
 }
 
 // --- leader/follower receive on the client side ------------------------------

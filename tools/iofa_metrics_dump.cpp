@@ -17,12 +17,12 @@
 //     --out PREFIX  write metrics.csv/metrics.json/trace.json files
 //     --csv         print CSV instead of the table
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/policies.hpp"
 #include "jobs/live_executor.hpp"
@@ -84,7 +84,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      n_jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
+      const std::string v = argv[++i];
+      if (!parse_number(v, n_jobs) || n_jobs == 0) {
+        std::cerr << "iofa_metrics_dump: --jobs wants a whole number >= 1, "
+                     "got '" << v << "'\n";
+        return 2;
+      }
     } else if (arg == "--policy" && i + 1 < argc) {
       policy = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -97,7 +102,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (n_jobs == 0) n_jobs = 1;
 
   telemetry::Tracer::global().set_enabled(true);
   const auto result = run_sample(n_jobs, policy);

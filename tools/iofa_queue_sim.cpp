@@ -17,6 +17,7 @@
 // so an operator can rehearse "what does losing ION k at t=0.5s do to
 // this queue" before trying it on a production system.
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -24,7 +25,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/related.hpp"
@@ -40,6 +43,32 @@
 namespace {
 
 using namespace iofa;
+
+/// `tok` as a whole number >= `min`; otherwise std::invalid_argument
+/// naming `what` (main() turns it into a message and exit status 2).
+template <typename T = int>
+T whole(const std::string& what, std::string_view tok, T min = 0) {
+  T v{};
+  if (!parse_number(tok, v) || v < min) {
+    throw std::invalid_argument(what + " wants a whole number >= " +
+                                std::to_string(min) + ", got '" +
+                                std::string(tok) + "'");
+  }
+  return v;
+}
+
+/// `tok` as a finite number >= 0, or > 0 when `positive`.
+double real(const std::string& what, std::string_view tok,
+            bool positive = false) {
+  double v = 0.0;
+  if (!parse_number(tok, v) || !std::isfinite(v) || v < 0.0 ||
+      (positive && v == 0.0)) {
+    throw std::invalid_argument(what + " wants a finite number " +
+                                (positive ? "> 0" : ">= 0") + ", got '" +
+                                std::string(tok) + "'");
+  }
+  return v;
+}
 
 std::shared_ptr<core::ArbitrationPolicy> make_policy(
     const std::string& name) {
@@ -144,11 +173,34 @@ qos::TenantSpec parse_tenant_spec(const std::string& spec) {
     throw std::invalid_argument("--qos-tenant class '" + parts[1] +
                                 "' is not guaranteed|burst|best-effort");
   }
-  t.reserved_bandwidth = std::stod(parts[2]) * 1.0e6;
-  if (parts.size() > 3) t.burst = std::stod(parts[3]) * 1.0e6;
-  if (parts.size() > 4) t.min_bandwidth = std::stod(parts[4]);
-  if (parts.size() > 5) t.max_queue_wait = std::stod(parts[5]) * 1.0e-3;
+  t.reserved_bandwidth = real("--qos-tenant reserved_mbps", parts[2]) * 1.0e6;
+  if (parts.size() > 3) {
+    t.burst = real("--qos-tenant burst_mbps", parts[3]) * 1.0e6;
+  }
+  if (parts.size() > 4) {
+    t.min_bandwidth = real("--qos-tenant floor_mbps", parts[4]);
+  }
+  if (parts.size() > 5) {
+    t.max_queue_wait = real("--qos-tenant max_wait_ms", parts[5]) * 1.0e-3;
+  }
   return t;
+}
+
+/// The job queue named by --queue: paper | random:<seed>[:<njobs>].
+std::vector<workload::AppSpec> make_queue(const std::string& spec) {
+  if (spec == "paper") return workload::paper_queue();
+  if (spec.rfind("random:", 0) != 0) {
+    throw std::invalid_argument("--queue wants paper or random:<seed>"
+                                "[:<njobs>], got '" + spec + "'");
+  }
+  const std::string_view rest = std::string_view(spec).substr(7);
+  const auto colon = rest.find(':');
+  Rng rng(whole<std::uint64_t>("--queue seed", rest.substr(0, colon)));
+  return workload::random_covering_queue(
+      rng, colon == std::string_view::npos
+               ? 14
+               : whole<std::size_t>("--queue njobs", rest.substr(colon + 1),
+                                    1));
 }
 
 /// Run the canonical 3-tenant contention drill (qos/drill.hpp) and
@@ -308,9 +360,7 @@ int run_fault_drill(const std::string& plan_path,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string policy_name = "mckp";
   std::string queue_spec = "paper";
   std::string fault_plan;
@@ -328,48 +378,43 @@ int main(int argc, char** argv) {
     if (arg == "--policy" && i + 1 < argc) {
       policy_name = argv[++i];
     } else if (arg == "--nodes" && i + 1 < argc) {
-      opts.compute_nodes = std::stoi(argv[++i]);
+      opts.compute_nodes = whole(arg, argv[++i], 1);
     } else if (arg == "--pool" && i + 1 < argc) {
-      opts.pool = std::stoi(argv[++i]);
+      opts.pool = whole(arg, argv[++i]);
     } else if (arg == "--ratio" && i + 1 < argc) {
-      opts.static_ratio = std::stod(argv[++i]);
+      opts.static_ratio = real(arg, argv[++i], /*positive=*/true);
     } else if (arg == "--delay" && i + 1 < argc) {
-      opts.remap_delay = std::stod(argv[++i]);
+      opts.remap_delay = real(arg, argv[++i]);
     } else if (arg == "--queue" && i + 1 < argc) {
       queue_spec = argv[++i];
     } else if (arg == "--fault-plan" && i + 1 < argc) {
       fault_plan = argv[++i];
     } else if (arg == "--workers-per-ion" && i + 1 < argc) {
-      workers_per_ion = std::stoi(argv[++i]);
+      workers_per_ion = whole(arg, argv[++i], 1);
     } else if (arg == "--max-attempts" && i + 1 < argc) {
-      overload.max_attempts = std::stoi(argv[++i]);
+      overload.max_attempts = whole(arg, argv[++i], 1);
     } else if (arg == "--backoff-base" && i + 1 < argc) {
-      overload.backoff_base = std::stod(argv[++i]);
+      overload.backoff_base = real(arg, argv[++i], /*positive=*/true);
     } else if (arg == "--backoff-cap" && i + 1 < argc) {
-      overload.backoff_cap = std::stod(argv[++i]);
+      overload.backoff_cap = real(arg, argv[++i]);
     } else if (arg == "--request-timeout" && i + 1 < argc) {
-      overload.request_timeout = std::stod(argv[++i]);
+      overload.request_timeout = real(arg, argv[++i]);
     } else if (arg == "--admission-watermark" && i + 1 < argc) {
-      overload.admission_watermark = std::stod(argv[++i]);
+      overload.admission_watermark = real(arg, argv[++i]);
     } else if (arg == "--breaker-threshold" && i + 1 < argc) {
-      overload.breaker_threshold = std::stoi(argv[++i]);
+      overload.breaker_threshold = whole(arg, argv[++i]);
     } else if (arg == "--fallback-mbps" && i + 1 < argc) {
-      overload.fallback_mbps = std::stod(argv[++i]);
+      overload.fallback_mbps = real(arg, argv[++i]);
     } else if (arg == "--transport" && i + 1 < argc) {
       overload.transport = argv[++i];
     } else if (arg == "--check-accounting") {
       overload.check_accounting = true;
     } else if (arg == "--qos-tenant" && i + 1 < argc) {
-      try {
-        overload.tenants.push_back(parse_tenant_spec(argv[++i]));
-      } catch (const std::exception& bad) {
-        std::cerr << "iofa_queue_sim: " << bad.what() << "\n";
-        return 2;
-      }
+      overload.tenants.push_back(parse_tenant_spec(argv[++i]));
     } else if (arg == "--qos-drill") {
       qos_drill = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      qos_seed = std::stoull(argv[++i]);
+      qos_seed = whole<std::uint64_t>(arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: iofa_queue_sim [--policy P] [--nodes N] "
                    "[--pool K] [--ratio R] [--delay S] "
@@ -440,18 +485,7 @@ int main(int argc, char** argv) {
     return run_qos_drill(qos_seed, overload.check_accounting);
   }
 
-  std::vector<workload::AppSpec> queue;
-  if (queue_spec.rfind("random:", 0) == 0) {
-    const auto rest = queue_spec.substr(7);
-    const auto colon = rest.find(':');
-    Rng rng(std::stoull(rest.substr(0, colon)));
-    queue = workload::random_covering_queue(
-        rng, colon == std::string::npos
-                 ? 14
-                 : std::stoull(rest.substr(colon + 1)));
-  } else {
-    queue = workload::paper_queue();
-  }
+  const std::vector<workload::AppSpec> queue = make_queue(queue_spec);
 
   if (!fault_plan.empty()) {
     return run_fault_drill(fault_plan, queue, policy_name, opts,
@@ -478,4 +512,16 @@ int main(int argc, char** argv) {
             << " MB/s (Equation 2), makespan " << fmt(result.makespan, 1)
             << " s over " << result.jobs.size() << " jobs\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad outside input is a message and exit status 2, never a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& bad) {
+    std::cerr << "iofa_queue_sim: " << bad.what() << "\n";
+    return 2;
+  }
 }

@@ -178,8 +178,9 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
   };
 
   // Offer the sub-request to the next ION of its cycle (one pass over
-  // `targets` from p.start); false once the cycle is used up.
-  auto offer = [&](Pending& p) {
+  // `targets` from p.start); false once the cycle is used up. `mode` is
+  // kInlineWhenIdle when this thread waits for the offer next.
+  auto offer = [&](Pending& p, SubmitMode mode) {
     while (p.offered < daemons) {
       const std::size_t slot = (p.start + p.offered++) % daemons;
       const int ion = targets[slot];
@@ -192,15 +193,15 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       p.buf = req.payload;  // add_ref, not a byte copy
       p.slot = slot;
       ledger_.on_submitted(p.sub_size);
-      service_.ion_port(ion).issue(std::move(req));
+      service_.ion_port(ion).issue(std::move(req), mode);
       return true;
     }
     return false;
   };
-  auto new_cycle = [&](Pending& p, std::size_t start) {
+  auto new_cycle = [&](Pending& p, std::size_t start, SubmitMode mode) {
     p.start = start;
     p.offered = 0;
-    return offer(p);
+    return offer(p, mode);
   };
 
   // Rescue path: the op bypasses forwarding entirely. Direct writes
@@ -228,13 +229,20 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
 
   std::vector<Pending> pending;
   std::size_t n = 0;
-  for (const auto& slice : gkfs::split_range(offset, size)) {
+  const auto slices = gkfs::split_range(offset, size);
+  for (const auto& slice : slices) {
+    // Earlier slices queue, so a multi-chunk op keeps its IONs working
+    // in parallel; the last may run on this thread, which only waits
+    // once every slice is offered.
+    const SubmitMode mode = &slice == &slices.back()
+                                ? SubmitMode::kInlineWhenIdle
+                                : SubmitMode::kQueue;
     Pending p;
     p.file_offset = slice.file_offset;
     p.sub_size = slice.size;
     p.rel = slice.file_offset - offset;
     p.served = gkfs::daemon_of(id, slice.chunk, daemons);
-    if (new_cycle(p, p.served)) {
+    if (new_cycle(p, p.served, mode)) {
       pending.push_back(std::move(p));
     } else {
       n += direct_rescue(p);  // every breaker is open
@@ -250,7 +258,7 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
         // breaker - not a timeout masquerading as a failure.
         ledger_.on_rejected();
         breaker_failure(ion);
-        if (!offer(p)) {
+        if (!offer(p, SubmitMode::kInlineWhenIdle)) {
           n += direct_rescue(p);
           break;
         }
@@ -284,7 +292,8 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
           config_.backoff, p.attempts,
           config_.retry_seed ^ id ^ p.file_offset));
       // Next ION of the epoch (same one when it is the only target).
-      if (!new_cycle(p, daemons > 1 ? (p.slot + 1) % daemons : 0)) {
+      if (!new_cycle(p, daemons > 1 ? (p.slot + 1) % daemons : 0,
+                     SubmitMode::kInlineWhenIdle)) {
         n += direct_rescue(p);
         break;
       }

@@ -158,8 +158,9 @@ enum class SubmitMode {
   /// Otherwise queue. Only FIFO daemons without QoS or dispatch_latency
   /// whose fault plan names no site the dispatch draws (ion.<N>, the
   /// request or shard site, pfs.read) dispatch inline. For a caller that
-  /// would otherwise only wait for the worker (the RPC server's reader
-  /// thread): an async submitter would end up doing every shard's work
+  /// would otherwise only wait for the worker: the RPC server's reader
+  /// thread, and an in-proc client offering the request it waits for
+  /// next. An async submitter would end up doing every shard's work
   /// itself.
   kInlineWhenIdle
 };

@@ -21,11 +21,15 @@ class MappingStore;
 /// Offering requests to one ION daemon. A forwarded request gets one
 /// answer, its Completion: issue() completes `req.done` exactly once
 /// whatever happens to the offer, a refusal at admission included
-/// (kRejected - the ION holds nothing of it).
+/// (kRejected - the ION holds nothing of it). `mode` kInlineWhenIdle
+/// says the caller's next step is to wait for this request, so an
+/// in-proc ION may serve it on the calling thread (and may have
+/// completed it when issue() returns); a remote ION's server decides
+/// that itself.
 class IonPort {
  public:
   virtual ~IonPort() = default;
-  virtual void issue(FwdRequest req) = 0;
+  virtual void issue(FwdRequest req, SubmitMode mode = SubmitMode::kQueue) = 0;
   /// Wait for the completion of an issued request whose `done` is
   /// `slot`; `timeout` 0 waits for it however long it takes. nullopt
   /// means the wait timed out while the ION held the request (it still
@@ -57,13 +61,14 @@ class MappingPort {
   virtual bool publish(const core::Mapping& mapping) = 0;
 };
 
-/// In-proc: IonDaemon::try_submit, with a refusal completed inline.
+/// In-proc: IonDaemon::try_submit in the caller's mode, with a refusal
+/// completed inline.
 class DirectIonPort : public IonPort {
  public:
   explicit DirectIonPort(IonDaemon& daemon) : daemon_(daemon) {}
-  void issue(FwdRequest req) override {
+  void issue(FwdRequest req, SubmitMode mode = SubmitMode::kQueue) override {
     const std::shared_ptr<CompletionSink> done = req.done;
-    if (daemon_.try_submit(std::move(req)) != SubmitResult::kAccepted) {
+    if (daemon_.try_submit(std::move(req), mode) != SubmitResult::kAccepted) {
       done->complete({CompletionStatus::kRejected, 0});
     }
   }

@@ -109,7 +109,7 @@ RpcIonClient::RpcIonClient(rpc::Transport& transport, int ion,
   codec_errors_ctr_ = &reg.counter("rpc.codec_errors", labels);
 }
 
-void RpcIonClient::issue(FwdRequest req) {
+void RpcIonClient::issue(FwdRequest req, SubmitMode /*mode*/) {
   const std::uint64_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
 

@@ -111,7 +111,9 @@ class RpcIonClient : public IonPort {
                const rpc::RpcOptions& options, std::uint64_t seed,
                telemetry::Registry* registry = nullptr);
 
-  void issue(FwdRequest req) override IOFA_EXCLUDES(mu_);
+  /// `mode` is ignored: the server's reader decides inline dispatch.
+  void issue(FwdRequest req, SubmitMode mode = SubmitMode::kQueue) override
+      IOFA_EXCLUDES(mu_);
   std::optional<Completion> wait(WaitSlot& slot, Seconds timeout) override
       IOFA_EXCLUDES(mu_);
 

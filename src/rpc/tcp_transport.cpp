@@ -173,16 +173,18 @@ Received TcpTransport::receive(int side, Seconds deadline) {
   if (!handler) return Received::kClosed;  // pushed: never read here
   if (!recv_mu_[side].try_lock()) return Received::kBusy;
   // close() shuts the socket down before it takes this lock, so a poll
-  // in progress ends at once and no fd is touched after its release.
+  // in progress ends at once, and resets fd_ after its release, so fd_
+  // is read only while closed_ is clear.
   // A deadline past an hour polls for an hour: the caller asks again.
-  pollfd p{fd_[side], POLLIN, 0};
-  const Seconds left = std::clamp(deadline - monotonic_seconds(), 0.0, 3600.0);
-  const int n = closed_.load(std::memory_order_acquire)
-                    ? -1
-                    : ::poll(&p, 1, static_cast<int>(std::ceil(left * 1e3)));
   Received result = Received::kClosed;
-  if (n == 0 || (n < 0 && errno == EINTR)) result = Received::kTimeout;
-  if (n > 0 && deliver_one(fd_[side], handler)) result = Received::kFrame;
+  if (!closed_.load(std::memory_order_acquire)) {
+    pollfd p{fd_[side], POLLIN, 0};
+    const Seconds left =
+        std::clamp(deadline - monotonic_seconds(), 0.0, 3600.0);
+    const int n = ::poll(&p, 1, static_cast<int>(std::ceil(left * 1e3)));
+    if (n == 0 || (n < 0 && errno == EINTR)) result = Received::kTimeout;
+    if (n > 0 && deliver_one(fd_[side], handler)) result = Received::kFrame;
+  }
   recv_mu_[side].unlock();
   return result;
 }

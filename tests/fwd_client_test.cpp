@@ -11,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "core/arbiter.hpp"
+#include "fault/injector.hpp"
 #include "fwd/client.hpp"
 #include "fwd/mapping.hpp"
 #include "fwd/rpc_endpoints.hpp"
@@ -527,6 +528,219 @@ TEST(SharedIonInterference, TwoJobsThroughOneIonStayCorrect) {
   EXPECT_EQ(out, d1);
   service.pfs().read("/job2", 0, out.size(), out);
   EXPECT_EQ(out, d2);
+}
+
+// ------------------------------------------------ in-proc inline dispatch
+double counter_sum(telemetry::Registry& reg, const std::string& name) {
+  double total = 0.0;
+  for (const auto& s : reg.snapshot().samples) {
+    if (s.name == name) total += s.value;
+  }
+  return total;
+}
+
+/// An in-proc deployment whose daemons, PFS and clients all count into
+/// `reg`, whatever IOFA_TRANSPORT says.
+ServiceConfig inproc_service(telemetry::Registry& reg, int ions) {
+  ServiceConfig cfg = fast_service(ions);
+  cfg.transport = rpc::TransportKind::kInProc;
+  cfg.pfs.registry = &reg;
+  cfg.ion.registry = &reg;
+  return cfg;
+}
+
+ClientConfig counted_client(telemetry::Registry& reg, ClientMode mode) {
+  ClientConfig cc = client_cfg(1);
+  cc.mode = mode;
+  cc.registry = &reg;
+  return cc;
+}
+
+/// Runs one op and returns the inline dispatches it added.
+template <typename Op>
+double inline_dispatches_of(telemetry::Registry& reg, Op&& op) {
+  const double before = counter_sum(reg, "fwd.ion.inline_dispatches");
+  op();
+  return counter_sum(reg, "fwd.ion.inline_dispatches") - before;
+}
+
+// An idle worker takes its dispatch lock on a 2 ms tick, and an inline
+// attempt that meets it there queues instead (try_lock), so the tests
+// below let a few ops miss: each op adds at most one inline dispatch,
+// and most ops of each kind add one.
+
+// The caller waits for a one-slice op next, so an idle FIFO ION serves
+// it on the calling thread: one inline dispatch per op, read included.
+TEST(InProcInlineDispatch, OneSliceOpsRunOnTheCallingThread) {
+  constexpr int kOps = 16;
+  telemetry::Registry reg;
+  ForwardingService service(inproc_service(reg, 1));
+  service.apply_mapping(mapping_for(1, {0}));
+  Client client(counted_client(reg, ClientMode::Forwarding), service);
+  double inline_writes = 0.0;
+  double inline_reads = 0.0;
+  for (int i = 0; i < kOps; ++i) {
+    const auto data = pattern_data(4096, static_cast<std::uint64_t>(i));
+    const auto offset = static_cast<std::uint64_t>(i) * 4096;
+    std::vector<std::byte> out(data.size());
+    const double w = inline_dispatches_of(reg, [&] {
+      ASSERT_EQ(client.pwrite(0, "/one", offset, data.size(), data),
+                data.size());
+    });
+    const double r = inline_dispatches_of(reg, [&] {
+      ASSERT_EQ(client.pread(0, "/one", offset, out.size(), out), out.size());
+    });
+    EXPECT_EQ(out, data) << "op " << i;
+    EXPECT_LE(w, 1.0);
+    EXPECT_LE(r, 1.0);
+    inline_writes += w;
+    inline_reads += r;
+  }
+  EXPECT_GE(inline_writes, kOps / 2);
+  EXPECT_GE(inline_reads, kOps / 2);
+}
+
+// Only the last slice of a multi-slice op may run on the caller; the
+// earlier ones queue so their IONs work in parallel. Each op straddles a
+// chunk boundary whose two chunks live on different IONs.
+TEST(InProcInlineDispatch, MultiSliceOpsDispatchOneSliceInline) {
+  constexpr int kIons = 4;
+  constexpr int kOps = 16;
+  telemetry::Registry reg;
+  ForwardingService service(inproc_service(reg, kIons));
+  Client client(counted_client(reg, ClientMode::BurstBuffer), service);
+  std::string path;
+  for (int i = 0; path.empty(); ++i) {
+    const std::string p = "/split" + std::to_string(i);
+    const std::uint64_t id = gkfs::hash_path(p);
+    if (gkfs::daemon_of(id, 0, kIons) != gkfs::daemon_of(id, 1, kIons)) {
+      path = p;
+    }
+  }
+  const std::uint64_t offset = gkfs::kChunkSize - 4096;
+  double inline_writes = 0.0;
+  double inline_reads = 0.0;
+  for (int i = 0; i < kOps; ++i) {
+    const auto data = pattern_data(8192, static_cast<std::uint64_t>(i));
+    std::vector<std::byte> out(data.size());
+    const double w = inline_dispatches_of(reg, [&] {
+      ASSERT_EQ(client.pwrite(0, path, offset, data.size(), data),
+                data.size());
+    });
+    const double r = inline_dispatches_of(reg, [&] {
+      ASSERT_EQ(client.pread(0, path, offset, out.size(), out), out.size());
+    });
+    EXPECT_EQ(out, data) << "op " << i;
+    EXPECT_LE(w, 1.0) << "one inline dispatch per op, not per slice";
+    EXPECT_LE(r, 1.0) << "one inline dispatch per op, not per slice";
+    inline_writes += w;
+    inline_reads += r;
+  }
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.requests"), 2.0 * 2 * kOps);
+  EXPECT_GE(inline_writes, kOps / 2);
+  EXPECT_GE(inline_reads, kOps / 2);
+}
+
+// Every daemon the inline rule excludes keeps in-proc ops on the queue
+// path: an aggregating scheduler, QoS, a modelled dispatch latency, and
+// a fault plan naming the ION, its request site or pfs.read (events
+// scheduled far past the run, so none fires).
+TEST(InProcInlineDispatch, IneligibleDaemonsQueueEveryOp) {
+  enum class Kind { kToAgg, kQos, kLatency, kIonSite, kRequestSite, kPfsRead };
+  for (const Kind kind : {Kind::kToAgg, Kind::kQos, Kind::kLatency,
+                          Kind::kIonSite, Kind::kRequestSite, Kind::kPfsRead}) {
+    telemetry::Registry reg;
+    ServiceConfig cfg = inproc_service(reg, 1);
+    fault::FaultPlan plan;
+    switch (kind) {
+      case Kind::kToAgg:
+        cfg.ion.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
+        cfg.ion.scheduler.aggregation_window = 1e-4;
+        break;
+      case Kind::kQos: {
+        qos::TenantSpec tenant;
+        tenant.name = "drill";
+        cfg.qos.enabled = true;
+        cfg.qos.tenants.push_back(tenant);
+        break;
+      }
+      case Kind::kLatency:
+        cfg.ion.dispatch_latency = 1e-5;
+        break;
+      case Kind::kIonSite:
+        plan.crash_ion(0, 1e6);
+        break;
+      case Kind::kRequestSite:
+        plan.stall(fault::request_site(0), 1e6, 0.001);
+        break;
+      case Kind::kPfsRead:
+        plan.stall(fault::kPfsReadSite, 1e6, 0.001);
+        break;
+    }
+    fault::ManualFaultClock clock;
+    fault::FaultInjector injector(std::move(plan), &clock, &reg);
+    cfg.injector = &injector;
+    ForwardingService service(std::move(cfg));
+    service.apply_mapping(mapping_for(1, {0}));
+    Client client(counted_client(reg, ClientMode::Forwarding), service);
+    for (int i = 0; i < 4; ++i) {
+      const auto data = pattern_data(4096, static_cast<std::uint64_t>(i));
+      const auto offset = static_cast<std::uint64_t>(i) * 4096;
+      ASSERT_EQ(client.pwrite(0, "/q", offset, data.size(), data),
+                data.size());
+      std::vector<std::byte> out(data.size());
+      ASSERT_EQ(client.pread(0, "/q", offset, out.size(), out), out.size());
+      EXPECT_EQ(out, data);
+    }
+    service.drain();
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0)
+        << "daemon kind " << static_cast<int>(kind);
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.requests"), 8.0);
+  }
+}
+
+// Eight threads race one eligible ION, each writing and re-reading its
+// own extent: inline and queued dispatches interleave on both shards,
+// yet every read returns its thread's last write and every offer lands
+// in exactly one ledger bucket.
+TEST(InProcInlineDispatch, ConcurrentCallersKeepTheirWritesAndTheLedger) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 64;
+  telemetry::Registry reg;
+  ServiceConfig cfg = inproc_service(reg, 1);
+  cfg.ion.workers = 2;
+  ForwardingService service(std::move(cfg));
+  service.apply_mapping(mapping_for(1, {0}));
+  Client client(counted_client(reg, ClientMode::Forwarding), service);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::string path = "/extent" + std::to_string(t % 2);
+      const auto offset = static_cast<std::uint64_t>(t) * 4096;
+      std::vector<std::byte> out(4096);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto data =
+            pattern_data(4096, static_cast<std::uint64_t>(t * kRounds + r));
+        client.pwrite(static_cast<std::uint32_t>(t), path, offset,
+                      data.size(), data);
+        client.pread(static_cast<std::uint32_t>(t), path, offset, out.size(),
+                     out);
+        if (out != data) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  service.drain();
+  EXPECT_EQ(mismatches.load(), 0) << "a read missed its thread's last write";
+  EXPECT_GT(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0);
+  const double submitted = counter_sum(reg, "qos.tenant.submitted");
+  EXPECT_EQ(submitted, 2.0 * kThreads * kRounds);
+  EXPECT_EQ(submitted, counter_sum(reg, "qos.tenant.admitted") +
+                           counter_sum(reg, "qos.tenant.rejected") +
+                           counter_sum(reg, "qos.tenant.expired") +
+                           counter_sum(reg, "qos.tenant.direct_fallback") +
+                           counter_sum(reg, "qos.tenant.failed"));
 }
 
 }  // namespace

@@ -875,7 +875,9 @@ TEST_P(InlineDispatch, CrashRacingInlineCleanReadsCompletesEachRequestOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, InlineDispatch, ::testing::Values(1, 4),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "w" + std::to_string(info.param);
+                           std::string name = "w";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // A scheduler that may hold requests back (TO-AGG) and the

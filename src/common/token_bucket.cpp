@@ -125,13 +125,6 @@ double TokenBucket::drain_overflow(Clock::time_point now) {
   return shed;
 }
 
-void TokenBucket::set_rate(double rate_per_sec) {
-  check_positive(rate_per_sec, "refill rate");
-  MutexLock lk(mu_);
-  refill_locked(monotonic_now());
-  rate_ = rate_per_sec;
-}
-
 double TokenBucket::rate() const {
   MutexLock lk(mu_);
   return rate_;

@@ -3,8 +3,7 @@
 //
 // The emulated PFS backend uses one bucket per device to throttle the
 // aggregate drain bandwidth: every request must acquire its byte count in
-// tokens before it completes. The rate is adjustable at runtime so tests
-// can model degradation and benches can model contention.
+// tokens before it completes.
 //
 // The QoS hierarchy (src/qos) reuses the bucket as its per-tenant leaf
 // node, driven on a caller-owned timeline: the explicit-time overloads
@@ -38,8 +37,7 @@ class TokenBucket {
 
   /// Block until `n` tokens have been consumed. `n` may exceed the burst
   /// size; the bucket then runs a token debt and the caller sleeps until
-  /// its share of the debt is repaid (admission-order queueing). A rate
-  /// change during an in-flight acquire() applies to later calls.
+  /// its share of the debt is repaid (admission-order queueing).
   /// Throws std::invalid_argument when `n` is negative or non-finite.
   void acquire(double n) IOFA_EXCLUDES(mu_);
 
@@ -70,9 +68,6 @@ class TokenBucket {
   /// this slack to sibling tenants; standalone users may ignore it.
   double drain_overflow(Clock::time_point now) IOFA_EXCLUDES(mu_);
 
-  /// Change the refill rate. Tokens already accrued are kept. Throws
-  /// std::invalid_argument on a non-positive or non-finite rate.
-  void set_rate(double rate_per_sec) IOFA_EXCLUDES(mu_);
   double rate() const IOFA_EXCLUDES(mu_);
   double burst() const IOFA_EXCLUDES(mu_);
 

@@ -485,6 +485,10 @@ void IonDaemon::worker_loop(std::size_t si) {
   auto& tracer = telemetry::Tracer::global();
   bool named = false;
   bool was_down = false;
+  // Whether the scheduler held requests when the worker last released
+  // the lock. Only the worker leaves requests there: an inline dispatch
+  // starts on an empty scheduler and empties it again before it unlocks.
+  bool holds_work = false;
   Shard& shard = *shards_[si];
 
   auto pop_counted = [&]() -> std::optional<FwdRequest> {
@@ -502,7 +506,12 @@ void IonDaemon::worker_loop(std::size_t si) {
       named = true;
     }
     std::chrono::duration<double> wait = 2ms;
-    {
+    // A tick with nothing queued or held and no crash edge takes no
+    // lock: it would find nothing to do, and holding the lock would turn
+    // an inline dispatch away to the queue.
+    const bool idle = !holds_work && !was_down &&
+                      shard.unscheduled.load() == 0 && !is_crashed();
+    if (!idle) {
       MutexLock lk(shard.mu);
       if (is_crashed()) {
         // Down: volatile dispatch state is lost, queued work is refused
@@ -510,6 +519,7 @@ void IonDaemon::worker_loop(std::size_t si) {
         // survive - they model node-local storage, which a daemon
         // restart reattaches to.
         was_down = true;
+        holds_work = false;
         fail_in_flight(shard);
         while (auto req = pop_counted()) {
           fail_request(*req);
@@ -534,8 +544,10 @@ void IonDaemon::worker_loop(std::size_t si) {
 
         if (auto dispatch = shard.scheduler->pop(now())) {
           process(shard, *dispatch);
+          holds_work = true;  // look again: more may be held
           continue;
         }
+        holds_work = !shard.scheduler->empty();
         // Nothing ready: wait for new arrivals, bounded by the
         // scheduler's own readiness horizon (aggregation / TWINS
         // windows).
@@ -558,6 +570,7 @@ void IonDaemon::worker_loop(std::size_t si) {
         MutexLock lk(shard.mu);
         ingest_one(shard, std::move(req));
         shard.unscheduled.fetch_sub(1);
+        holds_work = true;
         continue;
       }
       case PopResult::kTimeout:

@@ -13,10 +13,6 @@ std::uint64_t hash_path(const std::string& path) {
   return h;
 }
 
-std::uint64_t chunk_index(std::uint64_t offset, Bytes chunk_size) {
-  return offset / chunk_size;
-}
-
 std::size_t daemon_of(std::uint64_t path_hash, std::uint64_t chunk,
                       std::size_t daemons) {
   if (daemons == 0) return 0;

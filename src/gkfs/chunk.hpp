@@ -17,9 +17,6 @@ inline constexpr Bytes kChunkSize = 512 * KiB;  // GekkoFS default
 /// FNV-1a path hash (stable across the library).
 std::uint64_t hash_path(const std::string& path);
 
-/// Chunk index containing byte `offset`.
-std::uint64_t chunk_index(std::uint64_t offset, Bytes chunk_size = kChunkSize);
-
 /// Home daemon of (file, chunk) among `daemons` targets.
 std::size_t daemon_of(std::uint64_t path_hash, std::uint64_t chunk,
                       std::size_t daemons);

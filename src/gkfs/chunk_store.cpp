@@ -65,22 +65,4 @@ std::size_t ChunkStore::remove_file(std::uint64_t file_id) {
   return removed;
 }
 
-Bytes ChunkStore::bytes_stored() const {
-  Bytes total = 0;
-  for (auto& shard : shards_) {
-    MutexLock lk(shard.mu);
-    for (const auto& [key, buf] : shard.chunks) total += buf.size();
-  }
-  return total;
-}
-
-std::size_t ChunkStore::chunk_count() const {
-  std::size_t total = 0;
-  for (auto& shard : shards_) {
-    MutexLock lk(shard.mu);
-    total += shard.chunks.size();
-  }
-  return total;
-}
-
 }  // namespace iofa::gkfs

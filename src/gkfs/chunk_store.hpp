@@ -34,8 +34,6 @@ class ChunkStore {
   /// Drop all chunks of a file. Returns chunks removed.
   std::size_t remove_file(std::uint64_t file_id);
 
-  Bytes bytes_stored() const;
-  std::size_t chunk_count() const;
   Bytes chunk_size() const { return chunk_size_; }
 
  private:

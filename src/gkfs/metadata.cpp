@@ -6,12 +6,7 @@ namespace iofa::gkfs {
 
 bool MetadataStore::create(const std::string& path, bool exclusive) {
   MutexLock lk(mu_);
-  auto [it, inserted] = entries_.try_emplace(path);
-  if (inserted) {
-    it->second.create_seq = next_seq_++;
-    return true;
-  }
-  return !exclusive;
+  return entries_.try_emplace(path).second || !exclusive;
 }
 
 std::optional<Metadata> MetadataStore::stat(const std::string& path) const {
@@ -21,43 +16,15 @@ std::optional<Metadata> MetadataStore::stat(const std::string& path) const {
   return it->second;
 }
 
-bool MetadataStore::exists(const std::string& path) const {
-  MutexLock lk(mu_);
-  return entries_.count(path) > 0;
-}
-
 void MetadataStore::extend(const std::string& path, Bytes end) {
   MutexLock lk(mu_);
-  auto [it, inserted] = entries_.try_emplace(path);
-  if (inserted) it->second.create_seq = next_seq_++;
-  it->second.size = std::max(it->second.size, end);
-}
-
-bool MetadataStore::truncate(const std::string& path, Bytes size) {
-  MutexLock lk(mu_);
-  auto it = entries_.find(path);
-  if (it == entries_.end()) return false;
-  it->second.size = size;
-  return true;
+  Bytes& size = entries_[path].size;
+  size = std::max(size, end);
 }
 
 bool MetadataStore::remove(const std::string& path) {
   MutexLock lk(mu_);
   return entries_.erase(path) > 0;
-}
-
-std::vector<std::string> MetadataStore::list() const {
-  MutexLock lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [path, md] : entries_) out.push_back(path);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::size_t MetadataStore::count() const {
-  MutexLock lk(mu_);
-  return entries_.size();
 }
 
 }  // namespace iofa::gkfs

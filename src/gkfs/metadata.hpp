@@ -2,11 +2,9 @@
 // GekkoFS metadata: a flat path -> metadata map (GekkoFS relaxes POSIX
 // directory semantics; paths are plain keys). Thread-safe.
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
@@ -16,8 +14,6 @@ namespace iofa::gkfs {
 
 struct Metadata {
   Bytes size = 0;
-  std::uint64_t create_seq = 0;  ///< creation order, for tests/tools
-  std::uint32_t mode = 0644;
 };
 
 class MetadataStore {
@@ -27,23 +23,15 @@ class MetadataStore {
   bool create(const std::string& path, bool exclusive = false);
 
   std::optional<Metadata> stat(const std::string& path) const;
-  bool exists(const std::string& path) const;
 
   /// Grow the recorded size to at least `end` (writes extend files).
   void extend(const std::string& path, Bytes end);
 
-  /// Set the exact size (truncate).
-  bool truncate(const std::string& path, Bytes size);
-
   bool remove(const std::string& path);
-
-  std::vector<std::string> list() const;
-  std::size_t count() const;
 
  private:
   mutable Mutex mu_;
   std::unordered_map<std::string, Metadata> entries_ IOFA_GUARDED_BY(mu_);
-  std::uint64_t next_seq_ IOFA_GUARDED_BY(mu_) = 1;
 };
 
 }  // namespace iofa::gkfs

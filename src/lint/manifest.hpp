@@ -3,9 +3,8 @@
 // (the checked-in list of every telemetry series the runtime may emit)
 // and render the human-readable catalog from it.
 //
-// The .inc is an X-macro list compiled into iofa_telemetry
-// (telemetry/manifest.hpp); the linter parses the same file with its
-// own lexer so the metric-manifest rule needs no build products.
+// The .inc is an X-macro list; the linter parses it with its own
+// lexer, so the metric-manifest rule needs no build products.
 
 #include <map>
 #include <optional>

@@ -15,24 +15,6 @@ namespace {
 constexpr double kEpsilonBytes = 0.5;
 }  // namespace
 
-FcfsServer::FcfsServer(Simulator& sim, Seconds latency,
-                       double rate_bytes_per_sec)
-    : sim_(sim), latency_(latency), rate_(rate_bytes_per_sec) {
-  assert(rate_ > 0.0);
-}
-
-void FcfsServer::request(Bytes bytes, EventFn done) {
-  const Seconds start = std::max(free_at_, sim_.now());
-  const Seconds service = latency_ + static_cast<double>(bytes) / rate_;
-  free_at_ = start + service;
-  ++queued_;
-  bytes_served_ += bytes;
-  sim_.schedule_at(free_at_, [this, done = std::move(done)] {
-    --queued_;
-    done();
-  });
-}
-
 SharedBandwidth::SharedBandwidth(Simulator& sim,
                                  double capacity_bytes_per_sec,
                                  std::function<double(std::size_t)> efficiency)

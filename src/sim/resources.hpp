@@ -1,9 +1,6 @@
 #pragma once
 // Modelled resources for the discrete-event substrate.
 //
-// FcfsServer      - a serial server with fixed per-request latency and a
-//                   byte rate; requests queue in arrival order. Models an
-//                   ION's dispatch pipeline or a metadata server.
 // SharedBandwidth - a processor-sharing device: all active flows split the
 //                   capacity equally, with a pluggable efficiency factor
 //                   eta(n) so contention can degrade the *aggregate* rate
@@ -21,26 +18,6 @@
 namespace iofa::sim {
 
 using FlowId = std::uint64_t;
-
-class FcfsServer {
- public:
-  /// latency: fixed per-request overhead; rate: service bytes/second.
-  FcfsServer(Simulator& sim, Seconds latency, double rate_bytes_per_sec);
-
-  /// Enqueue a request; `done` runs when service completes.
-  void request(Bytes bytes, EventFn done);
-
-  std::size_t queue_depth() const { return queued_; }
-  Bytes bytes_served() const { return bytes_served_; }
-
- private:
-  Simulator& sim_;
-  Seconds latency_;
-  double rate_;
-  Seconds free_at_ = 0.0;  ///< earliest time the server is idle
-  std::size_t queued_ = 0;
-  Bytes bytes_served_ = 0;
-};
 
 class SharedBandwidth {
  public:

@@ -1,19 +1,8 @@
 #include "workload/queuegen.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace iofa::workload {
-
-std::vector<AppSpec> random_queue(Rng& rng, std::size_t n_jobs) {
-  const auto apps = table3_applications();
-  std::vector<AppSpec> queue;
-  queue.reserve(n_jobs);
-  for (std::size_t i = 0; i < n_jobs; ++i) {
-    queue.push_back(apps[rng.index(apps.size())]);
-  }
-  return queue;
-}
 
 std::vector<AppSpec> random_covering_queue(Rng& rng, std::size_t n_jobs) {
   const auto apps = table3_applications();
@@ -36,41 +25,6 @@ std::vector<AppSpec> paper_queue() {
   queue.reserve(std::size(order));
   for (const char* label : order) queue.push_back(application(label));
   return queue;
-}
-
-double queue_concurrency_score(const std::vector<AppSpec>& queue,
-                               int compute_nodes) {
-  // Greedy FIFO packing: walk the queue admitting jobs while nodes remain,
-  // recording how many jobs are resident each time admission stalls. The
-  // score is the mean residency across the walk.
-  double score_sum = 0.0;
-  std::size_t samples = 0;
-  int free_nodes = compute_nodes;
-  std::vector<int> running;  // node counts of resident jobs (FIFO)
-  std::size_t next = 0;
-  while (next < queue.size() || !running.empty()) {
-    // A job larger than the whole machine can never run: skip it so the
-    // walk always terminates (the executors reject such jobs upfront).
-    if (running.empty() && next < queue.size() &&
-        queue[next].compute_nodes > compute_nodes) {
-      ++next;
-      continue;
-    }
-    while (next < queue.size() &&
-           queue[next].compute_nodes <= free_nodes) {
-      free_nodes -= queue[next].compute_nodes;
-      running.push_back(queue[next].compute_nodes);
-      ++next;
-    }
-    score_sum += static_cast<double>(running.size());
-    ++samples;
-    if (!running.empty()) {
-      // FIFO completion proxy: retire the oldest resident job.
-      free_nodes += running.front();
-      running.erase(running.begin());
-    }
-  }
-  return samples > 0 ? score_sum / static_cast<double>(samples) : 0.0;
 }
 
 }  // namespace iofa::workload

@@ -10,10 +10,6 @@
 
 namespace iofa::workload {
 
-/// Sample `n_jobs` applications (uniformly, with replacement) from the
-/// Table 3 set. Deterministic for a given RNG state.
-std::vector<AppSpec> random_queue(Rng& rng, std::size_t n_jobs);
-
 /// Sample a queue that contains at least one instance of every
 /// application, like the queue the paper selected ("at least one job of
 /// each application"). Requires n_jobs >= 9.
@@ -23,11 +19,5 @@ std::vector<AppSpec> random_covering_queue(Rng& rng, std::size_t n_jobs);
 /// HACC, IOR-MPI, SIM, IOR-MPI, IOR-MPI, POSIX-S, POSIX-L, BT-C, MAD,
 /// MAD, S3D, HACC, HACC, BT-D.
 std::vector<AppSpec> paper_queue();
-
-/// Concurrency metric used to select "interesting" queues: the average
-/// number of jobs that could run concurrently on `compute_nodes` nodes
-/// under FIFO admission (higher means more arbitration pressure).
-double queue_concurrency_score(const std::vector<AppSpec>& queue,
-                               int compute_nodes);
 
 }  // namespace iofa::workload

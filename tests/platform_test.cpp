@@ -5,7 +5,6 @@
 
 #include <map>
 
-#include "platform/cluster.hpp"
 #include "platform/perf_model.hpp"
 #include "platform/profile.hpp"
 #include "workload/kernels.hpp"
@@ -29,21 +28,6 @@ AccessPattern make_pattern(int nodes, int ppn, FileLayout layout,
   p.request_size = req;
   p.total_bytes = workload::default_volume(p);
   return p;
-}
-
-// ------------------------------------------------------------- clusters
-TEST(Cluster, Mn4Shape) {
-  const auto c = marenostrum4();
-  EXPECT_EQ(c.compute_nodes, 3456);
-  EXPECT_EQ(c.pfs_data_servers, 7);
-  EXPECT_EQ(c.pfs_name, "GPFS");
-}
-
-TEST(Cluster, G5kShape) {
-  const auto c = grid5000_gros();
-  EXPECT_EQ(c.compute_nodes, 96);
-  EXPECT_EQ(c.max_io_nodes, 12);
-  EXPECT_EQ(c.pfs_name, "Lustre");
 }
 
 // ------------------------------------------------------------ PerfModel

@@ -85,37 +85,6 @@ TEST(Simulator, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(sim.step());
 }
 
-// ------------------------------------------------------------ FcfsServer
-TEST(FcfsServer, SequentialService) {
-  Simulator sim;
-  FcfsServer server(sim, 0.0, 100.0);  // 100 B/s
-  std::vector<Seconds> done;
-  server.request(100, [&] { done.push_back(sim.now()); });
-  server.request(100, [&] { done.push_back(sim.now()); });
-  sim.run();
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_DOUBLE_EQ(done[0], 1.0);
-  EXPECT_DOUBLE_EQ(done[1], 2.0);
-}
-
-TEST(FcfsServer, LatencyAddsPerRequest) {
-  Simulator sim;
-  FcfsServer server(sim, 0.5, 100.0);
-  Seconds done = 0.0;
-  server.request(100, [&] { done = sim.now(); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(done, 1.5);
-}
-
-TEST(FcfsServer, TracksBytes) {
-  Simulator sim;
-  FcfsServer server(sim, 0.0, 1000.0);
-  server.request(123, [] {});
-  server.request(77, [] {});
-  sim.run();
-  EXPECT_EQ(server.bytes_served(), 200u);
-}
-
 // -------------------------------------------------------- SharedBandwidth
 TEST(SharedBandwidth, SingleFlowFullRate) {
   Simulator sim;

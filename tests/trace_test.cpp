@@ -8,7 +8,6 @@
 #include "platform/profile.hpp"
 #include "trace/analyzer.hpp"
 #include "trace/record.hpp"
-#include "trace/serialize.hpp"
 
 namespace iofa::trace {
 namespace {
@@ -209,76 +208,6 @@ TEST(EstimateCurve, MatchesDirectModelEvaluation) {
   for (int k : direct.options()) {
     EXPECT_NEAR(estimated.at(k), direct.at(k), direct.at(k) * 0.01) << k;
   }
-}
-
-// -------------------------------------------------------- persistence
-TEST(Serialize, RoundTripPreservesEverything) {
-  TraceLog log("BT-C");
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    RequestRecord r;
-    r.rank = static_cast<std::uint32_t>(i % 4);
-    r.file_id = 42 + i % 3;
-    r.op = i % 2 ? OpKind::Read : OpKind::Write;
-    r.offset = i * 4096;
-    r.size = 4096;
-    r.t_start = 0.001 * static_cast<double>(i);
-    r.t_end = r.t_start + 0.0005;
-    log.append(r);
-  }
-  const auto text = to_string(log);
-  const auto loaded = from_string(text);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->job_label, "BT-C");
-  const auto original = log.snapshot();
-  ASSERT_EQ(loaded->records.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(loaded->records[i].rank, original[i].rank);
-    EXPECT_EQ(loaded->records[i].file_id, original[i].file_id);
-    EXPECT_EQ(static_cast<int>(loaded->records[i].op),
-              static_cast<int>(original[i].op));
-    EXPECT_EQ(loaded->records[i].offset, original[i].offset);
-    EXPECT_EQ(loaded->records[i].size, original[i].size);
-    EXPECT_DOUBLE_EQ(loaded->records[i].t_start, original[i].t_start);
-  }
-}
-
-TEST(Serialize, EmptyLogRoundTrips) {
-  TraceLog log("empty");
-  const auto loaded = from_string(to_string(log));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->records.empty());
-}
-
-TEST(Serialize, RejectsGarbage) {
-  EXPECT_FALSE(from_string("").has_value());
-  EXPECT_FALSE(from_string("not a trace").has_value());
-  EXPECT_FALSE(
-      from_string("# iofa-trace v1 job=x records=2\nW 0 1 0 10 0 1\n")
-          .has_value());  // count mismatch
-  EXPECT_FALSE(
-      from_string("# iofa-trace v1 job=x records=1\nZ 0 1 0 10 0 1\n")
-          .has_value());  // bad op
-}
-
-TEST(Serialize, LoadedTraceClassifiesLikeOriginal) {
-  TraceLog log("ior");
-  for (std::uint32_t r = 0; r < 8; ++r) {
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      RequestRecord rec;
-      rec.rank = r;
-      rec.file_id = 7;
-      rec.op = OpKind::Write;
-      rec.offset = (r * 4 + i) * 65536;
-      rec.size = 65536;
-      log.append(rec);
-    }
-  }
-  const auto loaded = from_string(to_string(log));
-  ASSERT_TRUE(loaded.has_value());
-  const auto a = classify(log.snapshot(), 2, 8);
-  const auto b = classify(loaded->records, 2, 8);
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(a->pattern, b->pattern);
 }
 
 }  // namespace

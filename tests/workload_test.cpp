@@ -213,8 +213,8 @@ TEST(Section52, SixAppsRequire272Nodes) {
 // --------------------------------------------------------- queue gen
 TEST(QueueGen, DeterministicForSeed) {
   Rng a(42), b(42);
-  const auto q1 = random_queue(a, 20);
-  const auto q2 = random_queue(b, 20);
+  const auto q1 = random_covering_queue(a, 20);
+  const auto q2 = random_covering_queue(b, 20);
   ASSERT_EQ(q1.size(), q2.size());
   for (std::size_t i = 0; i < q1.size(); ++i) {
     EXPECT_EQ(q1[i].label, q2[i].label);
@@ -237,18 +237,6 @@ TEST(QueueGen, PaperQueueExactOrder) {
   EXPECT_EQ(q[2].label, "SIM");
   EXPECT_EQ(q[7].label, "BT-C");
   EXPECT_EQ(q[13].label, "BT-D");
-}
-
-TEST(QueueGen, ConcurrencyScorePositive) {
-  const auto q = paper_queue();
-  const double score = queue_concurrency_score(q, 96);
-  EXPECT_GT(score, 1.0);  // the paper picked a high-concurrency queue
-}
-
-TEST(QueueGen, ConcurrencyHigherWithMoreNodes) {
-  const auto q = paper_queue();
-  EXPECT_GE(queue_concurrency_score(q, 192),
-            queue_concurrency_score(q, 48));
 }
 
 }  // namespace

@@ -25,9 +25,10 @@ std::uint64_t AggregationScheduler::run_size(
 std::optional<Dispatch> AggregationScheduler::pop(Seconds now) {
   if (count_ == 0) return std::nullopt;
 
-  // A request is ripe when its window expired or its contiguous run
-  // already reached the aggregation cap. Pick the ripe request with the
-  // earliest arrival so ordering stays fair across files.
+  // A request is ripe when its window expired (by the very sum
+  // next_ready_time() reports) or its contiguous run already reached the
+  // aggregation cap. Pick the ripe request with the earliest arrival so
+  // ordering stays fair across files.
   auto best_stream = streams_.end();
   OffsetQueue::iterator best_it;
   Seconds best_arrival = std::numeric_limits<Seconds>::infinity();
@@ -35,7 +36,7 @@ std::optional<Dispatch> AggregationScheduler::pop(Seconds now) {
   for (auto s = streams_.begin(); s != streams_.end(); ++s) {
     for (auto it = s->second.begin(); it != s->second.end(); ++it) {
       const SchedRequest& req = it->second;
-      const bool expired = now - req.arrival >= window_;
+      const bool expired = now >= req.arrival + window_;
       if (!expired && run_size(s->second, it) < max_aggregate_) continue;
       if (req.arrival < best_arrival) {
         best_arrival = req.arrival;

@@ -19,9 +19,9 @@ void AioliScheduler::add(SchedRequest req) {
 std::optional<Dispatch> AioliScheduler::pop(Seconds now) {
   if (count_ == 0) return std::nullopt;
 
-  // Pick the file whose head is ripe (waited out its window) or whose
-  // head continues its previous stream (no reason to wait); prefer the
-  // oldest arrival for fairness.
+  // Pick the file whose head is ripe (waited out its window, by the sum
+  // next_ready_time() reports) or whose head continues its previous
+  // stream (no reason to wait); prefer the oldest arrival for fairness.
   auto best = files_.end();
   Seconds best_arrival = std::numeric_limits<Seconds>::infinity();
   for (auto it = files_.begin(); it != files_.end(); ++it) {
@@ -29,7 +29,7 @@ std::optional<Dispatch> AioliScheduler::pop(Seconds now) {
     const auto& head = it->second.by_offset.begin()->second;
     const bool continues =
         head.offset == it->second.next_offset && it->second.next_offset > 0;
-    const bool ripe = now - it->second.oldest_arrival >= wait_window_;
+    const bool ripe = now >= it->second.oldest_arrival + wait_window_;
     if (!continues && !ripe) continue;
     if (it->second.oldest_arrival < best_arrival) {
       best_arrival = it->second.oldest_arrival;

@@ -11,7 +11,13 @@ int TwinsScheduler::server_of(const SchedRequest& req) const {
 }
 
 int TwinsScheduler::window_index(Seconds now) const {
-  return static_cast<int>(std::floor(now / window_));
+  // Window w starts at w * window_, the product next_ready_time()
+  // reports; the quotient only estimates w and may round across that
+  // start either way.
+  const int w = static_cast<int>(std::floor(now / window_));
+  if (static_cast<Seconds>(w + 1) * window_ <= now) return w + 1;
+  if (static_cast<Seconds>(w) * window_ > now) return w - 1;
+  return w;
 }
 
 int TwinsScheduler::current_server(Seconds now) const {

@@ -30,9 +30,11 @@
 namespace iofa {
 
 /// Outcome of a timed pop. A timeout is NOT the same as a closed
-/// queue: consumers that drain-on-shutdown must keep polling after
-/// kTimeout and stop only on kClosed, otherwise items still queued (or
-/// held back by a scheduler window) get dropped.
+/// queue: kTimeout means the deadline passed with the queue still open
+/// and empty, kClosed that it is closed and drained, so no item will
+/// ever come. A consumer whose own work has a ready time (the ION
+/// worker's scheduler) waits with that deadline and, on kClosed, still
+/// owes what it holds.
 enum class PopResult { kItem, kTimeout, kClosed };
 
 template <typename T>
@@ -128,32 +130,23 @@ class BoundedQueue {
     return out;
   }
 
-  /// Pop with a relative timeout, reporting WHY nothing was popped:
-  /// kTimeout (queue still open, caller should retry) vs kClosed
-  /// (closed and drained, caller may stop). Waits against an absolute
-  /// deadline so that spurious wakeups re-enter the wait with the
-  /// remaining budget instead of restarting the full timeout.
-  template <typename Rep, typename Period>
-  PopResult try_pop_for(std::chrono::duration<Rep, Period> timeout, T& out)
+  /// Pop, waiting while the queue is open and empty until `deadline`
+  /// (a deadline already past does not wait), and report WHY nothing was
+  /// popped: kTimeout (still open) vs kClosed (closed and drained).
+  /// Spurious wakeups re-enter the wait against the same deadline.
+  PopResult pop_until(MonotonicClock::time_point deadline, T& out)
       IOFA_EXCLUDES(mu_) {
-    const auto deadline = iofa::monotonic_now() + timeout;
     std::optional<T> popped;
     bool wake = false;
     {
       UniqueLock lk(mu_);
       while (!closed_ && items_.empty()) {
+        if (iofa::monotonic_now() >= deadline) return PopResult::kTimeout;
         ++sleepers_;
-        const std::cv_status st = not_empty_.wait_until(lk, deadline);
+        not_empty_.wait_until(lk, deadline);
         --sleepers_;
-        if (st == std::cv_status::timeout && items_.empty()) {
-          // predicate re-checked: a timed-out wait still pops when an
-          // item slipped in
-          return closed_ ? PopResult::kClosed : PopResult::kTimeout;
-        }
       }
-      if (items_.empty()) {
-        return closed_ ? PopResult::kClosed : PopResult::kTimeout;
-      }
+      if (items_.empty()) return PopResult::kClosed;
       wake = pop_locked(popped);
     }
     out = std::move(*popped);
@@ -247,7 +240,7 @@ class BoundedQueue {
   CondVar not_full_;
   std::deque<T> items_ IOFA_GUARDED_BY(mu_);
   bool closed_ IOFA_GUARDED_BY(mu_) = false;
-  /// Consumers blocked in pop() / try_pop_for().
+  /// Consumers blocked in pop() / pop_until().
   int sleepers_ IOFA_GUARDED_BY(mu_) = 0;
   /// Slots held by reserve()/try_reserve() and not yet pushed.
   std::size_t reserved_ IOFA_GUARDED_BY(mu_) = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/clock.hpp"
-
 namespace iofa::fault {
 
 namespace {
@@ -152,12 +150,6 @@ MessageDecision FaultInjector::message_decision(const std::string& site) {
     count_injected(site, e.kind);
   }
   return d;
-}
-
-bool FaultInjector::should_fail(const std::string& site) {
-  const FaultDecision d = decide(site);
-  if (d.stall > 0.0) sleep_for_seconds(d.stall);
-  return d.fail;
 }
 
 bool FaultInjector::ion_alive(int ion) const {

@@ -81,12 +81,8 @@ class FaultInjector {
 
   /// Evaluate one check at `site`: advances the site's check count,
   /// fires count/probability events, reports any active stall window.
-  /// The caller is responsible for sleeping through the stall (or use
-  /// should_fail(), which does it).
+  /// The caller is responsible for sleeping through the stall.
   FaultDecision decide(const std::string& site) IOFA_EXCLUDES(mu_);
-
-  /// decide() + sleep through the stall. True when the check fails.
-  bool should_fail(const std::string& site) IOFA_EXCLUDES(mu_);
 
   /// Evaluate one frame send at an rpc.* site: advances the site's
   /// check count and fires message events (drop/dup/reorder/truncate/

@@ -29,10 +29,7 @@ Client::Client(ClientConfig config, ForwardingService& service)
   retries_ctr_ = &reg.counter("fwd.retries", labels);
   failover_ctr_ = &reg.counter("fwd.failovers", labels);
   payload_allocs_ctr_ = &reg.counter("fwd.client.payload_allocs", labels);
-  // With QoS off the default-tenant table is built against the same
-  // registry as the daemons' and lands on the same cells.
-  ledger_ = service_.qos() ? service_.qos()->metrics().tenant(config_.tenant)
-                           : qos::QosMetrics(reg).tenant(config_.tenant);
+  ledger_ = service_.ledger().tenant(config_.tenant);
   if (config_.breaker.enabled) {
     CircuitBreaker::Counters ctrs;
     ctrs.opened = &reg.counter("fwd.overload.breaker_open", labels);
@@ -149,7 +146,6 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
     req.file_id = id;
     req.offset = p.file_offset;
     req.size = p.sub_size;
-    req.stream_weight = config_.stream_weight;
     req.tenant = config_.tenant;
     if (op == FwdOp::Write && !wdata.empty()) {
       // The ONE fill of the payload bytes: user buffer -> slab. From

@@ -148,8 +148,9 @@ class Client {
   /// Heap payload fallbacks (slab pool dry). The zero-copy proof: this
   /// stays at 0 while the pool is sized to the workload.
   telemetry::Counter* payload_allocs_ctr_ = nullptr;
-  /// This client's row of the admission ledger (qos/enforcer.hpp):
-  /// its tenant's row with QoS on, the default tenant's otherwise.
+  /// This client's row of the service's admission ledger
+  /// (ForwardingService::ledger): its tenant's row with QoS on, the
+  /// default tenant's otherwise.
   qos::TenantCounters ledger_;
   /// One breaker per ION of the service; empty while disabled.
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -13,8 +14,6 @@
 #include "telemetry/trace.hpp"
 
 namespace iofa::fwd {
-
-using namespace std::chrono_literals;
 
 namespace {
 
@@ -63,8 +62,8 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
       flush_queue_(params.queue_capacity * 4 *
                    static_cast<std::size_t>(flusher_count(params))),
       epoch_(iofa::monotonic_now()),
-      ledger_(params.qos ? params.qos->metrics()
-                         : qos::QosMetrics(registry_of(params))) {
+      ledger_(params.ledger ? *params.ledger
+                            : qos::QosMetrics(registry_of(params))) {
   auto& reg = registry_of(params_);
   const telemetry::Labels labels{{"ion", std::to_string(id_)}};
   metrics_.requests = &reg.counter("fwd.ion.requests", labels);
@@ -93,6 +92,7 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.path_interned = &reg.counter("fwd.ion.path_interned", labels);
   metrics_.inline_dispatches =
       &reg.counter("fwd.ion.inline_dispatches", labels);
+  metrics_.idle_wakeups = &reg.counter("fwd.ion.idle_wakeups", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
   admission_ = std::make_unique<SaturationTracker>(params_.admission,
@@ -485,13 +485,16 @@ void IonDaemon::worker_loop(std::size_t si) {
   auto& tracer = telemetry::Tracer::global();
   bool named = false;
   bool was_down = false;
-  // Whether the scheduler held requests when the worker last released
-  // the lock. Only the worker leaves requests there: an inline dispatch
-  // starts on an empty scheduler and empties it again before it unlocks.
-  bool holds_work = false;
   Shard& shard = *shards_[si];
-
-  auto pop_counted = [&]() -> std::optional<FwdRequest> {
+  // When the scheduler next releases a request it holds; never while it
+  // holds nothing. Only the worker leaves requests there: an inline
+  // dispatch starts on an empty scheduler and empties it again.
+  constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+  Seconds ready_at = kNever;
+  // The request the wait popped, taken before the rest of the queue.
+  std::optional<FwdRequest> arrived;
+  auto next_request = [&]() -> std::optional<FwdRequest> {
+    if (arrived) return std::exchange(arrived, std::nullopt);
     auto req = shard.ingest.try_pop();
     if (req) queue_depth_.fetch_sub(1);
     return req;
@@ -505,92 +508,82 @@ void IonDaemon::worker_loop(std::size_t si) {
                                : ".worker" + std::to_string(si)));
       named = true;
     }
-    std::chrono::duration<double> wait = 2ms;
-    // A tick with nothing queued or held and no crash edge takes no
-    // lock: it would find nothing to do, and holding the lock would turn
-    // an inline dispatch away to the queue.
-    const bool idle = !holds_work && !was_down &&
-                      shard.unscheduled.load() == 0 && !is_crashed();
-    if (!idle) {
-      MutexLock lk(shard.mu);
+    // The worker's one wait: an arrival, the ready time or close ends
+    // it. The dispatch lock is free meanwhile, so an idle shard takes
+    // inline dispatches.
+    FwdRequest req;
+    const PopResult woke = shard.ingest.pop_until(
+        ready_at == kNever
+            ? MonotonicClock::time_point::max()
+            : epoch_ + std::chrono::ceil<MonotonicClock::duration>(
+                           std::chrono::duration<double>(ready_at)),
+        req);
+    if (woke == PopResult::kItem) {
+      queue_depth_.fetch_sub(1);
+      arrived = std::move(req);
+    }
+    // The scheduler's clock: a ready time that timed the wait out has
+    // come, whatever the rounding of the clock read.
+    Seconds t = woke == PopResult::kTimeout ? ready_at : 0.0;
+    bool worked = woke == PopResult::kItem;
+    MutexLock lk(shard.mu);
+    // One round per dispatch while one is ready, each re-checking the
+    // crash state and taking in what arrived meanwhile.
+    while (true) {
       if (is_crashed()) {
         // Down: volatile dispatch state is lost, queued work is refused
         // (clients fail over). The staging store and the flushers
         // survive - they model node-local storage, which a daemon
         // restart reattaches to.
         was_down = true;
-        holds_work = false;
         fail_in_flight(shard);
-        while (auto req = pop_counted()) {
-          fail_request(*req);
+        while (auto failed = next_request()) {
+          fail_request(*failed);
           shard.unscheduled.fetch_sub(1);
         }
-        if (shard.ingest.closed() && shard.ingest.empty()) break;
-      } else {
-        if (was_down) {
-          // Injector-scheduled windows end without restart() being
-          // called; the worker observing the down -> alive edge raises
-          // the floor so survivors are restamped exactly like the
-          // manual-restart path.
-          raise_restamp_floor();
-          was_down = false;
-        }
-        // Pull everything immediately available into the scheduler.
-        while (auto req = pop_counted()) {
-          ingest_one(shard, std::move(*req));
-          shard.unscheduled.fetch_sub(1);
-        }
-        metrics_.queue_depth->set(static_cast<double>(queue_depth_.load()));
-
-        if (auto dispatch = shard.scheduler->pop(now())) {
-          process(shard, *dispatch);
-          holds_work = true;  // look again: more may be held
-          continue;
-        }
-        holds_work = !shard.scheduler->empty();
-        // Nothing ready: wait for new arrivals, bounded by the
-        // scheduler's own readiness horizon (aggregation / TWINS
-        // windows).
-        if (auto ready_at = shard.scheduler->next_ready_time(now())) {
-          wait = std::min(wait, std::chrono::duration<double>(
-                                    std::max(1e-5, *ready_at - now())));
-        }
+        ready_at = kNever;
+        break;
       }
-    }
-    if (was_down) {
-      sleep_for_seconds(200e-6);
-      continue;
-    }
-    // The dispatch lock is free while the worker sleeps, so an idle
-    // shard can take inline dispatches meanwhile.
-    FwdRequest req;
-    switch (shard.ingest.try_pop_for(wait, req)) {
-      case PopResult::kItem: {
-        queue_depth_.fetch_sub(1);
-        MutexLock lk(shard.mu);
-        ingest_one(shard, std::move(req));
+      if (was_down) {
+        // Injector-scheduled windows end without restart() being
+        // called; the worker observing the down -> alive edge raises
+        // the floor so survivors are restamped exactly like the
+        // manual-restart path.
+        raise_restamp_floor();
+        was_down = false;
+      }
+      if (arrived) {
+        // The popped request goes in alone: its admission fault site
+        // may take the ION down before the rest is taken in.
+        FwdRequest first = std::move(*arrived);
+        arrived.reset();
+        ingest_one(shard, std::move(first));
         shard.unscheduled.fetch_sub(1);
-        holds_work = true;
         continue;
       }
-      case PopResult::kTimeout:
-        // Still open - go around (fault state may have changed, the
-        // scheduler window may have expired).
-        continue;
-      case PopResult::kClosed: {
-        bool held = false;
-        {
-          MutexLock lk(shard.mu);
-          held = !shard.scheduler->empty();
-        }
-        if (!held) return;
-        // Queue closed but the scheduler is still holding requests
-        // back (aggregation/TWINS window): let real time pass instead
-        // of spinning on the already-closed queue.
-        sleep_for_seconds(100e-6);
+      // Pull everything immediately available into the scheduler.
+      while (auto next = next_request()) {
+        ingest_one(shard, std::move(*next));
+        shard.unscheduled.fetch_sub(1);
+        worked = true;
+      }
+      metrics_.queue_depth->set(static_cast<double>(queue_depth_.load()));
+
+      t = std::max(t, now());
+      if (auto dispatch = shard.scheduler->pop(t)) {
+        process(shard, *dispatch);
+        worked = true;
         continue;
       }
+      ready_at = shard.scheduler->next_ready_time(t).value_or(kNever);
+      // Closed and drained: nothing arrives any more, so releasing each
+      // held request at its ready time now dispatches and merges it
+      // exactly as waiting for that time would.
+      if (ready_at == kNever || woke != PopResult::kClosed) break;
+      t = ready_at;
     }
+    if (woke == PopResult::kClosed) return;
+    if (!worked && !was_down) metrics_.idle_wakeups->add();
   }
 }
 

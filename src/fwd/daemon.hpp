@@ -139,6 +139,10 @@ struct IonParams {
   /// ledger row. Requires admission.enabled for the saturated lattice
   /// to ever engage.
   qos::QosEnforcer* qos = nullptr;
+  /// The admission ledger accepted requests settle in (the service's
+  /// one table, shared with its clients); null builds a default-tenant
+  /// table of the daemon's own against `registry`.
+  const qos::QosMetrics* ledger = nullptr;
 };
 
 /// Outcome of offering a request to an ION (try_submit).
@@ -531,14 +535,16 @@ class IonDaemon {
     telemetry::Counter* path_interned = nullptr;
     /// Requests dispatched on the submitting thread (SubmitMode).
     telemetry::Counter* inline_dispatches = nullptr;
+    /// Worker wakes that took in and dispatched nothing.
+    telemetry::Counter* idle_wakeups = nullptr;
     // Overload surface (outside the admission identity).
     telemetry::Counter* busy = nullptr;      ///< IonBusy answers
     telemetry::Gauge* saturation = nullptr;  ///< last admission score
   };
   Metrics metrics_;
-  /// The admission ledger (qos/enforcer.hpp): the QoS runtime's table,
-  /// or the default-tenant table on the same registry cells while QoS
-  /// is off. Accepted requests settle here, in the row of req.tenant.
+  /// The admission ledger (qos/enforcer.hpp): IonParams::ledger, or a
+  /// default-tenant table of its own. Accepted requests settle here, in
+  /// the row of req.tenant.
   const qos::QosMetrics ledger_;
   Stats baseline_;  ///< counter values at construction (stats() view)
 };

@@ -60,9 +60,6 @@ struct FwdRequest {
   std::uint64_t file_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
-  /// Number of logical client processes this request's issuing thread
-  /// stands for (threads are scaled down from the app's process count).
-  double stream_weight = 1.0;
   /// Write payload / read destination: a refcounted slab handle (or the
   /// counted heap fallback). Empty in accounting-only mode: the bytes
   /// are charged and tracked but never materialised.
@@ -71,7 +68,6 @@ struct FwdRequest {
   /// staged; durability comes from Fsync), or with kRejected when the
   /// ION refuses the offer.
   std::shared_ptr<CompletionSink> done;
-  std::uint64_t tag = 0;  ///< daemon-local scheduler handle
   /// Stamped by IonDaemon::try_submit (monotonic_micros) on EVERY
   /// enqueue — including re-submissions after failover — so the ingest
   /// queue wait is observable per attempt; 0 = not stamped.

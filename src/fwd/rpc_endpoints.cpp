@@ -119,7 +119,6 @@ void RpcIonClient::issue(FwdRequest req, SubmitMode /*mode*/) {
   msg.file_id = req.file_id;
   msg.offset = req.offset;
   msg.size = req.size;
-  msg.stream_weight = req.stream_weight;
   msg.deadline_us = req.deadline_us;
   msg.path = req.path;
   // Serialised straight from the slab: the frame is the one wire copy
@@ -336,7 +335,6 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   req.file_id = msg->file_id;
   req.offset = msg->offset;
   req.size = msg->size;
-  req.stream_weight = msg->stream_weight;
   req.deadline_us = msg->deadline_us;
   req.tenant = msg->tenant;
   Payload read_data;

@@ -95,11 +95,16 @@ ForwardingService::ForwardingService(ServiceConfig config)
     hooks.on_exhausted = [exhausted] { exhausted->add(); };
     slab_pool_->set_hooks(std::move(hooks));
   }
-  if (config_.qos.enabled) {
+  {
     auto& reg = config_.ion.registry ? *config_.ion.registry
                                      : telemetry::Registry::global();
-    qos_ = std::make_unique<qos::QosRuntime>(
-        config_.qos, config_.ion.ingest_bandwidth, config_.ion_count, reg);
+    if (config_.qos.enabled) {
+      qos_ = std::make_unique<qos::QosRuntime>(
+          config_.qos, config_.ion.ingest_bandwidth, config_.ion_count, reg);
+      ledger_.emplace(qos_->metrics());
+    } else {
+      ledger_.emplace(reg);
+    }
   }
   daemons_.reserve(static_cast<std::size_t>(config_.ion_count));
   for (int i = 0; i < config_.ion_count; ++i) {
@@ -108,6 +113,7 @@ ForwardingService::ForwardingService(ServiceConfig config)
       params.injector = config_.injector;
     }
     if (qos_) params.qos = qos_->enforcer(i);
+    params.ledger = &*ledger_;
     if (!params.slab_pool) params.slab_pool = slab_pool_.get();
     daemons_.push_back(std::make_unique<IonDaemon>(i, params, *pfs_));
   }

@@ -5,6 +5,7 @@
 // shims (one per job) are created against it.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/slab_pool.hpp"
@@ -92,6 +93,11 @@ class ForwardingService {
   /// null while config.qos.enabled is false.
   qos::QosRuntime* qos() { return qos_.get(); }
 
+  /// The admission ledger every client and daemon of this deployment
+  /// settles in: the QoS runtime's table, or the default-tenant table
+  /// while QoS is off.
+  const qos::QosMetrics& ledger() const { return *ledger_; }
+
   /// The deployment's payload slab pool (occupancy feeds each daemon's
   /// admission score; tests assert its acquire/release balance).
   SlabPool& slab_pool() { return *slab_pool_; }
@@ -132,6 +138,7 @@ class ForwardingService {
   /// Built before the daemons: each IonParams carries a pointer to its
   /// enforcer, so the runtime must outlive (and pre-date) them.
   std::unique_ptr<qos::QosRuntime> qos_;
+  std::optional<qos::QosMetrics> ledger_;
   std::vector<std::unique_ptr<IonDaemon>> daemons_;
   MappingStore mapping_store_;
   std::unique_ptr<TokenBucket> fallback_limiter_;

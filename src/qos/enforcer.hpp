@@ -130,7 +130,6 @@ class QosEnforcer {
 
   HierarchicalTokenBucket& htb() { return htb_; }
   const TenantRegistry& registry() const { return registry_; }
-  const QosMetrics& metrics() const { return metrics_; }
 
  private:
   void record_grant(TenantId t, const HierarchicalTokenBucket::Grant& g);

@@ -184,13 +184,12 @@ std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitRequestMsg& m,
                               std::span<const std::byte> payload) {
   std::vector<std::byte> frame =
-      open_frame(64 + m.path.size() + payload.size());
+      open_frame(56 + m.path.size() + payload.size());
   put_le(frame, static_cast<std::uint8_t>(m.op), 1);
   put_le(frame, m.tenant, 4);
   put_le(frame, m.file_id, 8);
   put_le(frame, m.offset, 8);
   put_le(frame, m.size, 8);
-  put_le(frame, std::bit_cast<std::uint64_t>(m.stream_weight), 8);
   put_le(frame, m.deadline_us, 8);
   put_string(frame, m.path);
   put_bytes(frame, payload);
@@ -308,7 +307,6 @@ Decoded decode(const std::vector<std::byte>& frame) {
       m.file_id = r.u64();
       m.offset = r.u64();
       m.size = r.u64();
-      m.stream_weight = std::bit_cast<double>(r.u64());
       m.deadline_us = r.u64();
       m.path = r.str();
       m.payload = r.bytes();

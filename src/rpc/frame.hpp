@@ -23,12 +23,14 @@
 namespace iofa::rpc {
 
 inline constexpr std::uint32_t kWireMagic = 0x41464F49;  // "IOFA" LE
-/// Version 4: one answer per request - a refusal is a SubmitResponse
-/// (kRejected) and SubmitAck is an empty "held" reply to a resend.
-/// Version 3 sent an eager ack carrying the admission result; its
-/// checksum (four lanes over 32-byte blocks) is unchanged. Version 2
-/// chained every word serially, version 1 hashed byte-wise.
-inline constexpr std::uint8_t kWireVersion = 4;
+/// Version 5: a SubmitRequest no longer carries a stream weight (the
+/// ION charges the PFS as one stream). Version 4 brought one answer
+/// per request - a refusal is a SubmitResponse (kRejected) and
+/// SubmitAck is an empty "held" reply to a resend. Version 3 sent an
+/// eager ack carrying the admission result; its checksum (four lanes
+/// over 32-byte blocks) is unchanged. Version 2 chained every word
+/// serially, version 1 hashed byte-wise.
+inline constexpr std::uint8_t kWireVersion = 5;
 /// Fixed header size in bytes (see codec.cpp for the exact layout).
 inline constexpr std::size_t kHeaderSize = 32;
 /// Decoder refuses bodies above this (a flipped length bit must not
@@ -64,7 +66,6 @@ struct SubmitRequestMsg {
   std::uint64_t file_id = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
-  double stream_weight = 1.0;
   std::uint64_t deadline_us = 0;
   std::string path;
   /// Write payload bytes: empty (accounting-only) or exactly `size`

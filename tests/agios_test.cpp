@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -16,6 +19,8 @@
 #include "agios/sjf.hpp"
 #include "agios/twins.hpp"
 #include "common/rng.hpp"
+#include "qos/scheduler.hpp"
+#include "qos/tenant.hpp"
 
 namespace iofa::agios {
 namespace {
@@ -441,6 +446,86 @@ TEST_P(AllSchedulers, ConservesAllRequests) {
     }
   }
   EXPECT_EQ(seen.size(), 200u);
+}
+
+/// The ready-time contract the ION worker sleeps on: whenever pop(now)
+/// returns nothing from a non-empty scheduler, next_ready_time(now)
+/// reports some t and pop(t) dispatches. A miss by rounding would leave
+/// the worker woken at t with nothing to do.
+void check_ready_time_contract(Scheduler& s, Rng& rng) {
+  std::vector<SchedRequest> arrivals;
+  const int n = 1 + static_cast<int>(rng.uniform_u64(0, 7));
+  for (int i = 0; i < n; ++i) {
+    SchedRequest r = req(static_cast<std::uint64_t>(i + 1),
+                         rng.uniform_u64(0, 2), rng.uniform_u64(0, 63) * 4096,
+                         4096, rng.uniform01() * 10.0);
+    r.tenant = static_cast<std::uint32_t>(rng.uniform_u64(0, 2));
+    arrivals.push_back(r);
+  }
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const auto& a, const auto& b) { return a.arrival < b.arrival; });
+  std::size_t next = 0;
+  std::size_t served = 0;
+  Seconds now = 0.0;
+  while (next < arrivals.size() || !s.empty()) {
+    while (next < arrivals.size() && arrivals[next].arrival <= now) {
+      s.add(arrivals[next++]);
+    }
+    while (auto d = s.pop(now)) served += d->parts.size();
+    const Seconds next_arrival = next < arrivals.size()
+                                     ? arrivals[next].arrival
+                                     : std::numeric_limits<Seconds>::infinity();
+    if (s.empty()) {
+      now = next_arrival;
+      continue;
+    }
+    const auto t = s.next_ready_time(now);
+    ASSERT_TRUE(t.has_value()) << s.name() << " holds work at " << now
+                               << " but reports no ready time";
+    if (next_arrival <= *t) {
+      now = next_arrival;
+      continue;
+    }
+    const auto d = s.pop(*t);
+    ASSERT_TRUE(d.has_value()) << s.name() << " reported " << *t
+                               << " (asked at " << now
+                               << ") but pop() there returned nothing";
+    served += d->parts.size();
+    now = *t;
+  }
+  EXPECT_EQ(served, arrivals.size());
+}
+
+TEST_P(AllSchedulers, PopAtTheReportedReadyTimeDispatches) {
+  qos::QosOptions options;
+  options.enabled = true;
+  qos::TenantSpec gold;
+  gold.name = "gold";
+  gold.klass = qos::PriorityClass::Guaranteed;
+  gold.reserved_bandwidth = 60.0;
+  qos::TenantSpec silver;
+  silver.name = "silver";
+  silver.klass = qos::PriorityClass::Burst;
+  silver.reserved_bandwidth = 20.0;
+  options.tenants = {gold, silver};
+  const qos::TenantRegistry tenants(options, 100.0);
+
+  Rng rng(0x5EED);
+  for (int trial = 0; trial < 2000; ++trial) {
+    SchedulerConfig cfg;
+    cfg.kind = GetParam();
+    // Windows from 0.1 ms to 100 ms, so sums of arrival and window
+    // round in every direction.
+    cfg.aggregation_window = 1e-4 * std::pow(1000.0, rng.uniform01());
+    cfg.twins_window = 1e-4 * std::pow(1000.0, rng.uniform01());
+    cfg.aioli_wait_window = 1e-4 * std::pow(1000.0, rng.uniform01());
+    cfg.max_aggregate = 4096 * (1 + rng.uniform_u64(0, 7));
+    auto plain = make_scheduler(cfg);
+    check_ready_time_contract(*plain, rng);
+    auto weighted = qos::make_tenant_scheduler(tenants, cfg);
+    check_ready_time_contract(*weighted, rng);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST_P(AllSchedulers, NameNonEmptyAndFactoryWorks) {

@@ -554,7 +554,7 @@ TEST(BoundedQueueTest, PopForTimesOut) {
   BoundedQueue<int> q(4);
   int out = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(30), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.030), out),
             PopResult::kTimeout);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -570,14 +570,14 @@ TEST(BoundedQueueTest, PopForTimesOut) {
 TEST(BoundedQueueTest, TryPopForDistinguishesTimeoutFromClosed) {
   BoundedQueue<int> q(4);
   int out = 0;
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kTimeout);
   ASSERT_TRUE(q.push(7));
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kItem);
   EXPECT_EQ(out, 7);
   q.close();
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kClosed);
 }
 
@@ -589,13 +589,13 @@ TEST(BoundedQueueTest, TryPopForDrainsItemsAfterClose) {
   ASSERT_TRUE(q.push(2));
   q.close();
   int out = 0;
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kItem);
   EXPECT_EQ(out, 1);
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kItem);
   EXPECT_EQ(out, 2);
-  EXPECT_EQ(q.try_pop_for(std::chrono::milliseconds(5), out),
+  EXPECT_EQ(q.pop_until(deadline_after(0.005), out),
             PopResult::kClosed);
 }
 
@@ -609,7 +609,7 @@ TEST(BoundedQueueTest, TryPopForReportsClosedWhileWaiting) {
   });
   int out = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(q.try_pop_for(std::chrono::seconds(10), out),
+  EXPECT_EQ(q.pop_until(deadline_after(10.0), out),
             PopResult::kClosed);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -15,6 +15,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/clock.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "fault/clock.hpp"
@@ -277,6 +278,83 @@ TEST(IonDaemon, ShutdownWaitsOutTheAggregationWindow) {
   }
   for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
   EXPECT_EQ(pfs.bytes_written(), 8u * 4096u);
+}
+
+TEST(IonDaemon, ShutdownReleasesHeldRequestsWithoutWaitingOutTheWindow) {
+  // Nothing arrives after close, so the worker releases what the
+  // scheduler holds at its ready times without sleeping until them:
+  // the same dispatches and merges, and no 10 s wait.
+  for (int w : {1, 4}) {
+    telemetry::Registry reg;
+    EmulatedPfs pfs(fast_pfs());
+    IonParams params = fast_ion();
+    params.workers = w;
+    params.registry = &reg;
+    params.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
+    params.scheduler.aggregation_window = 10.0;
+    std::vector<std::shared_ptr<WaitSlot>> slots;
+    double shutdown_s = 0.0;
+    IonDaemon::Stats stats;
+    {
+      IonDaemon daemon(0, params, pfs);
+      for (const char* path : {"/held.a", "/held.b"}) {
+        for (int i = 0; i < 8; ++i) {
+          auto req = write_req(path, static_cast<std::uint64_t>(i) * 4096,
+                               pattern_data(4096, static_cast<std::uint64_t>(i)));
+          slots.push_back(wait_on(req));
+          ASSERT_TRUE(daemon.submit(std::move(req)));
+        }
+      }
+      const double t0 = monotonic_seconds();
+      daemon.shutdown();
+      shutdown_s = monotonic_seconds() - t0;
+      stats = daemon.stats();
+    }
+    EXPECT_LT(shutdown_s, 1.0) << "workers=" << w;
+    for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
+    EXPECT_EQ(stats.requests, 16u);
+    EXPECT_EQ(stats.dispatches, 2u) << "one merged run per file";
+    EXPECT_EQ(pfs.bytes_written(), 16u * 4096u);
+  }
+}
+
+TEST(IonDaemon, IdleWorkersDoNotWake) {
+  // A worker waits for an arrival, its scheduler's ready time or close,
+  // and every one of those wakes ingests or dispatches something. An
+  // idle ION - also after a TO-AGG window has dispatched - costs no
+  // wakeup at all.
+  for (const auto kind : {agios::SchedulerKind::Fifo,
+                          agios::SchedulerKind::TimeWindowAggregation}) {
+    for (int w : {1, 4}) {
+      telemetry::Registry reg;
+      EmulatedPfs pfs(fast_pfs());
+      IonParams params = fast_ion();
+      params.workers = w;
+      params.registry = &reg;
+      params.scheduler.kind = kind;
+      params.scheduler.aggregation_window = 0.005;
+      IonDaemon daemon(0, params, pfs);
+      const auto& idle =
+          reg.counter("fwd.ion.idle_wakeups", {{"ion", "0"}});
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      EXPECT_EQ(idle.value(), 0u) << "idle from the start, workers=" << w;
+
+      std::vector<std::shared_ptr<WaitSlot>> slots;
+      for (int i = 0; i < 16; ++i) {
+        auto req = write_req("/idle" + std::to_string(i % 4),
+                             static_cast<std::uint64_t>(i / 4) * 4096,
+                             pattern_data(4096, static_cast<std::uint64_t>(i)));
+        slots.push_back(wait_on(req));
+        ASSERT_TRUE(daemon.submit(std::move(req)));
+      }
+      for (auto& s : slots) EXPECT_EQ(s->wait().value, 4096u);
+      daemon.drain();
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      EXPECT_EQ(idle.value(), 0u)
+          << agios::to_string(kind) << " workers=" << w;
+      EXPECT_EQ(daemon.stats().requests, 16u);
+    }
+  }
 }
 
 TEST(IonDaemon, ConcurrentSubmittersAllComplete) {

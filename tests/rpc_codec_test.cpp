@@ -45,7 +45,6 @@ SubmitRequestMsg sample_request() {
   m.file_id = 0xDEADBEEFCAFEF00Dull;
   m.offset = 4096;
   m.size = 5;
-  m.stream_weight = 2.5;
   m.deadline_us = 123456789;
   m.path = "/ssd/rank0/ckpt.h5";
   m.payload = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4},
@@ -66,7 +65,6 @@ TEST(RpcCodec, SubmitRequestRoundTrip) {
   EXPECT_EQ(got.file_id, m.file_id);
   EXPECT_EQ(got.offset, m.offset);
   EXPECT_EQ(got.size, m.size);
-  EXPECT_DOUBLE_EQ(got.stream_weight, m.stream_weight);
   EXPECT_EQ(got.deadline_us, m.deadline_us);
   EXPECT_EQ(got.path, m.path);
   EXPECT_EQ(got.payload, m.payload);

@@ -38,7 +38,6 @@ int main() {
     cfg.ion.op_overhead = 16 * KiB;
     cfg.ion.scheduler.kind = kind;
     cfg.ion.scheduler.aggregation_window = 0.001;
-    cfg.ion.scheduler.twins_window = 0.001;
     fwd::ForwardingService service(cfg);
 
     core::Mapping mapping;

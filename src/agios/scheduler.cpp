@@ -13,6 +13,25 @@ namespace iofa::agios {
 
 namespace {
 
+/// TO-AGG: maximum size of a merged access.
+constexpr std::uint64_t kMaxAggregate = 32ULL * 1024 * 1024;
+/// SJF: a request older than this is served regardless of size.
+constexpr Seconds kAgingLimit = 0.050;
+/// TWINS: window length per data server, and the PFS data servers it
+/// rotates over.
+constexpr Seconds kTwinsWindow = 0.001;
+constexpr int kDataServers = 2;
+/// HBRR: byte quantum per file queue per round.
+constexpr std::uint64_t kHbrrQuantum = 8ULL * 1024 * 1024;
+/// aIOLi: starting quantum (doubles while a stream stays sequential),
+/// its ceiling, and how long a broken stream waits for its successor.
+constexpr std::uint64_t kAioliBaseQuantum = 512ULL * 1024;
+constexpr std::uint64_t kAioliMaxQuantum = 32ULL * 1024 * 1024;
+constexpr Seconds kAioliWaitWindow = 0.0005;
+/// MLF: top-level quantum and number of feedback levels.
+constexpr std::uint64_t kMlfBaseQuantum = 1ULL * 1024 * 1024;
+constexpr int kMlfLevels = 4;
+
 /// Decorator counting per-scheduler-type activity into the telemetry
 /// registry ("agios.*", labelled with the scheduler name). Wraps every
 /// scheduler make_scheduler() hands out; the counters are lock-free so
@@ -83,22 +102,19 @@ std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& config) {
     case SchedulerKind::Fifo:
       return std::make_unique<FifoScheduler>();
     case SchedulerKind::Sjf:
-      return std::make_unique<SjfScheduler>(config.aging_limit);
+      return std::make_unique<SjfScheduler>(kAgingLimit);
     case SchedulerKind::TimeWindowAggregation:
       return std::make_unique<AggregationScheduler>(config.aggregation_window,
-                                                    config.max_aggregate);
+                                                    kMaxAggregate);
     case SchedulerKind::Twins:
-      return std::make_unique<TwinsScheduler>(config.twins_window,
-                                              config.data_servers);
+      return std::make_unique<TwinsScheduler>(kTwinsWindow, kDataServers);
     case SchedulerKind::Hbrr:
-      return std::make_unique<QuantumScheduler>(config.quantum);
+      return std::make_unique<QuantumScheduler>(kHbrrQuantum);
     case SchedulerKind::Aioli:
-      return std::make_unique<AioliScheduler>(config.aioli_base_quantum,
-                                              config.aioli_max_quantum,
-                                              config.aioli_wait_window);
+      return std::make_unique<AioliScheduler>(
+          kAioliBaseQuantum, kAioliMaxQuantum, kAioliWaitWindow);
     case SchedulerKind::Mlf:
-      return std::make_unique<MlfScheduler>(config.mlf_base_quantum,
-                                            config.mlf_levels);
+      return std::make_unique<MlfScheduler>(kMlfBaseQuantum, kMlfLevels);
     }
     return nullptr;
   }();

@@ -94,27 +94,12 @@ enum class SchedulerKind {
 
 std::string to_string(SchedulerKind kind);
 
+/// The scheduler an ION runs. Only TO-AGG's window is a setting; every
+/// other policy's parameters are constants in make_scheduler().
 struct SchedulerConfig {
   SchedulerKind kind = SchedulerKind::TimeWindowAggregation;
   /// TO-AGG: how long a request may wait for mergeable neighbours.
   Seconds aggregation_window = 0.001;
-  /// TO-AGG: maximum size of a merged access.
-  std::uint64_t max_aggregate = 32ULL * 1024 * 1024;
-  /// SJF: a request older than this is served regardless of size.
-  Seconds aging_limit = 0.050;
-  /// TWINS: window length per data server.
-  Seconds twins_window = 0.001;
-  /// TWINS: number of PFS data servers to rotate over.
-  int data_servers = 2;
-  /// HBRR: byte quantum per file queue per round.
-  std::uint64_t quantum = 8ULL * 1024 * 1024;
-  /// aIOLi: starting quantum (doubles while a stream stays sequential).
-  std::uint64_t aioli_base_quantum = 512ULL * 1024;
-  std::uint64_t aioli_max_quantum = 32ULL * 1024 * 1024;
-  Seconds aioli_wait_window = 0.0005;
-  /// MLF: top-level quantum and number of feedback levels.
-  std::uint64_t mlf_base_quantum = 1ULL * 1024 * 1024;
-  int mlf_levels = 4;
 };
 
 std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& config);

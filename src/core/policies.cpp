@@ -220,7 +220,7 @@ Allocation MckpPolicy::allocate(const AllocationProblem& problem) const {
     return a;
   }
 
-  if (!opts_.shared_fallback || problem.pool < 1) {
+  if (problem.pool < 1) {
     a.respects_pool = false;
     return a;
   }

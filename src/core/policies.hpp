@@ -113,11 +113,10 @@ class OraclePolicy final : public ArbitrationPolicy {
 /// applications' curves with the pool as capacity.
 class MckpPolicy final : public ArbitrationPolicy {
  public:
+  /// When the minimum-weight choices already exceed the pool, allocate()
+  /// reserves one ION as a system-wide shared node and gives every
+  /// application an extra "shared" item valued bw(1)/A (Section 3.1).
   struct Options {
-    /// When the minimum-weight choices already exceed the pool, reserve
-    /// one ION as a system-wide shared node and give every application an
-    /// extra "shared" item valued bw(1)/A, as described in Section 3.1.
-    bool shared_fallback = true;
     /// Use the greedy solver instead of the exact DP (ablation).
     bool greedy = false;
   };

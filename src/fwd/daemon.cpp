@@ -95,8 +95,6 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.idle_wakeups = &reg.counter("fwd.ion.idle_wakeups", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
-  admission_ = std::make_unique<SaturationTracker>(params_.admission,
-                                                   metrics_.queue_wait_us);
   busy_site_ = fault::busy_site(id_);
   admit_site_ = fault::ion_site(id_);
   flush_seed_ = SplitMix64((params_.injector ? params_.injector->plan().seed
@@ -179,9 +177,8 @@ std::size_t IonDaemon::shard_of(std::uint64_t file_id, FwdOp op) const {
 double IonDaemon::saturation() const {
   const double slab =
       params_.slab_pool ? params_.slab_pool->used_fraction() : 0.0;
-  return admission_->score(queue_depth(),
-                           shards_.size() * params_.queue_capacity,
-                           inflight_bytes_.load(), slab);
+  return admission_.score(queue_depth(),
+                          shards_.size() * params_.queue_capacity, slab);
 }
 
 void IonDaemon::raise_restamp_floor() {
@@ -211,7 +208,7 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
   if (data_request && params_.admission.enabled) {
     const double score = saturation();
     metrics_.saturation->set(score);
-    const bool saturated = admission_->rejects(score);
+    const bool saturated = admission_.rejects(score);
     // With QoS, admission is class-aware: best-effort is shed first,
     // burst rides on tokens, guaranteed is exempt up to its reservation.
     // The ledger's rejected bucket is counted client-side, where every
@@ -231,12 +228,10 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
     }
     req.path.clear();
   }
-  const Bytes size = req.size;
   // Stamped on EVERY enqueue (including failover re-submissions), so
   // the queue-wait histogram measures this attempt's wait only.
   req.queued_us = monotonic_micros();
   pending_.fetch_add(1);
-  inflight_bytes_.fetch_add(size);
   auto& shard = *shards_[shard_of(req.file_id, req.op)];
   if (mode == SubmitMode::kInlineWhenIdle && inline_eligible_) {
     if (dispatch_inline(shard, req)) return SubmitResult::kAccepted;
@@ -249,7 +244,6 @@ SubmitResult IonDaemon::try_submit(FwdRequest req, SubmitMode mode) {
   if (!shard.ingest.push(std::move(req))) {
     queue_depth_.fetch_sub(1);
     shard.unscheduled.fetch_sub(1);
-    inflight_bytes_.fetch_sub(size);
     finish_pending();
     return SubmitResult::kDown;
   }
@@ -370,7 +364,6 @@ void IonDaemon::complete(std::shared_ptr<CompletionSink> done,
 }
 
 void IonDaemon::fail_request(FwdRequest& req) {
-  inflight_bytes_.fetch_sub(req.size);
   ledger_.tenant(req.tenant).on_failed();
   complete(std::move(req.done), {CompletionStatus::kIonDown, 0});
 }
@@ -417,8 +410,8 @@ void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
   if (req.queued_us != 0) {
     // Crash-restart restamping: a request that sat out an outage in
     // the queue is billed from the restart, not from its enqueue -
-    // the histogram (and the admission p99 derived from it) must
-    // never learn the length of a down window as "queue wait".
+    // the histogram (and the QoS tenant wait it feeds) must never
+    // learn the length of a down window as "queue wait".
     const std::uint64_t floor =
         restamp_floor_us_.load(std::memory_order_relaxed);
     const std::uint64_t stamped = std::max(req.queued_us, floor);
@@ -441,7 +434,6 @@ void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
     // a client is still waiting for. Fsync markers are exempt - they
     // gate durability, not latency.
     ledger_.tenant(req.tenant).on_expired();
-    inflight_bytes_.fetch_sub(req.size);
     complete(std::move(req.done), {CompletionStatus::kExpired, 0});
     return;
   }
@@ -633,8 +625,6 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
         continue;
       }
     }
-    // Dispatched: the payload leaves the admission window.
-    inflight_bytes_.fetch_sub(req.size);
 
     if (req.op == FwdOp::Write) {
       if (pfs_.params().store_data && !req.payload.empty()) {

@@ -248,7 +248,7 @@ class IonDaemon {
   /// Overloaded-but-alive: refusing new work yet still serving. The
   /// HealthMonitor turns this into an arbiter load hint, never an
   /// eviction.
-  bool overloaded() const { return admission_->rejects(saturation()); }
+  bool overloaded() const { return admission_.rejects(saturation()); }
   /// Load hint fed to the arbiter. Without QoS this is the raw
   /// saturation score; with QoS the borrowed (sheddable) share of the
   /// granted bandwidth is discounted - an ION drowning in best-effort
@@ -499,11 +499,8 @@ class IonDaemon {
   /// Seed for the flushers' deterministic retry jitter.
   std::uint64_t flush_seed_ = 0;
 
-  /// Admission control (saturation scoring over the queue-wait
-  /// histogram); built after the metrics are registered.
-  std::unique_ptr<SaturationTracker> admission_;
-  /// Accepted-but-undispatched payload bytes (admission criterion).
-  std::atomic<Bytes> inflight_bytes_{0};
+  /// Admission control: saturation scoring and the watermark rule.
+  const SaturationTracker admission_{params_.admission};
   /// Fault site for forced IonBusy answers ("ion.<id>.busy").
   std::string busy_site_;
   /// Admission-level fault site ("ion.<id>"), drawn once per ingest.

@@ -33,7 +33,6 @@ HealthMonitor::HealthMonitor(ForwardingService& service,
     : service_(service), arbiter_(arbiter), options_(options) {
   MutexLock lk(mu_);
   alive_.assign(static_cast<std::size_t>(service_.ion_count()), 1);
-  misses_.assign(static_cast<std::size_t>(service_.ion_count()), 0);
   hints_.assign(static_cast<std::size_t>(service_.ion_count()), 0.0);
 }
 
@@ -51,7 +50,6 @@ bool HealthMonitor::poll_once() {
       const bool beat = daemon.alive();
       const std::size_t idx = static_cast<std::size_t>(i);
       if (beat) {
-        misses_[idx] = 0;
         if (!alive_[idx]) {
           // Recovery edges are immediate - holding work back from a
           // node that is demonstrably serving again has no upside.
@@ -70,13 +68,10 @@ bool HealthMonitor::poll_once() {
           hints.emplace_back(i, score);
         }
       } else if (alive_[idx]) {
-        // Debounce: a 1-beat flap must not trigger an MCKP re-solve.
-        if (++misses_[idx] >= options_.fail_threshold) {
-          alive_[idx] = 0;
-          misses_[idx] = 0;
-          died.push_back(i);
-          ++failures_;
-        }
+        // The first missed beat is a death edge.
+        alive_[idx] = 0;
+        died.push_back(i);
+        ++failures_;
       }
     }
   }

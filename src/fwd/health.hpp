@@ -33,11 +33,6 @@ class HealthMonitor {
     /// Serialises arbiter access against other users (may be null when
     /// the caller drives poll_once() single-threaded).
     Mutex* arbiter_mu = nullptr;
-    /// Debounce: consecutive missed heartbeats before ion_failed fires.
-    /// 1 = legacy single-sample edges; higher values keep a flapping
-    /// ION from triggering back-to-back MCKP re-solves. Recovery edges
-    /// are never debounced.
-    int fail_threshold = 1;
   };
 
   HealthMonitor(ForwardingService& service, core::Arbiter& arbiter)
@@ -69,7 +64,6 @@ class HealthMonitor {
 
   mutable Mutex mu_;
   std::vector<char> alive_ IOFA_GUARDED_BY(mu_);  ///< last reported state
-  std::vector<int> misses_ IOFA_GUARDED_BY(mu_);  ///< consecutive misses
   /// Last overload score fed to the arbiter (0 = no hint).
   std::vector<double> hints_ IOFA_GUARDED_BY(mu_);
   std::uint64_t failures_ IOFA_GUARDED_BY(mu_) = 0;

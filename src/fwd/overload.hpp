@@ -5,12 +5,11 @@
 // it from IONs that are merely drowning. Three cooperating pieces:
 //
 //   SaturationTracker - daemon-side admission control. Each IonDaemon
-//       folds its ingest queue depth, accepted-but-undispatched bytes
-//       and p99 ingest-queue wait (the PR 4 telemetry) into one
-//       saturation score, normalised so 1.0 is the configured high
-//       watermark. Past the watermark new data requests are refused
-//       fast with a retryable IonBusy answer instead of rotting in the
-//       shard queues (the SDQoS admission idea, arXiv:1805.06169).
+//       folds its ingest queue depth and its payload slab-pool
+//       occupancy into one saturation score, normalised so 1.0 is the
+//       high watermark. Past the watermark new data requests are
+//       refused fast with a retryable IonBusy answer instead of rotting
+//       in the shard queues (the SDQoS admission idea, arXiv:1805.06169).
 //
 //   CircuitBreaker - client-side, one per ION. Consecutive IonBusy /
 //       timeout outcomes open the breaker; while open the client stops
@@ -30,7 +29,6 @@
 // Where every submission attempt ends up is counted in one place, the
 // per-tenant admission ledger; its identity lives in qos/enforcer.hpp.
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/annotations.hpp"
@@ -49,10 +47,6 @@ struct AdmissionOptions {
   /// Fraction of the aggregate ingest-queue capacity at which the
   /// saturation score reaches 1.0 (and admission starts refusing).
   double queue_high_watermark = 0.9;
-  /// Accepted-but-undispatched byte ceiling; 0 disables the criterion.
-  Bytes inflight_bytes_limit = 0;
-  /// p99 ingest-queue wait ceiling; 0 disables the criterion.
-  Seconds queue_wait_limit = 0.0;
 };
 
 /// Payload slab-pool occupancy (fullest size class, 0..1) at which the
@@ -61,17 +55,12 @@ struct AdmissionOptions {
 /// has no slab pool attached (slab_used_fraction stays 0).
 inline constexpr double kSlabHighWatermark = 0.95;
 
-/// Folds queue depth, in-flight bytes, p99 queue wait and slab-pool
-/// occupancy into one saturation score (max over the enabled criteria,
-/// each normalised so 1.0 means "at the high watermark"). The p99 comes
-/// from the daemon's own fwd.ion.queue_wait_us histogram and is cached
-/// briefly so the submit hot path never walks buckets more than once
-/// per millisecond.
+/// Folds the two admission criteria, queue depth and slab-pool
+/// occupancy, into one saturation score: the max of the two, each
+/// normalised so 1.0 means "at the high watermark".
 class SaturationTracker {
  public:
-  SaturationTracker(AdmissionOptions options,
-                    const telemetry::Histogram* queue_wait_us)
-      : options_(options), wait_hist_(queue_wait_us) {}
+  explicit SaturationTracker(AdmissionOptions options) : options_(options) {}
 
   const AdmissionOptions& options() const { return options_; }
 
@@ -79,7 +68,7 @@ class SaturationTracker {
   /// `slab_used_fraction` is the payload pool's fullest-class occupancy
   /// (0 when the daemon has no pool attached).
   double score(std::size_t queue_depth, std::size_t queue_capacity,
-               Bytes inflight_bytes, double slab_used_fraction = 0.0) const;
+               double slab_used_fraction = 0.0) const;
 
   /// The admission rule: with admission enabled, a score at or past
   /// the high watermark refuses new data requests.
@@ -88,15 +77,7 @@ class SaturationTracker {
   }
 
  private:
-  double wait_p99_us() const;
-
   AdmissionOptions options_;
-  const telemetry::Histogram* wait_hist_ = nullptr;
-  /// p99 cache (monotonic_micros stamp + value); recomputed at most
-  /// every kP99RefreshUs so score() stays O(1) on the submit path.
-  static constexpr std::uint64_t kP99RefreshUs = 1000;
-  mutable std::atomic<std::uint64_t> p99_stamp_us_{0};
-  mutable std::atomic<double> p99_cached_us_{0.0};
 };
 
 /// Client-side breaker knobs (ClientConfig::breaker).
@@ -104,21 +85,16 @@ struct BreakerOptions {
   bool enabled = false;
   /// Consecutive IonBusy/timeout outcomes that trip the breaker.
   int failure_threshold = 5;
-  /// Open-window duration schedule: base * multiplier^(trips-1), capped,
-  /// then jittered into [d/2, d) from the seeded stream.
+  /// Open-window duration schedule: base * 2^(trips-1), capped, then
+  /// jittered into [d/2, d) from the seeded stream.
   Seconds open_base = 10.0e-3;
   Seconds open_cap = 200.0e-3;
-  double open_multiplier = 2.0;
-  /// Trial-request budget per half-open window.
-  int half_open_probes = 2;
-  /// Probe successes needed to close again.
-  int half_open_successes = 2;
 };
 
 /// Per-ION circuit breaker: closed -> open on consecutive failures,
 /// open -> half-open after the (seed-jittered) open window, half-open
-/// -> closed after enough probe successes, half-open -> open on any
-/// probe failure. Time is passed in by the caller, so the state machine
+/// -> closed after two probe successes (at most two probes per
+/// half-open window), half-open -> open on any probe failure. Time is passed in by the caller, so the state machine
 /// is fully deterministic under test; jitter draws from the seeded
 /// fault::backoff_delay stream, so fault replay stays byte-identical.
 class CircuitBreaker {

@@ -74,9 +74,6 @@ ReplayResult replay_app(Client& client, const workload::AppSpec& app,
 
   for (std::size_t pi = 0; pi < app.phases.size(); ++pi) {
     const auto& ph = app.phases[pi];
-    if (ph.compute_before > 0.0 && options.time_scale > 0.0) {
-      sleep_for_seconds(ph.compute_before * options.time_scale);
-    }
 
     PhasePlan plan;
     plan.spec = &ph;

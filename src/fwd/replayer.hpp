@@ -23,8 +23,6 @@ struct ReplayOptions {
   /// Floor for a scaled phase (never exceeds the original volume): keeps
   /// small applications out of the fixed-overhead regime.
   Bytes min_phase_bytes = 0;
-  /// Multiplier on compute_before gaps (0 skips them entirely).
-  double time_scale = 0.0;
   std::uint64_t seed = 42;  ///< payload generation seed
 };
 
@@ -40,7 +38,7 @@ struct ReplayResult {
   std::vector<PhaseResult> phases;
   Bytes write_bytes = 0;
   Bytes read_bytes = 0;
-  Seconds makespan = 0.0;  ///< includes compute gaps, as the paper does
+  Seconds makespan = 0.0;  ///< I/O phases only: compute gaps are skipped
 
   /// Equation 2 contribution: (W + R) / runtime.
   MBps bandwidth() const;

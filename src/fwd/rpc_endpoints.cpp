@@ -31,6 +31,16 @@ static_assert(pinned(rpc::WireStatus::kOk, CompletionStatus::kOk) &&
               pinned(rpc::WireStatus::kRejected,
                      CompletionStatus::kRejected));
 
+/// Request ids a server remembers for duplicate suppression. Entries
+/// whose response is still pending are never evicted; a much smaller
+/// window would evict outcomes while their duplicates are still in
+/// flight.
+constexpr std::size_t kDedupWindow = 4096;
+/// Round trips for a mapping fetch or publish before giving up (a lost
+/// publish behaves like a dropped mapping file: the HealthMonitor
+/// self-heals it; a failed fetch keeps the client's cached view).
+constexpr int kMappingAttempts = 4;
+
 telemetry::Registry& reg_of(telemetry::Registry* registry) {
   return registry ? *registry : telemetry::Registry::global();
 }
@@ -262,10 +272,8 @@ class RpcIonServer::ResponseSink final : public CompletionSink {
 
 RpcIonServer::RpcIonServer(rpc::Transport& transport,
                            ForwardingService& service, int ion,
-                           const rpc::RpcOptions& options,
                            telemetry::Registry* registry)
-    : transport_(transport), service_(service), ion_(ion),
-      options_(options) {
+    : transport_(transport), service_(service), ion_(ion) {
   auto& reg = reg_of(registry);
   const telemetry::Labels labels{{"link", "ion." + std::to_string(ion)}};
   dedup_hits_ctr_ = &reg.counter("rpc.dedup_hits", labels);
@@ -387,7 +395,7 @@ void RpcIonServer::respond(
 }
 
 void RpcIonServer::evict_locked() {
-  while (terminal_order_.size() > options_.dedup_window) {
+  while (terminal_order_.size() > kDedupWindow) {
     dedup_.erase(terminal_order_.front());
     terminal_order_.pop_front();
   }
@@ -434,7 +442,7 @@ bool RpcMappingClient::round_trip(std::uint64_t id,
 std::optional<MappingSnapshot> RpcMappingClient::fetch(core::JobId job) {
   rpc::MappingGetMsg msg;
   msg.job = job;
-  for (int attempt = 1; attempt <= options_.mapping_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMappingAttempts; ++attempt) {
     // A fresh id per attempt: gets are idempotent reads, so re-execution
     // is free and a late reply to an abandoned id is simply ignored.
     const std::uint64_t id =
@@ -457,7 +465,7 @@ bool RpcMappingClient::publish(const core::Mapping& mapping) {
   const std::uint64_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<std::byte> frame = rpc::encode(id, msg);
-  for (int attempt = 1; attempt <= options_.mapping_attempts; ++attempt) {
+  for (int attempt = 1; attempt <= kMappingAttempts; ++attempt) {
     Waiter waiter;
     if (round_trip(id, frame, &waiter)) return true;
     retries_ctr_->add();
@@ -492,9 +500,8 @@ void RpcMappingClient::on_frame(std::vector<std::byte> frame) {
 
 RpcMappingServer::RpcMappingServer(rpc::Transport& transport,
                                    MappingStore& store,
-                                   const rpc::RpcOptions& options,
                                    telemetry::Registry* registry)
-    : transport_(transport), store_(store), options_(options) {
+    : transport_(transport), store_(store) {
   auto& reg = reg_of(registry);
   const telemetry::Labels labels{{"link", "mapping"}};
   dedup_hits_ctr_ = &reg.counter("rpc.dedup_hits", labels);
@@ -508,7 +515,7 @@ RpcMappingServer::RpcMappingServer(rpc::Transport& transport,
 }
 
 void RpcMappingServer::evict_locked() {
-  while (publish_order_.size() > options_.dedup_window) {
+  while (publish_order_.size() > kDedupWindow) {
     published_.erase(publish_order_.front());
     publish_order_.pop_front();
   }

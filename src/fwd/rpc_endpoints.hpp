@@ -158,8 +158,7 @@ class RpcIonClient : public IonPort {
 class RpcIonServer {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
-               int ion, const rpc::RpcOptions& options,
-               telemetry::Registry* registry = nullptr);
+               int ion, telemetry::Registry* registry = nullptr);
   /// Waits until every accepted request has shipped its response.
   ~RpcIonServer();
 
@@ -183,7 +182,6 @@ class RpcIonServer {
   rpc::Transport& transport_;
   ForwardingService& service_;
   const int ion_;
-  const rpc::RpcOptions options_;
   Mutex mu_;
   std::unordered_map<std::uint64_t, DedupEntry> dedup_ IOFA_GUARDED_BY(mu_);
   /// Answered ids in answer order - the eviction queue. Ids whose
@@ -240,7 +238,6 @@ class RpcMappingClient : public MappingPort {
 class RpcMappingServer {
  public:
   RpcMappingServer(rpc::Transport& transport, MappingStore& store,
-                   const rpc::RpcOptions& options,
                    telemetry::Registry* registry = nullptr);
 
  private:
@@ -249,7 +246,6 @@ class RpcMappingServer {
 
   rpc::Transport& transport_;
   MappingStore& store_;
-  const rpc::RpcOptions options_;
   Mutex mu_;
   /// Publish ids already applied (a replayed ack is re-encoded).
   std::unordered_set<std::uint64_t> published_ IOFA_GUARDED_BY(mu_);

@@ -55,8 +55,8 @@ void ForwardingService::build_ports() {
         framed(fault::rpc_req_site(i), fault::rpc_rsp_site(i));
     // Server before stub: the server-side handler must be installed
     // before the first frame can be sent.
-    link.server = std::make_unique<RpcIonServer>(
-        *link.transport, *this, i, config_.rpc, config_.ion.registry);
+    link.server = std::make_unique<RpcIonServer>(*link.transport, *this, i,
+                                                 config_.ion.registry);
     ion_ports_.push_back(std::make_unique<RpcIonClient>(
         *link.transport, i, config_.rpc,
         config_.rpc_seed ^ static_cast<std::uint64_t>(i),
@@ -66,8 +66,7 @@ void ForwardingService::build_ports() {
   rpc_->mapping_transport =
       framed(fault::kRpcMappingReqSite, fault::kRpcMappingRspSite);
   rpc_->mapping_server = std::make_unique<RpcMappingServer>(
-      *rpc_->mapping_transport, mapping_store_, config_.rpc,
-      config_.ion.registry);
+      *rpc_->mapping_transport, mapping_store_, config_.ion.registry);
   mapping_port_ = std::make_unique<RpcMappingClient>(
       *rpc_->mapping_transport, config_.rpc, config_.ion.registry);
 }

@@ -49,8 +49,8 @@ struct ServiceConfig {
   /// defaulting to in-proc, so the whole suite runs over either
   /// transport unchanged.
   rpc::TransportKind transport = rpc::TransportKind::kAuto;
-  /// Framed-transport knobs (ack timeout, resend backoff, dedup
-  /// window); validated at construction. Ignored by kInProc.
+  /// Framed-transport knobs (ack timeout, resend backoff); validated
+  /// at construction. Ignored by kInProc.
   rpc::RpcOptions rpc;
   /// Seed for the stubs' deterministic resend-backoff jitter.
   std::uint64_t rpc_seed = 1;

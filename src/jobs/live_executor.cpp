@@ -80,10 +80,8 @@ void validate_live_options(const LiveExecutorOptions& options) {
       // sit closed while every client blocks forever.
       reject("breaker requires request_timeout > 0");
     }
-    if (options.breaker.failure_threshold < 1 ||
-        options.breaker.half_open_probes < 1 ||
-        options.breaker.half_open_successes < 1) {
-      reject("breaker thresholds and probe budgets must be >= 1");
+    if (options.breaker.failure_threshold < 1) {
+      reject("breaker failure_threshold must be >= 1");
     }
     if (options.breaker.open_base <= 0.0 ||
         options.breaker.open_cap < options.breaker.open_base) {
@@ -95,15 +93,9 @@ void validate_live_options(const LiveExecutorOptions& options) {
         options.admission.queue_high_watermark > 1.0) {
       reject("admission queue_high_watermark must be in (0, 1]");
     }
-    if (options.admission.queue_wait_limit < 0.0) {
-      reject("admission queue_wait_limit must be >= 0");
-    }
   }
   if (options.fallback_bandwidth < 0.0) {
     reject("fallback_bandwidth must be >= 0");
-  }
-  if (options.health_fail_threshold < 1) {
-    reject("health_fail_threshold must be >= 1");
   }
   if (options.qos.enabled && !options.admission.enabled) {
     // Class-aware admission piggybacks on the saturation tracker; with
@@ -145,8 +137,7 @@ LiveRunResult run_queue_live(const std::vector<workload::AppSpec>& queue,
   std::optional<fwd::HealthMonitor> health;
   if (options.health_period > 0.0) {
     health.emplace(service, arbiter,
-                   fwd::HealthMonitor::Options{options.health_period, &mu,
-                                               options.health_fail_threshold});
+                   fwd::HealthMonitor::Options{options.health_period, &mu});
     health->start();
   }
 

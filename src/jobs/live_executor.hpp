@@ -65,9 +65,6 @@ struct LiveExecutorOptions {
   /// Bandwidth cap (bytes/s) on the shared direct-PFS degradation path;
   /// 0 = uncapped (ServiceConfig::fallback_bandwidth).
   double fallback_bandwidth = 0.0;
-  /// HealthMonitor debounce: consecutive missed heartbeats before an
-  /// ION is declared failed.
-  int health_fail_threshold = 1;
 
   // --- rpc transport (PR 10) -------------------------------------------
   /// Transport carrying the Client <-> ION and mapping links
@@ -75,8 +72,8 @@ struct LiveExecutorOptions {
   /// defaults to in-proc, so every scenario/tool runs over any
   /// transport unchanged.
   rpc::TransportKind transport = rpc::TransportKind::kAuto;
-  /// Framed-transport knobs (ack timeout, resend backoff, dedup
-  /// window); validated by validate_live_options().
+  /// Framed-transport knobs (ack timeout, resend backoff); validated
+  /// by validate_live_options().
   rpc::RpcOptions rpc;
 
   // --- multi-tenant QoS (PR 6) -----------------------------------------

@@ -6,6 +6,15 @@
 
 namespace iofa::qos {
 
+namespace {
+
+/// Dequeue weights of the three classes (TenantRegistry::class_weight).
+constexpr double kWeightGuaranteed = 100.0;
+constexpr double kWeightBurst = 10.0;
+constexpr double kWeightBestEffort = 1.0;
+
+}  // namespace
+
 std::string to_string(PriorityClass c) {
   switch (c) {
     case PriorityClass::Guaranteed: return "guaranteed";
@@ -25,10 +34,6 @@ void validate_qos_options(const QosOptions& options) {
   }
   if (!(options.pool_horizon > 0.0) || !std::isfinite(options.pool_horizon)) {
     reject("pool_horizon must be positive and finite");
-  }
-  if (!(options.weight_guaranteed > 0.0) || !(options.weight_burst > 0.0) ||
-      !(options.weight_best_effort > 0.0)) {
-    reject("class weights must all be positive");
   }
   std::unordered_set<std::string> names;
   names.insert("default");  // the implicit tenant 0
@@ -102,11 +107,11 @@ TenantId TenantRegistry::find(const std::string& name) const {
   return kDefaultTenant;
 }
 
-double TenantRegistry::class_weight(PriorityClass c) const {
+double TenantRegistry::class_weight(PriorityClass c) {
   switch (c) {
-    case PriorityClass::Guaranteed: return options_.weight_guaranteed;
-    case PriorityClass::Burst: return options_.weight_burst;
-    case PriorityClass::BestEffort: return options_.weight_best_effort;
+    case PriorityClass::Guaranteed: return kWeightGuaranteed;
+    case PriorityClass::Burst: return kWeightBurst;
+    case PriorityClass::BestEffort: return kWeightBestEffort;
   }
   return 1.0;
 }

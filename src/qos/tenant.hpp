@@ -85,17 +85,12 @@ struct QosOptions {
   /// outstanding in the pool, which bounds how long a reactivating
   /// lender waits to be made whole again.
   Seconds pool_horizon = 0.050;
-  /// Dequeue weights of the tenant-weighted AGIOS decorator
-  /// (virtual-time weighted fair queueing across the three classes).
-  double weight_guaranteed = 100.0;
-  double weight_burst = 10.0;
-  double weight_best_effort = 1.0;
 };
 
 /// Reject nonsensical tenant tables with std::invalid_argument:
 /// duplicate/empty names, a guaranteed tenant without a reservation, a
 /// best-effort tenant with one, SLOs on classes that cannot honour
-/// them, non-positive weights or pool horizon. Capacity fit (the sum of
+/// them, a non-positive pool horizon. Capacity fit (the sum of
 /// reservations against the ION capacity) is checked where the capacity
 /// is known: TenantRegistry construction.
 void validate_qos_options(const QosOptions& options);
@@ -119,7 +114,9 @@ class TenantRegistry {
 
   double root_capacity() const { return root_capacity_; }
   const QosOptions& options() const { return options_; }
-  double class_weight(PriorityClass c) const;
+  /// Dequeue weight of a class in the tenant-weighted AGIOS decorator
+  /// (virtual-time weighted fair queueing): 100 / 10 / 1.
+  static double class_weight(PriorityClass c);
 
  private:
   QosOptions options_;

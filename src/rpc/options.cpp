@@ -38,12 +38,6 @@ void validate_rpc_options(const RpcOptions& options) {
     throw std::invalid_argument("rpc options: " + why);
   };
   if (!(options.ack_timeout > 0.0)) reject("ack_timeout must be > 0");
-  if (options.dedup_window < 16) {
-    // A tiny window evicts outcomes while their duplicates are still in
-    // flight, which silently breaks exactly-once application.
-    reject("dedup_window must be >= 16");
-  }
-  if (options.mapping_attempts < 1) reject("mapping_attempts must be >= 1");
   const auto& b = options.retry_backoff;
   if (!(b.base > 0.0) || !(b.cap >= b.base) || !(b.multiplier > 0.0) ||
       !(b.jitter >= 0.0 && b.jitter <= 1.0)) {

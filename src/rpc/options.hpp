@@ -50,14 +50,6 @@ struct RpcOptions {
   Seconds ack_timeout = 0.25;
   /// Pacing between resends (deterministic seeded jitter).
   fault::BackoffPolicy retry_backoff = {};
-  /// Request ids remembered per server for duplicate suppression.
-  /// Entries whose response is still pending are never evicted.
-  std::size_t dedup_window = 4096;
-  /// Round-trip attempts for mapping fetch/publish before giving up
-  /// (a lost publish behaves like today's dropped mapping file: the
-  /// HealthMonitor self-heals it; a failed fetch keeps the client's
-  /// cached view).
-  int mapping_attempts = 4;
 };
 
 /// Reject nonsensical RPC knobs with std::invalid_argument (same

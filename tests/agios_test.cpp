@@ -412,7 +412,6 @@ TEST_P(AllSchedulers, ConservesAllRequests) {
   SchedulerConfig cfg;
   cfg.kind = GetParam();
   cfg.aggregation_window = 0.001;
-  cfg.twins_window = 0.001;
   auto s = make_scheduler(cfg);
   ASSERT_NE(s, nullptr);
 
@@ -514,12 +513,9 @@ TEST_P(AllSchedulers, PopAtTheReportedReadyTimeDispatches) {
   for (int trial = 0; trial < 2000; ++trial) {
     SchedulerConfig cfg;
     cfg.kind = GetParam();
-    // Windows from 0.1 ms to 100 ms, so sums of arrival and window
-    // round in every direction.
+    // TO-AGG windows from 0.1 ms to 100 ms, so sums of arrival and
+    // window round in every direction.
     cfg.aggregation_window = 1e-4 * std::pow(1000.0, rng.uniform01());
-    cfg.twins_window = 1e-4 * std::pow(1000.0, rng.uniform01());
-    cfg.aioli_wait_window = 1e-4 * std::pow(1000.0, rng.uniform01());
-    cfg.max_aggregate = 4096 * (1 + rng.uniform_u64(0, 7));
     auto plain = make_scheduler(cfg);
     check_ready_time_contract(*plain, rng);
     auto weighted = qos::make_tenant_scheduler(tenants, cfg);

@@ -261,19 +261,6 @@ TEST(MckpPolicy, SharedFallbackWhenDirectForbidden) {
   EXPECT_GE(n_shared, 3);  // at most one app can hold the arbitrated node
 }
 
-TEST(MckpPolicy, SharedFallbackDisabledReportsInfeasible) {
-  AllocationProblem prob;
-  prob.pool = 1;
-  for (int i = 0; i < 3; ++i) {
-    prob.apps.push_back(AppEntry{
-        "app" + std::to_string(i), 8, 32,
-        platform::BandwidthCurve({{1, 100.0}})});
-  }
-  MckpPolicy::Options opts;
-  opts.shared_fallback = false;
-  EXPECT_FALSE(MckpPolicy(opts).allocate(prob).respects_pool);
-}
-
 TEST(StandardPolicies, NamesAndCount) {
   const auto policies = standard_policies();
   ASSERT_EQ(policies.size(), 7u);

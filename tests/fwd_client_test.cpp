@@ -127,7 +127,7 @@ TEST(MappingStoreTest, RpcFetchNeverPairsIonsWithAnotherEpoch) {
   MappingStore store;
   rpc::LoopbackTransport link;
   const rpc::RpcOptions options;
-  RpcMappingServer server(link, store, options);
+  RpcMappingServer server(link, store);
   RpcMappingClient client(link, options);
   expect_untorn_fetches(store, client);
 }
@@ -143,7 +143,7 @@ TEST(MappingStoreTest, TcpFetchSharingTheLinkWithPublishesNeverTears) {
   rpc::TcpTransport link;
   rpc::RpcOptions options;
   options.ack_timeout = 5.0;
-  RpcMappingServer server(link, store, options, &reg);
+  RpcMappingServer server(link, store, &reg);
   RpcMappingClient client(link, options, &reg);
   constexpr core::JobId kJob = 7;
   ASSERT_TRUE(client.publish(mapping_for(kJob, {1}, 1)));
@@ -191,7 +191,7 @@ TEST(MappingStoreTest, RpcPublishCarriesEveryLabel) {
   MappingStore store;
   rpc::LoopbackTransport link;
   const rpc::RpcOptions options;
-  RpcMappingServer server(link, store, options);
+  RpcMappingServer server(link, store);
   RpcMappingClient client(link, options);
   auto m = mapping_for(1, {0, 2}, 5);
   m.jobs[2] = core::Mapping::Entry{"", {1}, false};

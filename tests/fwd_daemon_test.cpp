@@ -935,9 +935,10 @@ TEST(IonDaemon, EveryTerminalPathCompletesExactlyOnce) {
 TEST(IonDaemon, QueueWaitRestampedAcrossCrashRestart) {
   // Regression: a request that sits in an ingest queue through a
   // crash-restart used to bill the whole down window to
-  // fwd.ion.queue_wait_us, poisoning the admission saturation score
-  // for minutes after recovery. The restamp floor raised by restart()
-  // means the histogram only sees the post-restart wait.
+  // fwd.ion.queue_wait_us, poisoning its percentiles (and a QoS
+  // tenant's p99 queue-wait SLO, fed the same wait) for minutes after
+  // recovery. The restamp floor raised by restart() means the
+  // histogram only sees the post-restart wait.
   telemetry::Registry reg;
   EmulatedPfs pfs(fast_pfs());
   IonParams params = fast_ion();

@@ -33,6 +33,7 @@
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "common/slab_pool.hpp"
 #include "common/units.hpp"
 #include "core/arbiter.hpp"
 #include "core/policies.hpp"
@@ -261,9 +262,6 @@ BreakerOptions breaker_opts() {
   b.failure_threshold = 3;
   b.open_base = 10.0e-3;
   b.open_cap = 200.0e-3;
-  b.open_multiplier = 2.0;
-  b.half_open_probes = 2;
-  b.half_open_successes = 2;
   return b;
 }
 
@@ -391,52 +389,32 @@ TEST(SaturationTracker, DepthCriterionNormalisesToWatermark) {
   AdmissionOptions a;
   a.enabled = true;
   a.queue_high_watermark = 0.5;
-  SaturationTracker t(a, nullptr);
-  EXPECT_DOUBLE_EQ(t.score(2, 8, 0), 0.5);  // 2 / (8 * 0.5)
-  EXPECT_DOUBLE_EQ(t.score(4, 8, 0), 1.0);
-  EXPECT_FALSE(t.rejects(t.score(3, 8, 0)));
-  EXPECT_TRUE(t.rejects(t.score(4, 8, 0)));
+  SaturationTracker t(a);
+  EXPECT_DOUBLE_EQ(t.score(2, 8), 0.5);  // 2 / (8 * 0.5)
+  EXPECT_DOUBLE_EQ(t.score(4, 8), 1.0);
+  EXPECT_FALSE(t.rejects(t.score(3, 8)));
+  EXPECT_TRUE(t.rejects(t.score(4, 8)));
 
   AdmissionOptions off = a;
   off.enabled = false;
-  SaturationTracker disabled(off, nullptr);
-  EXPECT_DOUBLE_EQ(disabled.score(100, 8, 0), 0.0);
-  EXPECT_FALSE(disabled.rejects(disabled.score(100, 8, 0)));
+  SaturationTracker disabled(off);
+  EXPECT_DOUBLE_EQ(disabled.score(100, 8), 0.0);
+  EXPECT_FALSE(disabled.rejects(disabled.score(100, 8)));
   EXPECT_FALSE(disabled.rejects(2.0));  // disabled never refuses
 }
 
-TEST(SaturationTracker, InflightBytesCriterionTakesTheMax) {
+// The slab term: a payload pool whose fullest class is at the slab
+// watermark saturates the daemon with its queues empty.
+TEST(SaturationTracker, SlabOccupancyAtTheWatermarkRejects) {
   AdmissionOptions a;
   a.enabled = true;
   a.queue_high_watermark = 0.5;
-  a.inflight_bytes_limit = 1 * MiB;
-  SaturationTracker t(a, nullptr);
-  EXPECT_DOUBLE_EQ(t.score(0, 8, 512 * KiB), 0.5);
-  // Depth says 0.5, bytes say 2.0: the max wins.
-  EXPECT_DOUBLE_EQ(t.score(2, 8, 2 * MiB), 2.0);
-  EXPECT_TRUE(t.rejects(t.score(0, 8, 1 * MiB)));
-}
-
-TEST(SaturationTracker, QueueWaitP99CriterionRejectsSlowQueues) {
-  telemetry::Registry reg;
-  auto& hist =
-      reg.histogram("qw_us", telemetry::BucketSpec::latency_us());
-  for (int i = 0; i < 100; ++i) hist.observe(50000.0);  // 50 ms waits
-
-  AdmissionOptions a;
-  a.enabled = true;
-  a.queue_high_watermark = 0.9;
-  a.queue_wait_limit = 0.025;  // 25 ms ceiling
-  SaturationTracker t(a, &hist);
-  // The p99 estimate lands in the 50 ms log2 bucket (>= 32768 us),
-  // comfortably past the 25 ms ceiling.
-  EXPECT_GE(t.score(0, 8, 0), 1.0);
-  EXPECT_TRUE(t.rejects(t.score(0, 8, 0)));
-
-  AdmissionOptions no_wait = a;
-  no_wait.queue_wait_limit = 0.0;  // criterion disabled
-  SaturationTracker u(no_wait, &hist);
-  EXPECT_DOUBLE_EQ(u.score(0, 8, 0), 0.0);
+  SaturationTracker t(a);
+  EXPECT_DOUBLE_EQ(t.score(0, 8, 0.95), 1.0);
+  EXPECT_TRUE(t.rejects(t.score(0, 8, 0.95)));
+  // Depth says 0.5, the pool says ~0.53: the max wins, below 1.0.
+  EXPECT_DOUBLE_EQ(t.score(2, 8, 0.5), 0.5 / kSlabHighWatermark);
+  EXPECT_FALSE(t.rejects(t.score(2, 8, 0.5)));
 }
 
 // --------------------------------------------------------------------
@@ -498,6 +476,41 @@ TEST(IonDaemonOverload, AdmissionRejectsPastWatermarkFsyncExempt) {
   EXPECT_EQ(counter_sum(reg, "qos.tenant.admitted"), 4.0);
   EXPECT_EQ(counter_sum(reg, "qos.tenant.expired"), 0.0);
   EXPECT_EQ(counter_sum(reg, "qos.tenant.failed"), 0.0);
+}
+
+// An exhausted payload pool refuses data requests at an idle daemon;
+// fsync markers still pass, and the pool's release lifts the refusal.
+TEST(IonDaemonOverload, ExhaustedSlabPoolRejectsDataFsyncExempt) {
+  telemetry::Registry reg;
+  SlabPoolConfig slabs;
+  slabs.classes = {{4 * KiB, 2}};
+  SlabPool pool(slabs);
+  Payload held[] = {pool.try_acquire(kBlock), pool.try_acquire(kBlock)};
+  ASSERT_FALSE(held[1].empty());
+  ASSERT_DOUBLE_EQ(pool.used_fraction(), 1.0);
+  EmulatedPfs pfs(fast_pfs(&reg));
+  IonParams params = fast_ion(&reg);
+  params.slab_pool = &pool;
+  params.admission.enabled = true;
+  IonDaemon daemon(0, params, pfs);
+
+  EXPECT_EQ(daemon.try_submit(write_req("/slab", 0, pattern_data(kBlock, 1))),
+            SubmitResult::kBusy);
+  EXPECT_TRUE(daemon.overloaded());
+  EXPECT_EQ(counter_sum(reg, "fwd.overload.busy"), 1.0);
+
+  auto sync = fsync_req("/slab");
+  auto fsync_slot = wait_on(sync);
+  EXPECT_EQ(daemon.try_submit(std::move(sync)), SubmitResult::kAccepted);
+  EXPECT_TRUE(fsync_slot->wait().ok());
+
+  for (auto& p : held) p.reset();
+  auto w = write_req("/slab", 0, pattern_data(kBlock, 2));
+  auto w_slot = wait_on(w);
+  EXPECT_EQ(daemon.try_submit(std::move(w)), SubmitResult::kAccepted);
+  EXPECT_EQ(w_slot->wait().value, kBlock);
+  daemon.drain();
+  EXPECT_FALSE(daemon.overloaded());
 }
 
 TEST(IonDaemonOverload, ExpiredDeadlineDroppedAtDequeueCounted) {
@@ -710,9 +723,8 @@ TEST(OverloadScenarios, RefusalsTripBreakerAndDegradeRateLimited) {
 // make their first offers together only once a primer write has put
 // each ION's worker into such a stall. Their 16 first offers queue
 // behind it, at least 8 at one ION, whose watermark is 4. The test
-// keeps the clock there until a refusal was counted (by the queue
-// depth or by the queue wait, the saturation score takes either) or
-// every thread is done.
+// keeps the clock there until the queue depth drew a refusal or every
+// thread is done.
 TEST(OverloadScenarios, TenXLoadCompletesWithExactAccounting) {
   const std::uint64_t seed = base_seed();
   IOFA_TRACE_SEED(seed);
@@ -906,45 +918,6 @@ TEST(OverloadScenarios, OverloadedIonFeedsLoadHintNotEviction) {
   EXPECT_DOUBLE_EQ(arbiter.load_hint(0), 0.0);
 }
 
-TEST(OverloadScenarios, HeartbeatDebounceIgnoresOneBeatFlap) {
-  const std::uint64_t seed = base_seed();
-  IOFA_TRACE_SEED(seed);
-  fault::FaultPlan plan;
-  plan.seed = seed;
-  Cluster c(std::move(plan), 2);
-  core::Arbiter arbiter = make_arbiter(c, 2);
-  HealthMonitor hm(*c.service, arbiter,
-                   HealthMonitor::Options{0.005, nullptr, 2});
-
-  arbiter.job_started(kJob, core::AppEntry{"ovl", 8, 16, drill_curve()});
-  c.service->apply_mapping(arbiter.mapping());
-  EXPECT_FALSE(hm.poll_once());
-
-  // One missed beat, then back: no edge, no re-solve.
-  c.service->daemon(1).crash();
-  EXPECT_FALSE(hm.poll_once());
-  c.service->daemon(1).restart();
-  EXPECT_FALSE(hm.poll_once());
-  EXPECT_EQ(hm.failures_seen(), 0u);
-  EXPECT_EQ(hm.recoveries_seen(), 0u);
-  EXPECT_TRUE(arbiter.failed_ions().empty());
-  EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 0.0);
-
-  // A real death: two consecutive misses cross the threshold.
-  c.service->daemon(1).crash();
-  EXPECT_FALSE(hm.poll_once());  // miss 1 of 2
-  EXPECT_TRUE(hm.poll_once());   // miss 2: evicted + republished
-  EXPECT_EQ(hm.failures_seen(), 1u);
-  EXPECT_EQ(arbiter.failed_ions().count(1), 1u);
-  EXPECT_EQ(counter_sum(c.reg, "arbiter.resolves_on_failure"), 1.0);
-
-  // Recovery is never debounced.
-  c.service->daemon(1).restart();
-  EXPECT_TRUE(hm.poll_once());
-  EXPECT_EQ(hm.recoveries_seen(), 1u);
-  EXPECT_TRUE(arbiter.failed_ions().empty());
-}
-
 // --------------------------------------------------------------------
 // Knob validation: nonsensical combinations die loudly before any
 // thread or daemon starts.
@@ -957,7 +930,6 @@ jobs::LiveExecutorOptions overload_live_opts() {
   o.admission.queue_high_watermark = 0.9;
   o.breaker.enabled = true;
   o.fallback_bandwidth = 200.0 * MiB;
-  o.health_fail_threshold = 2;
   return o;
 }
 
@@ -1023,11 +995,6 @@ TEST(ValidateLiveOptions, RejectsNonsensicalKnobs) {
   {
     auto o = overload_live_opts();
     o.fallback_bandwidth = -1.0;
-    EXPECT_THROW(jobs::validate_live_options(o), std::invalid_argument);
-  }
-  {
-    auto o = overload_live_opts();
-    o.health_fail_threshold = 0;
     EXPECT_THROW(jobs::validate_live_options(o), std::invalid_argument);
   }
 }

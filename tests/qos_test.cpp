@@ -99,9 +99,6 @@ TEST(QosOptionsTest, BadNumbersRejected) {
   o.pool_horizon = 0.0;
   EXPECT_THROW(validate_qos_options(o), std::invalid_argument);
   o = small_options();
-  o.weight_best_effort = -1.0;
-  EXPECT_THROW(validate_qos_options(o), std::invalid_argument);
-  o = small_options();
   o.tenants[0].reserved_bandwidth =
       std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(validate_qos_options(o), std::invalid_argument);

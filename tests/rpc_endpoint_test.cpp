@@ -151,7 +151,7 @@ TEST(RpcIonEndpoints, LoopbackRoundTripNeedsNoSleepAndNoThread) {
 
   const std::size_t threads_before = thread_count();
   TapTransport link;
-  RpcIonServer server(link, svc, 0, cfg.rpc, &reg);
+  RpcIonServer server(link, svc, 0, &reg);
   RpcIonClient stub(link, 0, cfg.rpc, /*seed=*/1, &reg);
   EXPECT_EQ(thread_count(), threads_before)
       << "the endpoints must not start threads of their own";
@@ -208,7 +208,7 @@ TEST(RpcIonEndpoints, RefusedSubmitCompletesRejected) {
   cfg.transport = rpc::TransportKind::kInProc;
   ForwardingService svc(cfg);
   TapTransport link;
-  RpcIonServer server(link, svc, 0, cfg.rpc, &reg);
+  RpcIonServer server(link, svc, 0, &reg);
   RpcIonClient stub(link, 0, cfg.rpc, /*seed=*/1, &reg);
 
   svc.daemon(0).crash();
@@ -249,7 +249,7 @@ TEST(RpcIonEndpoints, MismatchedPayloadNeverReachesTheDaemon) {
   cfg.transport = rpc::TransportKind::kInProc;
   ForwardingService svc(cfg);
   TapTransport link;
-  RpcIonServer server(link, svc, 0, cfg.rpc, &reg);
+  RpcIonServer server(link, svc, 0, &reg);
   RpcIonClient stub(link, 0, cfg.rpc, /*seed=*/1, &reg);
 
   rpc::SubmitRequestMsg msg;
@@ -450,7 +450,7 @@ std::shared_ptr<WaitSlot> issue_write(ForwardingService& svc,
 struct TcpIon {
   TcpIon(telemetry::Registry& reg, const ServiceConfig& cfg)
       : svc(daemon_only(cfg)),
-        server(link, svc, 0, cfg.rpc, &reg),
+        server(link, svc, 0, &reg),
         stub(link, 0, cfg.rpc, /*seed=*/1, &reg) {}
   ~TcpIon() { close(); }
 
@@ -536,7 +536,7 @@ TEST_P(InlineDispatch, BackToBackWritesOfOneExtentLandInOfferOrder) {
   const ServiceConfig cfg = fifo_workers(reg, GetParam());
   TcpIon ion(reg, cfg);
   ResponseCountingLink busy_link;
-  RpcIonServer busy_server(busy_link, ion.svc, 0, cfg.rpc, &reg);
+  RpcIonServer busy_server(busy_link, ion.svc, 0, &reg);
   RpcIonClient busy_stub(busy_link, 0, cfg.rpc, /*seed=*/2, &reg);
   std::atomic<bool> stop{false};
   std::thread busy([&] {
@@ -812,7 +812,10 @@ TEST_P(InlineDispatch, ReadChargedPastTheReadBurstQueues) {
 // crash() racing inline clean reads: every read ends in exactly one
 // answer (ok, ION down or refused) that matches its ledger bucket, and
 // each one served returns its block (the read leg of
-// CrashRacingInlineDispatchesCompletesEachRequestOnce).
+// CrashRacingInlineDispatchesCompletesEachRequestOnce). The batch
+// starts on an idle shard: a worker still finishing the fsync round
+// would turn the first read away to its queue, and every later read
+// would then queue behind it.
 TEST_P(InlineDispatch, CrashRacingInlineCleanReadsCompletesEachRequestOnce) {
   telemetry::Registry reg;
   TcpIon ion(reg, fifo_workers(reg, GetParam()));
@@ -828,8 +831,20 @@ TEST_P(InlineDispatch, CrashRacingInlineCleanReadsCompletesEachRequestOnce) {
                     ->ok());
   }
   for (int f = 0; f < 4; ++f) ASSERT_TRUE(ion.fsync(path(f)));
+  // Read block 0 until a read runs inline. That read found the first
+  // batch read's shard idle: its dispatch lock free and nothing
+  // unscheduled on it. Inline reads push nothing, so that worker stays
+  // asleep until the batch queues a request of its own.
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 10000) << "the shard never went idle";
+    const double inline_seen = counter_sum(reg, "fwd.ion.inline_dispatches");
+    ASSERT_EQ(ion.read(path(0), offset(0)),
+              std::vector<std::byte>(kBlock, std::byte{0}));
+    if (counter_sum(reg, "fwd.ion.inline_dispatches") > inline_seen) break;
+  }
   const double inline_before = counter_sum(reg, "fwd.ion.inline_dispatches");
   const double admitted_before = counter_sum(reg, "qos.tenant.admitted");
+  const double reads_pfs_before = counter_sum(reg, "fwd.ion.reads_pfs");
   const std::size_t answered_before = ion.link.responses().size();
   std::vector<std::pair<std::shared_ptr<WaitSlot>, Payload>> reads;
   for (int i = 0; i < kReads; ++i) {
@@ -865,7 +880,7 @@ TEST_P(InlineDispatch, CrashRacingInlineCleanReadsCompletesEachRequestOnce) {
   EXPECT_EQ(counter_sum(reg, "qos.tenant.admitted") - admitted_before, ok);
   EXPECT_EQ(counter_sum(reg, "qos.tenant.failed"), down);
   EXPECT_EQ(counter_sum(reg, "qos.tenant.expired"), 0.0);
-  EXPECT_EQ(counter_sum(reg, "fwd.ion.reads_pfs"), ok);
+  EXPECT_EQ(counter_sum(reg, "fwd.ion.reads_pfs") - reads_pfs_before, ok);
   for (const auto& [id, n] : ion.link.responses()) {
     EXPECT_EQ(n, 1) << "request " << id;
   }
@@ -1144,7 +1159,7 @@ TEST(LeaderFollower, LeaderHandsTheRoleToASleepingFollower) {
   cfg.injector = &injector;
   ForwardingService svc(cfg);
   rpc::TcpTransport link;
-  RpcIonServer server(link, svc, 0, cfg.rpc, &reg);
+  RpcIonServer server(link, svc, 0, &reg);
   RpcIonClient stub(link, 0, cfg.rpc, /*seed=*/1, &reg);
   clock.set(1.0);  // every dispatch stalls
   const auto a = issue_write(svc, stub, "/a", 0, kBlock, std::byte{1});

@@ -615,16 +615,6 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
   }
   {
     RpcOptions o;
-    o.dedup_window = 0;
-    EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
-  }
-  {
-    RpcOptions o;
-    o.mapping_attempts = 0;
-    EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
-  }
-  {
-    RpcOptions o;
     o.retry_backoff.base = -1.0;
     EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
   }

@@ -18,7 +18,9 @@ Client::Client(ClientConfig config, ForwardingService& service)
       service_(service),
       view_(service.mapping_port(), config_.job, config_.poll_period,
             config_.registry),
-      epoch_(iofa::monotonic_now()) {
+      epoch_(iofa::monotonic_now()),
+      wrote_to_(std::make_unique<std::atomic<bool>[]>(
+          static_cast<std::size_t>(service.ion_count()))) {
   auto& reg = config_.registry ? *config_.registry
                                : telemetry::Registry::global();
   const telemetry::Labels labels{{"job", std::to_string(config_.job)},
@@ -271,6 +273,10 @@ std::size_t Client::scatter(std::uint32_t rank, FwdOp op,
       }
       if (c && c->ok()) {
         breaker_success(ion);
+        auto& wrote = wrote_to_[static_cast<std::size_t>(ion)];
+        if (op == FwdOp::Write && !wrote.load()) {
+          wrote.store(true);
+        }
         if (op == FwdOp::Read && !p.buf.empty() && !rdata.empty()) {
           std::memcpy(rdata.data() + p.rel, p.buf.span().data(),
                       std::min<std::size_t>(c->value, p.buf.size()));
@@ -347,33 +353,45 @@ std::size_t Client::pread(std::uint32_t rank, const std::string& path,
 }
 
 void Client::fsync(const std::string& path) {
-  auto fsync_one = [&](int ion) {
+  // Chunks are scattered in burst-buffer mode, so every daemon may hold
+  // staged data; a forwarding job's are its IONs plus those it wrote
+  // through under an earlier mapping. Direct writes are already on the
+  // PFS. A write acknowledged after its ION's flag is taken here sets it
+  // again for the next fsync.
+  std::vector<int> ions = config_.mode == ClientMode::BurstBuffer
+                              ? all_daemons()
+                              : view_.ions();
+  for (int ion = 0; ion < service_.ion_count(); ++ion) {
+    if (wrote_to_[static_cast<std::size_t>(ion)].exchange(false) &&
+        std::find(ions.begin(), ions.end(), ion) == ions.end()) {
+      ions.push_back(ion);
+    }
+  }
+  const std::uint64_t file_id = gkfs::hash_path(path);
+  std::vector<std::shared_ptr<WaitSlot>> waits;
+  waits.reserve(ions.size());
+  for (int ion : ions) {
     FwdRequest req;
     req.op = FwdOp::Fsync;
     req.path = path;
-    req.file_id = gkfs::hash_path(path);
+    req.file_id = file_id;
     req.tenant = config_.tenant;
-    auto wait = wait_on(req);
+    waits.push_back(wait_on(req));
     // Fsync bypasses the breakers: it is a durability barrier for data
     // already staged on that ION, not new load to shed. The daemon
-    // exempts markers from admission control for the same reason.
+    // exempts markers from admission control for the same reason. Each
+    // is offered before any is waited for, so the IONs drain together.
     ledger_.on_submitted(0);
-    auto& port = service_.ion_port(ion);
-    port.issue(std::move(req));
+    service_.ion_port(ion).issue(std::move(req), SubmitMode::kInlineWhenIdle);
+  }
+  for (std::size_t i = 0; i < ions.size(); ++i) {
     // Any other failure status means the ION crashed mid-fsync. Its
     // flusher keeps draining the staged data (node-local storage
     // survives), so durability is a matter of time, not of this marker.
-    const std::optional<Completion> c = port.wait(*wait, 0.0);
+    const std::optional<Completion> c =
+        service_.ion_port(ions[i]).wait(*waits[i], 0.0);
     if (c && c->status == CompletionStatus::kRejected) ledger_.on_rejected();
-  };
-  if (config_.mode == ClientMode::BurstBuffer) {
-    // Chunks are scattered: every daemon may hold staged data.
-    for (int d = 0; d < service_.ion_count(); ++d) fsync_one(d);
-    return;
   }
-  const auto ions = view_.ions();
-  if (ions.empty()) return;  // direct writes are already on the PFS
-  for (int ion : ions) fsync_one(ion);
 }
 
 std::vector<int> Client::all_daemons() const {

@@ -7,6 +7,7 @@
 // by hashing the file's path (GekkoFWD semantics - all traffic of a file
 // goes through a single ION while the mapping holds).
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -91,7 +92,10 @@ class Client {
                     std::uint64_t offset, std::uint64_t size,
                     std::span<std::byte> out = {});
 
-  /// Flush a file's forwarded writes to the PFS and wait.
+  /// Flush a file's forwarded writes to the PFS and wait: the job's
+  /// IONs and every ION that acknowledged a write of this client since
+  /// its last fsync (a remap may have taken one out of the mapping)
+  /// each get a marker, all offered before any is waited for.
   void fsync(const std::string& path);
 
   /// Force a mapping refresh (tests; normally polling suffices).
@@ -154,6 +158,9 @@ class Client {
   qos::TenantCounters ledger_;
   /// One breaker per ION of the service; empty while disabled.
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
+  /// Per ION of the service: it acknowledged a write of this client
+  /// since the last fsync took the flag.
+  std::unique_ptr<std::atomic<bool>[]> wrote_to_;
 };
 
 }  // namespace iofa::fwd

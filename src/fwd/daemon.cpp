@@ -92,6 +92,9 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   metrics_.path_interned = &reg.counter("fwd.ion.path_interned", labels);
   metrics_.inline_dispatches =
       &reg.counter("fwd.ion.inline_dispatches", labels);
+  metrics_.inline_flushes = &reg.counter("fwd.ion.inline_flushes", labels);
+  metrics_.fsync_met_at_ingest =
+      &reg.counter("fwd.ion.fsync_met_at_ingest", labels);
   metrics_.idle_wakeups = &reg.counter("fwd.ion.idle_wakeups", labels);
   metrics_.busy = &reg.counter("fwd.overload.busy", labels);
   metrics_.saturation = &reg.gauge("fwd.overload.saturation", labels);
@@ -137,6 +140,9 @@ IonDaemon::IonDaemon(int id, IonParams params, EmulatedPfs& pfs)
   inline_eligible_ = params_.scheduler.kind == agios::SchedulerKind::Fifo &&
                      !params_.qos && params_.dispatch_latency <= 0.0 &&
                      !faulted;
+  inline_flush_eligible_ =
+      inline_eligible_ &&
+      !(pfs_faults && pfs_faults->targets(fault::kPfsWriteSite));
   // All shard state exists before any thread starts: worker/flusher
   // loops never see a partially built pipeline.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -274,33 +280,34 @@ bool IonDaemon::run_inline(Shard& shard, FwdRequest& req) {
       !shard.scheduler->empty() || !shard.in_flight.empty()) {
     return false;
   }
-  // Only work that cannot wait runs here. A write needs a flush-queue
-  // slot, taken now so its enqueue cannot wait. A read needs one source
-  // for its whole range: staging when every byte is dirty, pinned so no
-  // flush cleans the range before the copy, or the PFS when every byte
-  // is clean and the read bucket covers its charge now. Anything else (a
-  // mixed read, an fsync marker) would wait, and so would a charge past
-  // the relay bucket's burst.
+  // Only work that cannot wait runs here. A write or an fsync marker
+  // needs a flush-queue slot, taken now so its enqueue cannot wait. A
+  // read needs one source for its whole range: staging when every byte
+  // is dirty, pinned so no flush cleans the range before the copy, or
+  // the PFS when every byte is clean and the read bucket covers its
+  // charge now. A mixed read would wait, and so would a charge past the
+  // relay bucket's burst.
   const std::uint64_t file_id = req.file_id;
   const std::uint64_t offset = req.offset;
   const std::uint64_t size = req.size;
   const double tokens = static_cast<double>(size + params_.op_overhead);
-  const bool write = req.op == FwdOp::Write;
-  if (req.op == FwdOp::Fsync || tokens > ingest_bucket_.burst()) {
-    return false;
-  }
+  const bool read = req.op == FwdOp::Read;
+  const bool marker = req.op == FwdOp::Fsync;
+  if (!marker && tokens > ingest_bucket_.burst()) return false;
   const Coverage cover =
-      write ? Coverage::kMixed : pin_if_dirty(file_id, offset, size);
-  if (write ? !flush_queue_.try_reserve() : cover == Coverage::kMixed) {
+      read ? pin_if_dirty(file_id, offset, size) : Coverage::kMixed;
+  if (read ? cover == Coverage::kMixed : !flush_queue_.try_reserve()) {
     return false;
   }
-  InlineHold hold{write, cover == Coverage::kDirty};
+  InlineHold hold{!read, cover == Coverage::kDirty};
   const auto release_hold = [&] {
     if (hold.flush_slot) flush_queue_.cancel_reservation();
     if (hold.pinned) mark_clean(file_id, offset, size);
   };
-  // An expired request takes no tokens: ingest_one settles it.
-  if (req.deadline_us == 0 || monotonic_micros() <= req.deadline_us) {
+  // A marker takes no tokens, and an expired request none either:
+  // ingest_one settles it.
+  if (!marker &&
+      (req.deadline_us == 0 || monotonic_micros() <= req.deadline_us)) {
     // Relay tokens first, the PFS charge second; a refused PFS charge
     // returns the relay tokens, and the worker pays both blocking.
     if (!ingest_bucket_.try_acquire(tokens)) {
@@ -315,9 +322,9 @@ bool IonDaemon::run_inline(Shard& shard, FwdRequest& req) {
     req.deadline_us = 0;  // paid for: ingest_one must not expire it now
   }
   metrics_.inline_dispatches->add();
-  ingest_one(shard, std::move(req));
+  ingest_one(shard, std::move(req), &hold);
   // FIFO releases what it was just given; a request that ingest
-  // settled itself (expired) leaves nothing.
+  // settled itself (expired, or a marker) leaves nothing.
   if (auto dispatch = shard.scheduler->pop(now())) {
     process(shard, *dispatch, &hold);
   }
@@ -406,7 +413,8 @@ void IonDaemon::enqueue_flush(FlushItem item, bool slot_reserved) {
   flush_queue_.push_reserved(std::move(item));
 }
 
-void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
+void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req,
+                           InlineHold* hold) {
   if (req.queued_us != 0) {
     // Crash-restart restamping: a request that sat out an outage in
     // the queue is billed from the restart, not from its enqueue -
@@ -449,6 +457,15 @@ void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
     }
   }
   if (req.op == FwdOp::Fsync) {
+    // Every write acknowledged so far was enqueued (or claimed for an
+    // inline flush) before its ack, so a drained pipeline means the
+    // marker's barrier is met: it completes here, as flush_marker would.
+    if (flush_idle()) {
+      metrics_.fsync_met_at_ingest->add();
+      ledger_.tenant(req.tenant).on_admitted(0);
+      complete(std::move(req.done), {});
+      return;
+    }
     // Order the marker after everything staged so far (its barrier
     // covers every data item enqueued daemon-wide before it).
     FlushItem marker;
@@ -456,7 +473,8 @@ void IonDaemon::ingest_one(Shard& shard, FwdRequest&& req) {
     marker.fsync = true;
     marker.done = std::move(req.done);
     marker.tenant = req.tenant;
-    enqueue_flush(std::move(marker));
+    enqueue_flush(std::move(marker),
+                  hold && std::exchange(hold->flush_slot, false));
     finish_pending();
     return;
   }
@@ -646,19 +664,26 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       item.payload = std::move(req.payload);
       item.tenant = req.tenant;
       if (params_.write_through) {
-        // Ack from the flusher, after the PFS write; the ledger's
+        // Ack from the flush, after the PFS write; the ledger's
         // admitted-vs-failed outcome moves there with it.
         item.done = std::move(req.done);
         item.write_through = true;
-        enqueue_flush(std::move(item),
-                      hold && std::exchange(hold->flush_slot, false));
-        finish_pending();
       } else {
         ledger_.tenant(req.tenant).on_admitted(req.size);
+      }
+      // An inline write whose flush cannot wait is flushed below, on
+      // this thread, once acknowledged; any other goes to the flushers.
+      const bool flush_here = hold && claim_inline_flush(item);
+      if (!flush_here) {
         enqueue_flush(std::move(item),
                       hold && std::exchange(hold->flush_slot, false));
+      }
+      if (params_.write_through) {
+        finish_pending();
+      } else {
         complete(std::move(req.done), {CompletionStatus::kOk, req.size});
       }
+      if (flush_here) flush_run({&item, 1}, /*charged=*/true);
     } else {
       // Read: segments still dirty here come from the staging store,
       // clean ones from the PFS. The result ends at the last byte either
@@ -732,6 +757,32 @@ void IonDaemon::flush_marker(FlushItem& item) {
   complete(std::move(item.done), {});
 }
 
+bool IonDaemon::flush_idle() const {
+  MutexLock lk(flush_mu_);
+  return flush_drained_ == flush_enqueued_;
+}
+
+bool IonDaemon::claim_inline_flush(FlushItem& item) {
+  if (!inline_flush_eligible_) return false;
+  const std::string& path = paths_.lookup(item.file_id);
+  // Under both enqueue locks, as enqueue_flush registers: the seq is
+  // taken before the ack, so a marker ingested after the ack counts
+  // this item in its barrier. With every older item drained, no
+  // extent-gate wait and no barrier is ahead of this one.
+  MutexLock elk(flush_enqueue_mu_);
+  MutexLock lk(flush_mu_);
+  if (flush_drained_ != flush_enqueued_ ||
+      !pfs_.try_charge_write(path, item.size)) {
+    return false;
+  }
+  item.seq = ++flush_enqueued_;
+  flush_extents_[item.file_id].emplace(
+      item.seq, std::make_pair(item.offset, item.offset + item.size));
+  pending_.fetch_add(1);
+  metrics_.inline_flushes->add();
+  return true;
+}
+
 void IonDaemon::await_extent_turn(std::uint64_t file_id, std::uint64_t seq,
                                   std::uint64_t lo, std::uint64_t hi) {
   // Wait until no registered extent of this file with a SMALLER enqueue
@@ -755,13 +806,14 @@ void IonDaemon::await_extent_turn(std::uint64_t file_id, std::uint64_t seq,
   }
 }
 
-void IonDaemon::flush_run(std::vector<FlushItem>& run) {
+void IonDaemon::flush_run(std::span<FlushItem> run, bool charged) {
   assert(!run.empty());
   const std::uint64_t file_id = run.front().file_id;
   Bytes total = 0;
   for (const auto& item : run) total += item.size;
   telemetry::ScopedSpan span("flush", "fwd.ion", "bytes",
                              static_cast<std::int64_t>(total));
+  metrics_.flush_batch_bytes->observe(static_cast<double>(total));
   if (run.size() > 1) {
     metrics_.flush_coalesced_extents->add(run.size() - 1);
   }
@@ -840,7 +892,7 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
     const std::size_t applied = pfs_.write_gather(
         path,
         std::span<const EmulatedPfs::GatherExtent>(extents).subspan(done),
-        /*stream_weight=*/1.0);
+        /*stream_weight=*/1.0, std::exchange(charged, false));
     for (std::size_t i = 0; i < applied; ++i) {
       settle(run[done + i], /*flushed=*/true);
     }
@@ -894,7 +946,6 @@ void IonDaemon::flusher_loop(std::size_t fi) {
       run_bytes += next->size;
       run.push_back(std::move(*next));
     }
-    metrics_.flush_batch_bytes->observe(static_cast<double>(run_bytes));
     flush_run(run);
     run.clear();
   }

@@ -16,18 +16,25 @@
 //   try_submit(kInlineWhenIdle) on an idle FIFO shard: the caller runs
 //       the worker's ingest -> schedule -> process steps itself under
 //       the shard's dispatch lock, and no worker wakes for the request,
-//       when no step would wait: a write with a reserved flush slot, a
-//       read served wholly from staging, or a wholly clean read whose
-//       PFS charge is paid now; relay tokens taken. A daemon whose fault
-//       plan names a site the dispatch draws never dispatches inline
+//       when no step would wait: a write or fsync marker with a
+//       reserved flush slot, a read served wholly from staging, or a
+//       wholly clean read whose PFS charge is paid now; relay tokens
+//       taken. A daemon whose fault plan names a site the dispatch
+//       draws never dispatches inline. Such a write is flushed on the
+//       same thread once acknowledged, and no flusher wakes for it,
+//       when nothing older is queued or in flight, the PFS write bucket
+//       covers its charge now and the plan names no pfs.write event
+//   fsync markers complete where they are ingested when every flush
+//       item enqueued before them has drained; only the rest queue
 //   flush items --> one FIFO flush queue --> flusher[0..M)
 //       flusher: pops one run (the head plus the seq-consecutive,
 //       offset-contiguous same-file items behind it) and drains it as
 //       one scatter-gather PFS write; the extent gate keeps
 //       last-writer-wins order between flushers
 //   completions run inline on the thread that settles the request:
-//       the worker (write-behind acks, reads, expiry, crash fail-out)
-//       or the flusher (fsync markers, write-through and abandoned
+//       the worker or inline dispatcher (write-behind acks, reads,
+//       expiry, crash fail-out, fsync markers met at ingest) or the
+//       flusher (other fsync markers, write-through and abandoned
 //       flushes), with no daemon lock held
 //
 // Requests for one (file_id, op) stream always land on the same
@@ -61,6 +68,7 @@
 #include <map>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -156,16 +164,21 @@ enum class SubmitResult {
 enum class SubmitMode {
   kQueue,  ///< always through the shard's ingest queue and worker
   /// Dispatch on the calling thread when the shard is idle and no step
-  /// of the dispatch would wait: a write with a free flush-queue slot,
-  /// a read served wholly from staging, or a wholly clean read whose
-  /// PFS charge the read bucket covers now; relay tokens on hand.
-  /// Otherwise queue. Only FIFO daemons without QoS or dispatch_latency
-  /// whose fault plan names no site the dispatch draws (ion.<N>, the
-  /// request or shard site, pfs.read) dispatch inline. For a caller that
-  /// would otherwise only wait for the worker: the RPC server's reader
-  /// thread, and an in-proc client offering the request it waits for
-  /// next. An async submitter would end up doing every shard's work
-  /// itself.
+  /// of the dispatch would wait: a write or fsync marker with a free
+  /// flush-queue slot, a read served wholly from staging, or a wholly
+  /// clean read whose PFS charge the read bucket covers now; relay
+  /// tokens on hand. Otherwise queue. Only FIFO daemons without QoS or
+  /// dispatch_latency whose fault plan names no site the dispatch draws
+  /// (ion.<N>, the request or shard site, pfs.read) dispatch inline.
+  /// A write dispatched so is acknowledged and then flushed on the same
+  /// thread when no older flush item is queued or in flight, the PFS
+  /// write bucket covers it now and the plan names no pfs.write event;
+  /// a marker whose barrier is met completes there, and any other is
+  /// queued for the flushers from there. For a caller that would
+  /// otherwise only wait for the worker: the RPC server's reader thread
+  /// (after the response is sent), and an in-proc client offering the
+  /// request it waits for next. An async submitter would end up doing
+  /// every shard's work itself.
   kInlineWhenIdle
 };
 
@@ -304,9 +317,9 @@ class IonDaemon {
   };
 
   /// What an inline dispatch took before it committed, so process()
-  /// never waits for it: the relay tokens and, for a write, one
-  /// flush-queue slot (cleared once the flush item used it). A read
-  /// comes from the one source fixed at eligibility: staging when its
+  /// never waits for it: the relay tokens and, for a write or fsync
+  /// marker, one flush-queue slot (cleared once an enqueue used it). A
+  /// read comes from the one source fixed at eligibility: staging when its
   /// range is pinned dirty, else the PFS with its charge paid.
   struct InlineHold {
     bool flush_slot = false;
@@ -350,8 +363,10 @@ class IonDaemon {
   std::unique_ptr<agios::Scheduler> make_shard_scheduler() const;
   /// Take one accepted request off the ingest path: queue-wait
   /// observation, deadline expiry, the admission fault site, then fsync
-  /// markers to the flush queue and everything else to the scheduler.
-  void ingest_one(Shard& shard, FwdRequest&& req) IOFA_REQUIRES(shard.mu);
+  /// markers completed (barrier met) or to the flush queue, and
+  /// everything else to the scheduler. `hold` as for process().
+  void ingest_one(Shard& shard, FwdRequest&& req,
+                  InlineHold* hold = nullptr) IOFA_REQUIRES(shard.mu);
   /// Run ingest -> schedule -> process for the request on the calling
   /// thread if the shard is idle and nothing would wait. False sends
   /// `req` to the queue, and `shard.unscheduled` already counts it.
@@ -364,10 +379,21 @@ class IonDaemon {
                InlineHold* hold = nullptr) IOFA_REQUIRES(shard.mu);
   /// Complete a fsync marker (barrier wait + ack).
   void flush_marker(FlushItem& item) IOFA_EXCLUDES(flush_mu_);
+  /// Every flush item enqueued so far has drained: a marker ingested
+  /// now has its barrier met, and a new item has nothing to wait for.
+  bool flush_idle() const IOFA_EXCLUDES(flush_mu_);
+  /// Register an inline-dispatched write's flush item for a flush on
+  /// the calling thread (seq, extent gate, pending count) when it cannot
+  /// wait: the flush pipeline is idle and the PFS charge is paid now.
+  /// False leaves `item` for enqueue_flush().
+  bool claim_inline_flush(FlushItem& item)
+      IOFA_EXCLUDES(flush_enqueue_mu_, flush_mu_);
   /// Write one run of same-file, offset-contiguous, seq-consecutive
   /// items (run.size() == 1 for uncoalesced traffic) as a
   /// scatter-gather PFS dispatch, then settle each item's accounting.
-  void flush_run(std::vector<FlushItem>& run) IOFA_EXCLUDES(flush_mu_);
+  /// A `charged` run was paid by claim_inline_flush().
+  void flush_run(std::span<FlushItem> run, bool charged = false)
+      IOFA_EXCLUDES(flush_mu_);
   Seconds now() const;
 
   std::size_t shard_of(std::uint64_t file_id, FwdOp op) const;
@@ -510,6 +536,10 @@ class IonDaemon {
   /// stall or fail a dispatch: the configuration inline dispatch needs.
   /// Each request is then checked on its own.
   bool inline_eligible_ = false;
+  /// Inline eligible and no pfs.write event in the PFS's fault plan, so
+  /// an inline write's flush draws only passing decisions and is never
+  /// retried: it may run on the dispatching thread (claim_inline_flush).
+  bool inline_flush_eligible_ = false;
 
   // Telemetry (lock-free on the hot path; registered at construction).
   struct Metrics {
@@ -532,6 +562,10 @@ class IonDaemon {
     telemetry::Counter* path_interned = nullptr;
     /// Requests dispatched on the submitting thread (SubmitMode).
     telemetry::Counter* inline_dispatches = nullptr;
+    /// Inline writes flushed on the submitting thread.
+    telemetry::Counter* inline_flushes = nullptr;
+    /// Fsync markers completed at ingest, their barrier already met.
+    telemetry::Counter* fsync_met_at_ingest = nullptr;
     /// Worker wakes that took in and dispatched nothing.
     telemetry::Counter* idle_wakeups = nullptr;
     // Overload surface (outside the admission identity).

@@ -70,7 +70,7 @@ bool EmulatedPfs::write(const std::string& path, std::uint64_t offset,
 
 std::size_t EmulatedPfs::write_gather(const std::string& path,
                                       std::span<const GatherExtent> extents,
-                                      double stream_weight) {
+                                      double stream_weight, bool charged) {
   if (extents.empty()) return 0;
   // Per-extent fault decisions, taken before any charge — exactly the
   // stream consumption N individual write() calls would produce, so
@@ -101,7 +101,7 @@ std::size_t EmulatedPfs::write_gather(const std::string& path,
     // ONE op_overhead surcharge for the whole gather: amortising the
     // per-operation cost is the point of coalescing (the same recovery
     // aggregation gives small forwarded requests).
-    charge(total, stream_weight, /*is_read=*/false, extra);
+    if (!charged) charge(total, stream_weight, /*is_read=*/false, extra);
     const std::uint64_t id = gkfs::hash_path(path);
     for (std::size_t i = 0; i < admitted; ++i) {
       const auto& e = extents[i];
@@ -123,6 +123,13 @@ std::size_t EmulatedPfs::write_gather(const std::string& path,
   ctr_bytes_written_->add(total);
   ctr_write_ops_->add();
   return admitted;
+}
+
+bool EmulatedPfs::try_charge_write(const std::string& path,
+                                   std::uint64_t size) {
+  return lock_for(path)->waiters.load() == 0 &&
+         charge(size, /*stream_weight=*/1.0, /*is_read=*/false, 1.0,
+                /*wait=*/false);
 }
 
 bool EmulatedPfs::try_charge_read(std::uint64_t size) {

@@ -86,10 +86,20 @@ class EmulatedPfs {
   /// same extents written one by one would; extents are applied in
   /// order and the call stops at the first injected failure. Returns
   /// the number of extents durably applied (== extents.size() on full
-  /// success); callers owning durability retry the remaining suffix.
+  /// success); callers owning durability retry the remaining suffix. A
+  /// `charged` write was paid by try_charge_write() and takes no tokens
+  /// here.
   std::size_t write_gather(const std::string& path,
                            std::span<const GatherExtent> extents,
-                           double stream_weight = 1.0);
+                           double stream_weight = 1.0, bool charged = false);
+
+  /// Non-blocking write charge, the counterpart of try_charge_read: takes
+  /// what write_gather() would charge one stream for `size` bytes of
+  /// `path` only when the write bucket covers it now and no other writer
+  /// holds or waits for the file's lock (whose surcharge, and wait, the
+  /// caller could not pay), and reports whether it did. Draws no fault
+  /// decision; pass `charged` to write_gather() when it returned true.
+  bool try_charge_write(const std::string& path, std::uint64_t size);
 
   /// Non-blocking read charge for a caller that must not wait: takes
   /// the charge of one stream only when the read bucket covers all of

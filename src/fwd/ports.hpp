@@ -22,10 +22,12 @@ class MappingStore;
 /// answer, its Completion: issue() completes `req.done` exactly once
 /// whatever happens to the offer, a refusal at admission included
 /// (kRejected - the ION holds nothing of it). `mode` kInlineWhenIdle
-/// says the caller's next step is to wait for this request, so an
-/// in-proc ION may serve it on the calling thread (and may have
-/// completed it when issue() returns); a remote ION's server decides
-/// that itself.
+/// says the caller has nothing to do but wait for this request (or for
+/// the other markers of one fsync, each offered before any is waited
+/// for), so an in-proc ION may serve it on the calling thread: stage a
+/// write and then flush it, or complete a marker whose barrier is met.
+/// It may have completed the request when issue() returns. A remote
+/// ION's server decides that itself, on its reader thread.
 class IonPort {
  public:
   virtual ~IonPort() = default;

@@ -312,7 +312,7 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     const auto inserted = dedup_.try_emplace(id);
     fresh = inserted.second;
     if (fresh) {
-      ++outstanding_;
+      outstanding_ += 2;  // its response, and this handler's own return
     } else {
       dedup_hits_ctr_->add();
       held = inserted.first->second.accepted;
@@ -363,18 +363,21 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   req.done = sink;
 
   // An accepted request answers from its continuation (possibly before
-  // try_submit returns); a refused one answers here. This thread only
-  // reads this link's frames, so on an idle shard it dispatches the
-  // request itself rather than wake a worker and wait.
-  if (service_.daemon(ion_).try_submit(std::move(req),
+  // try_submit returns, which may then still flush the write it staged);
+  // a refused one answers here. This thread only reads this link's
+  // frames, so on an idle shard it dispatches the request itself rather
+  // than wake a worker and wait.
+  const bool accepted =
+      service_.daemon(ion_).try_submit(std::move(req),
                                        SubmitMode::kInlineWhenIdle) ==
-      SubmitResult::kAccepted) {
-    MutexLock lk(mu_);
+      SubmitResult::kAccepted;
+  if (!accepted) sink->complete({CompletionStatus::kRejected, 0});
+  MutexLock lk(mu_);
+  if (accepted) {
     const auto it = dedup_.find(id);
     if (it != dedup_.end()) it->second.accepted = true;
-  } else {
-    sink->complete({CompletionStatus::kRejected, 0});
   }
+  if (--outstanding_ == 0) idle_cv_.notify_all();
 }
 
 void RpcIonServer::respond(

@@ -159,7 +159,8 @@ class RpcIonServer {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
                int ion, telemetry::Registry* registry = nullptr);
-  /// Waits until every accepted request has shipped its response.
+  /// Waits until every accepted request has shipped its response and
+  /// the handler that offered it has returned.
   ~RpcIonServer();
 
  private:
@@ -187,7 +188,9 @@ class RpcIonServer {
   /// Answered ids in answer order - the eviction queue. Ids whose
   /// response is still pending are not in here and never evicted.
   std::deque<std::uint64_t> terminal_order_ IOFA_GUARDED_BY(mu_);
-  /// Offered requests whose response has not been sent yet.
+  /// Two per offered request: one until its response is sent, one
+  /// until on_frame() returns from offering it (an inline write is
+  /// flushed on the reader after its response went out).
   std::size_t outstanding_ IOFA_GUARDED_BY(mu_) = 0;
   CondVar idle_cv_;
   telemetry::Counter* dedup_hits_ctr_ = nullptr;    ///< rpc.dedup_hits

@@ -361,6 +361,30 @@ TEST(ClientTest, FsyncMakesDataDurableOnPfs) {
   EXPECT_EQ(out, data);
 }
 
+// A remap between a write and its fsync: the write is still staged on
+// the ION the job lost (its PFS write bucket is drained, so the flush
+// crawls), and the fsync must reach that ION too, not just the new one.
+TEST(ClientTest, FsyncAfterRemapCoversTheOldIon) {
+  ServiceConfig cfg = fast_service(2);
+  cfg.pfs.write_bandwidth = 1.0e6;
+  cfg.pfs.op_overhead = 0;
+  ForwardingService service(std::move(cfg));
+  service.pfs().write("/warm", 0, static_cast<Bytes>(8 * MiB), {});
+  service.apply_mapping(mapping_for(1, {0}));
+  Client client(client_cfg(1), service);
+  const auto data = pattern_data(65536, 3);
+  ASSERT_EQ(client.pwrite(0, "/f", 0, data.size(), data), data.size());
+
+  service.apply_mapping(mapping_for(1, {1}, /*epoch=*/2));
+  client.refresh_mapping();
+  client.fsync("/f");
+  // Without drain(): the fsync alone must have waited for ION 0.
+  std::vector<std::byte> out(data.size());
+  EXPECT_EQ(service.pfs().read("/f", 0, out.size(), out), out.size());
+  EXPECT_EQ(out, data) << "fsync returned with the old ION's write staged";
+  service.drain();
+}
+
 TEST(ClientTest, RemapMovesNewTraffic) {
   ForwardingService service(fast_service(2));
   service.apply_mapping(mapping_for(1, {0}));
@@ -679,6 +703,95 @@ TEST(InProcInlineDispatch, IneligibleDaemonsQueueEveryOp) {
     EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_dispatches"), 0.0)
         << "daemon kind " << static_cast<int>(kind);
     EXPECT_EQ(counter_sum(reg, "fwd.ion.requests"), 8.0);
+  }
+}
+
+// On an idle eligible ION a one-slice write is flushed on the calling
+// thread once staged, and the fsync behind it finds its barrier met:
+// the bytes are on the PFS when pwrite returns and no flusher wakes.
+// Every daemon the inline rule excludes, and one whose fault plan names
+// pfs.write, keeps the flushers: no inline flush, and with the PFS
+// write bucket drained each fsync waits for its flusher.
+TEST(InProcInlineDispatch, WriteAndFsyncWakeNoFlusher) {
+  constexpr int kPairs = 16;
+  {
+    telemetry::Registry reg;
+    ForwardingService service(inproc_service(reg, 1));
+    service.apply_mapping(mapping_for(1, {0}));
+    Client client(counted_client(reg, ClientMode::Forwarding), service);
+    for (int i = 0; i < kPairs; ++i) {
+      const auto data = pattern_data(4096, static_cast<std::uint64_t>(i));
+      const auto offset = static_cast<std::uint64_t>(i) * 4096;
+      ASSERT_EQ(client.pwrite(0, "/pair", offset, data.size(), data),
+                data.size());
+      std::vector<std::byte> out(data.size());
+      ASSERT_EQ(service.pfs().read("/pair", offset, out.size(), out),
+                out.size());
+      EXPECT_EQ(out, data) << "write " << i << " not on the PFS at return";
+      client.fsync("/pair");
+    }
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_flushes"), kPairs);
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.fsync_met_at_ingest"), kPairs);
+  }
+  enum class Kind { kToAgg, kQos, kLatency, kPfsWrite };
+  for (const Kind kind :
+       {Kind::kToAgg, Kind::kQos, Kind::kLatency, Kind::kPfsWrite}) {
+    telemetry::Registry reg;
+    ServiceConfig cfg = inproc_service(reg, 1);
+    // ~160 ms of write tokens per 16 KiB flush once the burst is gone.
+    cfg.pfs.write_bandwidth = 1.0e5;
+    cfg.pfs.op_overhead = 0;
+    fault::FaultPlan plan;
+    switch (kind) {
+      case Kind::kToAgg:
+        cfg.ion.scheduler.kind = agios::SchedulerKind::TimeWindowAggregation;
+        cfg.ion.scheduler.aggregation_window = 1e-4;
+        break;
+      case Kind::kQos: {
+        qos::TenantSpec tenant;
+        tenant.name = "drill";
+        cfg.qos.enabled = true;
+        cfg.qos.tenants.push_back(tenant);
+        break;
+      }
+      case Kind::kLatency:
+        cfg.ion.dispatch_latency = 1e-5;
+        break;
+      case Kind::kPfsWrite:
+        plan.stall(fault::kPfsWriteSite, 1e6, 0.001);
+        break;
+    }
+    fault::ManualFaultClock clock;
+    fault::FaultInjector injector(std::move(plan), &clock, &reg);
+    cfg.injector = &injector;
+    ForwardingService service(std::move(cfg));
+    service.apply_mapping(mapping_for(1, {0}));
+    Client client(counted_client(reg, ClientMode::Forwarding), service);
+    // One pair first takes every one-time cost of the first op (a slow
+    // first mapping fetch lets the bucket refill); the bucket is
+    // drained after it, so it cannot refill by the next flush.
+    ASSERT_EQ(client.pwrite(0, "/first", 0, 16384, pattern_data(16384, 9)),
+              16384u);
+    client.fsync("/first");
+    const double met_before =
+        counter_sum(reg, "fwd.ion.fsync_met_at_ingest");
+    service.pfs().write("/warm", 0, static_cast<Bytes>(8 * MiB), {});
+    for (int i = 0; i < 2; ++i) {
+      const auto data = pattern_data(16384, static_cast<std::uint64_t>(i));
+      const auto offset = static_cast<std::uint64_t>(i) * 16384;
+      ASSERT_EQ(client.pwrite(0, "/q", offset, data.size(), data),
+                data.size());
+      client.fsync("/q");
+      std::vector<std::byte> out(data.size());
+      ASSERT_EQ(service.pfs().read("/q", offset, out.size(), out),
+                out.size());
+      EXPECT_EQ(out, data) << "daemon kind " << static_cast<int>(kind);
+    }
+    service.drain();
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.inline_flushes"), 0.0)
+        << "daemon kind " << static_cast<int>(kind);
+    EXPECT_EQ(counter_sum(reg, "fwd.ion.fsync_met_at_ingest"), met_before)
+        << "daemon kind " << static_cast<int>(kind);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -128,7 +129,10 @@ TEST(IonDaemon, WriteCompletesAndFlushesToPfs) {
   EXPECT_EQ(out, data);
 }
 
-TEST(IonDaemon, FsyncWaitsForStagedWrites) {
+// The fsync barrier in one submit mode: kQueue hands every request to
+// a worker; kInlineWhenIdle lets the submitting thread dispatch it, and
+// flush an inline write or complete a marker whose barrier is met.
+void fsync_waits_for_staged_writes(SubmitMode mode) {
   EmulatedPfs pfs(fast_pfs());
   IonDaemon daemon(0, fast_ion(), pfs);
 
@@ -136,20 +140,168 @@ TEST(IonDaemon, FsyncWaitsForStagedWrites) {
     auto req = write_req("/f", static_cast<std::uint64_t>(i) * 4096,
                          pattern_data(4096, static_cast<std::uint64_t>(i)));
     auto slot = wait_on(req);
-    ASSERT_TRUE(daemon.submit(std::move(req)));
+    ASSERT_EQ(daemon.try_submit(std::move(req), mode),
+              SubmitResult::kAccepted);
     EXPECT_TRUE(slot->wait().ok());
   }
 
-  FwdRequest fsync;
-  fsync.op = FwdOp::Fsync;
-  fsync.path = "/f";
-  fsync.file_id = gkfs::hash_path("/f");
+  auto fsync = fsync_req("/f");
   auto slot = wait_on(fsync);
-  ASSERT_TRUE(daemon.submit(std::move(fsync)));
+  ASSERT_EQ(daemon.try_submit(std::move(fsync), mode),
+            SubmitResult::kAccepted);
   EXPECT_TRUE(slot->wait().ok());
 
   // After fsync returns, everything staged before it must be on the PFS.
   EXPECT_EQ(pfs.bytes_written(), 16u * 4096u);
+}
+
+TEST(IonDaemon, FsyncWaitsForStagedWrites) {
+  fsync_waits_for_staged_writes(SubmitMode::kQueue);
+}
+
+TEST(IonDaemon, FsyncWaitsForStagedWritesInline) {
+  fsync_waits_for_staged_writes(SubmitMode::kInlineWhenIdle);
+}
+
+double ion_counter(telemetry::Registry& reg, const std::string& name) {
+  return static_cast<double>(reg.counter(name, {{"ion", "0"}}).value());
+}
+
+// An inline write whose PFS charge the write bucket cannot cover now is
+// not flushed on the submitting thread but queued for a flusher, and an
+// fsync offered inline behind it must wait for that flusher: its
+// barrier is not met at ingest.
+TEST(IonDaemon, FsyncAfterARefusedInlineFlushWaitsForTheFlusher) {
+  telemetry::Registry reg;
+  PfsParams slow = fast_pfs();
+  slow.write_bandwidth = 1.0e6;
+  slow.op_overhead = 0;
+  slow.registry = &reg;
+  EmulatedPfs pfs(slow);
+  pfs.write("/warm", 0, static_cast<Bytes>(8 * MiB), {});  // drain the burst
+  IonParams params = fast_ion();
+  params.registry = &reg;
+  IonDaemon daemon(0, params, pfs);
+
+  const auto data = pattern_data(65536, 4);
+  auto wreq = write_req("/f", 0, data);
+  auto wslot = wait_on(wreq);
+  ASSERT_EQ(daemon.try_submit(std::move(wreq), SubmitMode::kInlineWhenIdle),
+            SubmitResult::kAccepted);
+  EXPECT_TRUE(wslot->wait().ok());
+  auto sync = fsync_req("/f");
+  auto sslot = wait_on(sync);
+  ASSERT_EQ(daemon.try_submit(std::move(sync), SubmitMode::kInlineWhenIdle),
+            SubmitResult::kAccepted);
+  EXPECT_TRUE(sslot->wait().ok());
+
+  // ~65 ms of write tokens: the fsync returned only after the flusher.
+  std::vector<std::byte> out(data.size());
+  EXPECT_EQ(pfs.read("/f", 0, out.size(), out), out.size());
+  EXPECT_EQ(out, data) << "fsync returned before the acked write was durable";
+  EXPECT_EQ(ion_counter(reg, "fwd.ion.inline_dispatches"), 2.0);
+  EXPECT_EQ(ion_counter(reg, "fwd.ion.inline_flushes"), 0.0);
+  EXPECT_EQ(ion_counter(reg, "fwd.ion.fsync_met_at_ingest"), 0.0);
+}
+
+/// Continuations for fsync markers: each records how many bytes the PFS
+/// held when its marker completed.
+class DurableBytesLog {
+ public:
+  explicit DurableBytesLog(const EmulatedPfs& pfs) : pfs_(pfs) {}
+  /// The continuation of one more marker.
+  std::shared_ptr<CompletionSink> sink() {
+    class Sink final : public CompletionSink {
+     public:
+      explicit Sink(DurableBytesLog& log) : log_(log) {}
+      void complete(Completion) override { log_.record(); }
+
+     private:
+      DurableBytesLog& log_;
+    };
+    return std::make_shared<Sink>(*this);
+  }
+  /// Wait up to `limit` for `n` completions; the bytes recorded so far.
+  std::vector<Bytes> wait_for(std::size_t n, std::chrono::milliseconds limit) {
+    const auto until = std::chrono::steady_clock::now() + limit;
+    UniqueLock lk(mu_);
+    while (bytes_.size() < n &&
+           cv_.wait_until(lk, until) != std::cv_status::timeout) {
+    }
+    return bytes_;
+  }
+
+ private:
+  void record() {
+    MutexLock lk(mu_);
+    bytes_.push_back(pfs_.bytes_written());
+    cv_.notify_all();
+  }
+  const EmulatedPfs& pfs_;
+  Mutex mu_;
+  CondVar cv_;
+  std::vector<Bytes> bytes_ IOFA_GUARDED_BY(mu_);
+};
+
+/// A write's continuation: the moment the write is acknowledged it
+/// offers fsync markers of several files to the daemon's queues (so
+/// some reach a worker of another shard than the write's), and gives
+/// any of them 200 ms to complete before the acking thread goes on to
+/// flush the write.
+class FsyncOnAck final : public CompletionSink {
+ public:
+  static constexpr std::size_t kMarkers = 8;
+  FsyncOnAck(IonDaemon& daemon, DurableBytesLog& log)
+      : daemon_(daemon), log_(log) {}
+  void complete(Completion) override {
+    for (std::size_t f = 0; f < kMarkers; ++f) {
+      auto sync = fsync_req("/marker" + std::to_string(f));
+      sync.done = log_.sink();
+      EXPECT_EQ(daemon_.try_submit(std::move(sync)), SubmitResult::kAccepted);
+    }
+    early = log_.wait_for(1, std::chrono::milliseconds(200));
+  }
+  /// Bytes on the PFS at each marker completed while the acking thread
+  /// was still here.
+  std::vector<Bytes> early;
+
+ private:
+  IonDaemon& daemon_;
+  DurableBytesLog& log_;
+};
+
+// An inline write is acknowledged before the dispatching thread flushes
+// it, so a marker offered once the ack is out - here from the ack's own
+// continuation, to workers of other shards - must count that write in
+// its barrier and wait for the flush. A flush that took its seq only
+// after the PFS write, or a marker completed at ingest unchecked, lets
+// the marker complete with the acked bytes still staged.
+TEST(IonDaemon, FsyncOfferedOnAnInlineAckWaitsForItsFlush) {
+  telemetry::Registry reg;
+  PfsParams pp = fast_pfs();
+  pp.registry = &reg;
+  EmulatedPfs pfs(pp);
+  DurableBytesLog log(pfs);  // outlives the daemon that completes into it
+  IonParams params = fast_ion();
+  params.workers = 2;
+  params.registry = &reg;
+  IonDaemon daemon(0, params, pfs);
+
+  const auto data = pattern_data(65536, 5);
+  auto wreq = write_req("/w", 0, data);
+  auto ack = std::make_shared<FsyncOnAck>(daemon, log);
+  wreq.done = ack;
+  ASSERT_EQ(daemon.try_submit(std::move(wreq), SubmitMode::kInlineWhenIdle),
+            SubmitResult::kAccepted);
+  ASSERT_EQ(ion_counter(reg, "fwd.ion.inline_flushes"), 1.0);
+  EXPECT_TRUE(ack->early.empty())
+      << "a marker completed before the acked write's flush, with "
+      << ack->early.front() << " bytes on the PFS";
+  const std::vector<Bytes> at =
+      log.wait_for(FsyncOnAck::kMarkers, std::chrono::seconds(60));
+  ASSERT_EQ(at.size(), FsyncOnAck::kMarkers);
+  for (const Bytes b : at) EXPECT_GE(b, data.size());
+  daemon.drain();
 }
 
 TEST(IonDaemon, ReadServedFromStagingBeforeFlush) {
@@ -1089,12 +1241,13 @@ TEST(IonDaemon, OverlappingMisalignedRewritesDrainAcrossWorkerCounts) {
   }
 }
 
-TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
-  // Several threads interleave writes to several files with fsyncs. An
-  // fsync must not complete before every write acked ahead of it - by
-  // any thread - is on the PFS, whichever flusher drained it. Each
-  // thread owns its own 4 KiB slots; a slot's first 8 bytes carry its
-  // version, so the PFS copy can be compared against what was acked.
+// Several threads interleave writes to several files with fsyncs. An
+// fsync must not complete before every write acked ahead of it - by
+// any thread - is on the PFS, whichever flusher or inline dispatcher
+// drained it. Each thread owns its own 4 KiB slots; a slot's first 8
+// bytes carry its version, so the PFS copy can be compared against what
+// was acked.
+void fsync_barrier_holds_on_the_shared_flush_queue(SubmitMode mode) {
   constexpr int kThreads = 4;
   constexpr int kFiles = 3;
   constexpr int kSlots = 4;  // per thread and file
@@ -1129,7 +1282,8 @@ TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
             auto req = write_req(slot_path(i), slot_offset(i),
                                  slot_data(i, version));
             auto slot = wait_on(req);
-            EXPECT_TRUE(daemon.submit(std::move(req)));
+            EXPECT_EQ(daemon.try_submit(std::move(req), mode),
+                      SubmitResult::kAccepted);
             EXPECT_EQ(slot->wait().value, 4 * KiB);
             acked[i].store(version);
           }
@@ -1137,7 +1291,8 @@ TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
           for (int i = 0; i < kAll; ++i) before[i] = acked[i].load();
           auto sync = fsync_req(slot_path(t));
           auto slot = wait_on(sync);
-          EXPECT_TRUE(daemon.submit(std::move(sync)));
+          EXPECT_EQ(daemon.try_submit(std::move(sync), mode),
+                    SubmitResult::kAccepted);
           EXPECT_TRUE(slot->wait().ok());
           for (int i = 0; i < kAll; ++i) {
             if (before[i] == 0) continue;
@@ -1163,6 +1318,14 @@ TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
       daemon.drain();
     });
   }
+}
+
+TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueue) {
+  fsync_barrier_holds_on_the_shared_flush_queue(SubmitMode::kQueue);
+}
+
+TEST(IonDaemon, FsyncBarrierHoldsOnTheSharedFlushQueueInline) {
+  fsync_barrier_holds_on_the_shared_flush_queue(SubmitMode::kInlineWhenIdle);
 }
 
 TEST(IonDaemon, PartlyDirtyReadTakesCleanBytesFromThePfs) {
